@@ -92,6 +92,7 @@ def parse_config(raw: dict) -> RunConfig:
             layers = four_layer_config(topo, layers_spec)
         else:
             layers = [_parse_layer(spec, topo.n) for spec in layers_spec]
+        _check_layers(layers, topo)
         baseline = raw.get("baseline", "symmetry")
         if baseline not in ("symmetry", "unit_depth"):
             raise ConfigError(f"unknown baseline {baseline!r}")
@@ -116,6 +117,21 @@ def parse_config(raw: dict) -> RunConfig:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config: {exc}") from exc
+
+
+def _check_layers(layers: list[CliffordLayer], topo: Topology) -> None:
+    # Outputs are keyed by label, and CZ gates need a coupler.
+    labels = [layer.label for layer in layers]
+    dup = sorted({lab for lab in labels if labels.count(lab) > 1})
+    if dup:
+        raise ConfigError(f"duplicate layer labels {dup}")
+    edges = set(topo.edges)
+    for layer in layers:
+        bad = [list(pair) for pair in layer.cz_pairs if pair not in edges]
+        if bad:
+            raise ConfigError(
+                f"layer {layer.label!r}: CZ pairs {bad} are not topology edges"
+            )
 
 
 def _parse_layer(spec: dict, n: int) -> CliffordLayer:

@@ -8,6 +8,10 @@ elimination (exact).  Large rank queries run vectorized elimination modulo
 two independent 31-bit primes; a modular rank is a certified lower bound on
 the rational rank, and agreement of both primes is accepted for the upper
 bound (disagreement falls back to the exact path).
+
+The certificate support search works mod p from one elimination per call:
+a particular solution and a left null-space basis, updated by one rank-1
+step per dropped row.  Its decisions match the rank comparison exactly mod p.
 """
 
 from __future__ import annotations
@@ -192,6 +196,43 @@ def solve_rational(columns, target) -> list[Fraction] | None:
     return coeffs
 
 
+def _solution_and_null_space(rows: np.ndarray, target: np.ndarray, p: int):
+    """Mod-p particular solution c of c @ rows = target and a basis of the
+    left null space of rows (as matrix rows), or None if no solution exists.
+
+    Eliminates [rows | I] once: the identity part records each echelon row
+    as a combination of the input rows, so reducing the target against the
+    echelon rows accumulates c, and the rows that end up zero on the left
+    carry the null vectors.
+    """
+    m, ncols = rows.shape
+    aug = np.concatenate([rows, np.eye(m, dtype=np.int64)], axis=1)
+    t = target.copy()
+    c = np.zeros(m, dtype=np.int64)
+    rank = 0
+    for col in range(ncols):
+        if rank == m:
+            break
+        nz = np.nonzero(aug[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        i = rank + nz[0]
+        if i != rank:
+            aug[[rank, i]] = aug[[i, rank]]
+        aug[rank] = (aug[rank] * pow(int(aug[rank, col]), p - 2, p)) % p
+        below = np.nonzero(aug[rank + 1 :, col])[0] + rank + 1
+        if below.size:
+            aug[below] = (aug[below] - np.outer(aug[below, col], aug[rank])) % p
+        if t[col]:
+            f = int(t[col])
+            t = (t - f * aug[rank, :ncols]) % p
+            c = (c + f * aug[rank, ncols:]) % p
+        rank += 1
+    if t.any():
+        return None
+    return c, aug[rank:, ncols:]
+
+
 def modular_support_search(
     rows: np.ndarray,
     target: np.ndarray,
@@ -201,37 +242,45 @@ def modular_support_search(
 ) -> list[int] | None:
     """Small row subsets whose span contains the target, found mod p.
 
-    Randomized greedy removal: starting from all rows, repeatedly drop a row
-    and keep the drop if the target remains in the span (mod p).  Returns the
-    smallest support over `retries` random orders, or None if the target is
-    not even in the full span.  The caller is expected to re-solve and verify
-    the final support exactly; a modular false positive then surfaces as a
-    failed exact solve.
+    Randomized greedy removal: visit the nonzero rows in a random order and
+    drop each one if the target stays in the span of the rows kept.  Returns
+    the smallest support over `retries` orders, [] for a zero target, or None
+    if the target is not in the full span.  The caller re-solves and verifies
+    the support exactly, so a modular false positive surfaces as a failed
+    exact solve.
+
+    Each decision is a null-space update, not a rank test: every retry starts
+    from a particular solution c (c @ rows = target) and a left null-space
+    basis N.  Some solution avoids row i iff c_i = 0 or some null vector has
+    n_i != 0, which is exactly the mod-p rank comparison of the rows kept with
+    and without the target; a drop pivots on that vector to clear column i
+    from c and N (one rank-1 update).
     """
     rows = np.asarray(rows, dtype=np.int64) % p
     target = np.asarray(target, dtype=np.int64) % p
-
-    def in_span(idx: list[int]) -> bool:
-        if not idx:
-            return not target.any()
-        a = np.vstack([rows[idx], target[None, :]])
-        sub = _rank_mod(a[:-1], p)
-        return _rank_mod(a, p) == sub
-
-    all_idx = list(range(len(rows)))
-    if not in_span(all_idx):
+    support = [i for i in range(len(rows)) if rows[i].any()]
+    start = _solution_and_null_space(rows[support], target, p)
+    if start is None:
         return None
+    c0, null0 = start
     best: list[int] | None = None
     for _ in range(max(1, retries)):
-        support = [i for i in all_idx if rows[i].any()]
-        order = list(support)
+        order = list(range(len(support)))
         rng.shuffle(order)
-        current = set(support)
-        for i in order:
-            trial = sorted(current - {i})
-            if in_span(trial):
-                current.discard(i)
-        found = sorted(current)
+        c, null = c0, null0  # updates below build new arrays
+        kept = [True] * len(support)
+        for j in order:
+            hits = np.nonzero(null[:, j])[0]
+            if hits.size:
+                k = hits[0]
+                piv = (null[k] * pow(int(null[k, j]), p - 2, p)) % p
+                c = (c - int(c[j]) * piv) % p
+                null = np.delete(null, k, axis=0)
+                null = (null - np.outer(null[:, j], piv)) % p
+            elif c[j]:
+                continue
+            kept[j] = False
+        found = [i for i, keep in zip(support, kept) if keep]
         if best is None or len(found) < len(best):
             best = found
             if len(best) <= 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -99,11 +100,20 @@ class LambdaSpace:
         return out
 
     def int_row(self, fn: FidelityFunction) -> list[int]:
-        row = self.row(fn)
-        den = 1
-        for v in row:
-            den = den * v.denominator // np.gcd(den, v.denominator)
-        return [int(v * den) for v in row]
+        """`row(fn)` scaled by the lcm of its denominators, in integers.
+
+        With D the lcm of the coefficient denominators, R = sum (g D) *
+        overlaps is D times the row, and R / gcd(D, R) is the row times the
+        lcm of its own denominators (terms may cancel; a zero row stays 0).
+        """
+        den = lcm(*(g.denominator for _, _, g in fn.terms))
+        out = np.zeros(self.dim, dtype=np.int64)
+        off = self.offsets()
+        for lab, p, g in fn.terms:
+            gens = self.generators[lab]
+            overlaps = gens.overlaps(p).astype(np.int64)
+            out[off[lab] : off[lab] + len(gens)] += int(g * den) * overlaps
+        return (out // gcd(den, *out.tolist())).tolist()
 
 
 @dataclass(frozen=True)

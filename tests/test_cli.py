@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from cyclebench.cli import main
+from cyclebench.cli import EXIT_CONFIG, main
 
 
 def write_config(tmp_path, **overrides):
@@ -135,6 +135,21 @@ class TestErrors:
             layers=[{"label": "B", "cz": [[0, 1], [1, 2]]}],
         )
         assert main(["generate-model", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            [{"label": "A", "cz": [[0, 1]]}, {"label": "A", "cz": [[2, 3]]}],
+            [{"label": "A", "cz": [[0, 3]]}],  # 0-3 is a diagonal of the square
+        ],
+        ids=["duplicate_labels", "cz_on_non_edge"],
+    )
+    def test_silently_wrong_layers_rejected(self, tmp_path, capsys, layers):
+        path, _ = write_config(tmp_path, topology="square2x2", layers=layers)
+        assert main(["generate-model", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestRepro:
