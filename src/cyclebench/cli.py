@@ -25,11 +25,12 @@ from .pec import pec_sweep, summarize_pec
 from .pipeline import (
     CharacterizationPlan,
     cached_plan,
+    covering_pairs,
     generate_models,
     model_rng,
     sweep_item,
 )
-from .spl import GeneratorSet, RandomModelParams
+from .spl import GeneratorSet, RandomModelParams, random_model
 from .topology import LAYER_SCHEMES, Topology, four_layer_config, preset
 
 EXIT_CONFIG = 2
@@ -153,25 +154,29 @@ def _write_json(path, payload) -> None:
 
 
 def _plan(cfg: RunConfig) -> CharacterizationPlan:
+    # Ratio certificates decompose consecutive covering layers into CZ chains.
+    pairs, _ = covering_pairs(cfg.topology, cfg.layers)
+    by_label = {layer.label: layer for layer in cfg.layers}
+    for lab in dict.fromkeys(lab for pair in pairs for lab in pair):
+        if not by_label[lab].is_cz_only():
+            raise ConfigError(
+                f"layer {lab!r}: single-qubit gates (\"sq\") are not supported "
+                "in a layer that shares qubits with another layer"
+            )
     return cached_plan(cfg.topology, cfg.layers, seed=cfg.seed, retries=8)
 
 
 def cmd_generate_model(cfg: RunConfig) -> int:
     rng = model_rng(cfg.seed, 0)
+    gens = GeneratorSet(cfg.topology)
     os.makedirs(cfg.out, exist_ok=True)
     for layer in cfg.layers:
-        model = _random_model(cfg, layer, rng)
+        model = random_model(gens, layer, RandomModelParams(), rng)
         payload = model.to_dict()
         payload["config_digest"] = cfg.digest()
         _write_json(os.path.join(cfg.out, f"model_{layer.label}.json"), payload)
         print(f"wrote model_{layer.label}.json  |K| = {len(model.generators)}")
     return 0
-
-
-def _random_model(cfg: RunConfig, layer, rng):
-    from .spl import random_model
-
-    return random_model(cfg.topology, layer, RandomModelParams(), rng)
 
 
 def cmd_learnability(cfg: RunConfig) -> int:

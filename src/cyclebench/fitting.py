@@ -110,109 +110,90 @@ def nnls(
     weights: np.ndarray | None = None,
     tol: float = 1e-12,
     max_iter: int | None = None,
-    gram: bool = False,
+    ata: np.ndarray | None = None,
 ) -> FitResult:
-    """argmin_{x >= 0} || sqrt(W) (A x - b) ||_2 by an active-set method.
+    """argmin_{x >= 0} || sqrt(W) (A x - b) ||_2 by block principal pivoting.
 
-    Lawson-Hanson structure with a warm start: the passive set is seeded
-    from the sign pattern of the unconstrained solution, then the standard
-    inner feasibility restoration / outer optimality loop runs to exact KKT
-    conditions.  If the warm start stalls, restart cold (provably
-    convergent).
+    Kim & Park's method on the normal equations: every iteration solves
+    A_F^T A_F x_F = A_F^T b on the passive set F and exchanges the infeasible
+    indices (passive with x_i <= 0, active with gradient above tol * scale).
+    All of them are exchanged while their count keeps falling, with a budget
+    of three non-improving exchanges.  The first passive set is the sign
+    pattern x > 0 of the unconstrained solution.  When the budget runs out,
+    Lawson-Hanson steps from x = 0 finish the fit: their objective falls at
+    every step, so they end on any A, where Kim & Park's single-index backup
+    rule can cycle once A lacks full column rank (wide systems).
 
-    With gram=True the passive-set solves use precomputed normal equations
-    (much faster for tall systems, at the cost of squared conditioning);
-    the default path solves least squares on the passive columns directly.
+    `ata` is a precomputed A^T A of the unweighted A (any numeric dtype),
+    as `CharacterizationPlan.gram` holds per layer.  `iterations` counts the
+    passive-set solves, the unconstrained one included; the KKT residual is
+    measured on the true residual b - A x.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if weights is not None:
+        if ata is not None:
+            raise ValueError("a precomputed Gram matrix cannot be combined with weights")
         w = np.asarray(weights, dtype=float)
         sw = np.sqrt(w / w.max())  # normalization leaves the argmin unchanged
         A = A * sw[:, None]
         b = b * sw
-    m, n = A.shape
+    n = A.shape[1]
     if max_iter is None:
         max_iter = 10 * n + 100
-    scale = max(1.0, float(np.abs(A.T @ b).max())) if m else 1.0
+    ata = A.T @ A if ata is None else np.asarray(ata, dtype=float)
+    atb = A.T @ b
+    scale = max(1.0, float(np.abs(atb).max(initial=0.0)))
     gtol = tol * scale
-    ata = atb = None
-    if gram:
-        ata = A.T @ A
-        atb = A.T @ b
+    iters = 0
 
-    def solve_passive(passive):
+    def solve(passive, rhs=atb):
+        nonlocal iters
+        iters += 1
+        if iters > max_iter:
+            raise RuntimeError("nonnegative least squares failed to converge")
         x = np.zeros(n)
         if passive.any():
-            if gram:
-                sub = ata[np.ix_(passive, passive)]
-                try:
-                    sol = np.linalg.solve(sub, atb[passive])
-                except np.linalg.LinAlgError:
-                    sol, *_ = np.linalg.lstsq(sub, atb[passive], rcond=None)
-            else:
-                sol, *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
-            x[passive] = sol
+            sub = ata[np.ix_(passive, passive)]
+            try:
+                x[passive] = np.linalg.solve(sub, rhs[passive])
+            except np.linalg.LinAlgError:
+                x[passive] = np.linalg.lstsq(sub, rhs[passive], rcond=None)[0]
         return x
 
-    def run(passive_init):
-        passive = passive_init.copy()
-        iters = 0
-        # Warm-start restoration: shrink the proposed passive set until its
-        # least-squares solution is strictly positive (drops at least one
-        # coordinate per pass, so it terminates).
-        z = solve_passive(passive)
-        while np.any(z[passive] <= 0):
-            iters += 1
-            if iters > max_iter:
-                return None
-            passive &= ~(passive & (z <= 0))
-            z = solve_passive(passive)
-        x = z
-        while True:
-            iters += 1
-            if iters > max_iter:
-                return None
-            grad = A.T @ (b - A @ x)
-            candidates = ~passive
-            if not candidates.any() or np.max(grad[candidates]) <= gtol:
-                return x, iters
-            passive[int(np.argmax(np.where(candidates, grad, -np.inf)))] = True
-            z = solve_passive(passive)
-            # Inner loop: move from feasible x toward z, dropping whichever
-            # passive coordinates hit zero first.
-            while np.any(z[passive] <= 0):
-                iters += 1
-                if iters > max_iter:
-                    return None
-                mask = passive & (z <= 0)
-                denom = x[mask] - z[mask]
-                ratios = np.where(denom > 0, x[mask] / np.maximum(denom, 1e-300), 0.0)
-                alpha = float(ratios.min())
-                x = x + alpha * (z - x)
-                floor = 1e-12 * max(1.0, float(np.abs(x).max()))
-                hit = mask & (x <= floor)
-                if not hit.any():
-                    hit = mask
-                passive &= ~hit
-                x[~passive] = 0.0
-                z = solve_passive(passive)
-            x = z
+    def kkt_of(x):
+        resid = b - A @ x
+        grad = A.T @ resid
+        kkt = max(
+            float(np.max(grad[x <= 0], initial=0.0)),
+            float(np.max(np.abs(grad[x > 0]), initial=0.0)),
+        )
+        return resid, grad, kkt
 
-    x0 = solve_passive(np.ones(n, dtype=bool))
-    warm = x0 > 0
-    result = run(warm)
-    if result is None:
-        result = run(np.zeros(n, dtype=bool))
-        if result is None:
-            raise RuntimeError("nonnegative least squares failed to converge")
-    x, iters = result
-    resid = b - A @ x
-    grad = A.T @ resid
-    kkt = max(
-        float(np.max(grad[x <= 0], initial=0.0)),
-        float(np.max(np.abs(grad[x > 0]), initial=0.0)),
-    )
+    passive = solve(np.ones(n, dtype=bool)) > 0
+    x = solve(passive)
+    budget, fewest = 3, n + 1
+    while True:
+        grad = atb - ata @ x
+        infeasible = np.where(passive, x <= 0, grad > gtol)
+        count = int(infeasible.sum())
+        if count == 0:
+            break
+        if count < fewest:
+            fewest, budget = count, 3
+        elif budget == 0:
+            x = _lawson_hanson(ata, atb, gtol, solve)
+            break
+        else:
+            budget -= 1
+        passive ^= infeasible
+        x = solve(passive)
+    resid, grad, kkt = kkt_of(x)
+    if kkt > gtol:
+        # The normal equations square cond(A_F); one refinement step on the
+        # true residual restores the accuracy of an ill-conditioned solve.
+        x = np.maximum(x + solve(x > 0, grad), 0.0)
+        resid, grad, kkt = kkt_of(x)
     return FitResult(
         lambdas=x,
         residual_norm=float(np.linalg.norm(resid)),
@@ -222,8 +203,41 @@ def nnls(
     )
 
 
-def fit_system(system: ConstraintSystem) -> FitResult:
-    return nnls(system.matrix, system.rhs, system.weights)
+def _lawson_hanson(ata, atb, gtol, solve) -> np.ndarray:
+    """Lawson-Hanson active-set steps from x = 0 on the normal equations.
+
+    Each outer step frees the active index of largest gradient; the inner
+    loop moves from the feasible x toward the new passive solution and
+    drops whichever coordinates reach zero first.  An index whose own
+    passive value comes out nonpositive is numerically dependent on the
+    passive columns: it stays active until x next changes.
+    """
+    x = np.zeros(len(atb))
+    passive = np.zeros(len(atb), dtype=bool)
+    rejected = np.zeros(len(atb), dtype=bool)
+    while True:
+        grad = np.where(passive | rejected, -np.inf, atb - ata @ x)
+        if grad.max() <= gtol:
+            return x
+        t = int(np.argmax(grad))
+        passive[t] = True
+        z = solve(passive)
+        if z[t] <= 0:
+            passive[t] = False
+            rejected[t] = True
+            continue
+        rejected[:] = False
+        while np.any(z[passive] <= 0):
+            mask = passive & (z <= 0)
+            denom = x[mask] - z[mask]
+            ratios = np.where(denom > 0, x[mask] / np.maximum(denom, 1e-300), 0.0)
+            x = x + float(ratios.min()) * (z - x)
+            floor = 1e-12 * max(1.0, float(np.abs(x).max()))
+            hit = mask & (x <= floor)
+            passive &= ~(hit if hit.any() else mask)
+            x[~passive] = 0.0
+            z = solve(passive)
+        x = z
 
 
 def refine_unlearnable(estimates: list[float], ratios: list[float]) -> list[float]:
@@ -270,7 +284,6 @@ def fit_conventional(
     records_high: list[FidelityRecord],
     records_low: list[FidelityRecord],
     generators_by_layer: dict[str, GeneratorSet],
-    weighted: bool = False,
 ) -> dict[str, FitResult]:
     """Per-layer nonnegative least squares over high-accuracy products plus
     the low-accuracy unlearnable singles."""
@@ -281,9 +294,7 @@ def fit_conventional(
         records = high.get(lab, []) + low.get(lab, [])
         system = assemble(records, {lab: generators_by_layer[lab]}, (lab,))
         system.check_full_rank({lab: generators_by_layer[lab]})
-        out[lab] = nnls(
-            system.matrix, system.rhs, system.weights if weighted else None
-        )
+        out[lab] = nnls(system.matrix, system.rhs)
     return out
 
 
@@ -293,7 +304,6 @@ def fit_mlcb(
     mu_records: list[MuRecord],
     generators_by_layer: dict[str, GeneratorSet],
     layers,
-    weighted: bool = False,
 ) -> dict[str, FitResult]:
     """Refine the unlearnable singles with the measured ratios (per bulk
     qubit, consecutive covering layers), then fit each layer.
@@ -340,19 +350,18 @@ def fit_mlcb(
         new_low.append(
             FidelityRecord(rec.targets, value, rec.sigma, "low", rec.provenance + "+mlcb")
         )
-    return fit_conventional(records_high, new_low, generators_by_layer, weighted)
+    return fit_conventional(records_high, new_low, generators_by_layer)
 
 
 def fit_joint(
     records: list[FidelityRecord],
     generators_by_layer: dict[str, GeneratorSet],
     layer_order: tuple[str, ...],
-    weighted: bool = False,
 ) -> FitResult:
     """One nonnegative least squares over the concatenated rate space;
     records may span layers (multi-layer products enter as single rows)."""
     system = assemble(records, generators_by_layer, layer_order)
-    fit = nnls(system.matrix, system.rhs, system.weights if weighted else None)
+    fit = nnls(system.matrix, system.rhs)
     fit.method = "joint"
     return fit
 

@@ -50,6 +50,7 @@ class CharacterizationPlan:
     s_high: dict[str, np.ndarray]
     low_qubits: dict[str, list[int]]  # gate qubits, in order, per layer
     s_low: dict[str, np.ndarray]
+    gram: dict[str, np.ndarray]  # exact S^T S of S = [s_high; s_low], smallest int dtype
     symmetry_row: dict[str, list[int]]  # per low target: index of its orbit product
     mu_entries: list[MuPlanEntry]
     mu_failures: int = 0
@@ -74,6 +75,7 @@ def build_plan(
     s_high: dict[str, np.ndarray] = {}
     low_qubits: dict[str, list[int]] = {}
     s_low: dict[str, np.ndarray] = {}
+    gram: dict[str, np.ndarray] = {}
     symmetry_row: dict[str, list[int]] = {}
     key_index: dict[str, dict] = {}
     for layer in layers:
@@ -100,6 +102,10 @@ def build_plan(
             sym.append(key_index[lab][orbit_key])
         s_low[lab] = lrows
         symmetry_row[lab] = sym
+        # Integer entries far below 2**53, so the float product is exact.
+        stacked = np.vstack([rows, lrows]).astype(float)
+        g = stacked.T @ stacked
+        gram[lab] = g.astype(np.min_scalar_type(int(g.max())))
     mu_entries: list[MuPlanEntry] = []
     failures = 0
     if with_mlcb:
@@ -143,6 +149,7 @@ def build_plan(
         s_high=s_high,
         low_qubits=low_qubits,
         s_low=s_low,
+        gram=gram,
         symmetry_row=symmetry_row,
         mu_entries=mu_entries,
         mu_failures=failures,
@@ -183,7 +190,7 @@ def generate_models(
     params: RandomModelParams = RandomModelParams(),
 ) -> dict[str, SplModel]:
     return {
-        layer.label: random_model(plan.topology, layer, params, rng)
+        layer.label: random_model(plan.generators, layer, params, rng)
         for layer in plan.layers
     }
 
@@ -212,14 +219,12 @@ def characterize_and_fit(
     baseline: str,
     rng: np.random.Generator,
     pipelines: tuple[str, ...] = ("conventional", "mlcb"),
-    weighted: bool = False,
 ) -> RunResult:
     """Steps (ii)-(v) for one noise model: noisy records, both fits, L1
     distances and their ratio.
 
-    The default fit treats every record row equally, matching the published
-    nonnegative least-squares objective; weighted=True applies 1/sigma^2
-    row weights instead.
+    Every record row weighs the same, matching the published nonnegative
+    least-squares objective.
     """
     if baseline not in ("symmetry", "unit_depth"):
         raise ValueError(f"unknown baseline {baseline!r}")
@@ -227,7 +232,6 @@ def characterize_and_fit(
     lam = {lab: models[lab].lambdas for lab in labels}
     noisy_high: dict[str, np.ndarray] = {}
     low_est: dict[str, np.ndarray] = {}
-    sigma_low = sigma / 2.0 if baseline == "symmetry" else sigma_prime
     for lab in labels:
         exact = np.exp(-2.0 * (plan.s_high[lab].astype(float) @ lam[lab]))
         noisy = exact + (rng.normal(0.0, sigma, exact.shape) if sigma > 0 else 0.0)
@@ -272,15 +276,7 @@ def characterize_and_fit(
                 [np.clip(noisy_high[lab], 1e-12, None), low_values[lab]]
             )
             rhs = -0.5 * np.log(values)
-            weights = None
-            if weighted:
-                weights = np.concatenate(
-                    [
-                        np.full(len(noisy_high[lab]), 1.0 / max(sigma, 1e-15) ** 2),
-                        np.full(len(low_values[lab]), 1.0 / max(sigma_low, 1e-15) ** 2),
-                    ]
-                )
-            fit = nnls(mat, rhs, weights, gram=True)
+            fit = nnls(mat, rhs, ata=plan.gram[lab])
             per_layer[lab] = fit.lambdas
             meta[lab] = {
                 "residual_norm": fit.residual_norm,

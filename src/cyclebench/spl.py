@@ -165,12 +165,13 @@ class RandomModelParams:
 
 
 def random_model(
-    topology: Topology,
+    generators: GeneratorSet,
     layer: CliffordLayer,
     params: RandomModelParams = RandomModelParams(),
     rng: np.random.Generator | None = None,
 ) -> SplModel:
-    """Draw a realistic rate vector for one layer.
+    """Draw a realistic rate vector for one layer over the generator set
+    (and so the topology) `generators`.
 
     A generator is active when its whole support lies inside a single gate
     of the layer (that gate's per-gate mean then applies); generators
@@ -178,7 +179,6 @@ def random_model(
     """
     if rng is None:
         rng = np.random.default_rng(params.seed)
-    gens = GeneratorSet(topology)
     gate_means: dict[tuple[int, int], tuple[float, float]] = {}
     for pair in layer.cz_pairs:
         gate_means[pair] = tuple(
@@ -189,17 +189,19 @@ def random_model(
     for pair in layer.cz_pairs:
         gate_of[pair[0]] = pair
         gate_of[pair[1]] = pair
-    lam = np.empty(len(gens))
-    for i, p in enumerate(gens.strings):
+    loc = np.empty(len(generators))
+    scale = np.empty(len(generators))
+    for i, p in enumerate(generators.strings):
         sup = p.support()
         w = len(sup) - 1  # 0 -> weight 1, 1 -> weight 2
         gate = gate_of.get(sup[0])
         if gate is not None and all(q in gate for q in sup):
-            lam[i] = rng.normal(gate_means[gate][w], params.std_active[w])
+            loc[i], scale[i] = gate_means[gate][w], params.std_active[w]
         else:
-            lam[i] = rng.normal(params.mean_inactive[w], params.std_inactive[w])
-    np.clip(lam, 0.0, None, out=lam)
-    return SplModel(layer.label, gens, lam)
+            loc[i], scale[i] = params.mean_inactive[w], params.std_inactive[w]
+    # One draw in generator order: the same stream as one draw per generator.
+    lam = np.clip(rng.normal(loc, scale), 0.0, None)
+    return SplModel(layer.label, generators, lam)
 
 
 def pec_weights(model: SplModel, beta: float) -> np.ndarray:

@@ -37,6 +37,8 @@ from cyclebench.topology import Topology, four_layer_config, garnet20, square_la
 
 from table_fixtures import TABLE_ROWS
 
+pytestmark = pytest.mark.acceptance
+
 SIGMA = 1e-4
 
 
@@ -141,7 +143,7 @@ class TestCriterion4MlcbDofRecovery:
 
 def _random_chain_models(topo, layers_by_label, rng):
     return {
-        lab: random_model(topo, layer, rng=rng)
+        lab: random_model(GeneratorSet(topo), layer, rng=rng)
         for lab, layer in layers_by_label.items()
     }
 
@@ -160,7 +162,7 @@ class TestCriterion5Certificates:
                 return FidelityFunction.product(lab, [PauliString.from_label(s) for s in strings])
 
             for _ in range(100):
-                model = {lab: random_model(topo, layer, rng=rng)}
+                model = {lab: random_model(GeneratorSet(topo), layer, rng=rng)}
                 resid = fn(f1).evaluate_log(model)
                 resid -= float(Fraction(eps)) * fn(*f2).evaluate_log(model)
                 for s, pair in zip(sig, fs):

@@ -152,6 +152,27 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
 
+    # README's custom-layer form: an S gate in a layer that shares qubits
+    # with another layer, which the ratio certificates cannot decompose.
+    SQ_LAYERS = [
+        {"label": "A", "cz": [[0, 1], [2, 3]], "sq": {"0": "S"}},
+        {"label": "B", "cz": [[0, 2], [1, 3]]},
+    ]
+
+    @pytest.mark.parametrize("command", ["learnability", "characterize", "fit", "pec"])
+    def test_sq_layer_rejected_by_plan_commands(self, tmp_path, capsys, command):
+        path, _ = write_config(tmp_path, topology="square2x2", layers=self.SQ_LAYERS)
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "'A'" in err and "sq" in err
+
+    def test_sq_layer_accepted_by_generate_model(self, tmp_path):
+        path, _ = write_config(tmp_path, topology="square2x2", layers=self.SQ_LAYERS)
+        assert main(["generate-model", "--config", str(path)]) == 0
+        assert (tmp_path / "out" / "model_A.json").exists()
+
+
 class TestRepro:
     def test_fig6_smoke(self, tmp_path):
         assert main(["repro", "fig6", "--out", str(tmp_path), "--models", "1"]) == 0

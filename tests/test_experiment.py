@@ -23,8 +23,8 @@ def make_models(seed=0):
     g = CliffordLayer(3, ((1, 2),), (), "G")
     rng = np.random.default_rng(seed)
     return topo, b, g, {
-        "B": random_model(topo, b, rng=rng),
-        "G": random_model(topo, g, rng=rng),
+        "B": random_model(GeneratorSet(topo), b, rng=rng),
+        "G": random_model(GeneratorSet(topo), g, rng=rng),
     }
 
 
@@ -92,7 +92,7 @@ class TestExactExpectation:
         topo = Topology(2, ((0, 1),))
         cz = CliffordLayer(2, ((0, 1),), (), "C")
         rng = np.random.default_rng(2)
-        model = random_model(topo, cz, rng=rng)
+        model = random_model(GeneratorSet(topo), cz, rng=rng)
         inst = CbInstance(((cz, s_dressing(cz)),), PauliString.from_label("XX"),
                           PauliString.from_label("XX"), (1, 2))
         f = model.fidelity(PauliString.from_label("XX"))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclebench.experiment import FidelityRecord
 from cyclebench.fitting import (
@@ -76,7 +78,7 @@ class TestAssemble:
         b = CliffordLayer(3, ((0, 1),), (), "B")
         g = CliffordLayer(3, ((1, 2),), (), "G")
         rng = np.random.default_rng(1)
-        models = {"B": random_model(topo, b, rng=rng), "G": random_model(topo, g, rng=rng)}
+        models = {"B": random_model(GeneratorSet(topo), b, rng=rng), "G": random_model(GeneratorSet(topo), g, rng=rng)}
         records = []
         for lab, layer in (("B", b), ("G", g)):
             for prod in orbit_learnables(layer, gens):
@@ -161,13 +163,37 @@ class TestNnls:
         fit_s = nnls(A * sw[:, None], b * sw)
         assert fit_w.lambdas == pytest.approx(fit_s.lambdas, abs=1e-12)
 
-    def test_gram_path_agrees(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(50, 16))
-        b = rng.normal(size=50)
-        a_fit = nnls(A, b)
-        g_fit = nnls(A, b, gram=True)
-        assert np.max(np.abs(a_fit.lambdas - g_fit.lambdas)) < 1e-8
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        defect=st.sampled_from(["none", "zero_column", "duplicate_column"]),
+    )
+    def test_matches_scipy_on_tall_wide_and_singular(self, seed, m, n, defect):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(m, n))
+        b = rng.normal(size=m)
+        if defect == "zero_column":
+            A[:, rng.integers(n)] = 0.0
+        elif defect == "duplicate_column" and n > 1:
+            i, j = rng.choice(n, 2, replace=False)
+            A[:, j] = A[:, i]
+        fit = nnls(A, b)
+        assert fit.kkt_residual <= 1e-10
+        assert fit.iterations <= 10 * n + 100  # the default max_iter
+        assert np.all(fit.lambdas >= 0)
+        ref, ref_norm = scipy.optimize.nnls(A, b)
+        # The minimizer need not be unique (wide or singular A); the
+        # objective is.
+        assert fit.residual_norm == pytest.approx(ref_norm, rel=1e-9, abs=1e-9)
+        if defect == "none" and m >= n:
+            assert np.max(np.abs(fit.lambdas - ref)) < 1e-7
+
+    def test_gram_with_weights_rejected(self):
+        A = np.eye(3)
+        with pytest.raises(ValueError):
+            nnls(A, np.ones(3), weights=np.ones(3), ata=A.T @ A)
 
 
 class TestRefineUnlearnable:

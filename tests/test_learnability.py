@@ -151,7 +151,7 @@ class TestExpressSearch:
         assert cert.epsilon == -1
         rng = np.random.default_rng(0)
         for _ in range(20):
-            model = random_model(topo, g, rng=rng)
+            model = random_model(GeneratorSet(topo), g, rng=rng)
             assert abs(cert.residual_log({"G": model})) < 1e-12
 
     def test_learnable_target_gets_zero_epsilon(self):
@@ -247,8 +247,8 @@ class TestMuExpressions:
         worst = 0.0
         for _ in range(100):
             models = {
-                "B": random_model(topo, b, rng=rng),
-                "G": random_model(topo, g, rng=rng),
+                "B": random_model(GeneratorSet(topo), b, rng=rng),
+                "G": random_model(GeneratorSet(topo), g, rng=rng),
             }
             direct = models["B"].fidelity(PauliString.from_label("XII")) / models[
                 "G"
@@ -294,7 +294,7 @@ class TestTableFixtures:
         layer = CliffordLayer(k, tuple(chain[layer_lab]), (), layer_lab)
         rng = np.random.default_rng(17)
         for _ in range(100):
-            model = {layer_lab: random_model(topo, layer, rng=rng)}
+            model = {layer_lab: random_model(GeneratorSet(topo), layer, rng=rng)}
             resid = fn(layer_lab, f1).evaluate_log(model)
             resid -= float(Fraction(eps)) * fn(layer_lab, *f2).evaluate_log(model)
             for s, pair in zip(sig, fs):

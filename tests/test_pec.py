@@ -25,7 +25,7 @@ def toy_models(seed=0):
     topo = Topology(2, ((0, 1),))
     b = CliffordLayer(2, ((0, 1),), (), "B")
     rng = np.random.default_rng(seed)
-    return topo, b, {"B": random_model(topo, b, rng=rng)}
+    return topo, b, {"B": random_model(GeneratorSet(topo), b, rng=rng)}
 
 
 class TestPecObservable:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cyclebench.fitting import nnls
 from cyclebench.pipeline import (
     build_plan,
     characterize_and_fit,
@@ -36,6 +37,22 @@ class TestPlan:
         built = {(e.qubit, e.pair) for e in plan.mu_entries}
         assert built == wanted
         assert plan.mu_failures == 0
+
+    def test_plan_gram_agrees(self, plan):
+        # The plan's exact integer Gram fits as nnls's own float A^T A does.
+        rng = model_rng(3, 0)
+        models = generate_models(plan, rng)
+        for lab in plan.labels:
+            S = np.vstack([plan.s_high[lab], plan.s_low[lab]]).astype(float)
+            gram = S.T @ S
+            assert plan.gram[lab].dtype == np.min_scalar_type(int(gram.max()))
+            assert np.array_equal(plan.gram[lab], gram)
+            b = S @ models[lab].lambdas + rng.normal(0.0, 1e-3, len(S))
+            own = nnls(S, b)
+            given = nnls(S, b, ata=plan.gram[lab])
+            assert 0 < np.count_nonzero(own.lambdas) < len(own.lambdas)
+            assert np.array_equal(own.lambdas, given.lambdas)
+            assert own.iterations == given.iterations
 
     def test_mu_values_exact_on_models(self, plan):
         rng = model_rng(1, 0)

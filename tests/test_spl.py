@@ -129,15 +129,40 @@ class TestRandomModel:
         )
         topo = line_topology(4)
         layer = CliffordLayer(4, ((0, 1), (2, 3)), (), "L")
-        model = random_model(topo, layer, params, np.random.default_rng(0))
+        model = random_model(GeneratorSet(topo), layer, params, np.random.default_rng(0))
         assert np.all(model.lambdas == 0.0)
 
     def test_seed_determinism(self):
         topo = garnet20()
         layer = CliffordLayer(20, ((0, 1), (2, 3), (8, 9)), (), "L")
-        a = random_model(topo, layer, rng=np.random.default_rng(42))
-        b = random_model(topo, layer, rng=np.random.default_rng(42))
+        a = random_model(GeneratorSet(topo), layer, rng=np.random.default_rng(42))
+        b = random_model(GeneratorSet(topo), layer, rng=np.random.default_rng(42))
         assert np.array_equal(a.lambdas, b.lambdas)
+
+    def test_matches_per_generator_draws(self):
+        # Reference: the gate means, then one scalar draw per generator in
+        # generator order.
+        topo = garnet20()
+        gens = GeneratorSet(topo)
+        layer = CliffordLayer(20, ((0, 1), (2, 3), (8, 9)), (), "L")
+        params = RandomModelParams()
+        rng = np.random.default_rng(3)
+        means = {
+            pair: [rng.normal(params.mean_active[w], params.spread_active[w]) for w in (0, 1)]
+            for pair in layer.cz_pairs
+        }
+        ref = []
+        for p in gens.strings:
+            sup = p.support()
+            w = len(sup) - 1
+            gate = next((pair for pair in layer.cz_pairs if set(sup) <= set(pair)), None)
+            if gate is None:
+                ref.append(rng.normal(params.mean_inactive[w], params.std_inactive[w]))
+            else:
+                ref.append(rng.normal(means[gate][w], params.std_active[w]))
+        model = random_model(gens, layer, params, np.random.default_rng(3))
+        assert np.array_equal(model.lambdas, np.clip(ref, 0.0, None))
+        assert model.generators is gens
 
     def test_active_weight2_mean(self):
         # Monte-Carlo against the clamped-Gaussian mean oracle: the mean of
@@ -151,7 +176,7 @@ class TestRandomModel:
         rng = np.random.default_rng(7)
         draws = []
         for _ in range(400):
-            model = random_model(topo, layer, params, rng)
+            model = random_model(gens, layer, params, rng)
             draws.extend(model.lambdas[w2])
         draws = np.array(draws)
         oracle_rng = np.random.default_rng(8)
@@ -170,7 +195,7 @@ class TestRandomModel:
         topo = line_topology(4)
         layer = CliffordLayer(4, ((0, 1), (2, 3)), (), "L")
         gens = GeneratorSet(topo)
-        model = random_model(topo, layer, params, np.random.default_rng(0))
+        model = random_model(gens, layer, params, np.random.default_rng(0))
         for i, p in enumerate(gens.strings):
             sup = p.support()
             if sup in ((1, 2),):
@@ -206,7 +231,7 @@ class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         topo = garnet20()
         layer = CliffordLayer(20, ((0, 1), (4, 5)), (), "B")
-        model = random_model(topo, layer, rng=np.random.default_rng(9))
+        model = random_model(GeneratorSet(topo), layer, rng=np.random.default_rng(9))
         path = tmp_path / "model.json"
         model.dump(path)
         back = SplModel.load(path)
