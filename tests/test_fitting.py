@@ -185,8 +185,8 @@ class TestNnls:
         assert np.all(fit.lambdas >= 0)
         ref, ref_norm = scipy.optimize.nnls(A, b)
         # The minimizer need not be unique (wide or singular A); the
-        # objective is.
-        assert fit.residual_norm == pytest.approx(ref_norm, rel=1e-9, abs=1e-9)
+        # objective ||A x - b||^2 is.
+        assert fit.residual_norm**2 == pytest.approx(ref_norm**2, rel=1e-9, abs=1e-12)
         if defect == "none" and m >= n:
             assert np.max(np.abs(fit.lambdas - ref)) < 1e-7
 
