@@ -151,7 +151,6 @@ class TestErrors:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-
     # README's custom-layer form: an S gate in a layer that shares qubits
     # with another layer, which the ratio certificates cannot decompose.
     SQ_LAYERS = [

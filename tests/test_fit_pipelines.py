@@ -19,7 +19,7 @@ def setup():
     b = CliffordLayer(3, ((0, 1),), (), "B")
     g = CliffordLayer(3, ((1, 2),), (), "G")
     rng = np.random.default_rng(12)
-    models = {"B": random_model(GeneratorSet(topo), b, rng=rng), "G": random_model(GeneratorSet(topo), g, rng=rng)}
+    models = {"B": random_model(gens, b, rng=rng), "G": random_model(gens, g, rng=rng)}
     return topo, gens, b, g, models
 
 

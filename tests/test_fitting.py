@@ -78,7 +78,7 @@ class TestAssemble:
         b = CliffordLayer(3, ((0, 1),), (), "B")
         g = CliffordLayer(3, ((1, 2),), (), "G")
         rng = np.random.default_rng(1)
-        models = {"B": random_model(GeneratorSet(topo), b, rng=rng), "G": random_model(GeneratorSet(topo), g, rng=rng)}
+        models = {"B": random_model(gens, b, rng=rng), "G": random_model(gens, g, rng=rng)}
         records = []
         for lab, layer in (("B", b), ("G", g)):
             for prod in orbit_learnables(layer, gens):

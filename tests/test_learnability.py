@@ -151,7 +151,7 @@ class TestExpressSearch:
         assert cert.epsilon == -1
         rng = np.random.default_rng(0)
         for _ in range(20):
-            model = random_model(GeneratorSet(topo), g, rng=rng)
+            model = random_model(gens, g, rng=rng)
             assert abs(cert.residual_log({"G": model})) < 1e-12
 
     def test_learnable_target_gets_zero_epsilon(self):
