@@ -21,7 +21,7 @@ import numpy as np
 from .fitting import RankDeficientError
 from .layers import CATALOG, CliffordLayer
 from .learnability import analyze_layer, mlcb_recovery
-from .pec import pec_sweep, summarize_pec
+from .pec import MAX_CIRCUITS, MAX_KEY_WEIGHT, pec_sweep, summarize_pec
 from .pipeline import (
     CharacterizationPlan,
     cached_plan,
@@ -36,6 +36,10 @@ from .topology import LAYER_SCHEMES, Topology, four_layer_config, preset
 EXIT_CONFIG = 2
 EXIT_RANK = 3
 EXIT_NUMERIC = 4
+
+# A PEC batch holds one byte per circuit, step and qubit; this keeps a
+# 1000-circuit batch on garnet20 at 20 MB (the paper's circuits have 40).
+MAX_J_LAYERS = 1000
 
 
 class ConfigError(ValueError):
@@ -114,7 +118,7 @@ def parse_config(raw: dict) -> RunConfig:
             parallel=int(raw.get("parallel", 1)),
             raw=raw,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -345,7 +349,29 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_pec(cfg: RunConfig) -> None:
+    # Only `pec` reads these fields; the seed key of each circuit bounds
+    # circuits and weights (pec.pec_sweep).
+    if cfg.models < 1:
+        raise ConfigError(f"models must be at least 1, got {cfg.models}")
+    if not 1 <= cfg.circuits <= MAX_CIRCUITS:
+        raise ConfigError(f"circuits must be in [1, {MAX_CIRCUITS}], got {cfg.circuits}")
+    if not 1 <= cfg.j_layers <= MAX_J_LAYERS:
+        raise ConfigError(f"j_layers must be in [1, {MAX_J_LAYERS}], got {cfg.j_layers}")
+    w_max = min(cfg.topology.n, MAX_KEY_WEIGHT - 1)
+    weights = list(cfg.weights)
+    if not weights or any(
+        isinstance(w, bool) or not isinstance(w, int) or not 0 <= w <= w_max for w in weights
+    ):
+        raise ConfigError(
+            f"weights must be a non-empty list of integers in [0, {w_max}], got {weights}"
+        )
+    if len(set(weights)) != len(weights):
+        raise ConfigError(f"weights must be distinct, got {weights}")
+
+
 def cmd_pec(cfg: RunConfig) -> int:
+    _check_pec(cfg)
     plan = _plan(cfg)
     rows = pec_sweep(
         plan,
@@ -370,9 +396,11 @@ def cmd_pec(cfg: RunConfig) -> int:
     summary["config_digest"] = cfg.digest()
     _write_json(os.path.join(cfg.out, "pec_summary.json"), summary)
     for w, st in summary["by_weight"].items():
+        # One circuit, or circuits with equal O_c, have no spread to compare.
+        ratio = f"{st['std_O_m'] / st['std_O_c']:.3f}" if st["std_O_c"] else "n/a"
         print(
             f"W={w}: std(O_c)={st['std_O_c']:.4f} std(O_m)={st['std_O_m']:.4f} "
-            f"ratio={st['std_O_m'] / st['std_O_c']:.3f}"
+            f"ratio={ratio}"
         )
     print(f"-> {csv_path}")
     return 0

@@ -1,112 +1,153 @@
 """Probabilistic-error-cancellation bias on random Clifford circuits:
 propagate a Pauli observable through composite layers and accumulate the
-ratio of exact to reconstructed fidelities."""
+ratio of exact to reconstructed fidelities.
+
+A batch of C circuits of J composite layers on n qubits is a set of arrays
+(`CircuitBatch`), and all circuits propagate together: strings are (C, n)
+uint8 digits x + 2z per qubit, without signs, since every fidelity lookup
+is unsigned.  Only the string each circuit ends in is drawn; one backward
+pass over the steps pulls it back through the circuit and yields the string
+entering every step.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import CliffordLayer, all_single_qubit_cliffords, conjugate, conjugate_inverse
-from .pauli import PauliString
+from .layers import CliffordLayer, all_single_qubit_cliffords
 from .pipeline import CharacterizationPlan, characterize_and_fit, generate_models, model_rng
 from .spl import GeneratorSet, SplModel
 
+# Circuit seed keys are mi * 100000 + ci * 100 + W, so they stay distinct
+# only while ci < MAX_CIRCUITS and W < MAX_KEY_WEIGHT.
+MAX_CIRCUITS = 1000
+MAX_KEY_WEIGHT = 100
+
+
+def _sq_inverse_table() -> np.ndarray:
+    """(24, 4) digits: row g maps each digit to its conjugation by the
+    inverse of `all_single_qubit_cliffords()[g]`, sign dropped."""
+    group = all_single_qubit_cliffords()
+    table = np.zeros((len(group), 4), dtype=np.uint8)
+    for g, gate in enumerate(group):
+        for (x, z), (_, nx, nz) in gate.table.items():
+            table[g, nx + 2 * nz] = x + 2 * z
+    return table
+
+
+_SQ_INVERSE = _sq_inverse_table()
+
+# Digit of the Pauli that letter index 0, 1, 2 (X, Y, Z) of the final
+# string draw stands for.
+_LETTER_DIGITS = np.array([1, 3, 2], dtype=np.uint8)
+
 
 @dataclass(frozen=True)
-class CliffordCircuit:
-    """J composite layers: a characterized base layer followed by a random
-    single-qubit Clifford layer."""
+class CircuitBatch:
+    """C random circuits of J composite layers on n qubits.
+
+    Step j of circuit c is the CZ gates of base layer `layers[base[c, j]]`
+    followed by the single-qubit Clifford
+    `all_single_qubit_cliffords()[gates[c, j, q]]` on every qubit q (the base
+    layers' own single-qubit gates are not part of the circuit).  `final[c]`
+    is the string circuit c's observable ends as, one digit x + 2z per qubit.
+    """
 
     layers: tuple[CliffordLayer, ...]
-    base_labels: tuple[str, ...]
-    seed: int = 0
+    base: np.ndarray  # (C, J) int
+    gates: np.ndarray  # (C, J, n) uint8
+    final: np.ndarray  # (C, n) uint8
 
-    def __post_init__(self):
-        if len(self.layers) != len(self.base_labels):
-            raise ValueError("one base label per composite layer")
-        if not self.layers:
-            raise ValueError("circuit needs at least one layer")
+    def strings(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(j, the (C, n) strings entering step j), for j = J-1 down to 0.
 
-
-@dataclass(frozen=True)
-class PecRun:
-    beta0: PauliString
-    final_weight: int
-    o_c: float
-    o_m: float
+        Each step undoes the single-qubit part by table lookup and then the
+        self-inverse CZ part, z_q ^= x_partner(q) on every paired qubit.
+        """
+        n = self.final.shape[1]
+        partner = np.tile(np.arange(n), (len(self.layers), 1))
+        paired = np.zeros((len(self.layers), n), dtype=np.uint8)
+        for i, layer in enumerate(self.layers):
+            for a, b in layer.cz_pairs:
+                partner[i, a], partner[i, b] = b, a
+                paired[i, [a, b]] = 2  # selects the partner's x bit, shifted onto z
+        p = self.final
+        for j in range(self.base.shape[1] - 1, -1, -1):
+            p = _SQ_INVERSE[self.gates[:, j], p]
+            b = self.base[:, j]
+            p = p ^ ((np.take_along_axis(p, partner[b], axis=1) << 1) & paired[b])
+            yield j, p
 
 
 def pec_observable(
     true_models: dict[str, SplModel],
-    fitted: dict[str, np.ndarray],
-    circuit: CliffordCircuit,
-    beta0: PauliString,
+    fits: Sequence[dict[str, np.ndarray]],
+    batch: CircuitBatch,
     generators: GeneratorSet,
-) -> float:
-    """Product over the circuit of f_exact / f_fitted at the propagated
-    Pauli string (noise acts before each layer, so step i uses the string
-    entering it).  SPAM plays no role."""
-    log_o = 0.0
-    p = beta0
-    for layer, lab in zip(circuit.layers, circuit.base_labels):
-        overlaps = generators.overlaps(p).astype(float)
-        log_true = -2.0 * float(overlaps @ true_models[lab].lambdas)
-        log_fit = -2.0 * float(overlaps @ fitted[lab])
-        if not np.isfinite(log_fit):
+) -> np.ndarray:
+    """(len(fits), C): for every fit and circuit, the product over the
+    circuit of f_exact / f_fitted at the propagated Pauli string (noise acts
+    before each layer, so step j uses the string entering it).  SPAM plays
+    no role.
+
+    Each step costs one (C, K) @ (K, (1 + len(fits)) L) product of the
+    overlaps with the stacked true and fitted rates of all L base layers.
+    """
+    labels = [layer.label for layer in batch.layers]
+    rates = np.stack(
+        [true_models[lab].lambdas for lab in labels]
+        + [fit[lab] for fit in fits for lab in labels],
+        axis=1,
+    )
+    n_circuits = batch.base.shape[0]
+    rows = np.arange(n_circuits)
+    log_o = np.zeros((n_circuits, len(fits)))
+    for j, p in batch.strings():
+        log_f = -2.0 * (generators.digit_overlaps(p) @ rates)
+        step = log_f.reshape(n_circuits, 1 + len(fits), len(labels))[rows, :, batch.base[:, j]]
+        bad = ~np.isfinite(step[:, 1:])
+        if bad.any():
+            lab = labels[batch.base[np.nonzero(bad)[0][0], j]]
             raise ZeroDivisionError(f"fitted fidelity vanished on layer {lab}")
-        log_o += log_true - log_fit
-        p = conjugate(layer, p)
-    return float(np.exp(log_o))
+        log_o += step[:, :1] - step[:, 1:]
+    return np.exp(log_o.T)
 
 
 def sample_circuit(
     base_layers: dict[str, CliffordLayer],
     j_layers: int,
     target_weight: int,
-    seed: int,
-    rng: np.random.Generator | None = None,
-) -> tuple[CliffordCircuit, PauliString, PauliString]:
-    """Random circuit plus an initial Pauli whose final conjugation has the
-    requested weight.
+    rngs: Sequence[np.random.Generator],
+) -> CircuitBatch:
+    """One random circuit per generator in `rngs`, each ending in a uniform
+    weight-`target_weight` Pauli string.
 
-    The final string is drawn uniformly over weight-W Paulis and pulled back
-    through the circuit; conjugation is a bijection, so this matches
-    rejection sampling on the initial string exactly and never rejects.
+    Each generator draws, in order, the base-layer index and the 24
+    single-qubit Clifford indices of every step, then the final string's
+    support and letters.  Pulling the final string back gives the initial
+    one; conjugation is a bijection, so this matches rejection sampling on
+    the initial string exactly and never rejects.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     labels = sorted(base_layers)
     n = base_layers[labels[0]].n
     if not 0 <= target_weight <= n:
         raise ValueError("target weight out of range")
-    group = all_single_qubit_cliffords()
-    layers = []
-    base_seq = []
-    for _ in range(j_layers):
-        lab = labels[rng.integers(len(labels))]
-        base = base_layers[lab]
-        sq = tuple(
-            (q, group[rng.integers(len(group))]) for q in range(n)
-        )
-        layers.append(CliffordLayer(n, base.cz_pairs, sq, lab))
-        base_seq.append(lab)
-    # Uniform weight-W final string.
-    qubits = rng.permutation(n)[:target_weight]
-    x = z = 0
-    for q in qubits:
-        letter = rng.integers(3)
-        if letter != 2:
-            x |= 1 << int(q)
-        if letter != 0:
-            z |= 1 << int(q)
-    beta_final = PauliString(n, x, z)
-    p = beta_final
-    for layer in reversed(layers):
-        p = conjugate_inverse(layer, p)
-    circuit = CliffordCircuit(tuple(layers), tuple(base_seq), seed)
-    return circuit, p.unsigned(), beta_final
+    if j_layers < 1:
+        raise ValueError("circuit needs at least one layer")
+    highs = np.tile([len(labels)] + [len(all_single_qubit_cliffords())] * n, j_layers)
+    base = np.empty((len(rngs), j_layers), dtype=np.intp)
+    gates = np.empty((len(rngs), j_layers, n), dtype=np.uint8)
+    final = np.zeros((len(rngs), n), dtype=np.uint8)
+    for c, rng in enumerate(rngs):
+        draws = rng.integers(0, highs).reshape(j_layers, n + 1)
+        base[c] = draws[:, 0]
+        gates[c] = draws[:, 1:]
+        qubits = rng.permutation(n)[:target_weight]
+        final[c, qubits] = _LETTER_DIGITS[rng.integers(3, size=target_weight)]
+    return CircuitBatch(tuple(base_layers[lab] for lab in labels), base, gates, final)
 
 
 def pec_sweep(
@@ -121,6 +162,11 @@ def pec_sweep(
     master_seed: int,
 ) -> list[dict]:
     """Rows of (model seed, circuit seed, W, O_c, O_m) for the full sweep."""
+    if n_circuits > MAX_CIRCUITS or any(w >= MAX_KEY_WEIGHT for w in weights):
+        raise ValueError(
+            f"circuit seed keys collide beyond {MAX_CIRCUITS} circuits "
+            f"or weight {MAX_KEY_WEIGHT - 1}"
+        )
     base_layers = {layer.label: layer for layer in plan.layers}
     rows = []
     for mi in range(n_models):
@@ -129,31 +175,18 @@ def pec_sweep(
         result = characterize_and_fit(
             plan, models, sigma, sigma_prime, baseline, rng
         )
+        fits = (result.fitted["conventional"], result.fitted["mlcb"])
         for w in weights:
-            for ci in range(n_circuits):
-                crng = model_rng(master_seed + 7919, mi * 100000 + ci * 100 + w)
-                circuit, beta0, _ = sample_circuit(
-                    base_layers, j_layers, w, seed=ci, rng=crng
-                )
-                run = PecRun(
-                    beta0=beta0,
-                    final_weight=w,
-                    o_c=pec_observable(
-                        models, result.fitted["conventional"], circuit, beta0, plan.generators
-                    ),
-                    o_m=pec_observable(
-                        models, result.fitted["mlcb"], circuit, beta0, plan.generators
-                    ),
-                )
-                rows.append(
-                    {
-                        "model_seed": mi,
-                        "circuit_seed": ci,
-                        "W": run.final_weight,
-                        "O_c": run.o_c,
-                        "O_m": run.o_m,
-                    }
-                )
+            rngs = [
+                model_rng(master_seed + 7919, mi * 100000 + ci * 100 + w)
+                for ci in range(n_circuits)
+            ]
+            batch = sample_circuit(base_layers, j_layers, w, rngs)
+            o_c, o_m = pec_observable(models, fits, batch, plan.generators)
+            rows.extend(
+                {"model_seed": mi, "circuit_seed": ci, "W": w, "O_c": float(c), "O_m": float(m)}
+                for ci, (c, m) in enumerate(zip(o_c, o_m))
+            )
     return rows
 
 

@@ -4,6 +4,7 @@ generation and quasiprobability weights for noise scaling."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -14,6 +15,9 @@ from .pauli import PauliString, symplectic_inner
 from .topology import Topology
 
 _LETTERS = ("X", "Y", "Z")
+
+# Parity of every 4-bit value.
+_PARITY16 = np.array([bin(v).count("1") & 1 for v in range(16)], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,32 @@ class GeneratorSet:
         return np.array(
             [symplectic_inner(alpha, k) for k in self.strings], dtype=np.int8
         )
+
+    @functools.cached_property
+    def support_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(qubits, masks), both (K, 2): the (at most two) qubits each
+        generator acts on and, on each, its digit x + 2z with x and z
+        swapped, so that a string digit d anticommutes with the generator's
+        letter iff d & mask has odd parity.  A weight-1 generator repeats
+        its qubit with mask 0."""
+        qubits = np.zeros((len(self), 2), dtype=np.intp)
+        masks = np.zeros((len(self), 2), dtype=np.uint8)
+        for i, p in enumerate(self.strings):
+            sup = p.support()
+            qubits[i] = sup[0], sup[-1]
+            for k, q in enumerate(sup):
+                masks[i, k] = ((p.z_bits >> q) & 1) + 2 * ((p.x_bits >> q) & 1)
+        return qubits, masks
+
+    def digit_overlaps(self, strings: np.ndarray) -> np.ndarray:
+        """(C, K) symplectic products of every row of `strings` ((C, n)
+        uint8 digits x + 2z) with every generator, by lookup on the
+        generators' supports."""
+        qubits, masks = self.support_masks
+        bits = (strings[:, qubits[:, 0]] & masks[:, 0]) | (
+            (strings[:, qubits[:, 1]] & masks[:, 1]) << 2
+        )
+        return np.take(_PARITY16, bits)
 
 
 @dataclass(frozen=True)

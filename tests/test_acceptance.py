@@ -299,16 +299,13 @@ class TestCriterion10PecSweep:
             rng = model_rng(20240503, mi)
             models = generate_models(plan, rng)
             res = characterize_and_fit(plan, models, SIGMA, sigma_prime, "unit_depth", rng)
+            fits = (res.fitted["conventional"], res.fitted["mlcb"])
             for w in (2, 20):
-                for ci in range(10):
-                    crng = model_rng(20240504, mi * 1000 + ci * 10 + w)
-                    circuit, beta0, _ = sample_circuit(base_layers, 40, w, seed=ci, rng=crng)
-                    o_c[w].append(
-                        pec_observable(models, res.fitted["conventional"], circuit, beta0, plan.generators)
-                    )
-                    o_m[w].append(
-                        pec_observable(models, res.fitted["mlcb"], circuit, beta0, plan.generators)
-                    )
+                rngs = [model_rng(20240504, mi * 1000 + ci * 10 + w) for ci in range(10)]
+                batch = sample_circuit(base_layers, 40, w, rngs)
+                oc, om = pec_observable(models, fits, batch, plan.generators)
+                o_c[w].extend(oc)
+                o_m[w].extend(om)
         std_c = {w: float(np.std(o_c[w])) for w in (2, 20)}
         std_m = {w: float(np.std(o_m[w])) for w in (2, 20)}
         checks = {

@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclebench.cli import EXIT_CONFIG, main
 
@@ -118,6 +124,79 @@ class TestCharacterizeFitPec:
         assert len(rows) == cfg["models"] * cfg["circuits"] * len(cfg["weights"])
         summary = json.load(open(tmp_path / "out" / "pec_summary.json"))
         assert "2" in summary["by_weight"] or 2 in summary["by_weight"]
+
+
+class TestPecConfig:
+    def test_single_circuit_prints_ratio_na(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, topology="square2x2", models=1, circuits=1)
+        assert main(["pec", "--config", str(path)]) == 0
+        assert "ratio=n/a" in capsys.readouterr().out
+        assert (tmp_path / "out" / "pec_summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weights", [5]),
+            ("weights", [2.5]),
+            ("weights", []),
+            ("weights", [2, 2]),
+            ("j_layers", 0),
+            ("j_layers", 10**30),
+            ("circuits", 0),
+            ("circuits", -3),
+            ("circuits", 1001),
+            ("models", 0),
+        ],
+    )
+    def test_invalid_pec_fields_rejected(self, tmp_path, capsys, field, value):
+        path, _ = write_config(tmp_path, topology="square2x2", **{field: value})
+        assert main(["pec", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert field in err
+        assert not (tmp_path / "out").exists()
+
+
+_SMALL_NUMBERS = st.one_of(
+    st.integers(-3, 4),
+    st.floats(-3, 4),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1001, 10**30]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    models=st.one_of(st.integers(-2, 2), st.floats(-2, 2.5), st.sampled_from([math.nan, math.inf])),
+    circuits=_SMALL_NUMBERS,
+    j_layers=_SMALL_NUMBERS,
+    weights=st.one_of(
+        st.lists(st.one_of(st.integers(-2, 6), st.floats(-2, 6), st.just(100)), max_size=3),
+        st.integers(-1, 5),
+    ),
+)
+def test_pec_fuzz_exits_cleanly(models, circuits, j_layers, weights):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = {
+            "topology": "square2x2",
+            "layers": "open_chains",
+            "baseline": "unit_depth",
+            "seed": 3,
+            "models": models,
+            "circuits": circuits,
+            "j_layers": j_layers,
+            "weights": weights,
+            "out": os.path.join(tmp, "out"),
+        }
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["pec", "--config", path])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().count("\n") == 1
 
 
 class TestErrors:
