@@ -45,6 +45,6 @@ from .experiment import (
     symmetry_estimate,
     unit_depth_estimate,
 )
-from .fitting import ConstraintSystem, FitResult, assemble, distance_metrics, nnls, refine_unlearnable
+from .fitting import FitResult, distance_metrics, nnls, refine_unlearnable
 
 __version__ = "0.1.0"

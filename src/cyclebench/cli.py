@@ -109,19 +109,29 @@ def parse_config(raw: dict) -> RunConfig:
             sigma_prime=float(raw.get("sigma_prime", 1e-3)),
             baseline=baseline,
             pipelines=tuple(raw.get("pipelines", ("conventional", "mlcb"))),
-            seed=int(raw.get("seed", 0)),
-            models=int(raw.get("models", 1)),
-            circuits=int(raw.get("circuits", 10)),
-            j_layers=int(raw.get("j_layers", 40)),
+            seed=_integer(raw, "seed", 0),
+            models=_integer(raw, "models", 1),
+            circuits=_integer(raw, "circuits", 10),
+            j_layers=_integer(raw, "j_layers", 40),
             weights=tuple(raw.get("weights", (2, 20))),
             out=raw.get("out", "out"),
-            parallel=int(raw.get("parallel", 1)),
+            parallel=_integer(raw, "parallel", 1),
             raw=raw,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config: {exc}") from exc
+
+
+def _integer(raw: dict, name: str, default: int) -> int:
+    # int() would truncate 2.7 to 2; an integral float such as 2.0 is fine.
+    value = raw.get(name, default)
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_layers(layers: list[CliffordLayer], topo: Topology) -> None:
@@ -304,6 +314,7 @@ def _run_item(args):
 
 
 def cmd_fit(cfg: RunConfig) -> int:
+    _check_models(cfg)
     plan = _plan(cfg)
     rows = []
     indices = list(range(cfg.models))
@@ -349,11 +360,15 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_models(cfg: RunConfig) -> None:
+    if cfg.models < 1:
+        raise ConfigError(f"models must be at least 1, got {cfg.models}")
+
+
 def _check_pec(cfg: RunConfig) -> None:
     # Only `pec` reads these fields; the seed key of each circuit bounds
     # circuits and weights (pec.pec_sweep).
-    if cfg.models < 1:
-        raise ConfigError(f"models must be at least 1, got {cfg.models}")
+    _check_models(cfg)
     if not 1 <= cfg.circuits <= MAX_CIRCUITS:
         raise ConfigError(f"circuits must be in [1, {MAX_CIRCUITS}], got {cfg.circuits}")
     if not 1 <= cfg.j_layers <= MAX_J_LAYERS:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitting import distance_metrics, nnls, refine_unlearnable
+from .fitting import RankDeficientError, distance_metrics, nnls, refine_unlearnable
 from .layers import CliffordLayer, chain_decomposition
 from .learnability import (
     LearnableProduct,
@@ -51,6 +51,8 @@ class CharacterizationPlan:
     low_qubits: dict[str, list[int]]  # gate qubits, in order, per layer
     s_low: dict[str, np.ndarray]
     gram: dict[str, np.ndarray]  # exact S^T S of S = [s_high; s_low], smallest int dtype
+    # Per layer whose S lacks full column rank: (rank, unconstrained generators).
+    unconstrained: dict[str, tuple[int, list[str]]]
     symmetry_row: dict[str, list[int]]  # per low target: index of its orbit product
     mu_entries: list[MuPlanEntry]
     mu_failures: int = 0
@@ -68,7 +70,6 @@ def build_plan(
     layers: list[CliffordLayer],
     seed: int = 0,
     retries: int = 16,
-    with_mlcb: bool = True,
 ) -> CharacterizationPlan:
     gens = GeneratorSet(topology)
     products: dict[str, list[LearnableProduct]] = {}
@@ -76,6 +77,7 @@ def build_plan(
     low_qubits: dict[str, list[int]] = {}
     s_low: dict[str, np.ndarray] = {}
     gram: dict[str, np.ndarray] = {}
+    unconstrained: dict[str, tuple[int, list[str]]] = {}
     symmetry_row: dict[str, list[int]] = {}
     key_index: dict[str, dict] = {}
     for layer in layers:
@@ -106,41 +108,43 @@ def build_plan(
         stacked = np.vstack([rows, lrows]).astype(float)
         g = stacked.T @ stacked
         gram[lab] = g.astype(np.min_scalar_type(int(g.max())))
+        rank, names = null_generators(g, gens)
+        if names:
+            unconstrained[lab] = (rank, names)
     mu_entries: list[MuPlanEntry] = []
     failures = 0
-    if with_mlcb:
-        pairs, wanted = covering_pairs(topology, layers)
-        index_of = {layer.label: i for i, layer in enumerate(layers)}
-        by_label = {layer.label: layer for layer in layers}
-        for pair in pairs:
-            la, lb = by_label[pair[0]], by_label[pair[1]]
-            for chain in chain_decomposition(la, lb):
-                for target in mlcb_targets(chain, topology.n):
-                    if (target.qubit, pair) not in wanted:
-                        continue
-                    try:
-                        expr = mu_expression(
-                            target, topology, seed=seed + index_of[pair[0]], retries=retries
-                        )
-                    except NotEquivalentError:
-                        failures += 1
-                        continue
-                    refs = []
-                    for prod, coeff in expr.learnable_terms:
-                        row = key_index[prod.label][prod.key()[1]]
-                        refs.append((prod.label, row, float(coeff)))
-                    mu_entries.append(
-                        MuPlanEntry(
-                            qubit=target.qubit,
-                            pair=chain.pair,
-                            epsilon=float(expr.epsilon),
-                            product_terms=tuple(
-                                (l, p) for l, p, _ in target.product.terms
-                            ),
-                            learn_refs=tuple(refs),
-                            expression=expr,
-                        )
+    pairs, wanted = covering_pairs(topology, layers)
+    index_of = {layer.label: i for i, layer in enumerate(layers)}
+    by_label = {layer.label: layer for layer in layers}
+    for pair in pairs:
+        la, lb = by_label[pair[0]], by_label[pair[1]]
+        for chain in chain_decomposition(la, lb):
+            for target in mlcb_targets(chain, topology.n):
+                if (target.qubit, pair) not in wanted:
+                    continue
+                try:
+                    expr = mu_expression(
+                        target, topology, seed=seed + index_of[pair[0]], retries=retries
                     )
+                except NotEquivalentError:
+                    failures += 1
+                    continue
+                refs = []
+                for prod, coeff in expr.learnable_terms:
+                    row = key_index[prod.label][prod.key()[1]]
+                    refs.append((prod.label, row, float(coeff)))
+                mu_entries.append(
+                    MuPlanEntry(
+                        qubit=target.qubit,
+                        pair=chain.pair,
+                        epsilon=float(expr.epsilon),
+                        product_terms=tuple(
+                            (l, p) for l, p, _ in target.product.terms
+                        ),
+                        learn_refs=tuple(refs),
+                        expression=expr,
+                    )
+                )
     return CharacterizationPlan(
         topology=topology,
         layers=list(layers),
@@ -150,10 +154,24 @@ def build_plan(
         low_qubits=low_qubits,
         s_low=s_low,
         gram=gram,
+        unconstrained=unconstrained,
         symmetry_row=symmetry_row,
         mu_entries=mu_entries,
         mu_failures=failures,
     )
+
+
+def null_generators(gram: np.ndarray, gens: GeneratorSet) -> tuple[int, list[str]]:
+    """Numerical rank of a fit matrix's Gram and the generators whose rates
+    it leaves undetermined: those with weight in the null-space eigenvectors,
+    most weight first (none when the rank is full)."""
+    rank = int(np.linalg.matrix_rank(gram, hermitian=True))
+    if rank == len(gram):
+        return rank, []
+    _, vecs = np.linalg.eigh(gram)  # ascending eigenvalues
+    weight = np.square(vecs[:, : len(gram) - rank]).sum(axis=1)
+    order = np.argsort(-weight, kind="stable")
+    return rank, [gens.strings[i].label() for i in order if weight[i] > 1e-9]
 
 
 def conjugate_key(layer: CliffordLayer, p: PauliString):
@@ -224,10 +242,17 @@ def characterize_and_fit(
     distances and their ratio.
 
     Every record row weighs the same, matching the published nonnegative
-    least-squares objective.
+    least-squares objective.  A plan with a rank-deficient layer raises
+    RankDeficientError: its fits would not determine the rates.
     """
     if baseline not in ("symmetry", "unit_depth"):
         raise ValueError(f"unknown baseline {baseline!r}")
+    if plan.unconstrained:
+        raise RankDeficientError("; ".join(
+            f"layer {lab!r} fit matrix has rank {rank} < {len(plan.generators)}, "
+            f"unconstrained generators include {' '.join(names[:4])}"
+            for lab, (rank, names) in plan.unconstrained.items()
+        ))
     labels = plan.labels
     lam = {lab: models[lab].lambdas for lab in labels}
     noisy_high: dict[str, np.ndarray] = {}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclebench.cli import EXIT_CONFIG, main
+from cyclebench.cli import EXIT_CONFIG, EXIT_RANK, main, parse_config
 
 
 def write_config(tmp_path, **overrides):
@@ -37,7 +37,7 @@ class TestGenerateModel:
     def test_writes_models_with_expected_size(self, tmp_path):
         path, cfg = write_config(tmp_path)
         assert main(["generate-model", "--config", str(path)]) == 0
-        data = json.load(open(tmp_path / "out" / "model_B.json"))
+        data = json.loads((tmp_path / "out" / "model_B.json").read_text())
         n, p = 6, 7  # 3x2 grid
         assert len(data["lambdas"]) == 3 * n + 9 * p
         assert "config_digest" in data
@@ -70,7 +70,7 @@ class TestLearnability:
             layers=[{"label": "C", "cz": [[0, 1]]}],
         )
         assert main(["learnability", "--config", str(path)]) == 0
-        report = json.load(open(tmp_path / "out" / "learnability.json"))
+        report = json.loads((tmp_path / "out" / "learnability.json").read_text())
         assert report["layers"]["C"]["unlearnable_dof"] == 2
 
     def test_identity_layer_no_unlearnable(self, tmp_path):
@@ -80,13 +80,34 @@ class TestLearnability:
             layers=[{"label": "I", "cz": []}],
         )
         assert main(["learnability", "--config", str(path)]) == 0
-        report = json.load(open(tmp_path / "out" / "learnability.json"))
+        report = json.loads((tmp_path / "out" / "learnability.json").read_text())
         assert report["layers"]["I"]["unlearnable_dof"] == 0
+
+    def test_rank_deficient_layer_reported(self, tmp_path):
+        # The S-only layer's plan Gram is rank-deficient; the report, which
+        # fits nothing, still covers it.
+        path, _ = write_config(
+            tmp_path,
+            topology="square2x2",
+            layers=[
+                {"label": "A", "cz": [[0, 1]]},
+                {"label": "B", "cz": [[0, 2]]},
+                {"label": "C", "cz": [], "sq": {"3": "S"}},
+            ],
+        )
+        assert main(["learnability", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "learnability.json").read_text())
+        assert report["layers"]["C"]["learnable_rank"] == 41
+        assert report["layers"]["C"]["unlearnable_dof"] == 7
+        assert report["mlcb"]["unlearnable_without_mlcb"] == 11
+        assert report["mlcb"]["recovered_dof"] == 1
+        (cert,) = report["mlcb"]["ratio_certificates"]
+        assert cert["qubit"] == 0 and cert["pair"] == ["A", "B"]
 
     def test_recovery_counts(self, tmp_path):
         path, cfg = write_config(tmp_path)
         assert main(["learnability", "--config", str(path)]) == 0
-        report = json.load(open(tmp_path / "out" / "learnability.json"))
+        report = json.loads((tmp_path / "out" / "learnability.json").read_text())
         for q, entry in report["mlcb"]["per_qubit"].items():
             assert entry["recovered"] == entry["layers"] - 1
 
@@ -95,7 +116,7 @@ class TestCharacterizeFitPec:
     def test_characterize_writes_records(self, tmp_path):
         path, cfg = write_config(tmp_path)
         assert main(["characterize", "--config", str(path)]) == 0
-        data = json.load(open(tmp_path / "out" / "records.json"))
+        data = json.loads((tmp_path / "out" / "records.json").read_text())
         assert data["schema"] == "fidelity-records/1"
         kinds = {r["provenance"].split(":")[0] for r in data["records"]}
         assert kinds == {"orbit", "mlcb"}
@@ -122,7 +143,7 @@ class TestCharacterizeFitPec:
         with open(tmp_path / "out" / "pec.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == cfg["models"] * cfg["circuits"] * len(cfg["weights"])
-        summary = json.load(open(tmp_path / "out" / "pec_summary.json"))
+        summary = json.loads((tmp_path / "out" / "pec_summary.json").read_text())
         assert "2" in summary["by_weight"] or 2 in summary["by_weight"]
 
 
@@ -202,6 +223,49 @@ def test_pec_fuzz_exits_cleanly(models, circuits, j_layers, weights):
 class TestErrors:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["fit", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("models", [0, -2])
+    def test_fit_without_models_rejected(self, tmp_path, capsys, models):
+        path, _ = write_config(tmp_path, topology="square2x2", models=models)
+        assert main(["fit", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: models") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["seed", "models", "circuits", "j_layers", "parallel"])
+    def test_non_integral_numbers_rejected(self, tmp_path, capsys, field):
+        for value in (2.7, True):
+            path, _ = write_config(tmp_path, topology="square2x2", **{field: value})
+            assert main(["generate-model", "--config", str(path)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {field} must be an integer")
+            assert err.count("\n") == 1
+        _, raw = write_config(tmp_path, topology="square2x2", **{field: 2.0})
+        value = getattr(parse_config(raw), field)
+        assert value == 2 and type(value) is int
+
+    # One CZ and an S gate on an idle qubit: no low-accuracy row constrains
+    # the S qubit's X and Y directions, so the fit matrix has rank 42 of 48.
+    SQ_RANK = dict(
+        topology="square2x2",
+        layers=[{"label": "A", "cz": [[0, 1]], "sq": {"2": "S"}}],
+        sigma=0,
+        sigma_prime=0,
+    )
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("fit", {}), ("fit", {"parallel": 2}), ("pec", {"weights": [2]})],
+        ids=["fit", "fit_parallel", "pec"],
+    )
+    def test_rank_deficiency_exit_code(self, tmp_path, capsys, command, extra):
+        path, _ = write_config(tmp_path, **self.SQ_RANK, **extra)
+        assert main([command, "--config", str(path)]) == EXIT_RANK
+        err = capsys.readouterr().err
+        assert err.startswith("rank deficiency:") and err.count("\n") == 1
+        assert "layer 'A'" in err and "Traceback" not in err
+        names = err.split("include", 1)[1].split()
+        assert names and all(name[2] in "XY" for name in names)
 
     def test_bad_scheme_exit_code(self, tmp_path):
         path, _ = write_config(tmp_path, layers="bogus_scheme")

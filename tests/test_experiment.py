@@ -7,11 +7,12 @@ from cyclebench.experiment import (
     NoisySample,
     decay_fit,
     exact_expectation,
+    pack_instances,
     simulate,
     symmetry_estimate,
     unit_depth_estimate,
 )
-from cyclebench.layers import CliffordLayer, s_dressing
+from cyclebench.layers import CliffordLayer, orbit, s_dressing
 from cyclebench.pauli import PauliString
 from cyclebench.spl import GeneratorSet, SplModel, random_model
 from cyclebench.topology import Topology
@@ -257,3 +258,25 @@ class TestLowAccuracyEstimators:
         for _ in range(200):
             est = unit_depth_estimate(models, "B", alpha, 0.5, rng).estimate
             assert 0.0 < est <= 1.0
+
+
+class TestInstancePacking:
+    def test_covers_all_orbit_starts(self):
+        topo = Topology(4, ((0, 1), (1, 2), (2, 3)))
+        layer = CliffordLayer(4, ((0, 1), (2, 3)), (), "L")
+        gens = GeneratorSet(topo)
+        instances = pack_instances(layer, gens)
+        covered = {p.key() for inst in instances for p in inst["covers"]}
+        starts = {orbit(layer, a)[0].key() for a in gens.strings}
+        assert starts <= covered
+        for inst in instances:
+            basis = inst["basis"]
+            for p in inst["covers"]:
+                for q in p.support():
+                    assert basis[q] == p.label()[q]
+
+    def test_instance_count_small_on_line(self):
+        topo = Topology(6, tuple((i, i + 1) for i in range(5)))
+        layer = CliffordLayer(6, ((0, 1), (2, 3), (4, 5)), (), "L")
+        gens = GeneratorSet(topo)
+        assert len(pack_instances(layer, gens)) <= 12

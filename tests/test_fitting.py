@@ -4,110 +4,22 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclebench.experiment import FidelityRecord
-from cyclebench.fitting import (
-    RankDeficientError,
-    assemble,
-    distance_metrics,
-    nnls,
-    refine_unlearnable,
-)
+from cyclebench.fitting import distance_metrics, nnls, refine_unlearnable
 from cyclebench.layers import CliffordLayer
-from cyclebench.learnability import orbit_learnables
-from cyclebench.pauli import PauliString
-from cyclebench.spl import GeneratorSet, SplModel, random_model
+from cyclebench.pipeline import build_plan
+from cyclebench.spl import GeneratorSet, SplModel
 from cyclebench.topology import Topology
-
-
-def single_cz_records(model, include_unlearnable=True, only_learnable=False):
-    topo = model.generators.topology
-    cz = CliffordLayer(2, ((0, 1),), (), "C")
-    records = []
-    if only_learnable or include_unlearnable:
-        for prod in orbit_learnables(cz, model.generators):
-            value = 1.0
-            for p in prod.strings:
-                value *= model.fidelity(p)
-            records.append(
-                FidelityRecord(
-                    targets=tuple(("C", p) for p in prod.strings),
-                    estimate=value, sigma=1e-6, accuracy="high",
-                )
-            )
-    if include_unlearnable and not only_learnable:
-        for q in (0, 1):
-            alpha = PauliString.single(2, q, "X")
-            records.append(
-                FidelityRecord(
-                    targets=(("C", alpha),), estimate=model.fidelity(alpha),
-                    sigma=1e-5, accuracy="low",
-                )
-            )
-    return records
-
-
-class TestAssemble:
-    def setup_method(self):
-        self.topo = Topology(2, ((0, 1),))
-        self.gens = GeneratorSet(self.topo)
-        rng = np.random.default_rng(0)
-        self.model = SplModel("C", self.gens, rng.uniform(0, 5e-3, 15))
-
-    def test_full_rank_with_all_singles(self):
-        records = [
-            FidelityRecord(targets=(("C", p),), estimate=self.model.fidelity(p),
-                           sigma=1e-6, accuracy="high")
-            for p in self.gens.strings
-        ]
-        system = assemble(records, {"C": self.gens}, ("C",))
-        assert system.rank() == 15
-        system.check_full_rank({"C": self.gens})
-
-    def test_learnable_only_rank_deficit(self):
-        records = single_cz_records(self.model, only_learnable=True)
-        system = assemble(records, {"C": self.gens}, ("C",))
-        assert system.rank() == 15 - 2
-        with pytest.raises(RankDeficientError):
-            system.check_full_rank({"C": self.gens})
-
-    def test_adding_mlcb_row_raises_rank(self):
-        # On the 3-qubit two-layer system the measured cross-layer product
-        # adds one degree of freedom to the joint constraint matrix.
-        topo = Topology(3, ((0, 1), (1, 2)))
-        gens = GeneratorSet(topo)
-        b = CliffordLayer(3, ((0, 1),), (), "B")
-        g = CliffordLayer(3, ((1, 2),), (), "G")
-        rng = np.random.default_rng(1)
-        models = {"B": random_model(gens, b, rng=rng), "G": random_model(gens, g, rng=rng)}
-        records = []
-        for lab, layer in (("B", b), ("G", g)):
-            for prod in orbit_learnables(layer, gens):
-                val = float(np.prod([models[lab].fidelity(p) for p in prod.strings]))
-                records.append(FidelityRecord(tuple((lab, p) for p in prod.strings),
-                                              val, 1e-6, "high"))
-        base = assemble(records, {"B": gens, "G": gens}, ("B", "G")).rank()
-        o3 = [("B", PauliString.from_label("XIX")), ("G", PauliString.from_label("XZX"))]
-        val = models["B"].fidelity(o3[0][1]) * models["G"].fidelity(o3[1][1])
-        records.append(FidelityRecord(tuple(o3), val, 1e-6, "high"))
-        assert assemble(records, {"B": gens, "G": gens}, ("B", "G")).rank() == base + 1
-
-    def test_nonpositive_estimate_rejected(self):
-        rec = FidelityRecord(targets=(("C", PauliString.identity(2)),),
-                             estimate=0.0, sigma=1e-6, accuracy="high")
-        with pytest.raises(ValueError):
-            assemble([rec], {"C": self.gens}, ("C",))
 
 
 class TestNnls:
     def test_exact_recovery_consistent_system(self):
-        topo = Topology(2, ((0, 1),))
-        gens = GeneratorSet(topo)
-        rng = np.random.default_rng(5)
-        model = SplModel("C", gens, rng.uniform(0, 5e-3, 15))
-        records = single_cz_records(model)
-        system = assemble(records, {"C": gens}, ("C",))
-        fit = nnls(system.matrix, system.rhs, system.weights)
-        assert np.max(np.abs(fit.lambdas - model.lambdas)) < 1e-8
+        # The single-CZ fit matrix: learnable orbit products plus the two
+        # unlearnable singles, b = -log(f)/2 of the exact fidelities.
+        plan = build_plan(Topology(2, ((0, 1),)), [CliffordLayer(2, ((0, 1),), (), "C")])
+        S = np.vstack([plan.s_high["C"], plan.s_low["C"]]).astype(float)
+        lam = np.random.default_rng(5).uniform(0, 5e-3, 15)
+        fit = nnls(S, S @ lam)
+        assert np.max(np.abs(fit.lambdas - lam)) < 1e-8
 
     def test_zero_rhs_gives_zero(self):
         rng = np.random.default_rng(0)
@@ -153,16 +65,6 @@ class TestNnls:
         fit = nnls(A, b)
         assert fit.kkt_residual < 1e-10
 
-    def test_weighted_matches_row_scaling(self):
-        rng = np.random.default_rng(2)
-        A = rng.normal(size=(20, 6))
-        b = rng.normal(size=20)
-        w = rng.uniform(0.5, 2.0, 20)
-        fit_w = nnls(A, b, weights=w)
-        sw = np.sqrt(w)
-        fit_s = nnls(A * sw[:, None], b * sw)
-        assert fit_w.lambdas == pytest.approx(fit_s.lambdas, abs=1e-12)
-
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -189,11 +91,6 @@ class TestNnls:
         assert fit.residual_norm**2 == pytest.approx(ref_norm**2, rel=1e-9, abs=1e-12)
         if defect == "none" and m >= n:
             assert np.max(np.abs(fit.lambdas - ref)) < 1e-7
-
-    def test_gram_with_weights_rejected(self):
-        A = np.eye(3)
-        with pytest.raises(ValueError):
-            nnls(A, np.ones(3), weights=np.ones(3), ata=A.T @ A)
 
 
 class TestRefineUnlearnable:

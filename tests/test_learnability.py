@@ -128,6 +128,14 @@ class TestEquivalenceTest:
         f2 = fn("B", "IXI")
         assert equivalence_test(f1, f2, self.span) == "independent"
 
+    def test_cross_layer_product_adds_one_dof(self):
+        # The measured multi-layer product is outside the learnable span.
+        from cyclebench import exactla
+
+        o3 = self.space.int_row(fn("B", "XIX") + fn("G", "XZX"))
+        assert self.span.basis.residual(o3) is not None
+        assert exactla.rank_exact(list(self.span.rows) + [o3]) == self.span.rank + 1
+
 
 class TestExpressSearch:
     def test_blue_layer_certificate(self):

@@ -1,22 +1,43 @@
 import numpy as np
 import pytest
 
-from cyclebench.fitting import nnls
+from cyclebench.fitting import RankDeficientError, nnls
+from cyclebench.layers import CATALOG, CliffordLayer
+from cyclebench.pauli import PauliString
 from cyclebench.pipeline import (
+    _refined_low,
     build_plan,
     characterize_and_fit,
     covering_pairs,
     generate_models,
     model_rng,
+    null_generators,
     sweep_item,
 )
-from cyclebench.topology import four_layer_config, square_lattice
+from cyclebench.spl import SplModel
+from cyclebench.topology import Topology, four_layer_config, square_lattice
 
 
 @pytest.fixture(scope="module")
 def plan():
     topo = square_lattice(3, 3)
     return build_plan(topo, four_layer_config(topo, "closed_squares"), seed=0, retries=4)
+
+
+@pytest.fixture(scope="module")
+def line_plan():
+    # Two CZ layers on a 3-qubit line; qubit 1 is covered by both.
+    topo = Topology(3, ((0, 1), (1, 2)))
+    layers = [CliffordLayer(3, ((0, 1),), (), "B"), CliffordLayer(3, ((1, 2),), (), "G")]
+    return build_plan(topo, layers)
+
+
+@pytest.fixture(scope="module")
+def sq_plan():
+    # An S gate on qubit 2 makes its X and Y directions unlearnable, and the
+    # fit matrix has no low-accuracy row for them.
+    layer = CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")
+    return build_plan(square_lattice(2, 2), [layer])
 
 
 class TestPlan:
@@ -53,6 +74,26 @@ class TestPlan:
             assert 0 < np.count_nonzero(own.lambdas) < len(own.lambdas)
             assert np.array_equal(own.lambdas, given.lambdas)
             assert own.iterations == given.iterations
+
+    def test_full_rank_plan(self, plan):
+        assert plan.unconstrained == {}
+        for lab in plan.labels:
+            gram = plan.gram[lab].astype(float)
+            assert null_generators(gram, plan.generators) == (len(plan.generators), [])
+
+    def test_learnable_rows_alone_rank_deficient(self):
+        # Without the two unlearnable singles a CZ layer's fit matrix loses
+        # two directions; with them it is full rank.
+        single = build_plan(Topology(2, ((0, 1),)), [CliffordLayer(2, ((0, 1),), (), "C")])
+        high = single.s_high["C"].astype(float)
+        rank, names = null_generators(high.T @ high, single.generators)
+        assert rank == 15 - 2 and names
+        assert single.unconstrained == {}
+
+    def test_sq_layer_rank_deficient(self, sq_plan):
+        rank, names = sq_plan.unconstrained["A"]
+        assert rank == 42 < len(sq_plan.generators) == 48
+        assert names and all(name[2] in "XY" for name in names)
 
     def test_mu_values_exact_on_models(self, plan):
         rng = model_rng(1, 0)
@@ -97,9 +138,68 @@ class TestCharacterizeAndFit:
         with pytest.raises(ValueError):
             characterize_and_fit(plan, models, 1e-4, 0.0, "bogus", rng)
 
+    def test_singular_systems_are_named(self, sq_plan):
+        rng = model_rng(0, 0)
+        models = generate_models(sq_plan, rng)
+        with pytest.raises(RankDeficientError, match=r"layer 'A' .* rank 42 < 48") as exc:
+            characterize_and_fit(sq_plan, models, 0.0, 0.0, "unit_depth", rng)
+        assert sq_plan.unconstrained["A"][1][0] in str(exc.value)
+
     def test_mlcb_improves_on_unit_depth_noise(self, plan):
         ratios = []
         for i in range(6):
             _, res = sweep_item(plan, 123, i, 1e-4, 1e-3, "unit_depth")
             ratios.append(res.ratio)
         assert np.mean(ratios) < 1.0
+
+
+class TestLinePlan:
+    def test_noiseless_exact_recovery(self, line_plan):
+        rng = model_rng(12, 0)
+        models = generate_models(line_plan, rng)
+        res = characterize_and_fit(line_plan, models, 0.0, 0.0, "unit_depth", rng)
+        for fitted in res.fitted.values():
+            for lab in ("B", "G"):
+                assert np.max(np.abs(fitted[lab] - models[lab].lambdas)) < 1e-8
+
+    def test_symmetry_lows_recover_when_symmetric(self, line_plan):
+        # On a symmetric model the square-root estimate is exact, so both
+        # fits recover the truth under the symmetry baseline.
+        gens = line_plan.generators
+        lam = np.zeros(len(gens))
+        lam[gens.index(PauliString.from_label("ZZI"))] = 2e-3
+        models = {lab: SplModel(lab, gens, lam) for lab in ("B", "G")}
+        res = characterize_and_fit(line_plan, models, 0.0, 0.0, "symmetry", model_rng(0, 0))
+        for fitted in res.fitted.values():
+            for lab in ("B", "G"):
+                assert np.max(np.abs(fitted[lab] - lam)) < 1e-7
+
+
+class TestRefinedLow:
+    def exact_lows(self, line_plan, models):
+        return {
+            lab: np.exp(-2.0 * (line_plan.s_low[lab].astype(float) @ models[lab].lambdas))
+            for lab in line_plan.labels
+        }
+
+    def test_exact_ratio_pulls_biased_low_toward_truth(self, line_plan):
+        # Qubit 1's cluster pairs B's low single at its partner 0 with G's at
+        # its partner 2; the exact ratio removes half the differential bias.
+        models = generate_models(line_plan, model_rng(12, 0))
+        truth = self.exact_lows(line_plan, models)
+        b0 = line_plan.low_qubits["B"].index(0)
+        g2 = line_plan.low_qubits["G"].index(2)
+        biased = {lab: v.copy() for lab, v in truth.items()}
+        biased["B"][b0] *= 1.008
+        mu = truth["B"][b0] / truth["G"][g2]
+        refined = _refined_low(line_plan, biased, {(1, ("B", "G")): mu})
+        assert abs(refined["B"][b0] - truth["B"][b0]) < abs(biased["B"][b0] - truth["B"][b0])
+        assert refined["B"][b0] / refined["G"][g2] == pytest.approx(mu, rel=1e-12)
+        assert np.array_equal(refined["B"][1 - b0], truth["B"][1 - b0])
+
+    def test_missing_ratio_falls_back(self, line_plan):
+        models = generate_models(line_plan, model_rng(12, 0))
+        lows = self.exact_lows(line_plan, models)
+        refined = _refined_low(line_plan, lows, {})
+        for lab in line_plan.labels:
+            assert np.array_equal(refined[lab], lows[lab])
