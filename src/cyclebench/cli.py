@@ -259,7 +259,7 @@ def cmd_characterize(cfg: RunConfig) -> int:
     records = []
     lam = {lab: models[lab].lambdas for lab in plan.labels}
     for lab in plan.labels:
-        exact = np.exp(-2.0 * (plan.s_high[lab].astype(float) @ lam[lab]))
+        exact = np.exp(-2.0 * np.einsum("ij,j->i", plan.s_high[lab], lam[lab]))
         noisy = exact + (rng.normal(0, cfg.sigma, exact.shape) if cfg.sigma > 0 else 0.0)
         for prod, value in zip(plan.products[lab], noisy):
             records.append(
@@ -460,17 +460,20 @@ def cmd_repro(figure: str, out: str, parallel: int, models: int | None = None) -
         raise ConfigError(f"unknown figure {figure!r}; choose from {sorted(REPRO_CONFIGS)}")
     if models is not None:
         spec = dict(spec, models=models)
-    os.makedirs(out, exist_ok=True)
     if figure == "fig5a":
+        cfgs = []
+        for scheme in spec["schemes"]:
+            raw = {k: v for k, v in spec.items() if k != "schemes"}
+            raw["layers"] = scheme
+            raw["parallel"] = parallel
+            cfgs.append((scheme, parse_config(raw)))
+            _check_models(cfgs[-1][1])
+        os.makedirs(out, exist_ok=True)
         path = os.path.join(out, "fig5a.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["scheme", "seed", "delta_c", "delta_m", "r"])
-            for scheme in spec["schemes"]:
-                raw = {k: v for k, v in spec.items() if k != "schemes"}
-                raw["layers"] = scheme
-                raw["parallel"] = parallel
-                cfg = parse_config(raw)
+            for scheme, cfg in cfgs:
                 plan = _plan(cfg)
                 for i in range(cfg.models):
                     _, res = sweep_item(
@@ -480,12 +483,14 @@ def cmd_repro(figure: str, out: str, parallel: int, models: int | None = None) -
         print(f"-> {path}")
         return 0
     if figure == "fig5b":
+        raw = {k: v for k, v in spec.items() if k != "sigma_prime_multipliers"}
+        cfg = parse_config(raw)
+        _check_models(cfg)
+        os.makedirs(out, exist_ok=True)
         path = os.path.join(out, "fig5b.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sigma_prime_over_sigma", "seed", "delta_c", "delta_m", "r"])
-            raw = {k: v for k, v in spec.items() if k != "sigma_prime_multipliers"}
-            cfg = parse_config(raw)
             plan = _plan(cfg)
             for mult in spec["sigma_prime_multipliers"]:
                 for i in range(cfg.models):

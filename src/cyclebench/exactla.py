@@ -91,7 +91,7 @@ def rank_exact(rows) -> int:
 
 
 def _rank_mod(rows: np.ndarray, p: int) -> int:
-    a = np.array(rows, dtype=np.int64) % p
+    a = np.asarray(rows, dtype=np.int64) % p
     rank = 0
     col = 0
     nrows, ncols = a.shape
@@ -104,26 +104,32 @@ def _rank_mod(rows: np.ndarray, p: int) -> int:
         if i != rank:
             a[[rank, i]] = a[[i, rank]]
         inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
+        # Rows from `rank` down are zero left of `col`.
+        a[rank, col:] = (a[rank, col:] * inv) % p
         mask = np.nonzero(a[rank + 1 :, col])[0] + rank + 1
         if mask.size:
-            a[mask] = (a[mask] - np.outer(a[mask, col], a[rank])) % p
+            below = a[mask, col:]
+            below -= np.outer(below[:, 0], a[rank, col:])
+            below %= p
+            a[mask, col:] = below
         rank += 1
         col += 1
     return rank
 
 
 def rank_checked(rows) -> int:
-    """Rational rank; exact for small systems, dual-prime modular above."""
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
+    """Rational rank of an integer matrix (2-D array or list of rows);
+    exact for small systems, dual-prime modular above."""
+    mat = np.asarray(rows, dtype=np.int64)
+    if mat.size == 0:
         return 0
-    ncols = len(mat[0])
-    if len(mat) * ncols <= 20000:
+    nonzero = mat.any(axis=1)
+    if not nonzero.all():
+        mat = mat[nonzero]
+    if mat.size <= 20000:
         return rank_exact(mat)
-    arr = np.array(mat, dtype=np.int64)
-    r0 = _rank_mod(arr, _PRIMES[0])
-    r1 = _rank_mod(arr, _PRIMES[1])
+    r0 = _rank_mod(mat, _PRIMES[0])
+    r1 = _rank_mod(mat, _PRIMES[1])
     if r0 == r1:
         return r0
     return rank_exact(mat)

@@ -28,7 +28,8 @@ def nnls(
     b: np.ndarray,
     tol: float = 1e-12,
     max_iter: int | None = None,
-    ata: np.ndarray | None = None,
+    inv_gram: np.ndarray | None = None,
+    passive: np.ndarray | None = None,
 ) -> FitResult:
     """argmin_{x >= 0} || A x - b ||_2 by block principal pivoting.
 
@@ -36,56 +37,81 @@ def nnls(
     A_F^T A_F x_F = A_F^T b on the passive set F and exchanges the infeasible
     indices (passive with x_i <= 0, active with gradient above tol * scale).
     All of them are exchanged while their count keeps falling, with a budget
-    of three non-improving exchanges.  The first passive set is the sign
-    pattern x > 0 of the unconstrained solution.  When the budget runs out,
-    Lawson-Hanson steps from x = 0 finish the fit: their objective falls at
-    every step, so they end on any A, where Kim & Park's single-index backup
-    rule can cycle once A lacks full column rank (wide systems).
+    of three non-improving exchanges.  The first passive set is `passive` if
+    given (say, a related fit's x > 0), else the sign pattern x > 0 of the
+    unconstrained solution.  When the budget runs out, Lawson-Hanson steps
+    from x = 0 finish the fit: their objective falls at every step, so they
+    end on any A, where Kim & Park's single-index backup rule can cycle once
+    A lacks full column rank (wide systems).
 
-    `ata` is a precomputed A^T A (any numeric dtype), as
-    `CharacterizationPlan.gram` holds per layer.  `iterations` counts the
-    passive-set solves, the unconstrained one included; the KKT residual is
-    measured on the true residual b - A x.
+    `inv_gram` is H = (A^T A)^-1 of a full-column-rank A, as
+    `CharacterizationPlan.inv_gram` holds per layer.  With it each passive
+    set is solved as a Schur complement on the active set C: x0 = H rhs,
+    y = H_CC^-1 x0_C, x = x0 - H_:C y, and y is the gradient on C.  The
+    gradient error of such a solve grows like cond(A^T A)^2 eps, so H suits
+    well-conditioned A (the plan's have cond(A^T A) < 1e5); the refinement
+    step absorbs what remains.  Without H each solve factors the passive
+    block of A^T A.  Products with A never copy it to float, so an integer
+    A stays compact.
+    `iterations` counts the passive-set solves, the unconstrained one
+    included; the KKT residual is measured on the true residual b - A x.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(A)
     b = np.asarray(b, dtype=float)
     n = A.shape[1]
     if max_iter is None:
         max_iter = 10 * n + 100
-    ata = A.T @ A if ata is None else np.asarray(ata, dtype=float)
-    atb = A.T @ b
+    atb = _rmatvec(A, b)
     scale = max(1.0, float(np.abs(atb).max(initial=0.0)))
     gtol = tol * scale
     iters = 0
 
+    if inv_gram is None:
+        A_f = np.asarray(A, dtype=float)
+        gram = A_f.T @ A_f
+
+        def passive_solve(passive, rhs):
+            x = np.zeros(n)
+            if passive.any():
+                x[passive] = _solve(gram[np.ix_(passive, passive)], rhs[passive])
+            return x, rhs - gram @ x
+
+    else:
+
+        def passive_solve(passive, rhs):
+            x = inv_gram @ rhs
+            grad = np.zeros(n)
+            active = ~passive
+            if active.any():
+                grad[active] = _solve(inv_gram[np.ix_(active, active)], x[active])
+                x -= inv_gram @ grad  # grad is 0 on F: no copy of H[:, C]
+                x[active] = 0.0
+            return x, grad
+
     def solve(passive, rhs=atb):
+        """x on the passive set and the gradient rhs - A^T A x."""
         nonlocal iters
         iters += 1
         if iters > max_iter:
             raise RuntimeError("nonnegative least squares failed to converge")
-        x = np.zeros(n)
-        if passive.any():
-            sub = ata[np.ix_(passive, passive)]
-            try:
-                x[passive] = np.linalg.solve(sub, rhs[passive])
-            except np.linalg.LinAlgError:
-                x[passive] = np.linalg.lstsq(sub, rhs[passive], rcond=None)[0]
-        return x
+        return passive_solve(passive, rhs)
 
     def kkt_of(x):
-        resid = b - A @ x
-        grad = A.T @ resid
+        resid = b - _matvec(A, x)
+        grad = _rmatvec(A, resid)
         kkt = max(
             float(np.max(grad[x <= 0], initial=0.0)),
             float(np.max(np.abs(grad[x > 0]), initial=0.0)),
         )
         return resid, grad, kkt
 
-    passive = solve(np.ones(n, dtype=bool)) > 0
-    x = solve(passive)
+    if passive is None:
+        passive = solve(np.ones(n, dtype=bool))[0] > 0
+    else:
+        passive = np.array(passive, dtype=bool)
+    x, grad = solve(passive)
     budget, fewest = 3, n + 1
     while True:
-        grad = atb - ata @ x
         infeasible = np.where(passive, x <= 0, grad > gtol)
         count = int(infeasible.sum())
         if count == 0:
@@ -93,17 +119,17 @@ def nnls(
         if count < fewest:
             fewest, budget = count, 3
         elif budget == 0:
-            x = _lawson_hanson(ata, atb, gtol, solve)
+            x = _lawson_hanson(atb, gtol, solve)
             break
         else:
             budget -= 1
         passive ^= infeasible
-        x = solve(passive)
+        x, grad = solve(passive)
     resid, grad, kkt = kkt_of(x)
     if kkt > gtol:
         # The normal equations square cond(A_F); one refinement step on the
         # true residual restores the accuracy of an ill-conditioned solve.
-        x = np.maximum(x + solve(x > 0, grad), 0.0)
+        x = np.maximum(x + solve(x > 0, grad)[0], 0.0)
         resid, grad, kkt = kkt_of(x)
     return FitResult(
         lambdas=x,
@@ -113,7 +139,23 @@ def nnls(
     )
 
 
-def _lawson_hanson(ata, atb, gtol, solve) -> np.ndarray:
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # einsum buffers its casts, so an int8 A is never copied whole to float.
+    return np.einsum("ij,j->i", A, x)
+
+
+def _rmatvec(A: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,i->j", A, r)
+
+
+def _solve(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(sub, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(sub, rhs, rcond=None)[0]
+
+
+def _lawson_hanson(atb, gtol, solve) -> np.ndarray:
     """Lawson-Hanson active-set steps from x = 0 on the normal equations.
 
     Each outer step frees the active index of largest gradient; the inner
@@ -122,16 +164,16 @@ def _lawson_hanson(ata, atb, gtol, solve) -> np.ndarray:
     passive value comes out nonpositive is numerically dependent on the
     passive columns: it stays active until x next changes.
     """
-    x = np.zeros(len(atb))
+    x, grad = np.zeros(len(atb)), atb
     passive = np.zeros(len(atb), dtype=bool)
     rejected = np.zeros(len(atb), dtype=bool)
     while True:
-        grad = np.where(passive | rejected, -np.inf, atb - ata @ x)
-        if grad.max() <= gtol:
+        free = np.where(passive | rejected, -np.inf, grad)
+        if free.max() <= gtol:
             return x
-        t = int(np.argmax(grad))
+        t = int(np.argmax(free))
         passive[t] = True
-        z = solve(passive)
+        z, z_grad = solve(passive)
         if z[t] <= 0:
             passive[t] = False
             rejected[t] = True
@@ -146,8 +188,8 @@ def _lawson_hanson(ata, atb, gtol, solve) -> np.ndarray:
             hit = mask & (x <= floor)
             passive &= ~(hit if hit.any() else mask)
             x[~passive] = 0.0
-            z = solve(passive)
-        x = z
+            z, z_grad = solve(passive)
+        x, grad = z, z_grad
 
 
 def refine_unlearnable(estimates: list[float], ratios: list[float]) -> list[float]:

@@ -99,7 +99,7 @@ class LambdaSpace:
                     out[base + i] += g
         return out
 
-    def int_row(self, fn: FidelityFunction) -> list[int]:
+    def int_row(self, fn: FidelityFunction) -> np.ndarray:
         """`row(fn)` scaled by the lcm of its denominators, in integers.
 
         With D the lcm of the coefficient denominators, R = sum (g D) *
@@ -113,7 +113,7 @@ class LambdaSpace:
             gens = self.generators[lab]
             overlaps = gens.overlaps(p).astype(np.int64)
             out[off[lab] : off[lab] + len(gens)] += int(g * den) * overlaps
-        return (out // gcd(den, *out.tolist())).tolist()
+        return out // gcd(den, int(np.gcd.reduce(out)))
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,9 @@ class LearnableSpan:
     def __init__(self, space: LambdaSpace, products: list[LearnableProduct]):
         self.space = space
         self.products = list(products)
-        self.rows = [space.int_row(p.function()) for p in self.products]
+        self.rows = np.zeros((len(self.products), space.dim), dtype=np.int64)
+        for i, p in enumerate(self.products):
+            self.rows[i] = space.int_row(p.function())
         self._basis: exactla.SpanBasis | None = None
 
     @property
@@ -251,19 +253,18 @@ def express_search(
     space = span.space
     t = space.int_row(target)
     row_a = space.int_row(anchor)
-    cols = [row_a] + span.rows
+    cols = np.vstack([row_a, span.rows])
     rng = np.random.default_rng(seed)
-    arr = np.array(cols, dtype=np.int64)
-    support = exactla.modular_support_search(arr, np.array(t, dtype=np.int64), rng, retries)
+    support = exactla.modular_support_search(cols, t, rng, retries)
     if support is None:
         raise NotEquivalentError("target is not expressible through the anchor and learnable rows")
     for attempt in range(3):
-        coeffs = exactla.solve_rational([cols[i] for i in support], t)
+        coeffs = exactla.solve_rational([cols[i].tolist() for i in support], t.tolist())
         if coeffs is not None:
             break
         # Modular false positive: re-run with a fresh stream and fewer drops.
         support = exactla.modular_support_search(
-            arr, np.array(t, dtype=np.int64), np.random.default_rng(seed + 1000 + attempt), 1
+            cols, t, np.random.default_rng(seed + 1000 + attempt), 1
         )
         if support is None:
             raise NotEquivalentError("target left the span on exact recheck")

@@ -50,7 +50,8 @@ class CharacterizationPlan:
     s_high: dict[str, np.ndarray]
     low_qubits: dict[str, list[int]]  # gate qubits, in order, per layer
     s_low: dict[str, np.ndarray]
-    gram: dict[str, np.ndarray]  # exact S^T S of S = [s_high; s_low], smallest int dtype
+    # (S^T S)^-1 of S = [s_high; s_low] per full-rank layer, for nnls.
+    inv_gram: dict[str, np.ndarray]
     # Per layer whose S lacks full column rank: (rank, unconstrained generators).
     unconstrained: dict[str, tuple[int, list[str]]]
     symmetry_row: dict[str, list[int]]  # per low target: index of its orbit product
@@ -60,9 +61,6 @@ class CharacterizationPlan:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(layer.label for layer in self.layers)
-
-    def mu_index(self) -> dict[tuple[int, tuple[str, str]], MuPlanEntry]:
-        return {(e.qubit, e.pair): e for e in self.mu_entries}
 
 
 def build_plan(
@@ -76,7 +74,7 @@ def build_plan(
     s_high: dict[str, np.ndarray] = {}
     low_qubits: dict[str, list[int]] = {}
     s_low: dict[str, np.ndarray] = {}
-    gram: dict[str, np.ndarray] = {}
+    inv_gram: dict[str, np.ndarray] = {}
     unconstrained: dict[str, tuple[int, list[str]]] = {}
     symmetry_row: dict[str, list[int]] = {}
     key_index: dict[str, dict] = {}
@@ -107,10 +105,12 @@ def build_plan(
         # Integer entries far below 2**53, so the float product is exact.
         stacked = np.vstack([rows, lrows]).astype(float)
         g = stacked.T @ stacked
-        gram[lab] = g.astype(np.min_scalar_type(int(g.max())))
+        del stacked  # freed before the inverse's workspace: lower peak RSS
         rank, names = null_generators(g, gens)
         if names:
             unconstrained[lab] = (rank, names)
+        else:
+            inv_gram[lab] = np.linalg.inv(g)
     mu_entries: list[MuPlanEntry] = []
     failures = 0
     pairs, wanted = covering_pairs(topology, layers)
@@ -153,7 +153,7 @@ def build_plan(
         s_high=s_high,
         low_qubits=low_qubits,
         s_low=s_low,
-        gram=gram,
+        inv_gram=inv_gram,
         unconstrained=unconstrained,
         symmetry_row=symmetry_row,
         mu_entries=mu_entries,
@@ -258,14 +258,15 @@ def characterize_and_fit(
     noisy_high: dict[str, np.ndarray] = {}
     low_est: dict[str, np.ndarray] = {}
     for lab in labels:
-        exact = np.exp(-2.0 * (plan.s_high[lab].astype(float) @ lam[lab]))
+        # einsum reads the int8 rows without a float copy.
+        exact = np.exp(-2.0 * np.einsum("ij,j->i", plan.s_high[lab], lam[lab]))
         noisy = exact + (rng.normal(0.0, sigma, exact.shape) if sigma > 0 else 0.0)
         noisy_high[lab] = noisy
         if baseline == "symmetry":
             prods = np.clip(noisy[plan.symmetry_row[lab]], 1e-12, 1.0)
             low_est[lab] = np.sqrt(prods)
         else:
-            exact_low = np.exp(-2.0 * (plan.s_low[lab].astype(float) @ lam[lab]))
+            exact_low = np.exp(-2.0 * np.einsum("ij,j->i", plan.s_low[lab], lam[lab]))
             noise = (
                 rng.normal(0.0, sigma_prime, exact_low.shape)
                 if sigma_prime > 0
@@ -288,6 +289,9 @@ def characterize_and_fit(
     fitted: dict[str, dict[str, np.ndarray]] = {}
     delta: dict[str, float] = {}
     fit_meta: dict[str, dict[str, dict]] = {}
+    mats = {lab: np.vstack([plan.s_high[lab], plan.s_low[lab]]) for lab in labels}
+    # Each fit of a layer starts from the passive set of its previous fit.
+    warm: dict[str, np.ndarray] = {}
     for pipeline in pipelines:
         if pipeline == "mlcb":
             low_values = _refined_low(plan, low_est, mu_hat)
@@ -296,12 +300,14 @@ def characterize_and_fit(
         per_layer: dict[str, np.ndarray] = {}
         meta: dict[str, dict] = {}
         for lab in labels:
-            mat = np.vstack([plan.s_high[lab], plan.s_low[lab]]).astype(float)
             values = np.concatenate(
                 [np.clip(noisy_high[lab], 1e-12, None), low_values[lab]]
             )
             rhs = -0.5 * np.log(values)
-            fit = nnls(mat, rhs, ata=plan.gram[lab])
+            fit = nnls(
+                mats[lab], rhs, inv_gram=plan.inv_gram[lab], passive=warm.get(lab)
+            )
+            warm[lab] = fit.lambdas > 0
             per_layer[lab] = fit.lambdas
             meta[lab] = {
                 "residual_norm": fit.residual_norm,
@@ -365,7 +371,7 @@ def cached_plan(topology: Topology, layers: list[CliffordLayer], **kw) -> Charac
     key = (
         topology.n,
         topology.edges,
-        tuple((l.label, l.cz_pairs) for l in layers),
+        tuple(layers),
         tuple(sorted(kw.items())),
     )
     if key not in _PLAN_CACHE:

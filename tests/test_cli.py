@@ -322,3 +322,11 @@ class TestRepro:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 * 10 * 2
         assert {r["W"] for r in rows} == {"2", "20"}
+
+    @pytest.mark.parametrize("figure, models", [("fig5a", 0), ("fig5b", 0), ("fig5b", -2)])
+    def test_sweep_without_models_rejected(self, tmp_path, capsys, figure, models):
+        out = tmp_path / "out"
+        assert main(["repro", figure, "--out", str(out), "--models", str(models)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: models") and err.count("\n") == 1
+        assert not out.exists()

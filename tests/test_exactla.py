@@ -147,17 +147,17 @@ def test_int_row_of_fractional_certificate():
     )
     fn = cert.combined_function()
     assert any(g.denominator > 1 for _, _, g in fn.terms)
-    assert space.int_row(fn) == scaled_row(space, fn)
+    assert np.array_equal(space.int_row(fn), scaled_row(space, fn))
 
 
 def test_int_row_of_cancelling_terms():
     space = line_space()
     x = pauli("XII")
     zero = FidelityFunction((("A", x, Fraction(1, 2)), ("A", x, Fraction(-1, 2))))
-    assert space.int_row(zero) == [0] * space.dim
+    assert np.array_equal(space.int_row(zero), [0] * space.dim)
     # Quarters that sum to integers leave no denominator to scale by.
     twice = FidelityFunction((("B", x, Fraction(3, 4)), ("B", x, Fraction(5, 4))))
-    assert space.int_row(twice) == scaled_row(space, twice)
+    assert np.array_equal(space.int_row(twice), scaled_row(space, twice))
     assert set(space.int_row(twice)) == {0, 2}
 
 
@@ -175,4 +175,4 @@ def test_int_row_of_cancelling_terms():
 def test_int_row_matches_fraction_row(terms):
     space = line_space()
     fn = FidelityFunction(tuple((lab, pauli(s), g) for lab, s, g in terms))
-    assert space.int_row(fn) == scaled_row(space, fn)
+    assert np.array_equal(space.int_row(fn), scaled_row(space, fn))

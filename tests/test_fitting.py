@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclebench.fitting import distance_metrics, nnls, refine_unlearnable
@@ -91,6 +91,36 @@ class TestNnls:
         assert fit.residual_norm**2 == pytest.approx(ref_norm**2, rel=1e-9, abs=1e-12)
         if defect == "none" and m >= n:
             assert np.max(np.abs(fit.lambdas - ref)) < 1e-7
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        extra=st.integers(0, 30),
+        kind=st.sampled_from(["normal", "integer"]),
+    )
+    def test_inverse_gram_matches_scipy(self, seed, n, extra, kind):
+        # Well-conditioned tall systems, dense or with 0-2 integer entries
+        # like the plan's fit matrices, solved through H = (A^T A)^-1.
+        rng = np.random.default_rng(seed)
+        m = n + extra
+        if kind == "integer":
+            A = rng.integers(0, 3, size=(m, n)).astype(np.int8)
+            b = A @ rng.uniform(-1e-3, 5e-3, n) + rng.normal(0.0, 1e-3, m)
+        else:
+            A = rng.normal(size=(m, n))
+            b = rng.normal(size=m)
+        A_f = A.astype(float)
+        # Solves through H lose gradient accuracy like cond(A)^4 eps; the
+        # plan's fit matrices have cond(A) < 300.
+        assume(np.linalg.cond(A_f) < 1e3)
+        fit = nnls(A, b, inv_gram=np.linalg.inv(A_f.T @ A_f))
+        assert fit.kkt_residual <= 1e-10
+        assert fit.iterations <= 10 * n + 100  # the default max_iter
+        assert np.all(fit.lambdas >= 0)
+        ref, ref_norm = scipy.optimize.nnls(A_f, b)
+        assert fit.residual_norm**2 == pytest.approx(ref_norm**2, rel=1e-9, abs=1e-12)
+        assert np.max(np.abs(fit.lambdas - ref)) < 1e-7
 
 
 class TestRefineUnlearnable:

@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import cyclebench
 
 from cyclebench.fitting import RankDeficientError, nnls
 from cyclebench.layers import CATALOG, CliffordLayer
@@ -7,6 +15,7 @@ from cyclebench.pauli import PauliString
 from cyclebench.pipeline import (
     _refined_low,
     build_plan,
+    cached_plan,
     characterize_and_fit,
     covering_pairs,
     generate_models,
@@ -59,27 +68,32 @@ class TestPlan:
         assert built == wanted
         assert plan.mu_failures == 0
 
-    def test_plan_gram_agrees(self, plan):
-        # The plan's exact integer Gram fits as nnls's own float A^T A does.
+    def test_plan_inverse_gram(self, plan, sq_plan):
+        # H = (S^T S)^-1 per full-rank layer; fits through it equal nnls
+        # factoring its own passive blocks, also from a warm-started set.
+        assert "A" not in sq_plan.inv_gram
         rng = model_rng(3, 0)
         models = generate_models(plan, rng)
         for lab in plan.labels:
-            S = np.vstack([plan.s_high[lab], plan.s_low[lab]]).astype(float)
-            gram = S.T @ S
-            assert plan.gram[lab].dtype == np.min_scalar_type(int(gram.max()))
-            assert np.array_equal(plan.gram[lab], gram)
+            S = np.vstack([plan.s_high[lab], plan.s_low[lab]])
+            gram = S.T.astype(float) @ S
+            H = plan.inv_gram[lab]
+            assert np.max(np.abs(H @ gram - np.eye(len(gram)))) < 1e-10
             b = S @ models[lab].lambdas + rng.normal(0.0, 1e-3, len(S))
             own = nnls(S, b)
-            given = nnls(S, b, ata=plan.gram[lab])
+            given = nnls(S, b, inv_gram=H)
             assert 0 < np.count_nonzero(own.lambdas) < len(own.lambdas)
-            assert np.array_equal(own.lambdas, given.lambdas)
-            assert own.iterations == given.iterations
+            assert np.max(np.abs(own.lambdas - given.lambdas)) < 1e-12
+            assert given.kkt_residual <= 1e-10
+            warm = nnls(S, b, inv_gram=H, passive=own.lambdas > 0)
+            assert np.max(np.abs(own.lambdas - warm.lambdas)) < 1e-12
+            assert warm.iterations < given.iterations
 
     def test_full_rank_plan(self, plan):
         assert plan.unconstrained == {}
         for lab in plan.labels:
-            gram = plan.gram[lab].astype(float)
-            assert null_generators(gram, plan.generators) == (len(plan.generators), [])
+            S = np.vstack([plan.s_high[lab], plan.s_low[lab]]).astype(float)
+            assert null_generators(S.T @ S, plan.generators) == (len(plan.generators), [])
 
     def test_learnable_rows_alone_rank_deficient(self):
         # Without the two unlearnable singles a CZ layer's fit matrix loses
@@ -94,6 +108,17 @@ class TestPlan:
         rank, names = sq_plan.unconstrained["A"]
         assert rank == 42 < len(sq_plan.generators) == 48
         assert names and all(name[2] in "XY" for name in names)
+
+    def test_cached_plan_keys_on_sq_gates(self):
+        # The same CZ pairs with and without an S gate are different plans.
+        topo = square_lattice(2, 2)
+        with_sq = [CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")]
+        cz_only = [CliffordLayer(4, ((0, 1),), (), "A")]
+        first = cached_plan(topo, with_sq)
+        assert "A" in first.unconstrained
+        plain = cached_plan(topo, cz_only)
+        assert plain is not first and plain.unconstrained == {}
+        assert cached_plan(topo, list(with_sq)) is first
 
     def test_mu_values_exact_on_models(self, plan):
         rng = model_rng(1, 0)
@@ -203,3 +228,30 @@ class TestRefinedLow:
         refined = _refined_low(line_plan, lows, {})
         for lab in line_plan.labels:
             assert np.array_equal(refined[lab], lows[lab])
+
+
+def test_plan_fit_and_pec_paths_import_no_scipy():
+    # Importing scipy.linalg alone about doubles a fresh process's resident
+    # set; the plan, fit and PEC paths stay on numpy.
+    code = textwrap.dedent(
+        """
+        import sys
+        from cyclebench import pec, pipeline
+        from cyclebench.topology import four_layer_config, square_lattice
+        topo = square_lattice(2, 2)
+        plan = pipeline.build_plan(topo, four_layer_config(topo, "closed_squares"))
+        pipeline.sweep_item(plan, 0, 0, 1e-4, 1e-3, "unit_depth")
+        pec.pec_sweep(plan, 1, 5, 4, (2,), 1e-4, 1e-3, "unit_depth", 0)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    src = str(Path(cyclebench.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
