@@ -259,7 +259,7 @@ def cmd_characterize(cfg: RunConfig) -> int:
     records = []
     lam = {lab: models[lab].lambdas for lab in plan.labels}
     for lab in plan.labels:
-        exact = np.exp(-2.0 * np.einsum("ij,j->i", plan.s_high[lab], lam[lab]))
+        exact = np.exp(-2.0 * (plan.s_high[lab].astype(float) @ lam[lab]))
         noisy = exact + (rng.normal(0, cfg.sigma, exact.shape) if cfg.sigma > 0 else 0.0)
         for prod, value in zip(plan.products[lab], noisy):
             records.append(

@@ -61,7 +61,8 @@ def nnls(
     n = A.shape[1]
     if max_iter is None:
         max_iter = 10 * n + 100
-    atb = _rmatvec(A, b)
+    # einsum buffers its casts, so an integer A is never copied whole.
+    atb = np.einsum("ij,i->j", A, b)
     scale = max(1.0, float(np.abs(atb).max(initial=0.0)))
     gtol = tol * scale
     iters = 0
@@ -70,35 +71,29 @@ def nnls(
         A_f = np.asarray(A, dtype=float)
         gram = A_f.T @ A_f
 
-        def passive_solve(passive, rhs):
-            x = np.zeros(n)
-            if passive.any():
-                x[passive] = _solve(gram[np.ix_(passive, passive)], rhs[passive])
-            return x, rhs - gram @ x
-
-    else:
-
-        def passive_solve(passive, rhs):
-            x = inv_gram @ rhs
-            grad = np.zeros(n)
-            active = ~passive
-            if active.any():
-                grad[active] = _solve(inv_gram[np.ix_(active, active)], x[active])
-                x -= inv_gram @ grad  # grad is 0 on F: no copy of H[:, C]
-                x[active] = 0.0
-            return x, grad
-
     def solve(passive, rhs=atb):
         """x on the passive set and the gradient rhs - A^T A x."""
         nonlocal iters
         iters += 1
         if iters > max_iter:
             raise RuntimeError("nonnegative least squares failed to converge")
-        return passive_solve(passive, rhs)
+        if inv_gram is None:
+            x = np.zeros(n)
+            if passive.any():
+                x[passive] = _solve(gram[np.ix_(passive, passive)], rhs[passive])
+            return x, rhs - gram @ x
+        x = inv_gram @ rhs
+        grad = np.zeros(n)
+        active = ~passive
+        if active.any():
+            grad[active] = _solve(inv_gram[np.ix_(active, active)], x[active])
+            x -= inv_gram @ grad  # grad is 0 on F: no copy of H[:, C]
+            x[active] = 0.0
+        return x, grad
 
     def kkt_of(x):
-        resid = b - _matvec(A, x)
-        grad = _rmatvec(A, resid)
+        resid = b - np.einsum("ij,j->i", A, x)
+        grad = np.einsum("ij,i->j", A, resid)
         kkt = max(
             float(np.max(grad[x <= 0], initial=0.0)),
             float(np.max(np.abs(grad[x > 0]), initial=0.0)),
@@ -137,15 +132,6 @@ def nnls(
         kkt_residual=kkt / scale,
         iterations=iters,
     )
-
-
-def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # einsum buffers its casts, so an int8 A is never copied whole to float.
-    return np.einsum("ij,j->i", A, x)
-
-
-def _rmatvec(A: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,i->j", A, r)
 
 
 def _solve(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
