@@ -466,8 +466,9 @@ def cmd_repro(figure: str, out: str, parallel: int, models: int | None = None) -
             raw = {k: v for k, v in spec.items() if k != "schemes"}
             raw["layers"] = scheme
             raw["parallel"] = parallel
-            cfgs.append((scheme, parse_config(raw)))
-            _check_models(cfgs[-1][1])
+            cfg = parse_config(raw)
+            _check_models(cfg)
+            cfgs.append((scheme, cfg))
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, "fig5a.csv")
         with open(path, "w", newline="") as fh:
