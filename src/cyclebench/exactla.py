@@ -10,14 +10,17 @@ the rational rank, and agreement of both primes is accepted for the upper
 bound (disagreement falls back to the exact path).
 
 The certificate support search works mod p from one elimination per call:
-a particular solution and a left null-space basis, updated by one rank-1
-step per dropped row.  Its decisions match the rank comparison exactly mod p.
+a particular solution and a left null-space basis, reduced in each retry's
+visiting order by one rank-1 step per pivot, all retries in lockstep.  Its
+decisions match the rank comparison exactly mod p.  The support is then
+solved exactly by fraction-free (Bareiss) elimination in Python integers,
+and the solution is checked against every equation in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -156,48 +159,60 @@ class SpanBasis:
 def solve_rational(columns, target) -> list[Fraction] | None:
     """Exact coefficients c with sum_i c_i columns[i] = target, or None.
 
-    Solved by fraction elimination on the augmented system; intended for
-    small systems (a few dozen columns).  When the columns are linearly
-    independent the solution is unique.
+    Fraction-free (Bareiss) elimination of the augmented system [A | b],
+    A[:, i] = columns[i], in Python integers: every entry stays an integer
+    minor of the input, and the last pivot D is the determinant of the pivot
+    block, so back-substitution yields the integers D c.  Fractions are built
+    only for the output coefficients.  A column dependent on earlier ones
+    gets c_i = 0 (the solution is unique when the columns are independent).
+    The result is then checked against every equation in integers, scaled by
+    the lcm of the coefficient denominators.
     """
     ncols = len(columns)
     if ncols == 0:
         return [] if not any(target) else None
-    dim = len(target)
-    aug = [
-        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-        for i in range(dim)
-    ]
-    pivots = []
-    row = 0
+    cols = [[int(v) for v in col] for col in columns]
+    rhs = [int(v) for v in target]
+    # Equations with an all-zero row hold for every c once b_i = 0.
+    aug = []
+    for i, b in enumerate(rhs):
+        row = [col[i] for col in cols]
+        if any(row):
+            aug.append(row + [b])
+        elif b:
+            return None
+    pivots: list[int] = []
+    prev = 1
     for col in range(ncols):
-        sel = None
-        for i in range(row, dim):
-            if aug[i][col]:
-                sel = i
-                break
+        r = len(pivots)
+        sel = next((i for i in range(r, len(aug)) if aug[i][col]), None)
         if sel is None:
             continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [v / pv for v in aug[row]]
-        for i in range(dim):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        aug[r], aug[sel] = aug[sel], aug[r]
+        piv = aug[r]
+        pv = piv[col]
+        for i in range(r + 1, len(aug)):
+            row = aug[i]
+            f = row[col]
+            aug[i] = row[:col] + [(pv * a - f * b) // prev for a, b in zip(row[col:], piv[col:])]
+        prev = pv
         pivots.append(col)
-        row += 1
-    # Inconsistent if any zero-row has nonzero rhs.
-    for i in range(row, dim):
-        if aug[i][ncols]:
-            return None
-    coeffs = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        coeffs[col] = aug[r][ncols]
-    # Verify (free columns were fixed at zero; re-check consistency).
-    for i in range(dim):
-        acc = sum((coeffs[j] * columns[j][i] for j in range(ncols)), Fraction(0))
-        if acc != target[i]:
+    rank = len(pivots)
+    if any(aug[i][ncols] for i in range(rank, len(aug))):
+        return None
+    if rank == 0:
+        return [Fraction(0)] * ncols
+    det = aug[rank - 1][pivots[-1]]
+    scaled = [0] * ncols  # det * c, integer by Cramer's rule
+    for r in range(rank - 1, -1, -1):
+        row = aug[r]
+        acc = det * row[ncols] - sum(row[j] * scaled[j] for j in pivots[r + 1 :])
+        scaled[pivots[r]] = acc // row[pivots[r]]
+    coeffs = [Fraction(v, det) for v in scaled]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    for i, b in enumerate(rhs):
+        if sum(v * col[i] for v, col in zip(ints, cols) if v) != den * b:
             return None
     return coeffs
 
@@ -260,7 +275,14 @@ def modular_support_search(
     basis N.  Some solution avoids row i iff c_i = 0 or some null vector has
     n_i != 0, which is exactly the mod-p rank comparison of the rows kept with
     and without the target; a drop pivots on that vector to clear column i
-    from c and N (one rank-1 update).
+    from c and N.  So a retry is an echelon reduction of N in its visiting
+    order, with d = dim N pivots: a later pivot vector is zero on every
+    column visited before it, and the final c is zero exactly on the rows
+    the greedy pass drops.  The rank-1 updates scale by the pivot entry
+    instead of dividing by it (zero patterns, and so decisions, unchanged),
+    and all retries run in lockstep on an (R, d, s) stack whose columns are
+    permuted into each retry's order.  The first smallest support in retry
+    order wins.
     """
     rows = np.asarray(rows, dtype=np.int64) % p
     target = np.asarray(target, dtype=np.int64) % p
@@ -269,26 +291,26 @@ def modular_support_search(
     if start is None:
         return None
     c0, null0 = start
-    best: list[int] | None = None
+    orders = []
     for _ in range(max(1, retries)):
         order = list(range(len(support)))
         rng.shuffle(order)
-        c, null = c0, null0  # updates below build new arrays
-        kept = [True] * len(support)
-        for j in order:
-            hits = np.nonzero(null[:, j])[0]
-            if hits.size:
-                k = hits[0]
-                piv = (null[k] * pow(int(null[k, j]), p - 2, p)) % p
-                c = (c - int(c[j]) * piv) % p
-                null = np.delete(null, k, axis=0)
-                null = (null - np.outer(null[:, j], piv)) % p
-            elif c[j]:
-                continue
-            kept[j] = False
-        found = [i for i, keep in zip(support, kept) if keep]
-        if best is None or len(found) < len(best):
-            best = found
-            if len(best) <= 1:
-                break
-    return best
+        orders.append(order)
+    orders = np.array(orders, dtype=np.intp).reshape(len(orders), len(support))
+    c = c0[orders]  # (R, s): column t of retry r is its t-th visit
+    null = np.ascontiguousarray(null0[:, orders].transpose(1, 0, 2))  # (R, d, s)
+    retry = np.arange(len(orders))
+    for step in range(null.shape[1]):
+        # Rows step.. of every stack stay independent: each has a pivot.
+        rest = null[:, step:]
+        t = (rest != 0).any(axis=1).argmax(axis=1)
+        col = rest[retry, :, t]
+        k = (col != 0).argmax(axis=1)
+        piv = rest[retry, k]
+        scale = col[retry, k]
+        c = (scale[:, None] * c - c[retry, t][:, None] * piv) % p
+        rest[...] = (scale[:, None, None] * rest - col[:, :, None] * piv[:, None, :]) % p
+        rest[retry, k] = rest[:, 0]  # the zeroed pivot row leaves the stack
+    kept = c != 0
+    best = int(np.argmin(kept.sum(axis=1)))  # the first minimum
+    return sorted(support[j] for j in orders[best][kept[best]])

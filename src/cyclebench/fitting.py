@@ -49,10 +49,10 @@ def nnls(
     set is solved as a Schur complement on the active set C: x0 = H rhs,
     y = H_CC^-1 x0_C, x = x0 - H_:C y, and y is the gradient on C.  The
     gradient error of such a solve grows like cond(A^T A)^2 eps, so H suits
-    well-conditioned A (the plan's have cond(A^T A) < 1e5); the refinement
-    step absorbs what remains.  Without H each solve factors the passive
-    block of A^T A.  Products with A never copy it to float, so an integer
-    A stays compact.
+    well-conditioned A only: the plan keeps H for cond(A^T A) <=
+    `pipeline.MAX_INV_GRAM_COND` (1e6), and the refinement step absorbs
+    what remains.  Without H each solve factors the passive block of A^T A.
+    Products with A never copy it to float, so an integer A stays compact.
     `iterations` counts the passive-set solves, the unconstrained one
     included; the KKT residual is measured on the true residual b - A x.
     """

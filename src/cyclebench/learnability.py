@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exactla
 from .layers import Chain, CliffordLayer, chain_decomposition, conjugate, orbit, s_dressing
-from .pauli import PauliString
+from .pauli import PauliString, digits
 from .spl import GeneratorSet, SplModel
 from .topology import Topology
 
@@ -88,31 +88,23 @@ class LambdaSpace:
             total += len(self.generators[lab])
         return off
 
-    def row(self, fn: FidelityFunction) -> list[Fraction]:
-        out = [Fraction(0)] * self.dim
-        off = self.offsets()
-        for lab, p, g in fn.terms:
-            gens = self.generators[lab]
-            base = off[lab]
-            for i, v in enumerate(gens.overlaps(p)):
-                if v:
-                    out[base + i] += g
-        return out
-
     def int_row(self, fn: FidelityFunction) -> np.ndarray:
-        """`row(fn)` scaled by the lcm of its denominators, in integers.
+        """The rate-space row of `fn` (sum of g * overlaps over its terms),
+        scaled by the lcm of its denominators, in integers.
 
         With D the lcm of the coefficient denominators, R = sum (g D) *
         overlaps is D times the row, and R / gcd(D, R) is the row times the
         lcm of its own denominators (terms may cancel; a zero row stays 0).
         """
         den = lcm(*(g.denominator for _, _, g in fn.terms))
-        out = np.zeros(self.dim, dtype=np.int64)
+        weights = [int(g * den) for _, _, g in fn.terms]
+        # Overlaps are 0 or 1, so int64 is exact below this bound.
+        wide = sum(map(abs, weights)) >= 2**63
+        out = np.zeros(self.dim, dtype=object if wide else np.int64)
         off = self.offsets()
-        for lab, p, g in fn.terms:
+        for (lab, p, _), w in zip(fn.terms, weights):
             gens = self.generators[lab]
-            overlaps = gens.overlaps(p).astype(np.int64)
-            out[off[lab] : off[lab] + len(gens)] += int(g * den) * overlaps
+            out[off[lab] : off[lab] + len(gens)] += w * gens.overlaps(p).astype(out.dtype)
         return out // gcd(den, int(np.gcd.reduce(out)))
 
 
@@ -157,15 +149,39 @@ def orbit_learnables(
     return out
 
 
+def product_rows(generators: GeneratorSet, products) -> np.ndarray:
+    """(P, K) int8 overlap rows of learnable products: row i sums the
+    symplectic products of every string of products[i] (never empty) with
+    every generator.
+
+    Products go 64 at a time through one `digit_overlaps` pass and one int8
+    `reduceat`, so no temporary is wider than a byte or larger than a few
+    tens of kB (the allocator keeps larger transients, raising peak RSS).
+    """
+    out = np.empty((len(products), len(generators)), dtype=np.int8)
+    for lo in range(0, len(products), 64):
+        block = products[lo : lo + 64]
+        strings = [p for prod in block for p in prod.strings]
+        starts = np.cumsum([0] + [len(prod.strings) for prod in block[:-1]])
+        overlaps = generators.digit_overlaps(digits(strings, generators.topology.n))
+        np.add.reduceat(overlaps, starts, axis=0, out=out[lo : lo + 64])
+    return out
+
+
 class LearnableSpan:
     """Learnable-product rows over a rate space, echelonized lazily."""
 
     def __init__(self, space: LambdaSpace, products: list[LearnableProduct]):
         self.space = space
         self.products = list(products)
-        self.rows = np.zeros((len(self.products), space.dim), dtype=np.int64)
-        for i, p in enumerate(self.products):
-            self.rows[i] = space.int_row(p.function())
+        self.rows = np.zeros((len(self.products), space.dim), dtype=np.int8)
+        off = space.offsets()
+        for lab in space.labels:
+            idx = [i for i, p in enumerate(self.products) if p.label == lab]
+            if idx:
+                gens = space.generators[lab]
+                block = product_rows(gens, [self.products[i] for i in idx])
+                self.rows[idx, off[lab] : off[lab] + len(gens)] = block
         self._basis: exactla.SpanBasis | None = None
 
     @property
@@ -290,12 +306,12 @@ def express_search(
 
 
 def _verify_certificate(cert: EquivalenceCertificate, space: LambdaSpace) -> None:
-    lhs = space.row(cert.f1)
-    rhs = [cert.epsilon * v for v in space.row(cert.f2)]
+    """f1 - epsilon f2 - sum sigma_i f_i must vanish exactly on the rate
+    space; checked in integers, scaled by the lcm of all denominators."""
+    terms = list(cert.f1.terms) + list(cert.f2.scaled(-cert.epsilon).terms)
     for s, fn in zip(cert.sigma, cert.learnable_basis):
-        for i, v in enumerate(space.row(fn)):
-            rhs[i] += s * v
-    if lhs != rhs:
+        terms += fn.scaled(-s).terms
+    if space.int_row(FidelityFunction(tuple(terms))).any():
         raise NotEquivalentError("certificate failed exact verification")
 
 
@@ -642,9 +658,7 @@ class LayerLearnability:
 
 def analyze_layer(layer: CliffordLayer, generators: GeneratorSet) -> LayerLearnability:
     products = orbit_learnables(layer, generators)
-    space = LambdaSpace((layer.label,), {layer.label: generators})
-    span = LearnableSpan(space, products)
-    rank = exactla.rank_checked(span.rows)
+    rank = exactla.rank_checked(product_rows(generators, products))
     singles_std = [
         p.strings[0] for p in products if len(p.strings) == 1 and p.source == "standard"
     ]

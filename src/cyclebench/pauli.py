@@ -118,6 +118,17 @@ def all_pauli_strings(n: int):
         yield PauliString.from_dense_index(n, idx)
 
 
+def digits(strings, n: int) -> np.ndarray:
+    """(len(strings), n) uint8 digits x + 2z per qubit, signs dropped."""
+    nbytes = (n + 7) // 8
+
+    def bits(masks):
+        raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
+        return np.unpackbits(raw.reshape(-1, nbytes), axis=1, count=n, bitorder="little")
+
+    return bits(p.x_bits for p in strings) + 2 * bits(p.z_bits for p in strings)
+
+
 def symplectic_inner(a: PauliString, b: PauliString) -> int:
     """0 if the two Paulis commute, 1 if they anticommute."""
     if a.n != b.n:

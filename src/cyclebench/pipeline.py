@@ -18,10 +18,17 @@ from .learnability import (
     mlcb_targets,
     mu_expression,
     orbit_learnables,
+    product_rows,
 )
 from .pauli import PauliString
 from .spl import GeneratorSet, RandomModelParams, SplModel, random_model
 from .topology import Topology
+
+
+# Largest cond(S^T S) whose inverse Gram the fits use: the Schur solves'
+# gradient error grows like cond^2 eps, which one refinement step absorbs
+# well below this bound.  Worse-conditioned layers fit by factoring.
+MAX_INV_GRAM_COND = 1e6
 
 
 @dataclass
@@ -50,7 +57,8 @@ class CharacterizationPlan:
     s_high: dict[str, np.ndarray]
     low_qubits: dict[str, list[int]]  # gate qubits, in order, per layer
     s_low: dict[str, np.ndarray]
-    # (S^T S)^-1 of S = [s_high; s_low] per full-rank layer, for nnls.
+    # (S^T S)^-1 of S = [s_high; s_low] per full-rank layer with
+    # cond(S^T S) <= MAX_INV_GRAM_COND, for nnls.
     inv_gram: dict[str, np.ndarray]
     # Per layer whose S lacks full column rank: (rank, unconstrained generators).
     unconstrained: dict[str, tuple[int, list[str]]]
@@ -82,10 +90,7 @@ def build_plan(
         lab = layer.label
         prods = orbit_learnables(layer, gens)
         products[lab] = prods
-        rows = np.zeros((len(prods), len(gens)), dtype=np.int8)
-        for i, prod in enumerate(prods):
-            for p in prod.strings:
-                rows[i] += gens.overlaps(p)
+        rows = product_rows(gens, prods)
         s_high[lab] = rows
         key_index[lab] = {prod.key()[1]: i for i, prod in enumerate(prods)}
         qubits = sorted(q for pair in layer.cz_pairs for q in pair)
@@ -106,10 +111,10 @@ def build_plan(
         stacked = np.vstack([rows, lrows]).astype(float)
         g = stacked.T @ stacked
         del stacked  # freed before the inverse's workspace: lower peak RSS
-        rank, names = null_generators(g, gens)
-        if names:
-            unconstrained[lab] = (rank, names)
-        else:
+        rank, cond = gram_rank(g)
+        if rank < len(g):
+            unconstrained[lab] = null_generators(g, gens)
+        elif cond <= MAX_INV_GRAM_COND:
             inv_gram[lab] = np.linalg.inv(g)
     mu_entries: list[MuPlanEntry] = []
     failures = 0
@@ -161,11 +166,21 @@ def build_plan(
     )
 
 
+def gram_rank(gram: np.ndarray) -> tuple[int, float]:
+    """Numerical rank of a symmetric Gram matrix, with the tolerance of
+    `np.linalg.matrix_rank(gram, hermitian=True)`, and its condition number
+    (inf when the rank is not full), from one eigenvalue decomposition."""
+    s = np.abs(np.linalg.eigvalsh(gram))
+    top = s.max(initial=0.0)
+    rank = int(np.count_nonzero(s > top * len(gram) * np.finfo(float).eps))
+    return rank, (top / s.min() if rank == len(gram) else np.inf)
+
+
 def null_generators(gram: np.ndarray, gens: GeneratorSet) -> tuple[int, list[str]]:
     """Numerical rank of a fit matrix's Gram and the generators whose rates
     it leaves undetermined: those with weight in the null-space eigenvectors,
     most weight first (none when the rank is full)."""
-    rank = int(np.linalg.matrix_rank(gram, hermitian=True))
+    rank = gram_rank(gram)[0]
     if rank == len(gram):
         return rank, []
     _, vecs = np.linalg.eigh(gram)  # ascending eigenvalues
@@ -305,7 +320,7 @@ def characterize_and_fit(
             )
             rhs = -0.5 * np.log(values)
             fit = nnls(
-                mats[lab], rhs, inv_gram=plan.inv_gram[lab], passive=warm.get(lab)
+                mats[lab], rhs, inv_gram=plan.inv_gram.get(lab), passive=warm.get(lab)
             )
             warm[lab] = fit.lambdas > 0
             per_layer[lab] = fit.lambdas

@@ -50,6 +50,7 @@ class GeneratorSet:
             xs = zs = None
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_zs", zs)
+        object.__setattr__(self, "_activity", {})
 
     def _build(self) -> tuple[PauliString, ...]:
         n = self.topology.n
@@ -98,6 +99,23 @@ class GeneratorSet:
             for k, q in enumerate(sup):
                 masks[i, k] = ((p.z_bits >> q) & 1) + 2 * ((p.x_bits >> q) & 1)
         return qubits, masks
+
+    def gate_activity(self, cz_pairs) -> tuple[np.ndarray, np.ndarray]:
+        """(gate, weight), both (K,): the index in `cz_pairs` (disjoint
+        pairs) of the gate whose qubits hold the generator's whole support,
+        or -1, and 0 / 1 for a weight-1 / weight-2 generator.  Computed
+        once per pair tuple."""
+        out = self._activity.get(cz_pairs)
+        if out is None:
+            qubits, _ = self.support_masks
+            gate_of = np.full(self.topology.n, -1, dtype=np.intp)
+            for g, pair in enumerate(cz_pairs):
+                gate_of[list(pair)] = g
+            first, last = gate_of[qubits[:, 0]], gate_of[qubits[:, 1]]
+            gate = np.where(first == last, first, -1)
+            weight = (qubits[:, 0] != qubits[:, 1]).astype(np.intp)
+            out = self._activity[cz_pairs] = (gate, weight)
+        return out
 
     def digit_overlaps(self, strings: np.ndarray) -> np.ndarray:
         """(C, K) symplectic products of every row of `strings` ((C, n)
@@ -209,26 +227,18 @@ def random_model(
     """
     if rng is None:
         rng = np.random.default_rng(params.seed)
-    gate_means: dict[tuple[int, int], tuple[float, float]] = {}
-    for pair in layer.cz_pairs:
-        gate_means[pair] = tuple(
-            rng.normal(params.mean_active[w], params.spread_active[w])
-            for w in (0, 1)
-        )
-    gate_of = {}
-    for pair in layer.cz_pairs:
-        gate_of[pair[0]] = pair
-        gate_of[pair[1]] = pair
-    loc = np.empty(len(generators))
-    scale = np.empty(len(generators))
-    for i, p in enumerate(generators.strings):
-        sup = p.support()
-        w = len(sup) - 1  # 0 -> weight 1, 1 -> weight 2
-        gate = gate_of.get(sup[0])
-        if gate is not None and all(q in gate for q in sup):
-            loc[i], scale[i] = gate_means[gate][w], params.std_active[w]
-        else:
-            loc[i], scale[i] = params.mean_inactive[w], params.std_inactive[w]
+    gate_means = np.array(
+        [
+            [rng.normal(params.mean_active[w], params.spread_active[w]) for w in (0, 1)]
+            for _ in layer.cz_pairs
+        ]
+    ).reshape(-1, 2)
+    gate, w = generators.gate_activity(layer.cz_pairs)
+    active = gate >= 0
+    loc = np.take(params.mean_inactive, w)
+    scale = np.take(params.std_inactive, w)
+    loc[active] = gate_means[gate[active], w[active]]
+    scale[active] = np.take(params.std_active, w[active])
     # One draw in generator order: the same stream as one draw per generator.
     lam = np.clip(rng.normal(loc, scale), 0.0, None)
     return SplModel(layer.label, generators, lam)

@@ -1,9 +1,12 @@
-"""Property tests of the modular certificate search and of integer rows.
+"""Property tests of the modular certificate search, the exact solver and
+integer rows.
 
 `rank_greedy_reference` is the earlier implementation of
 `exactla.modular_support_search`: every "drop row i?" decision compares two
 from-scratch mod-p ranks.  The null-space implementation must take the same
 decisions, so both return identical supports for equal rng seeds.
+`gauss_jordan_reference` is the Fraction elimination that
+`exactla.solve_rational` replaced; both must return identical coefficients.
 """
 
 from fractions import Fraction
@@ -13,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclebench.exactla import _PRIMES, _rank_mod, modular_support_search
+from cyclebench.exactla import _PRIMES, _rank_mod, modular_support_search, solve_rational
 from cyclebench.learnability import EquivalenceCertificate, FidelityFunction, LambdaSpace
 from cyclebench.pauli import PauliString
 from cyclebench.spl import GeneratorSet
@@ -114,12 +117,122 @@ def test_search_matches_rank_reference(problem, p, seed, retries):
 
 
 # ---------------------------------------------------------------------------
+# Exact solves
+
+
+def gauss_jordan_reference(columns, target):
+    """Fraction Gauss-Jordan on every row of [A | b]; dependent columns get
+    coefficient 0."""
+    ncols, dim = len(columns), len(target)
+    if ncols == 0:
+        return [] if not any(target) else None
+    aug = [[Fraction(c[i]) for c in columns] + [Fraction(target[i])] for i in range(dim)]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, dim) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        aug[r] = [v / aug[r][col] for v in aug[r]]
+        for i in range(dim):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(col)
+    if any(aug[i][ncols] for i in range(len(pivots), dim)):
+        return None
+    coeffs = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        coeffs[col] = aug[r][ncols]
+    return coeffs
+
+
+@st.composite
+def linear_systems(draw):
+    ncols = draw(st.integers(0, 6))
+    dim = draw(st.integers(0, 8))
+    bound = draw(st.sampled_from([2, 9, 300]))
+    entry = st.integers(-bound, bound)
+    columns = [draw(st.lists(entry, min_size=dim, max_size=dim)) for _ in range(ncols)]
+    kind = draw(st.sampled_from(["consistent", "dependent", "arbitrary"]))
+    if kind == "dependent" and columns:
+        # A column that repeats a combination of the others.
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        i, j = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
+        columns.insert(
+            draw(st.integers(0, ncols)), [a * x + b * y for x, y in zip(columns[i], columns[j])]
+        )
+    if kind == "arbitrary":
+        target = draw(st.lists(entry, min_size=dim, max_size=dim))
+    else:
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(columns), max_size=len(columns)))
+        target = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(dim)]
+    return columns, target
+
+
+def solves(columns, target, coeffs):
+    return all(
+        sum((c * col[i] for c, col in zip(coeffs, columns)), Fraction(0)) == t
+        for i, t in enumerate(target)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@example(  # inconsistent: b is outside the column span
+    system=([[1, 0, 1], [0, 1, 1]], [1, 1, 0]),
+)
+@example(  # a zero equation with a nonzero right-hand side
+    system=([[1, 0], [2, 0]], [3, 1]),
+)
+@example(  # dependent middle column, free coefficient 0
+    system=([[1, 2, 0], [2, 4, 0], [0, 1, 1]], [1, 4, 3]),
+)
+@given(system=linear_systems())
+def test_solve_matches_fraction_reference(system):
+    columns, target = system
+    got = solve_rational(columns, target)
+    assert got == gauss_jordan_reference(columns, target)
+    if got is not None:
+        assert all(isinstance(c, Fraction) for c in got)
+        assert solves(columns, target, got)
+
+
+def test_solve_large_denominators():
+    # Dense 7x7 integer systems with entries up to 100: determinants, and so
+    # denominators, far above 2**15 (and above int64 in the products).  The
+    # 9-row systems are consistent with integer solutions or (a random b)
+    # inconsistent.
+    rng = np.random.default_rng(11)
+    largest = 0
+    for _ in range(20):
+        a = rng.integers(-100, 101, size=(9, 7))
+        b = rng.integers(-100, 101, size=9)
+        columns = [list(map(int, a[:, j])) for j in range(7)]
+        x = rng.integers(-5, 6, size=7)
+        target = [int(v) for v in a @ x]
+        assert solve_rational(columns, target) == list(map(Fraction, x.tolist()))
+        assert solve_rational(columns, list(map(int, b))) is None
+        assert gauss_jordan_reference(columns, list(map(int, b))) is None
+        square = [col[:7] for col in columns]
+        got = solve_rational(square, list(map(int, b[:7])))
+        assert got == gauss_jordan_reference(square, list(map(int, b[:7])))
+        largest = max(largest, *(c.denominator for c in got))
+    assert largest > 2**15
+
+
+# ---------------------------------------------------------------------------
 # Integer rows
 
 
 def scaled_row(space, fn):
-    """The Fraction row times the lcm of its denominators."""
-    row = space.row(fn)
+    """The Fraction row (sum of g * overlaps over the terms) times the lcm
+    of its denominators."""
+    row = [Fraction(0)] * space.dim
+    off = space.offsets()
+    for lab, p, g in fn.terms:
+        for i, v in enumerate(space.generators[lab].overlaps(p)):
+            row[off[lab] + i] += g * int(v)
     den = lcm(*(v.denominator for v in row))
     return [int(v * den) for v in row]
 
@@ -176,3 +289,16 @@ def test_int_row_matches_fraction_row(terms):
     space = line_space()
     fn = FidelityFunction(tuple((lab, pauli(s), g) for lab, s, g in terms))
     assert np.array_equal(space.int_row(fn), scaled_row(space, fn))
+
+
+def test_int_row_exact_beyond_int64():
+    # Weights above 2**63 take the exact object-integer path.
+    space = line_space()
+    big = FidelityFunction(
+        (
+            ("A", pauli("XZI"), Fraction(2**70 + 1, 3)),
+            ("A", pauli("IYI"), Fraction(-(2**66), 5)),
+            ("B", pauli("ZZZ"), Fraction(7, 2**40)),
+        )
+    )
+    assert np.array_equal(space.int_row(big), scaled_row(space, big))

@@ -17,6 +17,7 @@ from cyclebench.learnability import (
     mu_ratios,
     orbit_learnables,
     pattern_transfer_unlearnable,
+    product_rows,
 )
 from cyclebench.pauli import PauliString
 from cyclebench.spl import GeneratorSet, random_model
@@ -278,6 +279,29 @@ class TestMuExpressions:
         assert c1.epsilon == -c2.epsilon == expr.epsilon
 
 
+class TestProductRows:
+    def test_span_rows_by_label_offset(self):
+        # A two-label space: each product's row sits at its label's offset
+        # and equals the integer row of its function.
+        topo = Topology(3, ((0, 1), (1, 2)))
+        gens = GeneratorSet(topo)
+        b = CliffordLayer(3, ((0, 1),), (), "B")
+        g = CliffordLayer(3, ((1, 2),), (), "G")
+        space = LambdaSpace(("B", "G"), {"B": gens, "G": gens})
+        prods = orbit_learnables(g, gens)[::2] + orbit_learnables(b, gens)
+        span = LearnableSpan(space, prods)
+        assert span.rows.dtype == np.int8
+        want = [space.int_row(p.function()) for p in prods]
+        assert np.array_equal(span.rows, want)
+        assert np.array_equal(
+            product_rows(gens, prods[:3]), [w[len(gens):] for w in want[:3]]
+        )
+
+    def test_no_products(self):
+        gens = GeneratorSet(Topology(2, ((0, 1),)))
+        assert product_rows(gens, []).shape == (0, len(gens))
+
+
 class TestTableFixtures:
     """Every transcribed appendix row must satisfy the exact log identity and
     validate numerically on random models."""
@@ -288,12 +312,11 @@ class TestTableFixtures:
         topo = chain_topology(k, chain, extra)
         gens = GeneratorSet(topo)
         space = LambdaSpace((layer_lab,), {layer_lab: gens})
-        lhs = space.row(fn(layer_lab, f1))
-        rhs = [Fraction(eps) * v for v in space.row(fn(layer_lab, *f2))]
+        # f1 - eps f2 - sum sigma_i f_i, scaled to integers, is the zero row.
+        diff = fn(layer_lab, f1) + fn(layer_lab, *f2).scaled(-Fraction(eps))
         for s, pair in zip(sig, fs):
-            for i, v in enumerate(space.row(fn(layer_lab, *pair))):
-                rhs[i] += Fraction(s) * v
-        assert lhs == rhs
+            diff = diff + fn(layer_lab, *pair).scaled(-Fraction(s))
+        assert not space.int_row(diff).any()
 
     @pytest.mark.parametrize("row", TABLE_ROWS, ids=[r[0] for r in TABLE_ROWS])
     def test_row_validates_on_random_models(self, row):

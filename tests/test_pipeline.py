@@ -9,16 +9,19 @@ import pytest
 
 import cyclebench
 
+from cyclebench import learnability, pipeline
 from cyclebench.fitting import RankDeficientError, nnls
 from cyclebench.layers import CATALOG, CliffordLayer
 from cyclebench.pauli import PauliString
 from cyclebench.pipeline import (
+    MAX_INV_GRAM_COND,
     _refined_low,
     build_plan,
     cached_plan,
     characterize_and_fit,
     covering_pairs,
     generate_models,
+    gram_rank,
     model_rng,
     null_generators,
     sweep_item,
@@ -120,6 +123,40 @@ class TestPlan:
         assert plain is not first and plain.unconstrained == {}
         assert cached_plan(topo, list(with_sq)) is first
 
+    def test_fit_rows_are_compact_overlap_sums(self, plan):
+        # int8 and C-contiguous: nnls and the noisy-record einsums read the
+        # rows in place, never through a float copy.
+        gens = plan.generators
+        for lab in plan.labels:
+            high, low = plan.s_high[lab], plan.s_low[lab]
+            for rows in (high, low):
+                assert rows.dtype == np.int8 and rows.flags.c_contiguous
+            want = [sum(gens.overlaps(p).astype(int) for p in prod.strings)
+                    for prod in plan.products[lab]]
+            assert np.array_equal(high, want)
+            want = [gens.overlaps(PauliString.single(gens.topology.n, q, "X"))
+                    for q in plan.low_qubits[lab]]
+            assert np.array_equal(low, want)
+
+    def test_mu_entries_pinned(self, monkeypatch):
+        # Recorded from the Fraction-elimination solver on a fresh
+        # certificate cache; the integer solver must give the same plan.
+        monkeypatch.setattr(learnability, "_CERT_CACHE", {})
+        topo = square_lattice(2, 3)
+        small = build_plan(topo, four_layer_config(topo, "open_chains"), seed=0, retries=4)
+        assert small.mu_failures == 0
+        got = [
+            (
+                e.qubit,
+                "".join(e.pair),
+                str(e.expression.epsilon),
+                " ".join(f"{lab}{row}:{coeff!r}" for lab, row, coeff in e.learn_refs),
+                *(cert_text(c) for c in e.expression.certificates),
+            )
+            for e in small.mu_entries
+        ]
+        assert got == PINNED_MU_ENTRIES
+
     def test_mu_values_exact_on_models(self, plan):
         rng = model_rng(1, 0)
         models = generate_models(plan, rng)
@@ -128,6 +165,97 @@ class TestPlan:
             num, den = entry.expression.target.mu.terms
             direct = models[num[0]].fidelity(num[1]) / models[den[0]].fidelity(den[1])
             assert mu_fn == pytest.approx(direct, abs=1e-10)
+
+
+def cert_text(cert):
+    """'eps | sigma*<label><s|d>[strings] ...' of one certificate."""
+    terms = (
+        f"{s}*{p.label}{p.source[0]}[{','.join(q.label() for q in p.strings)}]"
+        for s, p in zip(cert.sigma, cert.basis_products)
+    )
+    return f"{cert.epsilon} | " + " ".join(terms)
+
+
+# (qubit, pair, epsilon, learn_refs, certificate of each layer)
+PINNED_MU_ENTRIES = [
+    (0, "BR", "1",
+     "B6:-1.0 R2:1.0 R6:-1.0 R24:-1.0",
+     "1 | -1*Bs[IIXIII]",
+     "-1 | -1*Rs[ZIIIII] 1*Rs[IIXIII,ZIXIII] 1*Rs[ZXIIII]"),
+    (5, "BR", "1",
+     "B9:-1.0 R9:-1.0 R17:1.0 R62:-1.0",
+     "1 | -1*Bs[IIIXII]",
+     "-1 | 1*Rs[IIIXII,IIIXIZ] -1*Rs[IIIIIZ] 1*Rs[IIIIXZ]"),
+    (1, "BO", "1",
+     "B9:-1.0 O5:1.0 O9:-1.0 O20:-1.0",
+     "1 | -1*Bs[IIIXII]",
+     "-1 | -1*Os[IZIIII] 1*Os[IIIXII,IZIXII] 1*Os[XZIIII]"),
+    (4, "BO", "1",
+     "B6:-1.0 O6:-1.0 O14:1.0 O66:-1.0",
+     "1 | -1*Bs[IIXIII]",
+     "-1 | 1*Os[IIXIII,IIXIZI] -1*Os[IIIIZI] 1*Os[IIIIZX]"),
+    (2, "GR", "1/2",
+     "G0:-1.0 G10:-0.25 G62:0.25 G77:0.5 G103:-0.5 R0:-1.0 R8:1.0 R45:-0.5",
+     "1/2 | -1*Gs[XIIIII] -1/4*Gs[IIIYII,IIZYII] 1/4*Gs[IIIYIZ,IIZYIZ] "
+     "1/2*Gd[IIIXII,IIZYII] -1/2*Gd[IIIXIZ,IIZYIZ]",
+     "-1/2 | 1*Rs[XIIIII,XIZIII] -1*Rs[IIZIII] 1/2*Rs[IIZXII,IIZXIZ]"),
+    (3, "GR", "1/2",
+     "G6:0.25 G15:-1.0 G33:-0.25 R11:1.0 R16:1.0 R41:-0.5 R75:-1.0 R76:-1.0",
+     "1/2 | 1/4*Gs[IIXIII,IIXZII] -1*Gs[IIIIIX] -1/4*Gs[ZIXIII,ZIXZII]",
+     "-1/2 | -1*Rs[IIIZII] -1*Rs[IIIIIY,IIIZIY] 1/2*Rs[IIXZII,ZIXZII] "
+     "1*Rd[IIIIIX,IIIZIY] 1*Rd[IIIZIX,IIIIIY]"),
+    (2, "RO", "1",
+     "R12:-1.0 O8:1.0 O12:-1.0 O29:-1.0",
+     "1 | -1*Rs[IIIIXI]",
+     "-1 | -1*Os[IIZIII] 1*Os[IIIIXI,IIZIXI] 1*Os[XIZIII]"),
+    (3, "RO", "1",
+     "R3:-1.0 O3:-1.0 O11:1.0 O57:-1.0",
+     "1 | -1*Rs[IXIIII]",
+     "-1 | 1*Os[IXIIII,IXIZII] -1*Os[IIIZII] 1*Os[IIIZIX]"),
+]
+
+
+class TestInverseGramGuard:
+    @staticmethod
+    def ill_conditioned(seed, m=60, n=30):
+        # Singular values from 1 down to 1e-4: cond(A^T A) = 1e8.
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(m, n)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        return (u * np.logspace(0, -4, n)) @ v.T, rng
+
+    def test_rank_and_condition_from_one_spectrum(self):
+        a, _ = self.ill_conditioned(0)
+        gram = a.T @ a
+        rank, cond = gram_rank(gram)
+        assert rank == np.linalg.matrix_rank(gram, hermitian=True) == 30
+        assert cond == pytest.approx(1e8, rel=1e-3)
+        assert cond > MAX_INV_GRAM_COND
+        a[:, 3] = a[:, 7]
+        rank, cond = gram_rank(a.T @ a)
+        assert rank == np.linalg.matrix_rank(a.T @ a, hermitian=True) == 29
+        assert cond == np.inf
+
+    def test_ill_conditioned_layers_fit_by_factoring(self):
+        # Such a layer keeps no inverse Gram; nnls then factors each
+        # passive block and still meets the KKT bound.
+        for seed in range(40):
+            a, rng = self.ill_conditioned(seed)
+            x = np.abs(rng.normal(size=30)) * (rng.random(30) < 0.7)
+            fit = nnls(a, a @ x + rng.normal(0.0, 1e-2, 60))
+            assert fit.kkt_residual <= 1e-10
+
+    def test_plan_without_inverse_fits_the_same(self, line_plan, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", 0.0)
+        topo = Topology(3, ((0, 1), (1, 2)))
+        bare = build_plan(topo, line_plan.layers)
+        assert bare.inv_gram == {} and bare.unconstrained == {}
+        a = sweep_item(line_plan, 5, 0, 1e-4, 1e-3, "unit_depth")[1]
+        b = sweep_item(bare, 5, 0, 1e-4, 1e-3, "unit_depth")[1]
+        for pipe in a.fitted:
+            for lab in line_plan.labels:
+                assert np.max(np.abs(a.fitted[pipe][lab] - b.fitted[pipe][lab])) < 1e-12
+                assert b.fit_meta[pipe][lab]["kkt_residual"] <= 1e-10
 
 
 class TestCharacterizeAndFit:

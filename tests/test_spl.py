@@ -164,6 +164,45 @@ class TestRandomModel:
         assert np.array_equal(model.lambdas, np.clip(ref, 0.0, None))
         assert model.generators is gens
 
+    def test_cached_activity_matches_generator_loop(self):
+        # Reference: the per-generator loop that decided each generator's
+        # mean and spread on every draw.  One generator set serves several
+        # layers with idle qubits (and one with none), interleaved, so a
+        # cached activity must never leak from one layer to another.
+        def loop_model(gens, layer, params, rng):
+            gate_means = {
+                pair: tuple(
+                    rng.normal(params.mean_active[w], params.spread_active[w]) for w in (0, 1)
+                )
+                for pair in layer.cz_pairs
+            }
+            gate_of = {q: pair for pair in layer.cz_pairs for q in pair}
+            loc, scale = np.empty(len(gens)), np.empty(len(gens))
+            for i, p in enumerate(gens.strings):
+                sup = p.support()
+                w = len(sup) - 1
+                gate = gate_of.get(sup[0])
+                if gate is not None and all(q in gate for q in sup):
+                    loc[i], scale[i] = gate_means[gate][w], params.std_active[w]
+                else:
+                    loc[i], scale[i] = params.mean_inactive[w], params.std_inactive[w]
+            return np.clip(rng.normal(loc, scale), 0.0, None)
+
+        topo = garnet20()
+        gens = GeneratorSet(topo)
+        layers = [
+            CliffordLayer(20, ((0, 1), (2, 3), (8, 9)), (), "A"),
+            CliffordLayer(20, (), (), "idle"),
+            CliffordLayer(20, ((1, 5), (2, 6)), (), "B"),
+            CliffordLayer(20, topo.edges[:1], (), "C"),
+        ]
+        params = RandomModelParams()
+        for seed in range(3):
+            for layer in layers + layers[::-1]:
+                got = random_model(gens, layer, params, np.random.default_rng(seed))
+                want = loop_model(gens, layer, params, np.random.default_rng(seed))
+                assert np.array_equal(got.lambdas, want)
+
     def test_active_weight2_mean(self):
         # Monte-Carlo against the clamped-Gaussian mean oracle: the mean of
         # gate-contained weight-2 rates approaches E[max(N(m, s), 0)] with
