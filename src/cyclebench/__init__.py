@@ -35,16 +35,7 @@ from .learnability import (
     orbit_learnables,
     pattern_transfer_unlearnable,
 )
-from .experiment import (
-    CbInstance,
-    FidelityRecord,
-    NoisySample,
-    decay_fit,
-    exact_expectation,
-    simulate,
-    symmetry_estimate,
-    unit_depth_estimate,
-)
+from .experiment import NoisySample, decay_fit
 from .fitting import FitResult, distance_metrics, nnls, refine_unlearnable
 
 __version__ = "0.1.0"

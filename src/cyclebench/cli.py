@@ -22,12 +22,15 @@ from .fitting import RankDeficientError
 from .layers import CATALOG, CliffordLayer
 from .learnability import analyze_layer, mlcb_recovery
 from .pec import MAX_CIRCUITS, MAX_KEY_WEIGHT, pec_sweep, summarize_pec
+from .pauli import PauliString
 from .pipeline import (
     CharacterizationPlan,
+    RunResult,
     cached_plan,
     covering_pairs,
     generate_models,
     model_rng,
+    noisy_records,
     sweep_item,
 )
 from .spl import GeneratorSet, RandomModelParams, random_model
@@ -253,40 +256,36 @@ def cmd_learnability(cfg: RunConfig) -> int:
 
 
 def cmd_characterize(cfg: RunConfig) -> int:
+    # The draw of model 0 of `fit`: these are the data its first fit uses.
     plan = _plan(cfg)
     rng = model_rng(cfg.seed, 0)
     models = generate_models(plan, rng)
+    data = noisy_records(plan, models, cfg.sigma, cfg.sigma_prime, cfg.baseline, rng)
+
+    def record(targets, estimate, sigma, accuracy, provenance):
+        return {
+            "kind": "product",
+            "targets": [[lab, p.label()] for lab, p in targets],
+            "estimate": float(estimate),
+            "sigma": sigma,
+            "accuracy": accuracy,
+            "provenance": provenance,
+        }
+
     records = []
-    lam = {lab: models[lab].lambdas for lab in plan.labels}
     for lab in plan.labels:
-        exact = np.exp(-2.0 * (plan.s_high[lab].astype(float) @ lam[lab]))
-        noisy = exact + (rng.normal(0, cfg.sigma, exact.shape) if cfg.sigma > 0 else 0.0)
-        for prod, value in zip(plan.products[lab], noisy):
-            records.append(
-                {
-                    "kind": "product",
-                    "targets": [[lab, p.label()] for p in prod.strings],
-                    "estimate": float(value),
-                    "sigma": cfg.sigma,
-                    "accuracy": "high",
-                    "provenance": f"orbit:{prod.source}",
-                }
-            )
-    for entry in plan.mu_entries:
-        log_o = sum(models[l].log_fidelity(p) for l, p in entry.product_terms)
-        noisy = float(np.exp(log_o)) + (
-            float(rng.normal(0, cfg.sigma)) if cfg.sigma > 0 else 0.0
-        )
-        records.append(
-            {
-                "kind": "product",
-                "targets": [[l, p.label()] for l, p in entry.product_terms],
-                "estimate": noisy,
-                "sigma": cfg.sigma,
-                "accuracy": "high",
-                "provenance": f"mlcb:q{entry.qubit}:{entry.pair[0]}{entry.pair[1]}",
-            }
-        )
+        for prod, value in zip(plan.products[lab], data.high[lab]):
+            targets = [(lab, p) for p in prod.strings]
+            records.append(record(targets, value, cfg.sigma, "high", f"orbit:{prod.source}"))
+        if cfg.baseline == "unit_depth":
+            for q, value in zip(plan.low_qubits[lab], data.low[lab]):
+                targets = [(lab, PauliString.single(cfg.topology.n, q, "X"))]
+                records.append(
+                    record(targets, value, cfg.sigma_prime, "low", f"unit_depth:q{q}")
+                )
+    for entry, value in zip(plan.mu_entries, data.ratio_products):
+        provenance = f"mlcb:q{entry.qubit}:{entry.pair[0]}{entry.pair[1]}"
+        records.append(record(entry.product_terms, value, cfg.sigma, "high", provenance))
     payload = {
         "schema": "fidelity-records/1",
         "config_digest": cfg.digest(),
@@ -302,41 +301,40 @@ def cmd_characterize(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_item(args):
-    cfg_raw, index = args
+def _run_item(args) -> tuple[int, RunResult]:
+    cfg_raw, seed, index = args
     cfg = parse_config(cfg_raw)
-    plan = _plan(cfg)
-    models, result = sweep_item(
-        plan, cfg.seed, index, cfg.sigma, cfg.sigma_prime, cfg.baseline,
+    _, result = sweep_item(
+        _plan(cfg), seed, index, cfg.sigma, cfg.sigma_prime, cfg.baseline,
         pipelines=cfg.pipelines,
     )
-    return index, result.delta_c, result.delta_m, result.ratio
+    return index, result
+
+
+def _sweep(cfg: RunConfig, seed: int | None = None) -> list[tuple[int, RunResult]]:
+    """(index, result) of every model of the sweep, in index order, on
+    `cfg.parallel` processes.  Models draw from `seed` (default `cfg.seed`);
+    the plan keeps `cfg.seed`."""
+    _check_models(cfg)
+    _plan(cfg)  # config errors end here, before any worker starts
+    items = [(cfg.raw, cfg.seed if seed is None else seed, i) for i in range(cfg.models)]
+    if cfg.parallel > 1:
+        with multiprocessing.Pool(cfg.parallel) as pool:
+            return pool.map(_run_item, items)
+    return [_run_item(item) for item in items]
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    _check_models(cfg)
-    plan = _plan(cfg)
-    rows = []
-    indices = list(range(cfg.models))
-    if cfg.parallel > 1:
-        with multiprocessing.Pool(cfg.parallel) as pool:
-            results = pool.map(_run_item, [(cfg.raw, i) for i in indices])
-        results.sort()
-    else:
-        results = [_run_item((cfg.raw, i)) for i in indices]
+    results = _sweep(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, "metrics.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "config", "delta_c", "delta_m", "r"])
-        for index, dc, dm, r in results:
-            writer.writerow([index, cfg.digest(), dc, dm, "" if r is None else r])
-            rows.append(r)
-    # Fit the first model's rate vectors to files as well.
-    models, result = sweep_item(
-        plan, cfg.seed, 0, cfg.sigma, cfg.sigma_prime, cfg.baseline,
-        pipelines=cfg.pipelines,
-    )
+        for index, res in results:
+            writer.writerow([index, cfg.digest(), res.delta_c, res.delta_m, res.ratio])
+    # The first model's fitted rate vectors go to files as well.
+    result = results[0][1]
     for pipeline, fitted in result.fitted.items():
         for lab, lam in fitted.items():
             payload = {
@@ -350,7 +348,7 @@ def cmd_fit(cfg: RunConfig) -> int:
                 "config_digest": cfg.digest(),
             }
             _write_json(os.path.join(cfg.out, f"fitted_{pipeline}_{lab}.json"), payload)
-    valid = [r for r in rows if r is not None]
+    valid = [res.ratio for _, res in results if res.ratio is not None]
     if valid:
         print(
             f"{len(valid)} models: median r = {float(np.median(valid)):.3f} -> {csv_path}"
@@ -460,45 +458,32 @@ def cmd_repro(figure: str, out: str, parallel: int, models: int | None = None) -
         raise ConfigError(f"unknown figure {figure!r}; choose from {sorted(REPRO_CONFIGS)}")
     if models is not None:
         spec = dict(spec, models=models)
-    if figure == "fig5a":
-        cfgs = []
-        for scheme in spec["schemes"]:
-            raw = {k: v for k, v in spec.items() if k != "schemes"}
-            raw["layers"] = scheme
-            raw["parallel"] = parallel
-            cfg = parse_config(raw)
-            _check_models(cfg)
-            cfgs.append((scheme, cfg))
+    if figure in ("fig5a", "fig5b"):
+        # One sweep per scheme (fig5a) or per sigma'/sigma multiplier
+        # (fig5b, models drawn from seed + multiplier on the spec's plan).
+        if figure == "fig5a":
+            header = "scheme"
+            sweeps = [(s, {"layers": s}, None) for s in spec["schemes"]]
+        else:
+            header = "sigma_prime_over_sigma"
+            sweeps = [
+                (m, {"sigma_prime": m * spec["sigma"]}, spec["seed"] + m)
+                for m in spec["sigma_prime_multipliers"]
+            ]
+        base = {k: v for k, v in spec.items()
+                if k not in ("schemes", "sigma_prime_multipliers")}
+        results = [
+            (key, _sweep(parse_config(dict(base, parallel=parallel, **change)), seed))
+            for key, change, seed in sweeps
+        ]
         os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, "fig5a.csv")
+        path = os.path.join(out, f"{figure}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["scheme", "seed", "delta_c", "delta_m", "r"])
-            for scheme, cfg in cfgs:
-                plan = _plan(cfg)
-                for i in range(cfg.models):
-                    _, res = sweep_item(
-                        plan, cfg.seed, i, cfg.sigma, 0.0, "symmetry"
-                    )
-                    writer.writerow([scheme, i, res.delta_c, res.delta_m, res.ratio])
-        print(f"-> {path}")
-        return 0
-    if figure == "fig5b":
-        raw = {k: v for k, v in spec.items() if k != "sigma_prime_multipliers"}
-        cfg = parse_config(raw)
-        _check_models(cfg)
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, "fig5b.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sigma_prime_over_sigma", "seed", "delta_c", "delta_m", "r"])
-            plan = _plan(cfg)
-            for mult in spec["sigma_prime_multipliers"]:
-                for i in range(cfg.models):
-                    _, res = sweep_item(
-                        plan, cfg.seed + mult, i, cfg.sigma, mult * cfg.sigma, "unit_depth"
-                    )
-                    writer.writerow([mult, i, res.delta_c, res.delta_m, res.ratio])
+            writer.writerow([header, "seed", "delta_c", "delta_m", "r"])
+            for key, sweep in results:
+                for i, res in sweep:
+                    writer.writerow([key, i, res.delta_c, res.delta_m, res.ratio])
         print(f"-> {path}")
         return 0
     cfg = parse_config(dict(spec, out=out, parallel=parallel))

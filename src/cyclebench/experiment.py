@@ -1,47 +1,12 @@
-"""Simulation of cycle-benchmarking experiments against exact noise models:
-expectation values with SPAM prefactors, Gaussian measurement uncertainty,
-decay-curve fitting, and the low-accuracy estimators for unlearnable
-fidelities."""
+"""Decay-curve fitting of cycle-benchmarking samples: the SPAM-robust
+estimate of a fidelity (product) from expectation values at several
+depths."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .layers import CliffordLayer, conjugate
-from .pauli import PauliString
-from .spl import SplModel
-
-DEFAULT_DEPTHS = (2, 4, 8, 16, 32)
-
-
-@dataclass(frozen=True)
-class CbInstance:
-    """A repeated building block of (layer, optional dressing) steps with a
-    fixed preparation and measurement Pauli."""
-
-    block: tuple[tuple[CliffordLayer, CliffordLayer | None], ...]
-    prep: PauliString
-    meas: PauliString
-    depths: tuple[int, ...] = DEFAULT_DEPTHS
-    kind: str = "standard"  # standard | interleaved | mlcb | unit_depth
-
-    def __post_init__(self):
-        if not self.depths or min(self.depths) < 1:
-            raise ValueError("depths must be positive")
-
-    def step_layer(self, j: int) -> CliffordLayer:
-        return self.block[j % len(self.block)][0]
-
-    def propagate(self, p: PauliString, steps: int) -> PauliString:
-        for j in range(steps):
-            layer, dressing = self.block[j % len(self.block)]
-            p = conjugate(layer, p)
-            if dressing is not None:
-                p = conjugate(dressing, p)
-        return p
 
 
 @dataclass(frozen=True)
@@ -53,71 +18,6 @@ class NoisySample:
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sample sigma must be positive")
-
-
-@dataclass(frozen=True)
-class FidelityRecord:
-    """A measured (product of) fidelities with its accuracy class."""
-
-    targets: tuple[tuple[str, PauliString], ...]
-    estimate: float
-    sigma: float
-    accuracy: str  # "high" | "low"
-    provenance: str = ""
-
-    def key(self):
-        return frozenset((lab, p.key()) for lab, p in self.targets)
-
-
-def exact_expectation(
-    models: dict[str, SplModel],
-    instance: CbInstance,
-    d: int,
-    spam: float = 1.0,
-) -> float:
-    """A * product of step fidelities over d repetitions of the block.
-
-    The noise acts before each layer, so step j contributes the fidelity of
-    the string entering that layer.
-    """
-    if not 0.0 < spam <= 1.0:
-        raise ValueError("spam prefactor must lie in (0, 1]")
-    if d not in instance.depths:
-        raise ValueError(f"depth {d} not in instance depths {instance.depths}")
-    total = 0.0
-    p = instance.prep
-    steps = d * len(instance.block)
-    for j in range(steps):
-        layer, dressing = instance.block[j % len(instance.block)]
-        total += models[layer.label].log_fidelity(p)
-        p = conjugate(layer, p)
-        if dressing is not None:
-            p = conjugate(dressing, p)
-    if p.key() != instance.meas.key():
-        raise ValueError(
-            f"measurement operator {instance.meas.label()} inconsistent with "
-            f"propagated preparation ({p.label()} after {steps} steps)"
-        )
-    return spam * float(np.exp(total))
-
-
-def simulate(
-    models: dict[str, SplModel],
-    instance: CbInstance,
-    sigma: float,
-    seed: int | None = None,
-    spam: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> list[NoisySample]:
-    """Exact expectations perturbed by independent Gaussian noise per depth."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    out = []
-    for d in instance.depths:
-        exact = exact_expectation(models, instance, d, spam)
-        noise = rng.normal(0.0, sigma) if sigma > 0 else 0.0
-        out.append(NoisySample(d, exact + noise, max(sigma, 1e-15)))
-    return out
 
 
 def decay_fit(samples: list[NoisySample]) -> tuple[float, float, float]:
@@ -155,84 +55,3 @@ def decay_fit(samples: list[NoisySample]) -> tuple[float, float, float]:
         model, depths, values, p0=p0, sigma=sigmas, absolute_sigma=True, maxfev=10000
     )
     return float(popt[0]), float(popt[1]), float(np.sqrt(pcov[1, 1]))
-
-
-def pack_instances(layer, generators, dressing=None) -> list[dict]:
-    """Greedy packing of the layer's orbit preparations into experiment
-    instances (informational: scheduling only, results never depend on it).
-
-    An instance fixes one single-qubit Pauli basis per qubit; it covers an
-    orbit whose starting string matches the basis on its support.  On square
-    lattices a handful of instances covers everything.
-    """
-    from .layers import orbit as _orbit
-
-    targets = []
-    seen = set()
-    for alpha in generators.strings:
-        start = _orbit(layer, alpha, dressing)[0]
-        if start.key() in seen:
-            continue
-        seen.add(start.key())
-        targets.append(start)
-    targets.sort(key=lambda p: -p.weight())
-    instances: list[dict] = []
-    for t in targets:
-        placed = False
-        letters = {q: t.label()[q] for q in t.support()}
-        for inst in instances:
-            basis = inst["basis"]
-            if all(basis.get(q, letters[q]) == letters[q] for q in letters):
-                basis.update(letters)
-                inst["covers"].append(t)
-                placed = True
-                break
-        if not placed:
-            instances.append({"basis": dict(letters), "covers": [t]})
-    for inst in instances:
-        inst["basis"] = "".join(
-            inst["basis"].get(q, "Z") for q in range(layer.n)
-        )
-    return instances
-
-
-def symmetry_estimate(pair_product: FidelityRecord) -> FidelityRecord:
-    """Estimate a single fidelity from a measured two-element orbit product by
-    assuming both factors are equal: f = sqrt(product)."""
-    if len(pair_product.targets) != 2:
-        raise ValueError("symmetry estimate needs a 2-element orbit product")
-    value = pair_product.estimate
-    if value > 1.0:
-        warnings.warn("orbit product above 1; clamping before square root")
-        value = 1.0
-    est = float(np.sqrt(value))
-    return FidelityRecord(
-        targets=(pair_product.targets[0],),
-        estimate=est,
-        sigma=pair_product.sigma / 2.0,
-        accuracy="low",
-        provenance=f"symmetry({pair_product.provenance})",
-    )
-
-
-def unit_depth_estimate(
-    models: dict[str, SplModel],
-    label: str,
-    alpha: PauliString,
-    sigma_prime: float,
-    rng: np.random.Generator,
-) -> FidelityRecord:
-    """The SPAM-confounded d=1 estimate under perfect state preparation:
-    the exact fidelity plus Gaussian noise of scale sigma_prime."""
-    if sigma_prime < 0:
-        raise ValueError("sigma_prime must be nonnegative")
-    exact = models[label].fidelity(alpha)
-    noisy = exact + (rng.normal(0.0, sigma_prime) if sigma_prime > 0 else 0.0)
-    noisy = float(np.clip(noisy, 1e-12, 1.0))
-    return FidelityRecord(
-        targets=((label, alpha.unsigned()),),
-        estimate=noisy,
-        sigma=max(sigma_prime, 1e-15),
-        accuracy="low",
-        provenance="unit_depth",
-    )

@@ -1,5 +1,5 @@
 """Clifford layers (parallel CZ gates plus single-qubit Cliffords) and their
-conjugation action on Pauli strings, orbits, alternating-layer sequences and
+conjugation action on Pauli strings, orbits, alternating-layer conjugation and
 chain decomposition of CZ-only layer pairs."""
 
 from __future__ import annotations
@@ -11,15 +11,6 @@ from .pauli import PauliString
 
 # Signed single-qubit Pauli as (sign, x, z).
 SignedPauli1q = tuple[int, int, int]
-
-
-def _mul1q(a: SignedPauli1q, b: SignedPauli1q) -> SignedPauli1q:
-    """Product of two signed single-qubit Paulis, +/-i folded to its sign."""
-    sa, xa, za = a
-    sb, xb, zb = b
-    x, z = xa ^ xb, za ^ zb
-    k = ((xa & za) + (xb & zb) + 2 * (za & xb) - (x & z)) % 4
-    return (sa * sb * (1 if k in (0, 1) else -1), x, z)
 
 
 @dataclass(frozen=True)
@@ -256,17 +247,6 @@ def alternating_conjugation(
     for j in range(m):
         p = conjugate(layers[j % len(layers)], p)
     return p
-
-
-def alternating_sequence(
-    layers, p: PauliString, steps: int
-) -> list[PauliString]:
-    """[alpha^(0), ..., alpha^(steps)] under the alternating conjugation."""
-    seq = [p]
-    for j in range(steps):
-        p = conjugate(layers[j % len(layers)], p)
-        seq.append(p)
-    return seq
 
 
 @dataclass(frozen=True)

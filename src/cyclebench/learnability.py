@@ -195,13 +195,6 @@ class LearnableSpan:
         return self.basis.rank
 
 
-def learnable_span(space: LambdaSpace, layers: dict[str, CliffordLayer]) -> LearnableSpan:
-    products = []
-    for lab in space.labels:
-        products.extend(orbit_learnables(layers[lab], space.generators[lab]))
-    return LearnableSpan(space, products)
-
-
 def equivalence_test(a: FidelityFunction, b: FidelityFunction, span: LearnableSpan) -> str:
     """Classify two fidelity functions against the learnable row space.
 
@@ -466,9 +459,6 @@ class MuExpression:
         return self.mu_function().evaluate(models)
 
 
-_CERT_CACHE: dict[tuple, tuple] = {}
-
-
 def _chain_cache_key(chain: Chain, topology: Topology, q: int):
     index = {g: i for i, g in enumerate(chain.qubits)}
     colors = tuple(lab == chain.pair[0] for _, lab in chain.edges)
@@ -514,6 +504,7 @@ def mu_expression(
     topology: Topology,
     seed: int = 0,
     retries: int = 32,
+    cache: dict | None = None,
 ) -> MuExpression:
     """Build the exact expression of mu_q through the chain's measured
     product, searching one certificate per layer on the chain-local model.
@@ -521,7 +512,10 @@ def mu_expression(
     Chain-local validity extends to the full device: every cross-boundary
     generator acts on a chain-supported string exactly like the weight-one
     generator at the boundary qubit, which the local space already contains.
+    `cache` keeps the certificates across the calls of one caller (a plan).
     """
+    if cache is None:
+        cache = {}
     chain = target.chain
     n = topology.n
     key = _chain_cache_key(chain, topology, target.qubit)
@@ -529,7 +523,7 @@ def mu_expression(
     # for the pair's first/second layer) so identical chain shapes from
     # different layer pairs share the search.
     relabel = {chain.pair[0]: "0", chain.pair[1]: "1"}
-    if key not in _CERT_CACHE:
+    if key not in cache:
         qubits = chain.qubits
         index = {g: i for i, g in enumerate(qubits)}
         k = len(qubits)
@@ -560,9 +554,9 @@ def mu_expression(
                 )
             )
             certs.append(express_search(tgt, anchor, span, seed=seed + which, retries=retries))
-        _CERT_CACHE[key] = tuple(certs)
+        cache[key] = tuple(certs)
     unlabel = {"0": chain.pair[0], "1": chain.pair[1]}
-    cert1, cert2 = (_relabel_cert(c, unlabel) for c in _CERT_CACHE[key])
+    cert1, cert2 = (_relabel_cert(c, unlabel) for c in cache[key])
     if cert1.epsilon != -cert2.epsilon:
         raise NotEquivalentError(
             "layer certificates disagree on the product exponent; "
@@ -631,10 +625,11 @@ def mu_ratios(
     """All unlearnable ratios unlocked by the given layer pairs, as exact
     fidelity functions of measured products and learnable terms."""
     out = {}
+    cache: dict = {}
     for la, lb in layer_pairs:
         for chain in chain_decomposition(la, lb):
             for target in mlcb_targets(chain, topology.n):
-                expr = mu_expression(target, topology, seed=seed, retries=retries)
+                expr = mu_expression(target, topology, seed=seed, retries=retries, cache=cache)
                 out[(target.qubit, chain.pair)] = expr.mu_function()
     return out
 

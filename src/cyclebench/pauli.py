@@ -173,15 +173,6 @@ class FidelityVector:
             )
 
     @classmethod
-    def from_map(cls, n: int, mapping) -> "FidelityVector":
-        vals = [None] * 4**n
-        for p, f in mapping.items():
-            vals[p.dense_index()] = float(f)
-        if any(v is None for v in vals):
-            raise ValueError("incomplete fidelity vector")
-        return cls(n, tuple(vals))
-
-    @classmethod
     def from_function(cls, n: int, fn) -> "FidelityVector":
         return cls(n, tuple(float(fn(p)) for p in all_pauli_strings(n)))
 

@@ -118,6 +118,9 @@ def build_plan(
             inv_gram[lab] = np.linalg.inv(g)
     mu_entries: list[MuPlanEntry] = []
     failures = 0
+    # Chain-shape certificates shared by this plan's layer pairs only, so a
+    # plan never depends on the plans built before it.
+    certificates: dict = {}
     pairs, wanted = covering_pairs(topology, layers)
     index_of = {layer.label: i for i, layer in enumerate(layers)}
     by_label = {layer.label: layer for layer in layers}
@@ -129,7 +132,11 @@ def build_plan(
                     continue
                 try:
                     expr = mu_expression(
-                        target, topology, seed=seed + index_of[pair[0]], retries=retries
+                        target,
+                        topology,
+                        seed=seed + index_of[pair[0]],
+                        retries=retries,
+                        cache=certificates,
                     )
                 except NotEquivalentError:
                     failures += 1
@@ -244,6 +251,67 @@ class RunResult:
         return self.delta.get("mlcb", float("nan"))
 
 
+@dataclass
+class NoisyRecords:
+    """One model's simulated measurements.
+
+    `high`: every orbit product per layer, with its Gaussian noise and
+    unclipped; `low`: the low-accuracy single-fidelity estimates per layer,
+    in `plan.low_qubits` order; `ratio_products`: each ratio entry's noisy
+    multi-layer product, in `plan.mu_entries` order.
+    """
+
+    high: dict[str, np.ndarray]
+    low: dict[str, np.ndarray]
+    ratio_products: list[float]
+
+
+def noisy_records(
+    plan: CharacterizationPlan,
+    models: dict[str, SplModel],
+    sigma: float,
+    sigma_prime: float,
+    baseline: str,
+    rng: np.random.Generator,
+) -> NoisyRecords:
+    """Step (ii): the noisy measured data of one noise model.
+
+    The `symmetry` baseline estimates each single fidelity as the square
+    root of its clipped orbit product; `unit_depth` measures it directly
+    with noise `sigma_prime`, clipped into (0, 1].
+    """
+    if baseline not in ("symmetry", "unit_depth"):
+        raise ValueError(f"unknown baseline {baseline!r}")
+    high: dict[str, np.ndarray] = {}
+    low: dict[str, np.ndarray] = {}
+    for lab in plan.labels:
+        lam = models[lab].lambdas
+        # einsum reads the int8 rows without a float copy.
+        exact = np.exp(-2.0 * np.einsum("ij,j->i", plan.s_high[lab], lam))
+        noisy = exact + (rng.normal(0.0, sigma, exact.shape) if sigma > 0 else 0.0)
+        high[lab] = noisy
+        if baseline == "symmetry":
+            prods = np.clip(noisy[plan.symmetry_row[lab]], 1e-12, 1.0)
+            low[lab] = np.sqrt(prods)
+        else:
+            exact_low = np.exp(-2.0 * np.einsum("ij,j->i", plan.s_low[lab], lam))
+            noise = (
+                rng.normal(0.0, sigma_prime, exact_low.shape)
+                if sigma_prime > 0
+                else 0.0
+            )
+            low[lab] = np.clip(exact_low + noise, 1e-12, 1.0)
+    ratio_products = []
+    for entry in plan.mu_entries:
+        log_o = sum(
+            models[l].log_fidelity(p) for l, p in entry.product_terms
+        )
+        ratio_products.append(
+            np.exp(log_o) + (rng.normal(0.0, sigma) if sigma > 0 else 0.0)
+        )
+    return NoisyRecords(high=high, low=low, ratio_products=ratio_products)
+
+
 def characterize_and_fit(
     plan: CharacterizationPlan,
     models: dict[str, SplModel],
@@ -260,8 +328,7 @@ def characterize_and_fit(
     least-squares objective.  A plan with a rank-deficient layer raises
     RankDeficientError: its fits would not determine the rates.
     """
-    if baseline not in ("symmetry", "unit_depth"):
-        raise ValueError(f"unknown baseline {baseline!r}")
+    records = noisy_records(plan, models, sigma, sigma_prime, baseline, rng)
     if plan.unconstrained:
         raise RankDeficientError("; ".join(
             f"layer {lab!r} fit matrix has rank {rank} < {len(plan.generators)}, "
@@ -269,31 +336,9 @@ def characterize_and_fit(
             for lab, (rank, names) in plan.unconstrained.items()
         ))
     labels = plan.labels
-    lam = {lab: models[lab].lambdas for lab in labels}
-    noisy_high: dict[str, np.ndarray] = {}
-    low_est: dict[str, np.ndarray] = {}
-    for lab in labels:
-        # einsum reads the int8 rows without a float copy.
-        exact = np.exp(-2.0 * np.einsum("ij,j->i", plan.s_high[lab], lam[lab]))
-        noisy = exact + (rng.normal(0.0, sigma, exact.shape) if sigma > 0 else 0.0)
-        noisy_high[lab] = noisy
-        if baseline == "symmetry":
-            prods = np.clip(noisy[plan.symmetry_row[lab]], 1e-12, 1.0)
-            low_est[lab] = np.sqrt(prods)
-        else:
-            exact_low = np.exp(-2.0 * np.einsum("ij,j->i", plan.s_low[lab], lam[lab]))
-            noise = (
-                rng.normal(0.0, sigma_prime, exact_low.shape)
-                if sigma_prime > 0
-                else 0.0
-            )
-            low_est[lab] = np.clip(exact_low + noise, 1e-12, 1.0)
+    noisy_high, low_est = records.high, records.low
     mu_hat: dict[tuple[int, tuple[str, str]], float] = {}
-    for entry in plan.mu_entries:
-        log_o = sum(
-            models[l].log_fidelity(p) for l, p in entry.product_terms
-        )
-        o_noisy = np.exp(log_o) + (rng.normal(0.0, sigma) if sigma > 0 else 0.0)
+    for entry, o_noisy in zip(plan.mu_entries, records.ratio_products):
         if o_noisy <= 0:
             continue
         log_mu = entry.epsilon * np.log(o_noisy)

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclebench.cli import EXIT_CONFIG, EXIT_RANK, main, parse_config
+from cyclebench.cli import EXIT_CONFIG, EXIT_RANK, _plan, main, parse_config
+from cyclebench.pauli import PauliString
+from cyclebench.pipeline import generate_models, model_rng, noisy_records
 
 
 def write_config(tmp_path, **overrides):
@@ -119,7 +121,34 @@ class TestCharacterizeFitPec:
         data = json.loads((tmp_path / "out" / "records.json").read_text())
         assert data["schema"] == "fidelity-records/1"
         kinds = {r["provenance"].split(":")[0] for r in data["records"]}
-        assert kinds == {"orbit", "mlcb"}
+        assert kinds == {"orbit", "mlcb", "unit_depth"}
+
+    @pytest.mark.parametrize("baseline", ["symmetry", "unit_depth"])
+    def test_characterize_records_are_the_fit_data(self, tmp_path, baseline):
+        # The records are the draw that `fit` fits for model 0, bit for bit.
+        path, cfg = write_config(tmp_path, baseline=baseline)
+        assert main(["characterize", "--config", str(path)]) == 0
+        records = json.loads((tmp_path / "out" / "records.json").read_text())["records"]
+        plan = _plan(parse_config(cfg))
+        rng = model_rng(cfg["seed"], 0)
+        models = generate_models(plan, rng)
+        data = noisy_records(plan, models, cfg["sigma"], cfg["sigma_prime"], baseline, rng)
+        want = []
+        for lab in plan.labels:
+            want += [(v, "high") for v in data.high[lab]]
+            if baseline == "unit_depth":
+                want += [(v, "low") for v in data.low[lab]]
+        want += [(v, "high") for v in data.ratio_products]
+        assert [(r["estimate"], r["accuracy"]) for r in records] == [
+            (float(v), acc) for v, acc in want
+        ]
+        lows = [r for r in records if r["accuracy"] == "low"]
+        for r in lows:
+            q = int(r["provenance"].removeprefix("unit_depth:q"))
+            ((lab, label),) = r["targets"]
+            assert label == PauliString.single(6, q, "X").label()
+            assert r["sigma"] == cfg["sigma_prime"]
+        assert len(lows) == (baseline == "unit_depth") * sum(map(len, plan.low_qubits.values()))
 
     def test_fit_writes_metrics(self, tmp_path):
         path, cfg = write_config(tmp_path)
@@ -322,6 +351,15 @@ class TestRepro:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 * 10 * 2
         assert {r["W"] for r in rows} == {"2", "20"}
+
+    @pytest.mark.parametrize("figure, rows", [("fig5a", 2 * 2), ("fig5b", 5 * 2)])
+    def test_sweep_parallel_matches_serial(self, tmp_path, figure, rows):
+        for n in ("1", "2"):
+            argv = ["repro", figure, "--out", str(tmp_path / n), "--models", "2", "--parallel", n]
+            assert main(argv) == 0
+        serial = (tmp_path / "1" / f"{figure}.csv").read_text()
+        assert serial.count("\n") == 1 + rows
+        assert (tmp_path / "2" / f"{figure}.csv").read_text() == serial
 
     @pytest.mark.parametrize("figure, models", [("fig5a", 0), ("fig5b", 0), ("fig5b", -2)])
     def test_sweep_without_models_rejected(self, tmp_path, capsys, figure, models):

@@ -9,7 +9,7 @@ import pytest
 
 import cyclebench
 
-from cyclebench import learnability, pipeline
+from cyclebench import pipeline
 from cyclebench.fitting import RankDeficientError, nnls
 from cyclebench.layers import CATALOG, CliffordLayer
 from cyclebench.pauli import PauliString
@@ -23,6 +23,7 @@ from cyclebench.pipeline import (
     generate_models,
     gram_rank,
     model_rng,
+    noisy_records,
     null_generators,
     sweep_item,
 )
@@ -138,24 +139,26 @@ class TestPlan:
                     for q in plan.low_qubits[lab]]
             assert np.array_equal(low, want)
 
-    def test_mu_entries_pinned(self, monkeypatch):
+    def test_mu_entries_pinned(self):
         # Recorded from the Fraction-elimination solver on a fresh
         # certificate cache; the integer solver must give the same plan.
-        monkeypatch.setattr(learnability, "_CERT_CACHE", {})
         topo = square_lattice(2, 3)
         small = build_plan(topo, four_layer_config(topo, "open_chains"), seed=0, retries=4)
         assert small.mu_failures == 0
-        got = [
-            (
-                e.qubit,
-                "".join(e.pair),
-                str(e.expression.epsilon),
-                " ".join(f"{lab}{row}:{coeff!r}" for lab, row, coeff in e.learn_refs),
-                *(cert_text(c) for c in e.expression.certificates),
-            )
-            for e in small.mu_entries
-        ]
-        assert got == PINNED_MU_ENTRIES
+        assert mu_entries_text(small) == PINNED_MU_ENTRIES
+
+    def test_plan_independent_of_earlier_plans(self):
+        # Each plan keeps its own certificate cache.  Seeds 0 and 7 find
+        # different certificates for two of these entries, so a cache shared
+        # across plans would hand one plan's certificates to the other.
+        topo = square_lattice(2, 3)
+        layers = four_layer_config(topo, "open_chains")
+        alone = mu_entries_text(build_plan(topo, layers, seed=7, retries=4))
+        first = mu_entries_text(build_plan(topo, layers, seed=0, retries=4))
+        after = mu_entries_text(build_plan(topo, layers, seed=7, retries=4))
+        assert first == PINNED_MU_ENTRIES
+        assert after == alone
+        assert sum(a != b for a, b in zip(alone, first)) == 2
 
     def test_mu_values_exact_on_models(self, plan):
         rng = model_rng(1, 0)
@@ -165,6 +168,20 @@ class TestPlan:
             num, den = entry.expression.target.mu.terms
             direct = models[num[0]].fidelity(num[1]) / models[den[0]].fidelity(den[1])
             assert mu_fn == pytest.approx(direct, abs=1e-10)
+
+
+def mu_entries_text(plan):
+    """(qubit, pair, epsilon, learn_refs, certificate of each layer) per entry."""
+    return [
+        (
+            e.qubit,
+            "".join(e.pair),
+            str(e.expression.epsilon),
+            " ".join(f"{lab}{row}:{coeff!r}" for lab, row, coeff in e.learn_refs),
+            *(cert_text(c) for c in e.expression.certificates),
+        )
+        for e in plan.mu_entries
+    ]
 
 
 def cert_text(cert):
@@ -304,6 +321,96 @@ class TestCharacterizeAndFit:
             _, res = sweep_item(plan, 123, i, 1e-4, 1e-3, "unit_depth")
             ratios.append(res.ratio)
         assert np.mean(ratios) < 1.0
+
+
+def cz_models(plan, **rates):
+    """One SplModel per layer of `plan`, all with the given rates."""
+    gens = plan.generators
+    lam = np.zeros(len(gens))
+    for label, rate in rates.items():
+        lam[gens.index(PauliString.from_label(label))] = rate
+    return {lab: SplModel(lab, gens, lam) for lab in plan.labels}
+
+
+class TestNoisyRecords:
+    # On one CZ the single fidelities of X on qubits 0 and 1 are unlearnable;
+    # their orbit products are {XI, XZ} and {IX, ZX}.
+
+    @pytest.fixture(scope="class")
+    def cz_plan(self):
+        return build_plan(Topology(2, ((0, 1),)), [CliffordLayer(2, ((0, 1),), (), "C")])
+
+    def test_symmetry_square_root(self, cz_plan):
+        # Rate on ZI, which anticommutes with both XI and XZ: the orbit
+        # product is exp(-4 lambda) = 0.9801.
+        models = cz_models(cz_plan, ZI=-np.log(0.9801) / 4)
+        low = noisy_records(cz_plan, models, 0.0, 0.0, "symmetry", model_rng(0, 0)).low
+        assert low["C"][cz_plan.low_qubits["C"].index(0)] == pytest.approx(0.99)
+        # One estimate per single fidelity, each from its clipped orbit product.
+        data = noisy_records(cz_plan, models, 1e-3, 0.0, "symmetry", model_rng(1, 0))
+        rows = data.high["C"][cz_plan.symmetry_row["C"]]
+        assert len(data.low["C"]) == len(cz_plan.low_qubits["C"])
+        assert np.array_equal(data.low["C"], np.sqrt(np.clip(rows, 1e-12, 1.0)))
+
+    def test_symmetry_exact_on_symmetric_model(self, cz_plan):
+        # ZZ anticommutes with both XI and XZ, so f_XI = f_XZ exactly.
+        models = cz_models(cz_plan, ZZ=3e-3)
+        fxi = models["C"].fidelity(PauliString.from_label("XI"))
+        fxz = models["C"].fidelity(PauliString.from_label("XZ"))
+        assert fxi == pytest.approx(fxz)
+        low = noisy_records(cz_plan, models, 0.0, 0.0, "symmetry", model_rng(0, 0)).low
+        assert low["C"][cz_plan.low_qubits["C"].index(0)] == pytest.approx(fxi, rel=1e-12)
+
+    def test_symmetry_bias_on_asymmetric_model(self, cz_plan):
+        # ZX lowers f_XI alone and IX lowers f_XZ alone.
+        models = cz_models(cz_plan, ZX=-np.log(0.98) / 2, IX=-np.log(0.995) / 2)
+        assert models["C"].fidelity(PauliString.from_label("XI")) == pytest.approx(0.98)
+        assert models["C"].fidelity(PauliString.from_label("XZ")) == pytest.approx(0.995)
+        low = noisy_records(cz_plan, models, 0.0, 0.0, "symmetry", model_rng(0, 0)).low
+        est = low["C"][cz_plan.low_qubits["C"].index(0)]
+        assert est == pytest.approx(np.sqrt(0.98 * 0.995))
+        assert abs(est - 0.98) == pytest.approx(0.0075, abs=3e-4)
+
+    def test_symmetry_clamps_above_one(self, cz_plan):
+        # Noise lifts some orbit products of a noiseless model above 1; the
+        # clip, not a warning, keeps their estimates at 1.
+        models = cz_models(cz_plan)
+        rng = model_rng(2, 0)
+        clipped = 0
+        for _ in range(20):
+            data = noisy_records(cz_plan, models, 1e-4, 0.0, "symmetry", rng)
+            above = data.high["C"][cz_plan.symmetry_row["C"]] > 1.0
+            clipped += np.count_nonzero(above)
+            assert np.all(data.low["C"][above] == 1.0)
+            assert np.all(data.low["C"] <= 1.0)
+        assert clipped > 0
+
+    def test_unit_depth_exact_at_zero_noise(self, line_plan):
+        models = generate_models(line_plan, model_rng(0, 0))
+        low = noisy_records(line_plan, models, 0.0, 0.0, "unit_depth", model_rng(1, 0)).low
+        for lab in line_plan.labels:
+            for q, est in zip(line_plan.low_qubits[lab], low[lab]):
+                alpha = PauliString.single(3, q, "X")
+                assert est == pytest.approx(models[lab].fidelity(alpha))
+
+    def test_unit_depth_dispersion(self, line_plan):
+        models = generate_models(line_plan, model_rng(0, 0))
+        exact = models["B"].fidelity(PauliString.from_label("XII"))
+        i = line_plan.low_qubits["B"].index(0)
+        rng = model_rng(1, 0)
+        draws = [
+            noisy_records(line_plan, models, 0.0, 1e-3, "unit_depth", rng).low["B"][i] - exact
+            for _ in range(3000)
+        ]
+        assert np.std(draws) == pytest.approx(1e-3, rel=0.1)
+
+    def test_unit_depth_clamped_into_unit_interval(self, line_plan):
+        models = generate_models(line_plan, model_rng(0, 0))
+        rng = model_rng(2, 0)
+        for _ in range(200):
+            low = noisy_records(line_plan, models, 0.0, 0.5, "unit_depth", rng).low
+            for est in low.values():
+                assert np.all((0.0 < est) & (est <= 1.0))
 
 
 class TestLinePlan:
