@@ -8,7 +8,6 @@ from .layers import (
     Chain,
     CliffordLayer,
     SingleQubitClifford,
-    alternating_conjugation,
     chain_decomposition,
     conjugate,
     orbit,
@@ -19,8 +18,6 @@ from .spl import (
     RandomModelParams,
     SplModel,
     fidelity,
-    fidelity_product,
-    pec_weights,
     random_model,
 )
 from .learnability import (
@@ -28,10 +25,8 @@ from .learnability import (
     FidelityFunction,
     LearnableSpan,
     LambdaSpace,
-    equivalence_test,
     express_search,
     mlcb_targets,
-    mu_ratios,
     orbit_learnables,
     pattern_transfer_unlearnable,
 )

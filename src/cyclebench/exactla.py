@@ -94,7 +94,15 @@ def rank_exact(rows) -> int:
 
 
 def _rank_mod(rows: np.ndarray, p: int) -> int:
-    a = np.asarray(rows, dtype=np.int64) % p
+    return len(_echelon_mod(rows, p)[1])
+
+
+def _echelon_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form mod p, pivots scaled to 1, and its pivot columns
+    (each column independent of the columns before it)."""
+    a = np.array(rows, dtype=np.int64)
+    a %= p
+    pivots: list[int] = []
     rank = 0
     col = 0
     nrows, ncols = a.shape
@@ -103,6 +111,7 @@ def _rank_mod(rows: np.ndarray, p: int) -> int:
         if nz.size == 0:
             col += 1
             continue
+        pivots.append(col)
         i = rank + nz[0]
         if i != rank:
             a[[rank, i]] = a[[i, rank]]
@@ -117,7 +126,7 @@ def _rank_mod(rows: np.ndarray, p: int) -> int:
             a[mask, col:] = below
         rank += 1
         col += 1
-    return rank
+    return a[:rank], pivots
 
 
 def rank_checked(rows) -> int:
@@ -136,6 +145,36 @@ def rank_checked(rows) -> int:
     if r0 == r1:
         return r0
     return rank_exact(mat)
+
+
+def extend_to_full_rank(rows, candidates, p: int = _PRIMES[0]) -> list[int]:
+    """Indices of the candidate rows that, taken greedily in order, extend
+    the span of `rows` (integer matrices of equal width), decided mod p.
+
+    A candidate c extends the span of the rows and the earlier candidates
+    iff c N does so for the projections of the earlier ones, N a basis of
+    the rows' right null space, so the greedy pass runs on the narrow
+    candidates @ N.  N comes from the rows' echelon form by eliminating
+    above each pivot on the free columns only.  Rows independent mod p are
+    independent over the rationals, so no dependent candidate is taken; a
+    candidate dependent mod p alone (an accident of p) is missed, which a
+    rank count detects.
+    """
+    echelon, pivots = _echelon_mod(rows, p)
+    width = echelon.shape[1]
+    free = np.setdiff1d(np.arange(width), pivots)
+    reduced = echelon[:, free]  # becomes the reduced echelon form's free part
+    for i in range(len(pivots) - 1, 0, -1):
+        above = reduced[:i]
+        above -= np.outer(echelon[:i, pivots[i]], reduced[i])
+        above %= p
+    null = np.zeros((width, len(free)), dtype=np.int64)
+    null[free, np.arange(len(free))] = 1
+    null[pivots] = -reduced % p
+    # Small candidate entries times entries below p: far from int64
+    # overflow.  einsum buffers the cast, so the candidates stay compact.
+    projected = np.einsum("ij,jk->ik", candidates, null) % p
+    return _echelon_mod(projected.T, p)[1]
 
 
 class SpanBasis:

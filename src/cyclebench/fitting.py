@@ -29,7 +29,6 @@ def nnls(
     tol: float = 1e-12,
     max_iter: int | None = None,
     inv_gram: np.ndarray | None = None,
-    passive: np.ndarray | None = None,
 ) -> FitResult:
     """argmin_{x >= 0} || A x - b ||_2 by block principal pivoting.
 
@@ -37,21 +36,24 @@ def nnls(
     A_F^T A_F x_F = A_F^T b on the passive set F and exchanges the infeasible
     indices (passive with x_i <= 0, active with gradient above tol * scale).
     All of them are exchanged while their count keeps falling, with a budget
-    of three non-improving exchanges.  The first passive set is `passive` if
-    given (say, a related fit's x > 0), else the sign pattern x > 0 of the
-    unconstrained solution.  When the budget runs out, Lawson-Hanson steps
-    from x = 0 finish the fit: their objective falls at every step, so they
-    end on any A, where Kim & Park's single-index backup rule can cycle once
-    A lacks full column rank (wide systems).
+    of three non-improving exchanges.  The first passive set is the sign
+    pattern x > 0 of the unconstrained solution.  When the budget runs out,
+    Lawson-Hanson steps from x = 0 finish the fit: their objective falls at
+    every step, so they end on any A, where Kim & Park's single-index backup
+    rule can cycle once A lacks full column rank (wide systems).
 
     `inv_gram` is H = (A^T A)^-1 of a full-column-rank A, as
     `CharacterizationPlan.inv_gram` holds per layer.  With it each passive
     set is solved as a Schur complement on the active set C: x0 = H rhs,
-    y = H_CC^-1 x0_C, x = x0 - H_:C y, and y is the gradient on C.  The
-    gradient error of such a solve grows like cond(A^T A)^2 eps, so H suits
-    well-conditioned A only: the plan keeps H for cond(A^T A) <=
-    `pipeline.MAX_INV_GRAM_COND` (1e6), and the refinement step absorbs
-    what remains.  Without H each solve factors the passive block of A^T A.
+    y = H_CC^-1 x0_C, x = x0 - H_:C y, and y is the gradient on C.  H A^T b
+    is formed once per fit, and each solve gathers only the rows H_C: of
+    the symmetric H: one (|C|, n) copy, an |C| x |C| factorization and one
+    y H_C: product.  Only the refinement step, whose right-hand side is a
+    gradient, multiplies by the whole H.  The gradient error of such a
+    solve grows like cond(A^T A)^2 eps, so H suits well-conditioned A only:
+    the plan keeps H for cond(A^T A) <= `pipeline.MAX_INV_GRAM_COND` (1e6),
+    and the refinement step absorbs what remains.  Without H each solve
+    factors the passive block of A^T A.
     Products with A never copy it to float, so an integer A stays compact.
     `iterations` counts the passive-set solves, the unconstrained one
     included; the KKT residual is measured on the true residual b - A x.
@@ -70,6 +72,8 @@ def nnls(
     if inv_gram is None:
         A_f = np.asarray(A, dtype=float)
         gram = A_f.T @ A_f
+    else:
+        x_atb = inv_gram @ atb
 
     def solve(passive, rhs=atb):
         """x on the passive set and the gradient rhs - A^T A x."""
@@ -82,12 +86,14 @@ def nnls(
             if passive.any():
                 x[passive] = _solve(gram[np.ix_(passive, passive)], rhs[passive])
             return x, rhs - gram @ x
-        x = inv_gram @ rhs
+        x = x_atb.copy() if rhs is atb else inv_gram @ rhs
         grad = np.zeros(n)
-        active = ~passive
-        if active.any():
-            grad[active] = _solve(inv_gram[np.ix_(active, active)], x[active])
-            x -= inv_gram @ grad  # grad is 0 on F: no copy of H[:, C]
+        active = np.flatnonzero(~passive)
+        if active.size:
+            rows = inv_gram.take(active, axis=0)  # H_C:, and H_:C transposed
+            y = _solve(rows[:, active], x[active])
+            grad[active] = y
+            x -= y @ rows
             x[active] = 0.0
         return x, grad
 
@@ -100,10 +106,7 @@ def nnls(
         )
         return resid, grad, kkt
 
-    if passive is None:
-        passive = solve(np.ones(n, dtype=bool))[0] > 0
-    else:
-        passive = np.array(passive, dtype=bool)
+    passive = solve(np.ones(n, dtype=bool))[0] > 0
     x, grad = solve(passive)
     budget, fewest = 3, n + 1
     while True:

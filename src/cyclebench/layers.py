@@ -1,6 +1,6 @@
 """Clifford layers (parallel CZ gates plus single-qubit Cliffords) and their
-conjugation action on Pauli strings, orbits, alternating-layer conjugation and
-chain decomposition of CZ-only layer pairs."""
+conjugation action on Pauli strings, orbits and chain decomposition of
+CZ-only layer pairs."""
 
 from __future__ import annotations
 
@@ -226,27 +226,6 @@ def orbit(
             return out
         seen.add(cur.key())
         out.append(cur)
-
-
-def alternating_conjugation(
-    layers: list[CliffordLayer] | tuple[CliffordLayer, ...],
-    p: PauliString,
-    m: int,
-) -> PauliString:
-    """The Pauli string after m alternating layer applications.
-
-    The first-listed layer acts first; step j conjugates by layers[j % len].
-    """
-    if m < 0:
-        raise ValueError("step count must be nonnegative")
-    if not layers:
-        return p
-    nset = {layer.n for layer in layers}
-    if len(nset) != 1 or p.n not in nset:
-        raise ValueError("all layers must share the Pauli's qubit count")
-    for j in range(m):
-        p = conjugate(layers[j % len(layers)], p)
-    return p
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Which functions of fidelities can cycle-benchmarking protocols determine
 with multiplicative, SPAM-robust precision?  Orbit products (standard and
-interleaved) span the learnable space; rank tests over exact rationals
-decide equivalence of fidelity functions; a randomized row-elimination
+interleaved) span the learnable space; exact and modular rank tests
+count it and complete it to full rank; a randomized row-elimination
 search produces certificates expressing an unlearnable target through a
 measured multi-layer product plus learnable terms.
 """
@@ -18,7 +18,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import exactla
-from .layers import Chain, CliffordLayer, chain_decomposition, conjugate, orbit, s_dressing
+from .layers import Chain, CliffordLayer, conjugate, orbit, s_dressing
 from .pauli import PauliString, digits
 from .spl import GeneratorSet, SplModel
 from .topology import Topology
@@ -193,27 +193,6 @@ class LearnableSpan:
     @property
     def rank(self) -> int:
         return self.basis.rank
-
-
-def equivalence_test(a: FidelityFunction, b: FidelityFunction, span: LearnableSpan) -> str:
-    """Classify two fidelity functions against the learnable row space.
-
-    Returns "a_learnable"/"b_learnable" when the function adds no rank,
-    "equivalent" when each one determines the other modulo learnable rows
-    (residuals proportional over the rationals), else "independent".
-    """
-    ra = span.basis.residual(span.space.int_row(a))
-    rb = span.basis.residual(span.space.int_row(b))
-    if ra is None:
-        return "a_learnable"
-    if rb is None:
-        return "b_learnable"
-    j = next(i for i, v in enumerate(ra) if v)
-    if rb[j] == 0:
-        return "independent"
-    if all(x * rb[j] == y * ra[j] for x, y in zip(ra, rb)):
-        return "equivalent"
-    return "independent"
 
 
 @dataclass(frozen=True)
@@ -616,24 +595,6 @@ def _relabel_cert(cert: EquivalenceCertificate, mapping: dict[str, str]) -> Equi
     )
 
 
-def mu_ratios(
-    layer_pairs: list[tuple[CliffordLayer, CliffordLayer]],
-    topology: Topology,
-    seed: int = 0,
-    retries: int = 32,
-) -> dict[tuple[int, tuple[str, str]], FidelityFunction]:
-    """All unlearnable ratios unlocked by the given layer pairs, as exact
-    fidelity functions of measured products and learnable terms."""
-    out = {}
-    cache: dict = {}
-    for la, lb in layer_pairs:
-        for chain in chain_decomposition(la, lb):
-            for target in mlcb_targets(chain, topology.n):
-                expr = mu_expression(target, topology, seed=seed, retries=retries, cache=cache)
-                out[(target.qubit, chain.pair)] = expr.mu_function()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -653,7 +614,8 @@ class LayerLearnability:
 
 def analyze_layer(layer: CliffordLayer, generators: GeneratorSet) -> LayerLearnability:
     products = orbit_learnables(layer, generators)
-    rank = exactla.rank_checked(product_rows(generators, products))
+    rows = product_rows(generators, products)
+    rank = exactla.rank_checked(rows)
     singles_std = [
         p.strings[0] for p in products if len(p.strings) == 1 and p.source == "standard"
     ]
@@ -664,11 +626,13 @@ def analyze_layer(layer: CliffordLayer, generators: GeneratorSet) -> LayerLearna
         if len(p.strings) == 1 and p.source == "dressed" and p.strings[0].key() not in std_keys
     ]
     n_singleton_strings = len(std_keys | {s.key() for s in singles_dr})
-    basis = [
-        PauliString.single(layer.n, q, "X")
-        for pair in layer.cz_pairs
-        for q in pair
-    ]
+    # The generator strings, in generator order, whose single fidelities
+    # extend the product rows to full rank (the generators' own fidelities
+    # have full rank).
+    singles = generators.digit_overlaps(digits(generators.strings, layer.n))
+    basis = [generators.strings[i] for i in exactla.extend_to_full_rank(rows, singles)]
+    if rank + len(basis) != len(generators):
+        raise RuntimeError(f"layer {layer.label!r}: incomplete unlearnable basis")
     return LayerLearnability(
         label=layer.label,
         num_generators=len(generators),

@@ -20,7 +20,7 @@ from .learnability import (
     orbit_learnables,
     product_rows,
 )
-from .pauli import PauliString
+from .pauli import PauliString, digits
 from .spl import GeneratorSet, RandomModelParams, SplModel, random_model
 from .topology import Topology
 
@@ -54,6 +54,9 @@ class CharacterizationPlan:
     layers: list[CliffordLayer]
     generators: GeneratorSet
     products: dict[str, list[LearnableProduct]]
+    # S = [s_high; s_low] per layer, the fit matrix; s_high and s_low are
+    # row views of it.
+    s_fit: dict[str, np.ndarray]
     s_high: dict[str, np.ndarray]
     low_qubits: dict[str, list[int]]  # gate qubits, in order, per layer
     s_low: dict[str, np.ndarray]
@@ -64,6 +67,16 @@ class CharacterizationPlan:
     unconstrained: dict[str, tuple[int, list[str]]]
     symmetry_row: dict[str, list[int]]  # per low target: index of its orbit product
     mu_entries: list[MuPlanEntry]
+    # Per layer: the overlap rows of every ratio entry's product terms in
+    # that layer, with each row's entry index.
+    ratio_rows: dict[str, tuple[np.ndarray, np.ndarray]]
+    # mu_hat's references: epsilon per entry and, per layer, the (entry,
+    # high-row index, coefficient) arrays of every learn_refs item.
+    mu_epsilon: np.ndarray
+    mu_refs: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    # Per qubit covered by two or more layers: the covering labels, in
+    # order, and the low-row index of the qubit's partner in each.
+    low_clusters: list[tuple[int, tuple[str, ...], tuple[int, ...]]]
     mu_failures: int = 0
 
     @property
@@ -79,6 +92,7 @@ def build_plan(
 ) -> CharacterizationPlan:
     gens = GeneratorSet(topology)
     products: dict[str, list[LearnableProduct]] = {}
+    s_fit: dict[str, np.ndarray] = {}
     s_high: dict[str, np.ndarray] = {}
     low_qubits: dict[str, list[int]] = {}
     s_low: dict[str, np.ndarray] = {}
@@ -91,7 +105,6 @@ def build_plan(
         prods = orbit_learnables(layer, gens)
         products[lab] = prods
         rows = product_rows(gens, prods)
-        s_high[lab] = rows
         key_index[lab] = {prod.key()[1]: i for i, prod in enumerate(prods)}
         qubits = sorted(q for pair in layer.cz_pairs for q in pair)
         low_qubits[lab] = qubits
@@ -105,12 +118,13 @@ def build_plan(
                 {alpha.key(), conjugate_key(layer, alpha)}
             )
             sym.append(key_index[lab][orbit_key])
-        s_low[lab] = lrows
+        stacked = s_fit[lab] = np.vstack([rows, lrows])
+        s_high[lab], s_low[lab] = stacked[: len(rows)], stacked[len(rows) :]
         symmetry_row[lab] = sym
         # Integer entries far below 2**53, so the float product is exact.
-        stacked = np.vstack([rows, lrows]).astype(float)
-        g = stacked.T @ stacked
-        del stacked  # freed before the inverse's workspace: lower peak RSS
+        floats = stacked.astype(float)
+        g = floats.T @ floats
+        del floats  # freed before the inverse's workspace: lower peak RSS
         rank, cond = gram_rank(g)
         if rank < len(g):
             unconstrained[lab] = null_generators(g, gens)
@@ -157,11 +171,22 @@ def build_plan(
                         expression=expr,
                     )
                 )
+    ratio_rows, mu_refs = _ratio_arrays(gens, layers, mu_entries)
+    low_clusters = []
+    for q in range(topology.n):
+        covering = tuple(layer for layer in layers if q in layer.support())
+        if len(covering) > 1:
+            low_clusters.append((
+                q,
+                tuple(layer.label for layer in covering),
+                tuple(low_qubits[layer.label].index(layer.partner(q)) for layer in covering),
+            ))
     return CharacterizationPlan(
         topology=topology,
         layers=list(layers),
         generators=gens,
         products=products,
+        s_fit=s_fit,
         s_high=s_high,
         low_qubits=low_qubits,
         s_low=s_low,
@@ -169,8 +194,37 @@ def build_plan(
         unconstrained=unconstrained,
         symmetry_row=symmetry_row,
         mu_entries=mu_entries,
+        ratio_rows=ratio_rows,
+        mu_epsilon=np.array([e.epsilon for e in mu_entries], dtype=float),
+        mu_refs=mu_refs,
+        low_clusters=low_clusters,
         mu_failures=failures,
     )
+
+
+def _ratio_arrays(gens: GeneratorSet, layers, mu_entries):
+    """Per layer: (the overlap rows of the ratio entries' product terms in
+    the layer, their entry indices), and (entry, high-row index,
+    coefficient) of the entries' learn_refs items in the layer."""
+    ratio_rows, mu_refs = {}, {}
+    for layer in layers:
+        lab = layer.label
+        terms = [
+            (e, p) for e, entry in enumerate(mu_entries)
+            for l, p in entry.product_terms if l == lab
+        ]
+        rows = gens.digit_overlaps(digits([p for _, p in terms], gens.topology.n))
+        ratio_rows[lab] = (rows, np.array([e for e, _ in terms], dtype=np.intp))
+        refs = [
+            (e, row, coeff) for e, entry in enumerate(mu_entries)
+            for l, row, coeff in entry.learn_refs if l == lab
+        ]
+        mu_refs[lab] = (
+            np.array([e for e, _, _ in refs], dtype=np.intp),
+            np.array([row for _, row, _ in refs], dtype=np.intp),
+            np.array([coeff for _, _, coeff in refs], dtype=float),
+        )
+    return ratio_rows, mu_refs
 
 
 def gram_rank(gram: np.ndarray) -> tuple[int, float]:
@@ -263,7 +317,7 @@ class NoisyRecords:
 
     high: dict[str, np.ndarray]
     low: dict[str, np.ndarray]
-    ratio_products: list[float]
+    ratio_products: np.ndarray
 
 
 def noisy_records(
@@ -301,15 +355,34 @@ def noisy_records(
                 else 0.0
             )
             low[lab] = np.clip(exact_low + noise, 1e-12, 1.0)
-    ratio_products = []
-    for entry in plan.mu_entries:
-        log_o = sum(
-            models[l].log_fidelity(p) for l, p in entry.product_terms
-        )
-        ratio_products.append(
-            np.exp(log_o) + (rng.normal(0.0, sigma) if sigma > 0 else 0.0)
-        )
-    return NoisyRecords(high=high, low=low, ratio_products=ratio_products)
+    # Sum over every entry's product terms of <alpha, lambda>, layer by layer.
+    overlap = np.zeros(len(plan.mu_entries))
+    for lab, (rows, entry) in plan.ratio_rows.items():
+        terms = np.einsum("ij,j->i", rows, models[lab].lambdas)
+        overlap += np.bincount(entry, terms, minlength=len(overlap))
+    exact = np.exp(-2.0 * overlap)
+    # One draw in entry order: the same stream as one draw per entry.
+    noise = rng.normal(0.0, sigma, exact.shape) if sigma > 0 else 0.0
+    return NoisyRecords(high=high, low=low, ratio_products=exact + noise)
+
+
+def estimate_mu(
+    plan: CharacterizationPlan, records: NoisyRecords
+) -> dict[tuple[int, tuple[str, str]], float]:
+    """mu_hat per (qubit, pair) of every ratio entry whose noisy product
+    o_noisy is positive: o_noisy^epsilon times the powers of its learnable
+    products (each clipped at 1e-12), from the plan's arrays in one pass."""
+    o_noisy = records.ratio_products
+    measured = o_noisy > 0
+    log_mu = plan.mu_epsilon * np.log(np.where(measured, o_noisy, 1.0))
+    for lab, (entry, row, coeff) in plan.mu_refs.items():
+        logs = np.log(np.maximum(records.high[lab][row], 1e-12))
+        log_mu += np.bincount(entry, coeff * logs, minlength=len(log_mu))
+    return {
+        (e.qubit, e.pair): float(v)
+        for e, v, ok in zip(plan.mu_entries, np.exp(log_mu), measured)
+        if ok
+    }
 
 
 def characterize_and_fit(
@@ -336,38 +409,23 @@ def characterize_and_fit(
             for lab, (rank, names) in plan.unconstrained.items()
         ))
     labels = plan.labels
-    noisy_high, low_est = records.high, records.low
-    mu_hat: dict[tuple[int, tuple[str, str]], float] = {}
-    for entry, o_noisy in zip(plan.mu_entries, records.ratio_products):
-        if o_noisy <= 0:
-            continue
-        log_mu = entry.epsilon * np.log(o_noisy)
-        for l, row, coeff in entry.learn_refs:
-            log_mu += coeff * np.log(max(noisy_high[l][row], 1e-12))
-        mu_hat[(entry.qubit, entry.pair)] = float(np.exp(log_mu))
-
+    mu_hat = estimate_mu(plan, records)
+    log_high = {
+        lab: np.log(np.clip(records.high[lab], 1e-12, None)) for lab in labels
+    }
     fitted: dict[str, dict[str, np.ndarray]] = {}
     delta: dict[str, float] = {}
     fit_meta: dict[str, dict[str, dict]] = {}
-    mats = {lab: np.vstack([plan.s_high[lab], plan.s_low[lab]]) for lab in labels}
-    # Each fit of a layer starts from the passive set of its previous fit.
-    warm: dict[str, np.ndarray] = {}
     for pipeline in pipelines:
         if pipeline == "mlcb":
-            low_values = _refined_low(plan, low_est, mu_hat)
+            low_values = _refined_low(plan, records.low, mu_hat)
         else:
-            low_values = low_est
+            low_values = records.low
         per_layer: dict[str, np.ndarray] = {}
         meta: dict[str, dict] = {}
         for lab in labels:
-            values = np.concatenate(
-                [np.clip(noisy_high[lab], 1e-12, None), low_values[lab]]
-            )
-            rhs = -0.5 * np.log(values)
-            fit = nnls(
-                mats[lab], rhs, inv_gram=plan.inv_gram.get(lab), passive=warm.get(lab)
-            )
-            warm[lab] = fit.lambdas > 0
+            rhs = -0.5 * np.concatenate([log_high[lab], np.log(low_values[lab])])
+            fit = nnls(plan.s_fit[lab], rhs, inv_gram=plan.inv_gram.get(lab))
             per_layer[lab] = fit.lambdas
             meta[lab] = {
                 "residual_norm": fit.residual_norm,
@@ -390,37 +448,21 @@ def _refined_low(
 ) -> dict[str, np.ndarray]:
     """Impose the measured ratios on the low-accuracy estimates, one bulk
     qubit cluster at a time (consecutive covering layers with a ratio)."""
-    labels = plan.labels
-    refined = {lab: low_est[lab].copy() for lab in labels}
-    low_index = {
-        lab: {q: i for i, q in enumerate(plan.low_qubits[lab])} for lab in labels
-    }
-    supports = {layer.label: layer.support() for layer in plan.layers}
-    partners = {layer.label: layer for layer in plan.layers}
-    for q in range(plan.topology.n):
-        covering = [lab for lab in labels if q in supports[lab]]
-        runs: list[list[str]] = []
-        run: list[str] = []
-        prev = None
-        for lab in covering:
-            if run and (q, (prev, lab)) not in mu_hat:
-                runs.append(run)
-                run = []
-            run.append(lab)
-            prev = lab
-        if run:
-            runs.append(run)
-        for run in runs:
+    refined = {lab: low_est[lab].copy() for lab in plan.labels}
+    for q, covering, idxs in plan.low_clusters:
+        start = 0
+        for end in range(1, len(covering) + 1):
+            if end < len(covering) and (q, covering[end - 1 : end + 1]) in mu_hat:
+                continue
+            run = range(start, end)
+            start = end
             if len(run) < 2:
                 continue
-            idxs = [low_index[lab][partners[lab].partner(q)] for lab in run]
-            estimates = [float(low_est[lab][i]) for lab, i in zip(run, idxs)]
-            ratios = [
-                mu_hat[(q, (run[j], run[j + 1]))] for j in range(len(run) - 1)
-            ]
+            estimates = [float(low_est[covering[j]][idxs[j]]) for j in run]
+            ratios = [mu_hat[(q, covering[j : j + 2])] for j in run[:-1]]
             values = refine_unlearnable(estimates, ratios)
-            for lab, i, v in zip(run, idxs, values):
-                refined[lab][i] = min(max(v, 1e-12), 1.0)
+            for j, v in zip(run, values):
+                refined[covering[j]][idxs[j]] = min(max(v, 1e-12), 1.0)
     return refined
 
 

@@ -1,6 +1,6 @@
 """Sparse Pauli-Lindblad noise models: local low-weight generator sets on a
-topology, rate vectors, the rate <-> fidelity map, realistic random model
-generation and quasiprobability weights for noise scaling."""
+topology, rate vectors, the rate <-> fidelity map and realistic random
+model generation."""
 
 from __future__ import annotations
 
@@ -182,18 +182,6 @@ def fidelity(model: SplModel, alpha: PauliString) -> float:
     return model.fidelity(alpha)
 
 
-def fidelity_product(models, targets) -> float:
-    """Product of fidelities over (layer label, Pauli string) targets."""
-    total = 0.0
-    for label, alpha in targets:
-        try:
-            model = models[label]
-        except KeyError:
-            raise KeyError(f"unknown layer label {label!r}") from None
-        total += model.log_fidelity(alpha)
-    return float(np.exp(total))
-
-
 @dataclass(frozen=True)
 class RandomModelParams:
     """Gaussian hyperparameters for realistic random rate vectors.
@@ -243,11 +231,3 @@ def random_model(
     lam = np.clip(rng.normal(loc, scale), 0.0, None)
     return SplModel(layer.label, generators, lam)
 
-
-def pec_weights(model: SplModel, beta: float) -> np.ndarray:
-    """Per-generator mixing weights that scale the layer noise to e^{beta L}.
-
-    For beta < 1 the weights turn negative (quasiprobabilities), which is
-    what noise inversion requires.
-    """
-    return (1.0 - np.exp(-2.0 * (beta - 1.0) * model.lambdas)) / 2.0

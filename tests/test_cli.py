@@ -6,12 +6,16 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebench.cli import EXIT_CONFIG, EXIT_RANK, _plan, main, parse_config
+from cyclebench.exactla import rank_checked
+from cyclebench.learnability import orbit_learnables, product_rows
 from cyclebench.pauli import PauliString
+from cyclebench.spl import GeneratorSet
 from cyclebench.pipeline import generate_models, model_rng, noisy_records
 
 
@@ -105,6 +109,18 @@ class TestLearnability:
         assert report["mlcb"]["recovered_dof"] == 1
         (cert,) = report["mlcb"]["ratio_certificates"]
         assert cert["qubit"] == 0 and cert["pair"] == ["A", "B"]
+        # Every layer's basis strings complete its product rows' rank, the
+        # single-qubit-gate layer's included.
+        cfg = parse_config(json.loads(path.read_text()))
+        gens = GeneratorSet(cfg.topology)
+        for layer in cfg.layers:
+            entry = report["layers"][layer.label]
+            basis = [PauliString.from_label(b) for b in entry["unlearnable_basis"]]
+            assert len(basis) == entry["unlearnable_dof"]
+            rows = product_rows(gens, orbit_learnables(layer, gens))
+            full = np.vstack([rows] + [gens.overlaps(p) for p in basis])
+            assert rank_checked(full) == len(gens) == entry["generators"]
+        assert len(report["layers"]["C"]["unlearnable_basis"]) == 7
 
     def test_recovery_counts(self, tmp_path):
         path, cfg = write_config(tmp_path)

@@ -7,6 +7,8 @@ from-scratch mod-p ranks.  The null-space implementation must take the same
 decisions, so both return identical supports for equal rng seeds.
 `gauss_jordan_reference` is the Fraction elimination that
 `exactla.solve_rational` replaced; both must return identical coefficients.
+`extend_reference` keeps each candidate row whose addition raises a
+from-scratch mod-p rank, as `exactla.extend_to_full_rank` must.
 """
 
 from fractions import Fraction
@@ -16,7 +18,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclebench.exactla import _PRIMES, _rank_mod, modular_support_search, solve_rational
+from cyclebench.exactla import (
+    _PRIMES,
+    _rank_mod,
+    extend_to_full_rank,
+    modular_support_search,
+    solve_rational,
+)
 from cyclebench.learnability import EquivalenceCertificate, FidelityFunction, LambdaSpace
 from cyclebench.pauli import PauliString
 from cyclebench.spl import GeneratorSet
@@ -63,6 +71,32 @@ def spans_mod(rows, idx, target, p):
     if not idx:
         return not t.any()
     return _rank_mod(np.vstack([a, t[None, :]]), p) == _rank_mod(a, p)
+
+
+def extend_reference(rows, candidates, p):
+    """Greedy: keep each candidate that raises the mod-p rank of the rows
+    and the candidates kept before it."""
+    kept, stack = [], np.asarray(rows, dtype=np.int64).reshape(-1, len(candidates[0]))
+    for i, c in enumerate(candidates):
+        grown = np.vstack([stack, c])
+        if _rank_mod(grown, p) > _rank_mod(stack, p):
+            kept.append(i)
+            stack = grown
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ncols=st.integers(1, 6),
+    data=st.data(),
+    p=st.sampled_from(PRIMES),
+)
+def test_extend_matches_rank_reference(ncols, data, p):
+    entry = st.integers(-3, 3)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = np.array(data.draw(st.lists(row, max_size=7)), dtype=np.int64).reshape(-1, ncols)
+    candidates = np.array(data.draw(st.lists(row, min_size=1, max_size=7)), dtype=np.int64)
+    assert extend_to_full_rank(rows, candidates, p) == extend_reference(rows, candidates, p)
 
 
 @st.composite

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from cyclebench.layers import (
     CATALOG,
     CliffordLayer,
-    alternating_conjugation,
     all_single_qubit_cliffords,
     chain_decomposition,
     conjugate,
@@ -160,19 +159,23 @@ class TestConjugationProperties:
         assert conjugate(layer, conjugate(layer, p)) == p
 
 
+def alternate(layers, p, m):
+    """p after m alternating conjugations, the first-listed layer first."""
+    for j in range(m):
+        p = conjugate(layers[j % len(layers)], p)
+    return p
+
+
 class TestAlternatingConjugation:
+    # The alternating sequences that `mlcb_targets` closes into products.
     def setup_method(self):
         self.b = CliffordLayer(3, ((0, 1),), (), "B")
         self.g = CliffordLayer(3, ((1, 2),), (), "G")
 
     def test_three_qubit_sequence(self):
         p = PauliString.from_label("XIX")
-        assert alternating_conjugation([self.b, self.g], p, 1).label() == "XZX"
-        assert alternating_conjugation([self.b, self.g], p, 2).label() == "XIX"
-
-    def test_zero_steps(self):
-        p = PauliString.from_label("YZX")
-        assert alternating_conjugation([self.b, self.g], p, 0) == p
+        assert alternate([self.b, self.g], p, 1).label() == "XZX"
+        assert alternate([self.b, self.g], p, 2).label() == "XIX"
 
     @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 4))
     @settings(max_examples=40)
@@ -180,8 +183,8 @@ class TestAlternatingConjugation:
         b = CliffordLayer(6, ((0, 1), (2, 3), (4, 5)), (), "B")
         g = CliffordLayer(6, ((1, 2), (3, 4)), (), "G")
         p = PauliString(6, x, z).unsigned()
-        a = alternating_conjugation([b, g], p, m).unsigned()
-        b4 = alternating_conjugation([b, g], p, m + 4).unsigned()
+        a = alternate([b, g], p, m).unsigned()
+        b4 = alternate([b, g], p, m + 4).unsigned()
         assert a.key() == b4.key()
 
 

@@ -3,25 +3,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cyclebench.layers import CliffordLayer, chain_decomposition
+from cyclebench.layers import CATALOG, CliffordLayer, chain_decomposition
 from cyclebench.learnability import (
     FidelityFunction,
     LambdaSpace,
     LearnableSpan,
     NotEquivalentError,
     analyze_layer,
-    equivalence_test,
     express_search,
     mlcb_targets,
     mu_expression,
-    mu_ratios,
     orbit_learnables,
     pattern_transfer_unlearnable,
     product_rows,
 )
 from cyclebench.pauli import PauliString
+from cyclebench.pipeline import build_plan
 from cyclebench.spl import GeneratorSet, random_model
-from cyclebench.topology import Topology
+from cyclebench.topology import Topology, four_layer_config, garnet20, square_lattice
 
 from table_fixtures import TABLE_ROWS
 
@@ -65,6 +64,42 @@ class TestSingleCzAnalysis:
         assert exactla.rank_exact(rows) == len(self.gens)
 
 
+def completes_rank(report, gens):
+    """The report's product rows plus its basis strings' rows, in full rank."""
+    from cyclebench import exactla
+
+    rows = [gens.overlaps(p) for p in report.unlearnable_basis]
+    return exactla.rank_checked(np.vstack([product_rows(gens, report.products)] + rows))
+
+
+class TestUnlearnableBasis:
+    # Generator strings, in generator order, extend the product rows to full
+    # rank, so single-qubit gates get a basis as well.
+
+    @pytest.mark.parametrize("sq, cz, basis", [
+        ({3: "S"}, (), ["IIIX", "IXIX", "IYIX", "IZIX", "IIXX", "IIYX", "IIZX"]),
+        ({3: "H"}, ((0, 1),), ["XIII", "IXII", "IIIX", "IXIX", "IZIX", "IIXX", "IIYX", "IIZX"]),
+        ({}, ((0, 1), (2, 3)), ["XIII", "IXII", "IIXI", "IIIX"]),
+        ({}, (), []),
+    ])
+    def test_basis_completes_rank(self, sq, cz, basis):
+        gens = GeneratorSet(square_lattice(2, 2))
+        layer = CliffordLayer(4, cz, tuple((q, CATALOG[g]) for q, g in sq.items()), "C")
+        report = analyze_layer(layer, gens)
+        assert [p.label() for p in report.unlearnable_basis] == basis
+        assert len(report.unlearnable_basis) == report.unlearnable_dof
+        assert completes_rank(report, gens) == len(gens)
+
+    def test_garnet_basis_is_x_on_gate_qubits(self):
+        topo = garnet20()
+        gens = GeneratorSet(topo)
+        for layer in four_layer_config(topo, "closed_squares")[:2]:
+            report = analyze_layer(layer, gens)
+            want = {PauliString.single(topo.n, q, "X").key() for pair in layer.cz_pairs for q in pair}
+            assert {p.key() for p in report.unlearnable_basis} == want
+            assert completes_rank(report, gens) == len(gens)
+
+
 class TestPatternTransfer:
     def test_single_cz_general(self):
         cz = CliffordLayer(2, ((0, 1),), (), "C")
@@ -96,6 +131,8 @@ def three_qubit_setup():
 
 
 class TestEquivalenceTest:
+    # Two fidelity functions are equivalent modulo the learnable rows when
+    # each is expressible through the other: express_search certifies it.
     def setup_method(self):
         self.topo, self.b, self.g = three_qubit_setup()
         self.gens = GeneratorSet(self.topo)
@@ -108,26 +145,30 @@ class TestEquivalenceTest:
             ("B", PauliString.from_label("XII")), ("G", PauliString.from_label("IIX"))
         )
         o3 = fn("B", "XIX") + fn("G", "XZX")
-        assert equivalence_test(mu, o3, self.span) == "equivalent"
+        forward = express_search(mu, o3, self.span, seed=1)
+        backward = express_search(o3, mu, self.span, seed=1)
+        assert forward.epsilon * backward.epsilon == 1
 
     def test_same_function_equivalent(self):
         mu = FidelityFunction.ratio(
             ("B", PauliString.from_label("XII")), ("G", PauliString.from_label("IIX"))
         )
-        assert equivalence_test(mu, mu, self.span) == "equivalent"
+        cert = express_search(mu, mu, self.span)
+        assert cert.epsilon == 1 and cert.sigma == ()
 
     def test_learnable_function_detected(self):
-        zz = fn("B", "ZZI")
-        other = FidelityFunction.ratio(
+        zz = self.space.int_row(fn("B", "ZZI"))
+        other = self.space.int_row(FidelityFunction.ratio(
             ("B", PauliString.from_label("XII")), ("G", PauliString.from_label("IIX"))
-        )
-        assert equivalence_test(zz, other, self.span) == "a_learnable"
-        assert equivalence_test(other, zz, self.span) == "b_learnable"
+        ))
+        assert self.span.basis.contains(zz)
+        assert not self.span.basis.contains(other)
 
     def test_independent_functions(self):
         f1 = fn("B", "XII")
         f2 = fn("B", "IXI")
-        assert equivalence_test(f1, f2, self.span) == "independent"
+        with pytest.raises(NotEquivalentError):
+            express_search(f1, f2, self.span)
 
     def test_cross_layer_product_adds_one_dof(self):
         # The measured multi-layer product is outside the learnable span.
@@ -266,9 +307,10 @@ class TestMuExpressions:
         assert worst < 1e-10
 
     def test_mu_ratios_map(self):
+        # The one ratio of the three-qubit chain, at its bulk qubit.
         topo, b, g = three_qubit_setup()
-        ratios = mu_ratios([(b, g)], topo, seed=0)
-        assert set(ratios) == {(1, ("B", "G"))}
+        plan = build_plan(topo, [b, g])
+        assert [(e.qubit, e.pair) for e in plan.mu_entries] == [(1, ("B", "G"))]
 
     def test_epsilon_signs_oppose(self):
         topo, b, g = three_qubit_setup()

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from cyclebench.pipeline import (
     cached_plan,
     characterize_and_fit,
     covering_pairs,
+    estimate_mu,
     generate_models,
     gram_rank,
     model_rng,
@@ -27,14 +29,27 @@ from cyclebench.pipeline import (
     null_generators,
     sweep_item,
 )
-from cyclebench.spl import SplModel
-from cyclebench.topology import Topology, four_layer_config, square_lattice
+from cyclebench.spl import GeneratorSet, SplModel
+from cyclebench.topology import Topology, four_layer_config, garnet20, square_lattice
 
 
 @pytest.fixture(scope="module")
 def plan():
     topo = square_lattice(3, 3)
     return build_plan(topo, four_layer_config(topo, "closed_squares"), seed=0, retries=4)
+
+
+@pytest.fixture(scope="module")
+def small_plan():
+    topo = square_lattice(3, 2)
+    return build_plan(topo, four_layer_config(topo, "open_chains"), seed=0, retries=4)
+
+
+@pytest.fixture(scope="module")
+def fig6_plan():
+    # The `repro fig6` plan: garnet20, closed squares.
+    topo = garnet20()
+    return build_plan(topo, four_layer_config(topo, "closed_squares"), seed=20240503, retries=8)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +89,7 @@ class TestPlan:
 
     def test_plan_inverse_gram(self, plan, sq_plan):
         # H = (S^T S)^-1 per full-rank layer; fits through it equal nnls
-        # factoring its own passive blocks, also from a warm-started set.
+        # factoring its own passive blocks.
         assert "A" not in sq_plan.inv_gram
         rng = model_rng(3, 0)
         models = generate_models(plan, rng)
@@ -89,9 +104,6 @@ class TestPlan:
             assert 0 < np.count_nonzero(own.lambdas) < len(own.lambdas)
             assert np.max(np.abs(own.lambdas - given.lambdas)) < 1e-12
             assert given.kkt_residual <= 1e-10
-            warm = nnls(S, b, inv_gram=H, passive=own.lambdas > 0)
-            assert np.max(np.abs(own.lambdas - warm.lambdas)) < 1e-12
-            assert warm.iterations < given.iterations
 
     def test_full_rank_plan(self, plan):
         assert plan.unconstrained == {}
@@ -132,6 +144,8 @@ class TestPlan:
             high, low = plan.s_high[lab], plan.s_low[lab]
             for rows in (high, low):
                 assert rows.dtype == np.int8 and rows.flags.c_contiguous
+                assert rows.base is plan.s_fit[lab]
+            assert np.array_equal(plan.s_fit[lab], np.vstack([high, low]))
             want = [sum(gens.overlaps(p).astype(int) for p in prod.strings)
                     for prod in plan.products[lab]]
             assert np.array_equal(high, want)
@@ -230,6 +244,77 @@ PINNED_MU_ENTRIES = [
      "1 | -1*Rs[IXIIII]",
      "-1 | 1*Os[IXIIII,IXIZII] -1*Os[IIIZII] 1*Os[IIIZIX]"),
 ]
+
+
+class TestPlanRatioArrays:
+    @pytest.mark.parametrize("name", ["small_plan", "fig6_plan"])
+    def test_ratio_products_noiseless(self, name, request):
+        # The plan's int8 ratio rows give each entry's product of fidelities.
+        plan = request.getfixturevalue(name)
+        rng = model_rng(5, 0)
+        models = generate_models(plan, rng)
+        got = noisy_records(plan, models, 0.0, 0.0, "unit_depth", rng).ratio_products
+        want = [
+            np.exp(sum(models[l].log_fidelity(p) for l, p in e.product_terms))
+            for e in plan.mu_entries
+        ]
+        assert len(got) == len(want) > 0
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+    def test_ratio_rows_are_product_terms(self, small_plan):
+        gens = small_plan.generators
+        for lab in small_plan.labels:
+            rows, entry = small_plan.ratio_rows[lab]
+            want = [
+                (e, gens.overlaps(p)) for e, m in enumerate(small_plan.mu_entries)
+                for l, p in m.product_terms if l == lab
+            ]
+            assert rows.dtype == np.int8 and len(rows) == len(want)
+            assert entry.tolist() == [e for e, _ in want]
+            for row, (_, overlap) in zip(rows, want):
+                assert np.array_equal(row, overlap)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-4, 0.5])
+    def test_mu_hat_matches_scalar_loop(self, small_plan, sigma):
+        rng = model_rng(8, 0)
+        models = generate_models(small_plan, rng)
+        records = noisy_records(small_plan, models, sigma, 1e-3, "unit_depth", rng)
+        # Nonpositive noisy products leave their entries unestimated.
+        ratio = records.ratio_products.copy()
+        ratio[:2] = (0.0, -0.25)
+        records = dataclasses.replace(records, ratio_products=ratio)
+        want = scalar_mu_hat(small_plan, records)
+        got = estimate_mu(small_plan, records)
+        assert set(got) == set(want)
+        assert len(want) == len(small_plan.mu_entries) - 2
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-12)
+
+    def test_sweep_item_makes_no_overlap_calls(self, fig6_plan, monkeypatch):
+        calls = []
+        overlaps = GeneratorSet.overlaps
+
+        def counted(self, alpha):
+            calls.append(alpha)
+            return overlaps(self, alpha)
+
+        monkeypatch.setattr(GeneratorSet, "overlaps", counted)
+        for baseline in ("unit_depth", "symmetry"):
+            sweep_item(fig6_plan, 3, 0, 1e-4, 1e-2, baseline)
+        assert calls == []
+
+
+def scalar_mu_hat(plan, records):
+    """Reference: mu_hat entry by entry, one scalar log per factor."""
+    out = {}
+    for entry, o_noisy in zip(plan.mu_entries, records.ratio_products):
+        if o_noisy <= 0:
+            continue
+        log_mu = entry.epsilon * np.log(o_noisy)
+        for l, row, coeff in entry.learn_refs:
+            log_mu += coeff * np.log(max(records.high[l][row], 1e-12))
+        out[(entry.qubit, entry.pair)] = float(np.exp(log_mu))
+    return out
 
 
 class TestInverseGramGuard:

@@ -1,17 +1,17 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cyclebench.layers import CliffordLayer
+from cyclebench.learnability import FidelityFunction
 from cyclebench.pauli import PauliString
 from cyclebench.spl import (
     GeneratorSet,
     RandomModelParams,
     SplModel,
     fidelity,
-    fidelity_product,
-    pec_weights,
     random_model,
 )
 from cyclebench.topology import Topology, garnet20, square_lattice
@@ -96,6 +96,8 @@ class TestFidelity:
 
 
 class TestFidelityProduct:
+    # Products of fidelities over (layer label, Pauli string) terms, as a
+    # FidelityFunction evaluates them.
     def setup_method(self):
         topo = line_topology(3)
         gens = GeneratorSet(topo)
@@ -106,16 +108,17 @@ class TestFidelityProduct:
         }
 
     def test_empty_targets(self):
-        assert fidelity_product(self.models, []) == 1.0
+        assert FidelityFunction(()).evaluate(self.models) == 1.0
 
     def test_matches_orbit_product(self):
         t = [("B", PauliString.from_label("XIX")), ("G", PauliString.from_label("XZX"))]
         expect = self.models["B"].fidelity(t[0][1]) * self.models["G"].fidelity(t[1][1])
-        assert fidelity_product(self.models, t) == pytest.approx(expect, rel=1e-12)
+        product = FidelityFunction(tuple((l, p, Fraction(1)) for l, p in t))
+        assert product.evaluate(self.models) == pytest.approx(expect, rel=1e-12)
 
     def test_unknown_label(self):
         with pytest.raises(KeyError):
-            fidelity_product(self.models, [("Q", PauliString.identity(3))])
+            FidelityFunction.product("Q", [PauliString.identity(3)]).evaluate(self.models)
 
 
 class TestRandomModel:
@@ -241,29 +244,6 @@ class TestRandomModel:
                 assert model.lambdas[i] == 0.0
             elif len(sup) == 2:
                 assert model.lambdas[i] == pytest.approx(2e-3)
-
-
-class TestPecWeights:
-    def setup_method(self):
-        topo = line_topology(2)
-        self.model = SplModel("L", GeneratorSet(topo), np.full(15, 0.01))
-
-    def test_beta_one_is_identity(self):
-        assert np.all(pec_weights(self.model, 1.0) == 0.0)
-
-    def test_zero_rate_zero_weight(self):
-        topo = line_topology(2)
-        model = SplModel("L", GeneratorSet(topo), np.zeros(15))
-        assert np.all(pec_weights(model, 0.0) == 0.0)
-
-    def test_noise_inversion_quasiprobability(self):
-        topo = line_topology(2)
-        lam = np.zeros(15)
-        lam[0] = 0.01
-        model = SplModel("L", GeneratorSet(topo), lam)
-        w = pec_weights(model, 0.0)
-        assert w[0] == pytest.approx((1 - np.exp(0.02)) / 2)
-        assert w[0] < 0
 
 
 class TestSerialization:
