@@ -7,7 +7,9 @@ A batch of C circuits of J composite layers on n qubits is a set of arrays
 uint8 digits x + 2z per qubit, without signs, since every fidelity lookup
 is unsigned.  Only the string each circuit ends in is drawn; one backward
 pass over the steps pulls it back through the circuit and yields the string
-entering every step.
+entering every step.  The log fidelity ratio of a step is then a sum of
+lookups in per-site tables built once per call, one site per generator
+support (a qubit or an edge), indexed by the string's digits there.
 """
 
 from __future__ import annotations
@@ -93,27 +95,38 @@ def pec_observable(
     before each layer, so step j uses the string entering it).  SPAM plays
     no role.
 
-    Each step costs one (C, K) @ (K, (1 + len(fits)) L) product of the
-    overlaps with the stacked true and fitted rates of all L base layers.
+    Every generator acts on at most two qubits, so a step's log ratio is a
+    sum over the S sites of `generators.site_tables` of a value fixed by the
+    string's two digits there.  One table per call holds these values for
+    every fit f, base layer l, site s and site code,
+    T[f, l, s, code] = -2 sum_{k in s} ov16[code, k] (lambda_true - lambda_f)[l, k],
+    and each step is one lookup of the (C, S) site codes in it.
     """
+    sites, site_of, ov16 = generators.site_tables
     labels = [layer.label for layer in batch.layers]
-    rates = np.stack(
-        [true_models[lab].lambdas for lab in labels]
-        + [fit[lab] for fit in fits for lab in labels],
-        axis=1,
-    )
-    n_circuits = batch.base.shape[0]
-    rows = np.arange(n_circuits)
-    log_o = np.zeros((n_circuits, len(fits)))
+    n_sites = len(sites)
+    # Generators grouped by site, so that each site's sum is one reduceat segment.
+    order = np.argsort(site_of, kind="stable")
+    starts = np.searchsorted(site_of[order], np.arange(n_sites))
+    delta = np.stack([[true_models[lab].lambdas - fit[lab] for lab in labels] for fit in fits])
+    # A non-finite rate turns entries of its site into NaN (0 * inf), so a
+    # circuit meets it exactly when one of its steps is on that layer.
+    with np.errstate(invalid="ignore"):
+        terms = ov16[:, order] * delta[:, :, None, order]
+        table = -2.0 * np.add.reduceat(terms, starts, axis=-1)  # (F, L, 16, S)
+    used = np.bincount(batch.base.ravel(), minlength=len(labels)) > 0
+    bad = np.flatnonzero(used & ~np.isfinite(table).all(axis=(0, 2, 3)))
+    if bad.size:
+        raise ZeroDivisionError(f"fitted fidelity vanished on layer {labels[bad[0]]}")
+    flat = table.transpose(0, 1, 3, 2).reshape(len(fits), -1)
+    # Flat index of (layer l, site s, code 0) in each fit's table.
+    offsets = np.arange(len(labels))[:, None] * (16 * n_sites) + np.arange(n_sites) * 16
+    lo, hi = sites[:, 0], sites[:, 1]
+    log_o = np.zeros((len(fits), batch.base.shape[0]))
     for j, p in batch.strings():
-        log_f = -2.0 * (generators.digit_overlaps(p) @ rates)
-        step = log_f.reshape(n_circuits, 1 + len(fits), len(labels))[rows, :, batch.base[:, j]]
-        bad = ~np.isfinite(step[:, 1:])
-        if bad.any():
-            lab = labels[batch.base[np.nonzero(bad)[0][0], j]]
-            raise ZeroDivisionError(f"fitted fidelity vanished on layer {lab}")
-        log_o += step[:, :1] - step[:, 1:]
-    return np.exp(log_o.T)
+        idx = offsets[batch.base[:, j]] + (p[:, lo] | (p[:, hi] << 2))
+        log_o += np.take(flat, idx, axis=1).sum(axis=2)
+    return np.exp(log_o)
 
 
 def sample_circuit(

@@ -100,6 +100,23 @@ class GeneratorSet:
                 masks[i, k] = ((p.z_bits >> q) & 1) + 2 * ((p.x_bits >> q) & 1)
         return qubits, masks
 
+    @functools.cached_property
+    def site_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sites, site_of, ov16): the distinct supports as (S, 2) qubit
+        pairs (sorted; (q, q) for a single qubit, (a, b) for an edge), each
+        generator's site index (K,), and the (16, K) int8 overlap of
+        generator k with the digits d_lo, d_hi on its support's two qubits,
+        at row d_lo + 4 d_hi.  A string's overlap with generator k is then
+        ov16[code, k] for its site code p[lo] | p[hi] << 2, in any
+        generator order."""
+        qubits, masks = self.support_masks
+        sites, site_of = np.unique(qubits, axis=0, return_inverse=True)
+        codes = np.arange(16, dtype=np.uint8)[:, None]
+        ov16 = np.take(
+            _PARITY16, (codes & 3 & masks[:, 0]) | (((codes >> 2) & masks[:, 1]) << 2)
+        )
+        return sites, site_of.reshape(-1), ov16
+
     def gate_activity(self, cz_pairs) -> tuple[np.ndarray, np.ndarray]:
         """(gate, weight), both (K,): the index in `cz_pairs` (disjoint
         pairs) of the gate whose qubits hold the generator's whole support,

@@ -265,6 +265,56 @@ def test_pec_fuzz_exits_cleanly(models, circuits, j_layers, weights):
         assert err.getvalue().count("\n") == 1
 
 
+@st.composite
+def drawn_pec_configs(draw):
+    """A 2-5 qubit topology on a random subset of qubit pairs (isolated
+    qubits allowed) with 1-3 CZ layers on its edges, and small pec fields."""
+    n = draw(st.integers(2, 5))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    layers = []
+    for i in range(draw(st.integers(1, 3))):
+        cz, used = [], set()
+        for a, b in draw(st.permutations(edges)):
+            if a not in used and b not in used and draw(st.booleans()):
+                cz.append([a, b])
+                used.update((a, b))
+        layers.append({"label": f"L{i}", "cz": cz})
+    return {
+        "topology": {"n": n, "edges": [list(e) for e in edges]},
+        "layers": layers,
+        "baseline": draw(st.sampled_from(["unit_depth", "symmetry"])),
+        "seed": draw(st.integers(0, 50)),
+        "models": 1,
+        "circuits": draw(st.integers(1, 3)),
+        "j_layers": draw(st.integers(1, 4)),
+        "weights": draw(st.lists(st.integers(0, n), min_size=1, max_size=2, unique=True)),
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=drawn_pec_configs())
+def test_pec_fuzz_on_drawn_topologies(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = dict(cfg, out=os.path.join(tmp, "out"))
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["pec", "--config", path])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().count("\n") == 1
+        else:
+            with open(os.path.join(cfg["out"], "pec.csv"), newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == cfg["circuits"] * len(cfg["weights"])
+            values = np.array([[float(r["O_c"]), float(r["O_m"])] for r in rows])
+            assert np.all(np.isfinite(values)) and np.all(values > 0)
+
+
 class TestErrors:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["fit", "--config", str(tmp_path / "nope.json")]) == 2

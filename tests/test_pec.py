@@ -14,7 +14,7 @@ from cyclebench.pec import (
     summarize_pec,
 )
 from cyclebench.pipeline import build_plan
-from cyclebench.spl import GeneratorSet, random_model
+from cyclebench.spl import GeneratorSet, SplModel, random_model
 from cyclebench.topology import Topology, four_layer_config, square_lattice
 
 GROUP = all_single_qubit_cliffords()
@@ -87,6 +87,49 @@ def scalar_sample(base_layers, j_layers, target_weight, rng):
     return np.array(base), np.array(gates), final
 
 
+def reference_log_observable(true_models, fits, batch, gens) -> np.ndarray:
+    """Reference: (len(fits), C) sums over steps of
+    -2 overlaps(beta_j) . (lambda_true - lambda_fit), one `GeneratorSet.overlaps`
+    call per circuit and step."""
+    labels = [layer.label for layer in batch.layers]
+    log_o = np.zeros((len(fits), batch.base.shape[0]))
+    for j, p in batch.strings():
+        for c, row in enumerate(p):
+            lab = labels[batch.base[c, j]]
+            ov = gens.overlaps(pauli(row))
+            for f, fit in enumerate(fits):
+                log_o[f, c] += -2.0 * float(ov @ (true_models[lab].lambdas - fit[lab]))
+    return log_o
+
+
+def perturbed_fits(models, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        {lab: np.clip(m.lambdas + rng.normal(0, 1e-3, len(m.lambdas)), 0, None) for lab, m in models.items()}
+        for _ in range(2)
+    ]
+
+
+def isolated_qubit_setup():
+    """5 qubits, qubit 4 on no edge: its site holds single-qubit generators only."""
+    topo = Topology(5, ((0, 1), (1, 2), (2, 3)))
+    layers = {
+        "A": CliffordLayer(5, ((0, 1), (2, 3)), (), "A"),
+        "B": CliffordLayer(5, ((1, 2),), (), "B"),
+    }
+    gens = GeneratorSet(topo)
+    rng = np.random.default_rng(1)
+    return gens, layers, {lab: random_model(gens, layer, rng=rng) for lab, layer in layers.items()}
+
+
+def shuffled(gens, layers, models, seed):
+    """The same generators built with `strings=` in a shuffled order, and the
+    models' rates permuted to match."""
+    perm = np.random.default_rng(seed).permutation(len(gens))
+    out = GeneratorSet(gens.topology, strings=tuple(gens.strings[k] for k in perm))
+    return out, layers, {lab: SplModel(lab, out, m.lambdas[perm]) for lab, m in models.items()}
+
+
 class TestPecObservable:
     def test_perfect_characterization_gives_one(self):
         topo, b, models = toy_models()
@@ -131,7 +174,6 @@ class TestPecObservable:
         o_second = pec_observable(models, (fitted,), second, gens)
         assert o_full == pytest.approx(o_first * o_second, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
     def test_vanished_fitted_fidelity_raises(self):
         topo, b, models = toy_models()
         gens = models["B"].generators
@@ -139,6 +181,47 @@ class TestPecObservable:
         batch = bare_circuits(b, [PauliString.from_label("XI")], 2)
         with pytest.raises(ZeroDivisionError, match="layer B"):
             pec_observable(models, ({"B": models["B"].lambdas}, fitted), batch, gens)
+
+    def test_vanished_fidelity_raises_only_when_a_step_uses_the_layer(self):
+        topo = Topology(2, ((0, 1),))
+        gens = GeneratorSet(topo)
+        layers = {"B": CliffordLayer(2, ((0, 1),), (), "B"), "G": CliffordLayer(2, (), (), "G")}
+        rng = np.random.default_rng(2)
+        models = {lab: random_model(gens, layer, rng=rng) for lab, layer in layers.items()}
+        fitted = {"B": models["B"].lambdas, "G": np.full(len(gens), np.inf)}
+        batch = sample_circuit(layers, 6, 1, [np.random.default_rng(s) for s in range(8)])
+        assert np.any(batch.base == 1)  # labels sort as B, G
+        with pytest.raises(ZeroDivisionError, match="layer G"):
+            pec_observable(models, (fitted,), batch, gens)
+        only_b = CircuitBatch(batch.layers, np.zeros_like(batch.base), batch.gates, batch.final)
+        o = pec_observable(models, (fitted,), only_b, gens)
+        assert np.all(np.isfinite(o)) and np.all(o > 0)
+
+    @pytest.mark.parametrize("setup", ["small_plan", "isolated_qubit", "shuffled"])
+    def test_matches_string_by_string_reference(self, setup, request):
+        if setup == "small_plan":
+            plan = request.getfixturevalue("small_plan")
+            gens, layers = plan.generators, {l.label: l for l in plan.layers}
+            rng = np.random.default_rng(3)
+            models = {lab: random_model(gens, layer, rng=rng) for lab, layer in layers.items()}
+        else:
+            gens, layers, models = isolated_qubit_setup()
+            if setup == "shuffled":
+                plain_gens, plain_models = gens, models
+                gens, layers, models = shuffled(gens, layers, models, seed=4)
+        fits = perturbed_fits(models, seed=5)
+        n = gens.topology.n
+        for w in (1, 3, n):
+            batch = sample_circuit(layers, 7, w, [np.random.default_rng([w, c]) for c in range(12)])
+            log_o = np.log(pec_observable(models, fits, batch, gens))
+            ref = reference_log_observable(models, fits, batch, gens)
+            np.testing.assert_allclose(log_o, ref, rtol=0, atol=1e-12)
+            if setup == "shuffled":
+                # The rates permuted with the strings give the same observable.
+                where = [gens.index(p) for p in plain_gens.strings]
+                plain_fits = [{lab: r[where] for lab, r in fit.items()} for fit in fits]
+                plain = pec_observable(plain_models, plain_fits, batch, plain_gens)
+                np.testing.assert_allclose(log_o, np.log(plain), rtol=0, atol=1e-12)
 
 
 class TestSampleCircuit:
@@ -251,6 +334,24 @@ class TestPecSweep:
         assert set(summary["by_weight"]) == {2, 4}
         for st in summary["by_weight"].values():
             assert st["count"] == 4
+
+    def test_sweep_makes_no_digit_overlap_calls(self, small_plan, monkeypatch):
+        # Fidelity ratios come from the per-site tables, never from a (C, K)
+        # overlap matrix per step.
+        calls = []
+        digit_overlaps = GeneratorSet.digit_overlaps
+
+        def counted(self, strings):
+            calls.append(len(strings))
+            return digit_overlaps(self, strings)
+
+        monkeypatch.setattr(GeneratorSet, "digit_overlaps", counted)
+        rows = pec_sweep(
+            small_plan, n_models=1, n_circuits=4, j_layers=5, weights=(2,),
+            sigma=1e-4, sigma_prime=1e-2, baseline="unit_depth", master_seed=2,
+        )
+        assert len(rows) == 4
+        assert calls == []
 
     @pytest.mark.parametrize(
         "circuits, weights", [(MAX_CIRCUITS + 1, (2,)), (2, (100,))], ids=["circuits", "weight"]
