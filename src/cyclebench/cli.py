@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -40,6 +41,8 @@ EXIT_CONFIG = 2
 EXIT_RANK = 3
 EXIT_NUMERIC = 4
 
+PIPELINES = ("conventional", "mlcb")
+
 # A PEC batch holds one byte per circuit, step and qubit; this keeps a
 # 1000-circuit batch on garnet20 at 20 MB (the paper's circuits have 40).
 MAX_J_LAYERS = 1000
@@ -57,7 +60,7 @@ class RunConfig:
     sigma: float = 1e-4
     sigma_prime: float = 1e-3
     baseline: str = "symmetry"  # symmetry | unit_depth
-    pipelines: tuple[str, ...] = ("conventional", "mlcb")
+    pipelines: tuple[str, ...] = PIPELINES
     seed: int = 0
     models: int = 1
     circuits: int = 10
@@ -108,17 +111,17 @@ def parse_config(raw: dict) -> RunConfig:
             topology=topo,
             layers=layers,
             scheme=scheme,
-            sigma=float(raw.get("sigma", 1e-4)),
-            sigma_prime=float(raw.get("sigma_prime", 1e-3)),
+            sigma=_noise(raw, "sigma", 1e-4),
+            sigma_prime=_noise(raw, "sigma_prime", 1e-3),
             baseline=baseline,
-            pipelines=tuple(raw.get("pipelines", ("conventional", "mlcb"))),
-            seed=_integer(raw, "seed", 0),
+            pipelines=_pipelines(raw),
+            seed=_integer(raw, "seed", 0, minimum=0),
             models=_integer(raw, "models", 1),
             circuits=_integer(raw, "circuits", 10),
             j_layers=_integer(raw, "j_layers", 40),
             weights=tuple(raw.get("weights", (2, 20))),
             out=raw.get("out", "out"),
-            parallel=_integer(raw, "parallel", 1),
+            parallel=_integer(raw, "parallel", 1, minimum=1),
             raw=raw,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -127,14 +130,42 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
-def _integer(raw: dict, name: str, default: int) -> int:
+def _integer(raw: dict, name: str, default: int, minimum: int | None = None) -> int:
     # int() would truncate 2.7 to 2; an integral float such as 2.0 is fine.
     value = raw.get(name, default)
     if isinstance(value, bool) or not (
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
     ):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _noise(raw: dict, name: str, default: float) -> float:
+    # A negative or NaN width would silently run noiseless, an infinite one
+    # would print garbage.
+    value = raw.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        math.isfinite(value) and value >= 0
+    ):
+        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
+def _pipelines(raw: dict) -> tuple[str, ...]:
+    value = raw.get("pipelines", PIPELINES)
+    if (
+        not isinstance(value, (list, tuple))
+        or not value
+        or any(name not in PIPELINES for name in value)
+        or len(set(value)) != len(value)
+    ):
+        raise ConfigError(
+            f"pipelines must be a non-empty list of distinct names from {list(PIPELINES)}, "
+            f"got {value!r}"
+        )
+    return tuple(value)
 
 
 def _check_layers(layers: list[CliffordLayer], topo: Topology) -> None:
@@ -286,6 +317,11 @@ def cmd_characterize(cfg: RunConfig) -> int:
     for entry, value in zip(plan.mu_entries, data.ratio_products):
         provenance = f"mlcb:q{entry.qubit}:{entry.pair[0]}{entry.pair[1]}"
         records.append(record(entry.product_terms, value, cfg.sigma, "high", provenance))
+    # JSON has no infinities; `fit` refuses these draws as well.
+    bad = next((r for r in records if not math.isfinite(r["estimate"])), None)
+    if bad is not None:
+        layer = bad["targets"][0][0]
+        raise RuntimeError(f"non-finite noisy record on layer {layer!r} ({bad['provenance']})")
     payload = {
         "schema": "fidelity-records/1",
         "config_digest": cfg.digest(),
@@ -313,13 +349,14 @@ def _run_item(args) -> tuple[int, RunResult]:
 
 def _sweep(cfg: RunConfig, seed: int | None = None) -> list[tuple[int, RunResult]]:
     """(index, result) of every model of the sweep, in index order, on
-    `cfg.parallel` processes.  Models draw from `seed` (default `cfg.seed`);
-    the plan keeps `cfg.seed`."""
+    `cfg.parallel` processes, never more than there are models.  Models draw
+    from `seed` (default `cfg.seed`); the plan keeps `cfg.seed`."""
     _check_models(cfg)
     _plan(cfg)  # config errors end here, before any worker starts
     items = [(cfg.raw, cfg.seed if seed is None else seed, i) for i in range(cfg.models)]
-    if cfg.parallel > 1:
-        with multiprocessing.Pool(cfg.parallel) as pool:
+    workers = min(cfg.parallel, cfg.models)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             return pool.map(_run_item, items)
     return [_run_item(item) for item in items]
 

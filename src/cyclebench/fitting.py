@@ -4,6 +4,7 @@ generating model."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,24 +55,25 @@ def nnls(
     the plan keeps H for cond(A^T A) <= `pipeline.MAX_INV_GRAM_COND` (1e6),
     and the refinement step absorbs what remains.  Without H each solve
     factors the passive block of A^T A.
-    Products with A never copy it to float, so an integer A stays compact.
-    `iterations` counts the passive-set solves, the unconstrained one
-    included; the KKT residual is measured on the true residual b - A x.
+    A is taken as float64, so every product with it is one BLAS call: a
+    float64 A is used as it is, and a caller fitting an integer matrix many
+    times copies it to float once (`pipeline.characterize_and_fit` keeps one
+    workspace per call).  `iterations` counts the passive-set solves, the
+    unconstrained one included; the KKT residual is measured on the true
+    residual b - A x.
     """
-    A = np.asarray(A)
+    A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = A.shape[1]
     if max_iter is None:
         max_iter = 10 * n + 100
-    # einsum buffers its casts, so an integer A is never copied whole.
-    atb = np.einsum("ij,i->j", A, b)
+    atb = A.T @ b
     scale = max(1.0, float(np.abs(atb).max(initial=0.0)))
     gtol = tol * scale
     iters = 0
 
     if inv_gram is None:
-        A_f = np.asarray(A, dtype=float)
-        gram = A_f.T @ A_f
+        gram = A.T @ A
     else:
         x_atb = inv_gram @ atb
 
@@ -98,8 +100,8 @@ def nnls(
         return x, grad
 
     def kkt_of(x):
-        resid = b - np.einsum("ij,j->i", A, x)
-        grad = np.einsum("ij,i->j", A, resid)
+        resid = b - A @ x
+        grad = A.T @ resid
         kkt = max(
             float(np.max(grad[x <= 0], initial=0.0)),
             float(np.max(np.abs(grad[x > 0]), initial=0.0)),
@@ -187,15 +189,23 @@ def refine_unlearnable(estimates: list[float], ratios: list[float]) -> list[floa
     With ratios mu_j = f_j / f_{j+1}, every fidelity in the cluster is u
     times a known factor; the single free parameter u minimizes the sum of
     squared residues against the low-accuracy estimates (closed form).
+    The factors are held as mantissa and binary exponent and scaled by one
+    power of two before use, which leaves the result bit for bit unchanged
+    where they are normal floats and keeps it finite where they would
+    overflow.
     """
     if len(ratios) != len(estimates) - 1:
         raise ValueError("need one ratio fewer than estimates")
-    nu = [1.0]
+    mantissas, exponents = [1.0], [0]
     for mu in ratios:
-        if mu <= 0:
-            raise ValueError("ratios must be positive")
-        nu.append(nu[-1] / mu)
-    nu_arr = np.array(nu)
+        if not 0 < mu < math.inf:
+            raise ValueError("ratios must be positive and finite")
+        mu_m, mu_e = math.frexp(mu)
+        m, e = math.frexp(mantissas[-1] / mu_m)
+        mantissas.append(m)
+        exponents.append(exponents[-1] + e - mu_e)
+    top = max(exponents)
+    nu_arr = np.array([math.ldexp(m, e - top) for m, e in zip(mantissas, exponents)])
     est = np.array(estimates, dtype=float)
     u = float((nu_arr * est).sum() / (nu_arr**2).sum())
     return [float(u * v) for v in nu_arr]

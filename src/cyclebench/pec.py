@@ -14,6 +14,7 @@ support (a qubit or an edge), indexed by the string's digits there.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -60,27 +61,33 @@ class CircuitBatch:
 
     layers: tuple[CliffordLayer, ...]
     base: np.ndarray  # (C, J) int
-    gates: np.ndarray  # (C, J, n) uint8
+    gates: np.ndarray  # (C, J, n) uint8, not necessarily contiguous
     final: np.ndarray  # (C, n) uint8
 
     def strings(self) -> Iterator[tuple[int, np.ndarray]]:
         """(j, the (C, n) strings entering step j), for j = J-1 down to 0.
 
-        Each step undoes the single-qubit part by table lookup and then the
-        self-inverse CZ part, z_q ^= x_partner(q) on every paired qubit.
+        Each step undoes the single-qubit part and then the self-inverse CZ
+        part, z_q ^= x_partner(q) on every paired qubit, each as one flat
+        `take`: the gates are stored once per batch as 4 g in (J, C, n)
+        order, so 4 g + digit indexes the flattened (24, 4) inverse table,
+        and the partner digits are read at flat indices c n + partner(q).
         """
-        n = self.final.shape[1]
+        c_count, n = self.final.shape
         partner = np.tile(np.arange(n), (len(self.layers), 1))
         paired = np.zeros((len(self.layers), n), dtype=np.uint8)
         for i, layer in enumerate(self.layers):
             for a, b in layer.cz_pairs:
                 partner[i, a], partner[i, b] = b, a
                 paired[i, [a, b]] = 2  # selects the partner's x bit, shifted onto z
+        g4 = np.ascontiguousarray(self.gates.transpose(1, 0, 2)) << 2  # at most 92
+        row_offsets = np.arange(0, c_count * n, n)[:, None]
+        sq_inverse = _SQ_INVERSE.ravel()
         p = self.final
         for j in range(self.base.shape[1] - 1, -1, -1):
-            p = _SQ_INVERSE[self.gates[:, j], p]
+            p = sq_inverse.take(g4[j] | p)
             b = self.base[:, j]
-            p = p ^ ((np.take_along_axis(p, partner[b], axis=1) << 1) & paired[b])
+            p = p ^ ((p.take(partner[b] + row_offsets) << 1) & paired[b])
             yield j, p
 
 
@@ -143,6 +150,18 @@ def sample_circuit(
     support and letters.  Pulling the final string back gives the initial
     one; conjugation is a bijection, so this matches rejection sampling on
     the initial string exactly and never rejects.
+
+    The step draws are one bounded draw per circuit: (J, n + 1) integers
+    below B = lcm(L, 24) for L base layers, kept in the smallest unsigned
+    type that holds them and divided, for all circuits at once, by B / L
+    (base layer) or B / 24 (gate).  This is the stream of one scalar draw per
+    slot.  Below 2^32 numpy maps one 32-bit word x to floor(r x / 2^32) for
+    the range r of the slot, and floor(floor(B x / 2^32) / (B / r)) =
+    floor(r x / 2^32).  The two can differ only where a bounded-draw
+    rejection falls on a slot (probability at most B / 2^32 per slot, about
+    4e-9 for garnet20's four layers), and both are exactly uniform either
+    way.  A single base layer consumes no random word per step, as a scalar
+    draw of range one does not, so then only the gates are drawn.
     """
     labels = sorted(base_layers)
     n = base_layers[labels[0]].n
@@ -150,16 +169,21 @@ def sample_circuit(
         raise ValueError("target weight out of range")
     if j_layers < 1:
         raise ValueError("circuit needs at least one layer")
-    highs = np.tile([len(labels)] + [len(all_single_qubit_cliffords())] * n, j_layers)
-    base = np.empty((len(rngs), j_layers), dtype=np.intp)
-    gates = np.empty((len(rngs), j_layers, n), dtype=np.uint8)
+    n_layers, n_gates = len(labels), len(all_single_qubit_cliffords())
+    bound = math.lcm(n_layers, n_gates)
+    draws = np.zeros((len(rngs), j_layers, n + 1), dtype=np.min_scalar_type(bound - 1))
     final = np.zeros((len(rngs), n), dtype=np.uint8)
     for c, rng in enumerate(rngs):
-        draws = rng.integers(0, highs).reshape(j_layers, n + 1)
-        base[c] = draws[:, 0]
-        gates[c] = draws[:, 1:]
+        if n_layers == 1:
+            draws[c, :, 1:] = rng.integers(0, n_gates, size=(j_layers, n))
+        else:
+            draws[c] = rng.integers(0, bound, size=(j_layers, n + 1))
         qubits = rng.permutation(n)[:target_weight]
         final[c, qubits] = _LETTER_DIGITS[rng.integers(3, size=target_weight)]
+    base = (draws[:, :, 0] // (bound // n_layers)).astype(np.intp)
+    gates = draws[:, :, 1:]
+    gates //= bound // n_gates
+    gates = gates.astype(np.uint8, copy=False)  # a view of the draws while B <= 256
     return CircuitBatch(tuple(base_layers[lab] for lab in labels), base, gates, final)
 
 

@@ -370,17 +370,22 @@ def estimate_mu(
     plan: CharacterizationPlan, records: NoisyRecords
 ) -> dict[tuple[int, tuple[str, str]], float]:
     """mu_hat per (qubit, pair) of every ratio entry whose noisy product
-    o_noisy is positive: o_noisy^epsilon times the powers of its learnable
-    products (each clipped at 1e-12), from the plan's arrays in one pass."""
+    o_noisy is positive and finite and whose mu_hat is finite and positive:
+    o_noisy^epsilon times the powers of its learnable products (each
+    clipped at 1e-12), from the plan's arrays in one pass.  The other
+    entries count as unmeasured."""
     o_noisy = records.ratio_products
-    measured = o_noisy > 0
+    measured = np.isfinite(o_noisy) & (o_noisy > 0)
     log_mu = plan.mu_epsilon * np.log(np.where(measured, o_noisy, 1.0))
     for lab, (entry, row, coeff) in plan.mu_refs.items():
         logs = np.log(np.maximum(records.high[lab][row], 1e-12))
         log_mu += np.bincount(entry, coeff * logs, minlength=len(log_mu))
+    with np.errstate(over="ignore"):
+        mu = np.exp(log_mu)
+    measured &= np.isfinite(mu) & (mu > 0)
     return {
         (e.qubit, e.pair): float(v)
-        for e, v, ok in zip(plan.mu_entries, np.exp(log_mu), measured)
+        for e, v, ok in zip(plan.mu_entries, mu, measured)
         if ok
     }
 
@@ -409,32 +414,36 @@ def characterize_and_fit(
             for lab, (rank, names) in plan.unconstrained.items()
         ))
     labels = plan.labels
+    for lab in labels:
+        if not (np.isfinite(records.high[lab]).all() and np.isfinite(records.low[lab]).all()):
+            raise RuntimeError(f"non-finite noisy record on layer {lab!r}")
     mu_hat = estimate_mu(plan, records)
-    log_high = {
-        lab: np.log(np.clip(records.high[lab], 1e-12, None)) for lab in labels
+    rhs_low = {
+        pipeline: _refined_low(plan, records.low, mu_hat) if pipeline == "mlcb" else records.low
+        for pipeline in pipelines
     }
-    fitted: dict[str, dict[str, np.ndarray]] = {}
-    delta: dict[str, float] = {}
-    fit_meta: dict[str, dict[str, dict]] = {}
-    for pipeline in pipelines:
-        if pipeline == "mlcb":
-            low_values = _refined_low(plan, records.low, mu_hat)
-        else:
-            low_values = records.low
-        per_layer: dict[str, np.ndarray] = {}
-        meta: dict[str, dict] = {}
-        for lab in labels:
-            rhs = -0.5 * np.concatenate([log_high[lab], np.log(low_values[lab])])
-            fit = nnls(plan.s_fit[lab], rhs, inv_gram=plan.inv_gram.get(lab))
-            per_layer[lab] = fit.lambdas
-            meta[lab] = {
+    fitted: dict[str, dict[str, np.ndarray]] = {p: {} for p in pipelines}
+    fit_meta: dict[str, dict[str, dict]] = {p: {} for p in pipelines}
+    # One float64 copy of each layer's S per call, shared by the pipelines'
+    # fits, so that nnls multiplies by BLAS.  The buffer lives for this call
+    # only: the allocator reuses it from call to call.
+    rows = max((len(plan.s_fit[lab]) for lab in labels), default=0)
+    workspace = np.empty((rows, len(plan.generators)))
+    for lab in labels:
+        s = plan.s_fit[lab]
+        a = workspace[: len(s)]
+        np.copyto(a, s)
+        log_high = np.log(np.clip(records.high[lab], 1e-12, None))
+        for pipeline in pipelines:
+            rhs = -0.5 * np.concatenate([log_high, np.log(rhs_low[pipeline][lab])])
+            fit = nnls(a, rhs, inv_gram=plan.inv_gram.get(lab))
+            fitted[pipeline][lab] = fit.lambdas
+            fit_meta[pipeline][lab] = {
                 "residual_norm": fit.residual_norm,
                 "kkt_residual": fit.kkt_residual,
                 "iterations": fit.iterations,
             }
-        fitted[pipeline] = per_layer
-        fit_meta[pipeline] = meta
-        delta[pipeline] = distance_metrics(models, per_layer)
+    delta = {pipeline: distance_metrics(models, fitted[pipeline]) for pipeline in pipelines}
     ratio = None
     if "conventional" in delta and "mlcb" in delta and delta["conventional"] > 0:
         ratio = delta["mlcb"] / delta["conventional"]

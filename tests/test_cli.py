@@ -5,13 +5,15 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclebench.cli import EXIT_CONFIG, EXIT_RANK, _plan, main, parse_config
+from cyclebench import cli
+from cyclebench.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_RANK, _plan, main, parse_config
 from cyclebench.exactla import rank_checked
 from cyclebench.learnability import orbit_learnables, product_rows
 from cyclebench.pauli import PauliString
@@ -315,6 +317,61 @@ def test_pec_fuzz_on_drawn_topologies(cfg):
             assert np.all(np.isfinite(values)) and np.all(values > 0)
 
 
+_NOISE = st.sampled_from([-1, 0, 1e-4, 1e-2, math.nan, math.inf, 1e200])
+_PIPELINES = st.sampled_from([
+    ["conventional", "mlcb"], ["mlcb", "conventional"], ["mlcb"], ["conventional"],
+    "mlcb", [], ["foo"], ["mlcb", "mlcb"],
+])
+
+
+@st.composite
+def drawn_command_configs(draw):
+    """A 2-4 qubit topology on a random subset of qubit pairs with 1-3 CZ
+    layers on its edges, and drawn seed, noise widths and pipelines."""
+    n = draw(st.integers(2, 4))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    layers = []
+    for i in range(draw(st.integers(1, 3))):
+        cz, used = [], set()
+        for a, b in draw(st.permutations(edges)):
+            if a not in used and b not in used and draw(st.booleans()):
+                cz.append([a, b])
+                used.update((a, b))
+        layers.append({"label": f"L{i}", "cz": cz})
+    return {
+        "topology": {"n": n, "edges": [list(e) for e in edges]},
+        "layers": layers,
+        "baseline": draw(st.sampled_from(["unit_depth", "symmetry"])),
+        "seed": draw(st.integers(-3, 50)),
+        "sigma": draw(_NOISE),
+        "sigma_prime": draw(_NOISE),
+        "pipelines": draw(_PIPELINES),
+        "models": draw(st.integers(1, 2)),
+        "parallel": 1,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cfg=drawn_command_configs(),
+    command=st.sampled_from(["generate-model", "learnability", "characterize", "fit"]),
+)
+def test_every_command_fuzz_exits_cleanly(cfg, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = dict(cfg, out=os.path.join(tmp, "out"))
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", path])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().count("\n") == 1
+
+
 class TestErrors:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["fit", "--config", str(tmp_path / "nope.json")]) == 2
@@ -338,6 +395,101 @@ class TestErrors:
         _, raw = write_config(tmp_path, topology="square2x2", **{field: 2.0})
         value = getattr(parse_config(raw), field)
         assert value == 2 and type(value) is int
+
+    @pytest.mark.parametrize("command", ["generate-model", "learnability", "characterize", "fit", "pec"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        for extra, argv in (({"seed": -1}, []), ({}, ["--seed", "-1"])):
+            path, _ = write_config(tmp_path, topology="square2x2", **extra)
+            assert main([command, "--config", str(path), *argv]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: seed") and err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["sigma", "sigma_prime"])
+    @pytest.mark.parametrize("value", [-1, -1e-4, math.nan, math.inf, "0.1", True])
+    def test_invalid_noise_rejected(self, tmp_path, capsys, field, value):
+        # A negative or NaN width ran noiseless, an infinite one printed garbage.
+        path, _ = write_config(tmp_path, topology="square2x2", **{field: value})
+        assert main(["fit", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field} must be") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "value", ["mlcb", ["foo"], [], ["mlcb", "mlcb"], [["mlcb"]], None],
+        ids=["string", "unknown", "empty", "repeated", "nested", "null"],
+    )
+    def test_invalid_pipelines_rejected(self, tmp_path, capsys, value):
+        path, _ = write_config(tmp_path, topology="square2x2", pipelines=value)
+        assert main(["fit", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pipelines") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_single_pipeline_fits(self, tmp_path):
+        path, _ = write_config(tmp_path, topology="square2x2", pipelines=["mlcb"])
+        assert main(["fit", "--config", str(path)]) == 0
+        with open(tmp_path / "out" / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert all(math.isnan(float(r["delta_c"])) and float(r["delta_m"]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_parallel_below_one_rejected(self, tmp_path, capsys, value):
+        path, _ = write_config(tmp_path, topology="square2x2")
+        runs = (
+            ["fit", "--config", str(path), "--parallel", str(value)],
+            ["repro", "fig5a", "--out", str(tmp_path / "out"), "--models", "1",
+             "--parallel", str(value)],
+        )
+        for argv in runs:
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: parallel") and err.count("\n") == 1
+        path, _ = write_config(tmp_path, topology="square2x2", parallel=value)
+        assert main(["fit", "--config", str(path)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_starts_at_most_models_workers(self, tmp_path, monkeypatch):
+        # A stand-in pool records its size and maps in this process.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        for models, parallel, want in ((2, 64, [2]), (1, 64, []), (3, 2, [2])):
+            sizes.clear()
+            path, _ = write_config(tmp_path, topology="square2x2", models=models)
+            assert main(["fit", "--config", str(path), "--parallel", str(parallel)]) == 0
+            assert sizes == want
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e308])
+    @pytest.mark.parametrize("command", ["characterize", "fit", "pec"])
+    def test_huge_noise_ends_cleanly(self, tmp_path, capsys, sigma, command):
+        # Records far outside (0, 1] fit or end in a numerical failure (a
+        # width of 1e308 overflows to infinite records), never in a traceback.
+        path, _ = write_config(tmp_path, topology="square2x2", sigma=sigma, sigma_prime=sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, EXIT_NUMERIC)
+        if code:
+            assert err.startswith("numerical failure: non-finite noisy record on layer")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
 
     # One CZ and an S gate on an idle qubit: no low-accuracy row constrains
     # the S qubit's X and Y directions, so the fit matrix has rank 42 of 48.

@@ -151,6 +151,17 @@ class TestRefineUnlearnable:
                 errs.append(refined[0] - f)
             assert np.std(errs) == pytest.approx(1e-3 / np.sqrt(l), rel=0.1)
 
+    def test_extreme_ratios_stay_finite(self):
+        # The factors 1, 1e300, 1e600 overflow as floats; scaled by a power
+        # of two they give the least-squares values, and no warning.
+        refined = refine_unlearnable([0.9, 0.8, 0.7], [1e-300, 1e-300])
+        assert all(np.isfinite(refined))
+        assert refined[2] == pytest.approx(0.7, rel=1e-12)
+        assert refined[1] == pytest.approx(0.7e-300, rel=1e-12)
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                refine_unlearnable([0.9, 0.9], [bad])
+
     def test_ratio_count_checked(self):
         with pytest.raises(ValueError):
             refine_unlearnable([0.9, 0.9], [1.0, 1.0])

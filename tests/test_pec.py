@@ -262,17 +262,29 @@ class TestSampleCircuit:
             sample_circuit(self.layers, 0, 2, [np.random.default_rng(0)])
 
     def test_matches_scalar_draws(self):
-        toy = {"B": CliffordLayer(3, ((0, 1),), (), "B")}
-        for layers, j_layers, weights in ((self.layers, 40, (0, 2, 20)), (toy, 7, (0, 1, 3))):
+        # One bounded draw below B = lcm(L, 24) per circuit (B = 24 for
+        # L = 1, 2, 3, 4; 120 for 5; 264 for 11) reproduces one scalar draw
+        # per slot, and leaves every generator in the same state.
+        cases = [(self.layers, 40, (0, 2, 20))]
+        for n_layers in (1, 2, 3, 5, 11):
+            layers = {
+                f"L{i:02d}": CliffordLayer(3, ((0, 1),) if i % 2 else (), (), f"L{i:02d}")
+                for i in range(n_layers)
+            }
+            cases.append((layers, 7, (0, 1, 3)))
+        for layers, j_layers, weights in cases:
             n = layers[next(iter(layers))].n
             for w in weights:
                 seeds = range(60)
-                batch = sample_circuit(layers, j_layers, w, [np.random.default_rng(s) for s in seeds])
+                rngs = [np.random.default_rng(s) for s in seeds]
+                batch = sample_circuit(layers, j_layers, w, rngs)
                 for c, s in enumerate(seeds):
-                    base, gates, final = scalar_sample(layers, j_layers, w, np.random.default_rng(s))
+                    rng = np.random.default_rng(s)
+                    base, gates, final = scalar_sample(layers, j_layers, w, rng)
                     assert np.array_equal(batch.base[c], base)
                     assert np.array_equal(batch.gates[c], gates.reshape(j_layers, n))
                     assert np.array_equal(batch.final[c], final)
+                    assert rngs[c].bit_generator.state == rng.bit_generator.state
 
 
 @st.composite

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import cyclebench
 
-from cyclebench import pipeline
+from cyclebench import fitting, pipeline
 from cyclebench.fitting import RankDeficientError, nnls
 from cyclebench.layers import CATALOG, CliffordLayer
 from cyclebench.pauli import PauliString
@@ -137,8 +138,8 @@ class TestPlan:
         assert cached_plan(topo, list(with_sq)) is first
 
     def test_fit_rows_are_compact_overlap_sums(self, plan):
-        # int8 and C-contiguous: nnls and the noisy-record einsums read the
-        # rows in place, never through a float copy.
+        # int8 and C-contiguous: the noisy-record einsums read the rows in
+        # place, and each fit call copies them once into its float workspace.
         gens = plan.generators
         for lab in plan.labels:
             high, low = plan.s_high[lab], plan.s_low[lab]
@@ -302,6 +303,79 @@ class TestPlanRatioArrays:
         for baseline in ("unit_depth", "symmetry"):
             sweep_item(fig6_plan, 3, 0, 1e-4, 1e-2, baseline)
         assert calls == []
+
+
+class TestFitWorkspace:
+    @pytest.mark.parametrize("baseline", ["unit_depth", "symmetry"])
+    def test_fits_equal_nnls_on_the_int8_matrix(self, fig6_plan, baseline):
+        # The per-call float workspace changes only where S is read from.
+        plan = fig6_plan
+        rng = model_rng(11, 2)
+        models = generate_models(plan, rng)
+        result = characterize_and_fit(plan, models, 1e-4, 1e-2, baseline, rng)
+        rng = model_rng(11, 2)
+        generate_models(plan, rng)
+        records = noisy_records(plan, models, 1e-4, 1e-2, baseline, rng)
+        lows = {
+            "conventional": records.low,
+            "mlcb": _refined_low(plan, records.low, estimate_mu(plan, records)),
+        }
+        for pipe, low in lows.items():
+            for lab in plan.labels:
+                s = plan.s_fit[lab]
+                assert s.dtype == np.int8
+                rhs = -0.5 * np.concatenate([
+                    np.log(np.clip(records.high[lab], 1e-12, None)), np.log(low[lab]),
+                ])
+                want = nnls(s, rhs, inv_gram=plan.inv_gram[lab])
+                got = result.fitted[pipe][lab]
+                assert np.max(np.abs(got - want.lambdas)) <= 1e-12
+                assert result.fit_meta[pipe][lab]["kkt_residual"] <= 1e-10
+                assert want.kkt_residual <= 1e-10
+
+    def test_sweep_item_makes_no_einsum_calls_in_fitting(self, fig6_plan, monkeypatch):
+        # Every product in nnls is a BLAS call on the float workspace.
+        calls = []
+
+        class CountingNumpy(types.ModuleType):
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def einsum(*args, **kwargs):
+                calls.append(args[0])
+                return np.einsum(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "np", CountingNumpy("numpy"))
+        for baseline in ("unit_depth", "symmetry"):
+            _, result = sweep_item(fig6_plan, 3, 0, 1e-4, 1e-2, baseline)
+            assert all(
+                meta["kkt_residual"] <= 1e-10
+                for per_layer in result.fit_meta.values() for meta in per_layer.values()
+            )
+        assert calls == []
+
+
+class TestNonFiniteRecords:
+    def test_non_finite_mu_hat_is_unmeasured(self, small_plan):
+        rng = model_rng(8, 0)
+        models = generate_models(small_plan, rng)
+        records = noisy_records(small_plan, models, 1e-4, 1e-3, "unit_depth", rng)
+        ratio = records.ratio_products.copy()
+        ratio[:3] = (np.inf, np.nan, 1e300)
+        got = estimate_mu(small_plan, dataclasses.replace(records, ratio_products=ratio))
+        entries = small_plan.mu_entries
+        assert (entries[0].qubit, entries[0].pair) not in got
+        assert (entries[1].qubit, entries[1].pair) not in got
+        assert all(np.isfinite(v) and v > 0 for v in got.values())
+        assert len(got) >= len(entries) - 3
+
+    def test_non_finite_record_names_the_layer(self, small_plan):
+        rng = model_rng(8, 0)
+        models = generate_models(small_plan, rng)
+        # Normal draws of width 1e308 overflow to infinity.
+        with pytest.raises(RuntimeError, match="non-finite noisy record on layer"):
+            characterize_and_fit(small_plan, models, 1e308, 0.0, "unit_depth", rng)
 
 
 def scalar_mu_hat(plan, records):
