@@ -10,14 +10,12 @@ from .layers import (
     SingleQubitClifford,
     chain_decomposition,
     conjugate,
-    orbit,
 )
 from .topology import Topology, four_layer_config, garnet20, square_lattice
 from .spl import (
     GeneratorSet,
     RandomModelParams,
     SplModel,
-    fidelity,
     random_model,
 )
 from .learnability import (

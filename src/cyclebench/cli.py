@@ -184,15 +184,13 @@ def _check_layers(layers: list[CliffordLayer], topo: Topology) -> None:
 
 
 def _parse_layer(spec: dict, n: int) -> CliffordLayer:
-    sq = tuple(
-        (int(q), CATALOG[name]) for q, name in spec.get("sq", {}).items()
-    )
-    return CliffordLayer(
-        int(spec.get("n", n)),
-        tuple(tuple(p) for p in spec.get("cz", ())),
-        sq,
-        spec.get("label", ""),
-    )
+    # Every layer acts on the topology's n qubits.
+    sq = spec.get("sq", {}) if isinstance(spec, dict) else None
+    if not isinstance(sq, dict) or not isinstance(spec.get("label", ""), str):
+        raise ConfigError(f'layer {spec!r} is not an object with a string "label" and "sq" object')
+    gates = tuple((int(q), CATALOG[name]) for q, name in sq.items())
+    cz = tuple(tuple(p) for p in spec.get("cz", ()))
+    return CliffordLayer(n, cz, gates, spec.get("label", ""))
 
 
 def _write_json(path, payload) -> None:
@@ -404,6 +402,8 @@ def _check_pec(cfg: RunConfig) -> None:
     # Only `pec` reads these fields; the seed key of each circuit bounds
     # circuits and weights (pec.pec_sweep).
     _check_models(cfg)
+    if not cfg.layers:
+        raise ConfigError("pec draws circuits from the layers, and there are none")
     if not 1 <= cfg.circuits <= MAX_CIRCUITS:
         raise ConfigError(f"circuits must be in [1, {MAX_CIRCUITS}], got {cfg.circuits}")
     if not 1 <= cfg.j_layers <= MAX_J_LAYERS:

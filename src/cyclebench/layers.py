@@ -1,11 +1,14 @@
-"""Clifford layers (parallel CZ gates plus single-qubit Cliffords) and their
-conjugation action on Pauli strings, orbits and chain decomposition of
+"""Clifford layers (parallel CZ gates plus single-qubit Cliffords), their
+conjugation action on one signed Pauli string (`conjugate`) and on arrays
+of unsigned digits x + 2z (every propagation), and chain decomposition of
 CZ-only layer pairs."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .pauli import PauliString
 
@@ -102,6 +105,18 @@ def all_single_qubit_cliffords() -> tuple[SingleQubitClifford, ...]:
     return tuple(out)
 
 
+def _digit_images(gate: SingleQubitClifford) -> list[int]:
+    """The digit of each digit's image under `gate`, sign dropped."""
+    return [nx + 2 * nz for _, nx, nz in (gate.table[d & 1, d >> 1] for d in range(4))]
+
+
+# (24, 4) uint8: row g maps a digit x + 2z to that of its conjugation by
+# `all_single_qubit_cliffords()[g]` (SQ_DIGITS) or by its inverse
+# (SQ_INVERSE_DIGITS), sign dropped.
+SQ_DIGITS = np.array([_digit_images(g) for g in all_single_qubit_cliffords()], dtype=np.uint8)
+SQ_INVERSE_DIGITS = np.argsort(SQ_DIGITS, axis=1).astype(np.uint8)
+
+
 @dataclass(frozen=True)
 class CliffordLayer:
     """A layer of non-overlapping gates: CZ pairs plus single-qubit Cliffords.
@@ -137,18 +152,6 @@ class CliffordLayer:
         qs = {q for pair in self.cz_pairs for q in pair}
         qs.update(q for q, _ in self.sq_gates)
         return frozenset(qs)
-
-    def gate_of(self, qubit: int) -> tuple[int, int] | None:
-        for pair in self.cz_pairs:
-            if qubit in pair:
-                return pair
-        return None
-
-    def partner(self, qubit: int) -> int | None:
-        pair = self.gate_of(qubit)
-        if pair is None:
-            return None
-        return pair[0] if pair[1] == qubit else pair[1]
 
     def is_cz_only(self) -> bool:
         return not self.sq_gates
@@ -203,29 +206,48 @@ def conjugate_inverse(layer: CliffordLayer, p: PauliString) -> PauliString:
     return conjugate(CliffordLayer(layer.n, layer.cz_pairs, ()), p)
 
 
-def orbit(
-    layer: CliffordLayer,
-    p: PauliString,
-    dressing: CliffordLayer | None = None,
-) -> list[PauliString]:
-    """Unsigned strings reached by repeated conjugation, in visit order.
+def cz_partners(layers, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(partner, paired), both (len(layers), n): partner[i, q] is the qubit
+    a CZ of layers[i] joins to q (q itself when none), and paired[i, q] is 2
+    where there is one, else 0.  The CZ part of layer i, which is its own
+    inverse, maps digits p to p ^ ((p[partner[i]] << 1) & paired[i]), that
+    is z_q ^= x_partner(q)."""
+    partner = np.tile(np.arange(n), (len(layers), 1))
+    paired = np.zeros((len(layers), n), dtype=np.uint8)
+    for i, layer in enumerate(layers):
+        for a, b in layer.cz_pairs:
+            partner[i, a], partner[i, b] = b, a
+            paired[i, [a, b]] = 2
+    return partner, paired
 
-    With a dressing D the repeated map is P -> D (C P C^) D^, the action of
-    the dressed layer executed once per cycle.
-    """
-    start = p.unsigned()
-    out = [start]
-    seen = {start.key()}
+
+def digit_orbits(
+    layer: CliffordLayer, strings: np.ndarray, dressings=(None,)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the (R, n) digit rows `strings` under the cycle map
+    P -> D (C P C^) D^ of `layer` C and each dressing D in `dressings`
+    (None for none), all rows advancing together until each is back at its
+    start: (path, length), (M, D R, n) and (D R,), where row d R + r
+    follows strings[r] under dressings[d] and orbit i, in visit order, is
+    path[:length[i], i]."""
+    start = np.tile(strings, (len(dressings), 1))
+    (partner,), (paired,) = cz_partners([layer], layer.n)
+    # Per dressing, qubit and digit: the image under both single-qubit parts.
+    tables = np.tile(np.arange(4, dtype=np.uint8), (len(dressings), layer.n, 1))
+    for d, dressing in enumerate(dressings):
+        for q, gate in layer.sq_gates + (dressing.sq_gates if dressing else ()):
+            tables[d, q] = np.take(_digit_images(gate), tables[d, q])
+    # Flat index of (dressing d, qubit q, digit 0) for row d R + r.
+    offsets = np.repeat(4 * np.arange(tables.size // 4).reshape(-1, layer.n), len(strings), axis=0)
+    tables = tables.ravel()
+    path, length = [start], np.zeros(len(start), dtype=np.intp)
     cur = start
-    while True:
-        cur = conjugate(layer, cur)
-        if dressing is not None:
-            cur = conjugate(dressing, cur)
-        cur = cur.unsigned()
-        if cur.key() in seen:
-            return out
-        seen.add(cur.key())
-        out.append(cur)
+    while not length.all():
+        cur = cur ^ ((cur[:, partner] << 1) & paired)
+        cur = tables.take(offsets + cur)
+        length[(length == 0) & (cur == start).all(axis=1)] = len(path)
+        path.append(cur)
+    return np.stack(path[:-1]), length
 
 
 @dataclass(frozen=True)

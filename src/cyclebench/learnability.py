@@ -18,8 +18,8 @@ from math import gcd, lcm
 import numpy as np
 
 from . import exactla
-from .layers import Chain, CliffordLayer, conjugate, orbit, s_dressing
-from .pauli import PauliString, digits
+from .layers import Chain, CliffordLayer, conjugate, digit_orbits, s_dressing
+from .pauli import PauliString, digits, from_digits
 from .spl import GeneratorSet, SplModel
 from .topology import Topology
 
@@ -102,9 +102,12 @@ class LambdaSpace:
         wide = sum(map(abs, weights)) >= 2**63
         out = np.zeros(self.dim, dtype=object if wide else np.int64)
         off = self.offsets()
-        for (lab, p, _), w in zip(fn.terms, weights):
+        for lab in dict.fromkeys(lab for lab, _, _ in fn.terms):
             gens = self.generators[lab]
-            out[off[lab] : off[lab] + len(gens)] += w * gens.overlaps(p).astype(out.dtype)
+            idx = [i for i, (l, _, _) in enumerate(fn.terms) if l == lab]
+            rows = gens.digit_overlaps(digits([fn.terms[i][1] for i in idx], gens.topology.n))
+            w = np.array([weights[i] for i in idx], dtype=out.dtype)
+            out[off[lab] : off[lab] + len(gens)] += w @ rows.astype(out.dtype)
         return out // gcd(den, int(np.gcd.reduce(out)))
 
 
@@ -124,29 +127,33 @@ class LearnableProduct:
         return (self.label, frozenset(p.key() for p in self.strings))
 
 
-def orbit_learnables(
-    layer: CliffordLayer, generators: GeneratorSet, dressings="auto"
-) -> list[LearnableProduct]:
+def orbit_learnables(layer: CliffordLayer, generators: GeneratorSet) -> list[LearnableProduct]:
     """Orbit products for every generator string, including interleaved
-    variants (S on every gate qubit), deduplicated."""
-    if dressings == "auto":
-        dressings = [None]
-        if layer.cz_pairs:
-            dressings.append(s_dressing(layer))
-    out: list[LearnableProduct] = []
-    seen = set()
-    for dressing in dressings:
-        source = "standard" if dressing is None else "dressed"
-        for alpha in generators.strings:
-            orb = orbit(layer, alpha, dressing)
-            prod = LearnableProduct(
-                layer.label, tuple(sorted(orb, key=lambda p: p.key())), source
+    variants (S on every gate qubit), deduplicated, from one `digit_orbits`
+    pass: each product is kept at its first orbit (standard before dressed,
+    then generator order), its strings sorted by (x_bits, z_bits)."""
+    dressings = [None, s_dressing(layer)] if layer.cz_pairs else [None]
+    n = layer.n
+    path, length = digit_orbits(layer, digits(generators.strings, n), dressings)
+    flat = path.reshape(-1, n)
+    # Rank the strings in (x_bits, z_bits) order, equal strings equally:
+    # lexsort's last key, the x bit of the highest qubit, leads.
+    order = np.lexsort(np.vstack([flat.T >> 1, flat.T & 1]))
+    new = np.r_[True, (flat[order[1:]] != flat[order[:-1]]).any(axis=1)]
+    rank = np.empty(len(flat), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    rank = rank.reshape(len(path), -1)
+    by_rank = from_digits(flat[order[new]], n)
+    products: dict[tuple, LearnableProduct] = {}
+    for i, size in enumerate(length):
+        key = tuple(sorted(rank[:size, i].tolist()))
+        if key not in products:
+            products[key] = LearnableProduct(
+                layer.label,
+                tuple(by_rank[r] for r in key),
+                "standard" if i < len(generators) else "dressed",
             )
-            if prod.key() in seen:
-                continue
-            seen.add(prod.key())
-            out.append(prod)
-    return out
+    return list(products.values())
 
 
 def product_rows(generators: GeneratorSet, products) -> np.ndarray:

@@ -129,6 +129,15 @@ def digits(strings, n: int) -> np.ndarray:
     return bits(p.x_bits for p in strings) + 2 * bits(p.z_bits for p in strings)
 
 
+def from_digits(rows: np.ndarray, n: int) -> list[PauliString]:
+    """The unsigned strings of (R, n) digit rows; inverse of `digits`."""
+    xs, zs = (np.packbits(bits, axis=1, bitorder="little") for bits in (rows & 1, rows >> 1))
+    return [
+        PauliString(n, int.from_bytes(x.tobytes(), "little"), int.from_bytes(z.tobytes(), "little"))
+        for x, z in zip(xs, zs)
+    ]
+
+
 def symplectic_inner(a: PauliString, b: PauliString) -> int:
     """0 if the two Paulis commute, 1 if they anticommute."""
     if a.n != b.n:

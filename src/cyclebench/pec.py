@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import CliffordLayer, all_single_qubit_cliffords
+from .layers import SQ_INVERSE_DIGITS, CliffordLayer, all_single_qubit_cliffords, cz_partners
 from .pipeline import CharacterizationPlan, characterize_and_fit, generate_models, model_rng
 from .spl import GeneratorSet, SplModel
 
@@ -29,19 +29,6 @@ from .spl import GeneratorSet, SplModel
 MAX_CIRCUITS = 1000
 MAX_KEY_WEIGHT = 100
 
-
-def _sq_inverse_table() -> np.ndarray:
-    """(24, 4) digits: row g maps each digit to its conjugation by the
-    inverse of `all_single_qubit_cliffords()[g]`, sign dropped."""
-    group = all_single_qubit_cliffords()
-    table = np.zeros((len(group), 4), dtype=np.uint8)
-    for g, gate in enumerate(group):
-        for (x, z), (_, nx, nz) in gate.table.items():
-            table[g, nx + 2 * nz] = x + 2 * z
-    return table
-
-
-_SQ_INVERSE = _sq_inverse_table()
 
 # Digit of the Pauli that letter index 0, 1, 2 (X, Y, Z) of the final
 # string draw stands for.
@@ -70,19 +57,15 @@ class CircuitBatch:
         Each step undoes the single-qubit part and then the self-inverse CZ
         part, z_q ^= x_partner(q) on every paired qubit, each as one flat
         `take`: the gates are stored once per batch as 4 g in (J, C, n)
-        order, so 4 g + digit indexes the flattened (24, 4) inverse table,
-        and the partner digits are read at flat indices c n + partner(q).
+        order, so 4 g + digit indexes the flattened
+        `layers.SQ_INVERSE_DIGITS`, and the partner digits of
+        `layers.cz_partners` are read at flat indices c n + partner(q).
         """
         c_count, n = self.final.shape
-        partner = np.tile(np.arange(n), (len(self.layers), 1))
-        paired = np.zeros((len(self.layers), n), dtype=np.uint8)
-        for i, layer in enumerate(self.layers):
-            for a, b in layer.cz_pairs:
-                partner[i, a], partner[i, b] = b, a
-                paired[i, [a, b]] = 2  # selects the partner's x bit, shifted onto z
+        partner, paired = cz_partners(self.layers, n)
         g4 = np.ascontiguousarray(self.gates.transpose(1, 0, 2)) << 2  # at most 92
         row_offsets = np.arange(0, c_count * n, n)[:, None]
-        sq_inverse = _SQ_INVERSE.ravel()
+        sq_inverse = SQ_INVERSE_DIGITS.ravel()
         p = self.final
         for j in range(self.base.shape[1] - 1, -1, -1):
             p = sq_inverse.take(g4[j] | p)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fitting import RankDeficientError, distance_metrics, nnls, refine_unlearnable
-from .layers import CliffordLayer, chain_decomposition
+from .layers import CliffordLayer, chain_decomposition, cz_partners
 from .learnability import (
     LearnableProduct,
     MuExpression,
@@ -108,19 +108,15 @@ def build_plan(
         key_index[lab] = {prod.key()[1]: i for i, prod in enumerate(prods)}
         qubits = sorted(q for pair in layer.cz_pairs for q in pair)
         low_qubits[lab] = qubits
-        lrows = np.zeros((len(qubits), len(gens)), dtype=np.int8)
-        sym = []
-        for i, q in enumerate(qubits):
-            alpha = PauliString.single(topology.n, q, "X")
-            lrows[i] = gens.overlaps(alpha)
-            # The standard orbit product containing this single fidelity.
-            orbit_key = frozenset(
-                {alpha.key(), conjugate_key(layer, alpha)}
-            )
-            sym.append(key_index[lab][orbit_key])
+        singles = [PauliString.single(topology.n, q, "X") for q in qubits]
+        lrows = gens.digit_overlaps(digits(singles, topology.n))
+        # Standard orbits are disjoint: each single fidelity lies in one.
+        standard = {
+            s.key(): i for i, p in enumerate(prods) if p.source == "standard" for s in p.strings
+        }
+        symmetry_row[lab] = [standard[alpha.key()] for alpha in singles]
         stacked = s_fit[lab] = np.vstack([rows, lrows])
         s_high[lab], s_low[lab] = stacked[: len(rows)], stacked[len(rows) :]
-        symmetry_row[lab] = sym
         # Integer entries far below 2**53, so the float product is exact.
         floats = stacked.astype(float)
         g = floats.T @ floats
@@ -173,13 +169,14 @@ def build_plan(
                 )
     ratio_rows, mu_refs = _ratio_arrays(gens, layers, mu_entries)
     low_clusters = []
+    partner, _ = cz_partners(layers, topology.n)
     for q in range(topology.n):
-        covering = tuple(layer for layer in layers if q in layer.support())
+        covering = [i for i, layer in enumerate(layers) if q in layer.support()]
         if len(covering) > 1:
             low_clusters.append((
                 q,
-                tuple(layer.label for layer in covering),
-                tuple(low_qubits[layer.label].index(layer.partner(q)) for layer in covering),
+                tuple(layers[i].label for i in covering),
+                tuple(low_qubits[layers[i].label].index(partner[i, q]) for i in covering),
             ))
     return CharacterizationPlan(
         topology=topology,
@@ -248,12 +245,6 @@ def null_generators(gram: np.ndarray, gens: GeneratorSet) -> tuple[int, list[str
     weight = np.square(vecs[:, : len(gram) - rank]).sum(axis=1)
     order = np.argsort(-weight, kind="stable")
     return rank, [gens.strings[i].label() for i in order if weight[i] > 1e-9]
-
-
-def conjugate_key(layer: CliffordLayer, p: PauliString):
-    from .layers import conjugate
-
-    return conjugate(layer, p).unsigned().key()
 
 
 def covering_pairs(topology: Topology, layers: list[CliffordLayer]):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import CliffordLayer
-from .pauli import PauliString, symplectic_inner
+from .pauli import PauliString, digits
 from .topology import Topology
 
 _LETTERS = ("X", "Y", "Z")
@@ -42,14 +42,6 @@ class GeneratorSet:
         object.__setattr__(
             self, "_index", {p.key(): i for i, p in enumerate(self.strings)}
         )
-        # Bit masks as arrays for vectorized symplectic products (n <= 63).
-        if self.topology.n <= 63:
-            xs = np.array([p.x_bits for p in self.strings], dtype=np.int64)
-            zs = np.array([p.z_bits for p in self.strings], dtype=np.int64)
-        else:
-            xs = zs = None
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_zs", zs)
         object.__setattr__(self, "_activity", {})
 
     def _build(self) -> tuple[PauliString, ...]:
@@ -73,16 +65,14 @@ class GeneratorSet:
         return self._index[p.key()]
 
     def overlaps(self, alpha: PauliString) -> np.ndarray:
-        """Vector of symplectic products <alpha, kappa> over the whole set."""
-        if self._xs is not None:
-            acomm = (
-                np.bitwise_count(self._xs & alpha.z_bits)
-                + np.bitwise_count(self._zs & alpha.x_bits)
-            ) & 1
-            return acomm.astype(np.int8)
-        return np.array(
-            [symplectic_inner(alpha, k) for k in self.strings], dtype=np.int8
-        )
+        """Vector of symplectic products <alpha, kappa> over the whole set,
+        read from `site_tables` at alpha's digits on each site."""
+        if alpha.n != self.topology.n:
+            raise ValueError(f"dimension mismatch: {alpha.n} != {self.topology.n}")
+        sites, site_of, ov16 = self.site_tables
+        p = digits([alpha], alpha.n)[0]
+        codes = p[sites[:, 0]] | (p[sites[:, 1]] << 2)
+        return ov16[codes[site_of], np.arange(len(self))]
 
     @functools.cached_property
     def support_masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,10 +183,6 @@ class SplModel:
     def load(cls, path) -> "SplModel":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def fidelity(model: SplModel, alpha: PauliString) -> float:
-    return model.fidelity(alpha)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cyclebench import cli
 from cyclebench.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_RANK, _plan, main, parse_config
 from cyclebench.exactla import rank_checked
+from cyclebench.layers import CATALOG
 from cyclebench.learnability import orbit_learnables, product_rows
 from cyclebench.pauli import PauliString
 from cyclebench.spl import GeneratorSet
@@ -214,6 +215,7 @@ class TestPecConfig:
             ("circuits", -3),
             ("circuits", 1001),
             ("models", 0),
+            ("layers", []),
         ],
     )
     def test_invalid_pec_fields_rejected(self, tmp_path, capsys, field, value):
@@ -326,8 +328,9 @@ _PIPELINES = st.sampled_from([
 
 @st.composite
 def drawn_command_configs(draw):
-    """A 2-4 qubit topology on a random subset of qubit pairs with 1-3 CZ
-    layers on its edges, and drawn seed, noise widths and pipelines."""
+    """A 2-4 qubit topology on a random subset of qubit pairs with 1-3
+    layers of CZ gates on its edges and single-qubit gates from the catalog
+    on drawn qubits, and drawn seed, noise widths and pipelines."""
     n = draw(st.integers(2, 4))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
@@ -338,7 +341,11 @@ def drawn_command_configs(draw):
             if a not in used and b not in used and draw(st.booleans()):
                 cz.append([a, b])
                 used.update((a, b))
-        layers.append({"label": f"L{i}", "cz": cz})
+        layer = {"label": f"L{i}", "cz": cz}
+        sq_qubits = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=2))
+        if sq_qubits:
+            layer["sq"] = {str(q): draw(st.sampled_from(sorted(CATALOG))) for q in sq_qubits}
+        layers.append(layer)
     return {
         "topology": {"n": n, "edges": [list(e) for e in edges]},
         "layers": layers,
@@ -370,6 +377,25 @@ def test_every_command_fuzz_exits_cleanly(cfg, command):
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().count("\n") == 1
+    # README: the commands that build a plan refuse single-qubit gates in a
+    # layer that shares a qubit with another layer.
+    layers = cfg["layers"]
+    builds_plan = command in ("characterize", "fit") or (
+        command == "learnability" and len(layers) > 1 and any(l["cz"] for l in layers)
+    )
+    if builds_plan and shares_sq_qubits(layers):
+        assert code == EXIT_CONFIG
+
+
+def shares_sq_qubits(layers) -> bool:
+    """Whether a layer with single-qubit gates shares a qubit with another layer."""
+    supports = [
+        {q for pair in l["cz"] for q in pair} | {int(q) for q in l.get("sq", {})} for l in layers
+    ]
+    return any(
+        l.get("sq") and supports[i] & supports[j]
+        for i, l in enumerate(layers) for j in range(len(layers)) if j != i
+    )
 
 
 class TestErrors:
@@ -531,8 +557,15 @@ class TestErrors:
         [
             [{"label": "A", "cz": [[0, 1]]}, {"label": "A", "cz": [[2, 3]]}],
             [{"label": "A", "cz": [[0, 3]]}],  # 0-3 is a diagonal of the square
+            ["A"],
+            [{"label": "A", "cz": [[0, 1]], "sq": ["S"]}],
+            [{"label": "A", "cz": [[0, 1]], "sq": "S"}],
+            [{"label": 5, "cz": [[0, 1]]}],
         ],
-        ids=["duplicate_labels", "cz_on_non_edge"],
+        ids=[
+            "duplicate_labels", "cz_on_non_edge", "layer_as_string", "sq_as_list",
+            "sq_as_string", "label_not_string",
+        ],
     )
     def test_silently_wrong_layers_rejected(self, tmp_path, capsys, layers):
         path, _ = write_config(tmp_path, topology="square2x2", layers=layers)
@@ -540,6 +573,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_layers_take_the_topology_qubit_count(self, tmp_path, capsys):
+        # A per-layer "n" is not part of the layer spec and is ignored; it
+        # used to end in a traceback when it differed from the topology's.
+        layers = [{"label": "A", "n": 3, "cz": [[0, 1]]}]
+        path, _ = write_config(tmp_path, topology="square2x2", layers=layers)
+        assert main(["generate-model", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        model = json.loads((tmp_path / "out" / "model_A.json").read_text())
+        assert len(model["lambdas"]) == 3 * 4 + 9 * 4
 
     # README's custom-layer form: an S gate in a layer that shares qubits
     # with another layer, which the ratio certificates cannot decompose.

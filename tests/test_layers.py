@@ -6,16 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from cyclebench.layers import (
     CATALOG,
+    SQ_DIGITS,
+    SQ_INVERSE_DIGITS,
     CliffordLayer,
     all_single_qubit_cliffords,
     chain_decomposition,
     conjugate,
     conjugate_inverse,
-    orbit,
+    cz_partners,
+    digit_orbits,
     s_dressing,
     sq_layer,
 )
-from cyclebench.pauli import PauliString, symplectic_inner
+from cyclebench.pauli import PauliString, digits, from_digits, symplectic_inner
 
 from test_pauli import pauli_matrix
 
@@ -110,6 +113,49 @@ class TestLayerValidation:
             conjugate(CZ, PauliString.identity(3))
 
 
+def orbit(layer, p, dressing=None):
+    """The unsigned strings of p's orbit, in visit order, from `digit_orbits`."""
+    path, length = digit_orbits(layer, digits([p], layer.n), (dressing,))
+    return from_digits(path[: length[0], 0], layer.n)
+
+
+def reference_orbit(layer, p, dressing=None):
+    """The same orbit from repeated `conjugate` calls."""
+    out = [p.unsigned()]
+    while True:
+        cur = conjugate(layer, out[-1])
+        if dressing is not None:
+            cur = conjugate(dressing, cur)
+        if cur.key() == out[0].key():
+            return out
+        out.append(cur.unsigned())
+
+
+class TestDigitTables:
+    def test_tables_match_conjugate(self):
+        for g, gate in enumerate(all_single_qubit_cliffords()):
+            layer = sq_layer(1, {0: gate})
+            for d in range(4):
+                image = conjugate(layer, PauliString(1, d & 1, d >> 1))
+                assert SQ_DIGITS[g, d] == image.x_bits + 2 * image.z_bits
+                assert SQ_INVERSE_DIGITS[g, SQ_DIGITS[g, d]] == d
+
+    def test_cz_partners(self):
+        layers = [CliffordLayer(4, ((0, 2),)), CliffordLayer(4, ((0, 1), (2, 3)))]
+        partner, paired = cz_partners(layers, 4)
+        assert partner.tolist() == [[2, 1, 0, 3], [1, 0, 3, 2]]
+        assert paired.tolist() == [[2, 0, 2, 0], [2, 2, 2, 2]]
+
+    @given(st.integers(0, 255), st.integers(0, 255))
+    @settings(max_examples=40)
+    def test_cz_rule_matches_conjugate(self, x, z):
+        layer = CliffordLayer(8, ((0, 3), (1, 2), (5, 7)))
+        (partner,), (paired,) = cz_partners([layer], 8)
+        p = digits([PauliString(8, x, z)], 8)
+        got = from_digits(p ^ ((p[:, partner] << 1) & paired), 8)[0]
+        assert got == conjugate(layer, PauliString(8, x, z)).unsigned()
+
+
 class TestOrbits:
     def test_zz_singleton(self):
         assert [p.label() for p in orbit(CZ, PauliString.from_label("ZZ"))] == ["ZZ"]
@@ -126,6 +172,36 @@ class TestOrbits:
         p = PauliString(2, x, z)
         # CZ-only layers square to the identity, so orbits have size 1 or 2.
         assert len(orbit(CZ, p)) in (1, 2)
+
+    def test_all_rows_and_dressings_at_once(self):
+        # Every two-qubit string under the bare and the S-dressed CZ, and
+        # under a layer with its own single-qubit gates, in one pass each.
+        strings = [PauliString(2, x, z) for x in range(4) for z in range(4)]
+        for layer, dressings in ((CZ, (None, s_dressing(CZ))), (CZ_S, (None, sq_layer(2, {1: "H"})))):
+            path, length = digit_orbits(layer, digits(strings, 2), dressings)
+            assert path.shape == (length.max(), len(dressings) * len(strings), 2)
+            for d, dressing in enumerate(dressings):
+                for r, p in enumerate(strings):
+                    i = d * len(strings) + r
+                    assert from_digits(path[: length[i], i], 2) == reference_orbit(layer, p, dressing)
+
+    @pytest.mark.parametrize("dressed", [False, True])
+    def test_seventy_qubit_line(self, dressed):
+        # Past the 63 qubits of an int64 mask: every weight-1 and weight-2
+        # local string of a CZ layer on a line, against `conjugate`.
+        n = 70
+        layer = CliffordLayer(n, tuple((q, q + 1) for q in range(0, n - 1, 2)), (), "L")
+        dressing = s_dressing(layer) if dressed else None
+        rng = np.random.default_rng(70)
+        strings = []
+        for q in map(int, rng.choice(n - 1, 12, replace=False)):
+            for la, lb in ((1, 0), (2, 0), (3, 1), (1, 3), (2, 2)):
+                x = (la & 1) << q | (lb & 1) << (q + 1)
+                z = (la >> 1) << q | (lb >> 1) << (q + 1)
+                strings.append(PauliString(n, x, z))
+        path, length = digit_orbits(layer, digits(strings, n), (dressing,))
+        for i, p in enumerate(strings):
+            assert from_digits(path[: length[i], i], n) == reference_orbit(layer, p, dressing)
 
     @given(st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=30)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cyclebench.layers import CATALOG, CliffordLayer, chain_decomposition
+from cyclebench.layers import CATALOG, CliffordLayer, chain_decomposition, conjugate, s_dressing
 from cyclebench.learnability import (
     FidelityFunction,
     LambdaSpace,
@@ -13,6 +13,7 @@ from cyclebench.learnability import (
     express_search,
     mlcb_targets,
     mu_expression,
+    LearnableProduct,
     orbit_learnables,
     pattern_transfer_unlearnable,
     product_rows,
@@ -32,6 +33,55 @@ def fn(label, *strings):
 def chain_topology(k, chain, extra):
     edges = tuple(chain["B"]) + tuple(chain["G"]) + tuple(extra)
     return Topology(k, edges)
+
+
+def reference_orbit_learnables(layer, gens):
+    """orbit_learnables string by string with `conjugate`: each generator's
+    orbit, standard then S-dressed, sorted by (x_bits, z_bits), the first
+    product of each string set kept."""
+    dressings = [None, s_dressing(layer)] if layer.cz_pairs else [None]
+    out, seen = [], set()
+    for dressing in dressings:
+        for alpha in gens.strings:
+            orbit = [alpha]
+            while True:
+                cur = conjugate(layer, orbit[-1])
+                if dressing is not None:
+                    cur = conjugate(dressing, cur)
+                if cur.key() == alpha.key():
+                    break
+                orbit.append(cur.unsigned())
+            prod = LearnableProduct(
+                layer.label,
+                tuple(sorted(orbit, key=lambda p: p.key())),
+                "standard" if dressing is None else "dressed",
+            )
+            if prod.key() not in seen:
+                seen.add(prod.key())
+                out.append(prod)
+    return out
+
+
+class TestOrbitLearnables:
+    @pytest.mark.parametrize("case", ["line70", "garnet20", "sq_gates"])
+    def test_matches_conjugate_reference(self, case):
+        # Same products, in the same order, with the same string order; the
+        # 70-qubit line is past the 63 qubits of an int64 mask.
+        if case == "line70":
+            topo = Topology(70, tuple((q, q + 1) for q in range(69)))
+            layers = [CliffordLayer(70, tuple((q, q + 1) for q in range(1, 69, 2)), (), "L")]
+        elif case == "garnet20":
+            topo = garnet20()
+            layers = four_layer_config(topo, "closed_squares")[:1]
+        else:
+            topo = square_lattice(2, 2)
+            layers = [
+                CliffordLayer(4, ((0, 1),), ((2, CATALOG["H"]), (3, CATALOG["SX"])), "A"),
+                CliffordLayer(4, (), ((0, CATALOG["S"]),), "B"),
+            ]
+        gens = GeneratorSet(topo)
+        for layer in layers:
+            assert orbit_learnables(layer, gens) == reference_orbit_learnables(layer, gens)
 
 
 class TestSingleCzAnalysis:

@@ -8,6 +8,8 @@ from cyclebench.pauli import (
     FidelityVector,
     PauliString,
     all_pauli_strings,
+    digits,
+    from_digits,
     inverse_walsh_hadamard,
     multiply,
     symplectic_inner,
@@ -59,6 +61,20 @@ class TestPauliString:
     def test_mask_guard(self):
         with pytest.raises(ValueError):
             PauliString(2, 0b100, 0)
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 70])
+    def test_digits_roundtrip(self, n):
+        rng = np.random.default_rng(n)
+        strings = [
+            PauliString(n, *(int.from_bytes(rng.bytes(9), "little") % (1 << n) for _ in "xz"))
+            for _ in range(12)
+        ]
+        rows = digits(strings, n)
+        assert rows.dtype == np.uint8 and rows.shape == (12, n)
+        assert rows[0].tolist() == [
+            ((strings[0].x_bits >> q) & 1) + 2 * ((strings[0].z_bits >> q) & 1) for q in range(n)
+        ]
+        assert from_digits(rows, n) == strings
 
 
 class TestSymplecticInner:

@@ -11,7 +11,6 @@ from cyclebench.spl import (
     GeneratorSet,
     RandomModelParams,
     SplModel,
-    fidelity,
     random_model,
 )
 from cyclebench.topology import Topology, garnet20, square_lattice
@@ -42,23 +41,30 @@ class TestGeneratorSet:
         assert len(gens) == 3 * 400 + 9 * 760
         assert abs(len(gens) / topo.n - 21.0) < 0.1 * 21
 
-    def test_overlaps_match_scalar(self):
+    @pytest.mark.parametrize("n", [3, 70])
+    def test_overlaps_match_scalar(self, n):
         from cyclebench.pauli import symplectic_inner
 
-        gens = GeneratorSet(line_topology(3))
+        gens = GeneratorSet(line_topology(n))
         rng = np.random.default_rng(3)
         for _ in range(20):
-            p = PauliString(3, int(rng.integers(8)), int(rng.integers(8)))
+            x, z = (int.from_bytes(rng.bytes(9), "little") % (1 << n) for _ in "xz")
+            p = PauliString(n, x, z)
             vec = gens.overlaps(p)
+            assert vec.dtype == np.int8
             for g, v in zip(gens.strings, vec):
                 assert v == symplectic_inner(p, g)
+
+    def test_overlaps_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            GeneratorSet(line_topology(3)).overlaps(PauliString.identity(4))
 
 
 class TestFidelity:
     def test_identity_is_one(self):
         topo = line_topology(2)
         model = SplModel("L", GeneratorSet(topo), np.full(3 * 2 + 9, 0.01))
-        assert fidelity(model, PauliString.identity(2)) == 1.0
+        assert model.fidelity(PauliString.identity(2)) == 1.0
 
     def test_single_qubit_x_rate(self):
         # K = {X, Y, Z} on one qubit; only lambda_X nonzero:
