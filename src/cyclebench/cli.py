@@ -32,6 +32,7 @@ from .pipeline import (
     generate_models,
     model_rng,
     noisy_records,
+    ratio_expressions,
     sweep_item,
 )
 from .spl import GeneratorSet, RandomModelParams, random_model
@@ -42,6 +43,9 @@ EXIT_RANK = 3
 EXIT_NUMERIC = 4
 
 PIPELINES = ("conventional", "mlcb")
+
+# Randomized orders per certificate search of every command's ratios.
+CERT_RETRIES = 8
 
 # A PEC batch holds one byte per circuit, step and qubit; this keeps a
 # 1000-circuit batch on garnet20 at 20 MB (the paper's circuits have 40).
@@ -199,7 +203,7 @@ def _write_json(path, payload) -> None:
         json.dump(payload, fh, indent=1)
 
 
-def _plan(cfg: RunConfig) -> CharacterizationPlan:
+def _check_shared_layers(cfg: RunConfig) -> None:
     # Ratio certificates decompose consecutive covering layers into CZ chains.
     pairs, _ = covering_pairs(cfg.topology, cfg.layers)
     by_label = {layer.label: layer for layer in cfg.layers}
@@ -209,7 +213,11 @@ def _plan(cfg: RunConfig) -> CharacterizationPlan:
                 f"layer {lab!r}: single-qubit gates (\"sq\") are not supported "
                 "in a layer that shares qubits with another layer"
             )
-    return cached_plan(cfg.topology, cfg.layers, seed=cfg.seed, retries=8)
+
+
+def _plan(cfg: RunConfig) -> CharacterizationPlan:
+    _check_shared_layers(cfg)
+    return cached_plan(cfg.topology, cfg.layers, seed=cfg.seed, retries=CERT_RETRIES)
 
 
 def cmd_generate_model(cfg: RunConfig) -> int:
@@ -255,24 +263,25 @@ def cmd_learnability(cfg: RunConfig) -> int:
         "reduction_fraction": recovered / total_unlearnable if total_unlearnable else 0.0,
     }
     if any(layer.cz_pairs for layer in cfg.layers) and len(cfg.layers) > 1:
-        plan = _plan(cfg)
+        _check_shared_layers(cfg)
+        expressions, _ = ratio_expressions(cfg.topology, cfg.layers, cfg.seed, CERT_RETRIES)
         report["mlcb"]["ratio_certificates"] = [
             {
                 "qubit": e.qubit,
                 "pair": list(e.pair),
-                "epsilon": str(e.expression.epsilon),
+                "epsilon": str(e.epsilon),
                 "measured_product": [
-                    [lab, p.label()] for lab, p in e.product_terms
+                    [lab, p.label()] for lab, p, _ in e.target.product.terms
                 ],
                 "learnable_terms": [
                     {
                         "coefficient": str(coeff),
                         "product": [[prod.label, s.label()] for s in prod.strings],
                     }
-                    for prod, coeff in e.expression.learnable_terms
+                    for prod, coeff in e.learnable_terms
                 ],
             }
-            for e in plan.mu_entries
+            for e in expressions
         ]
     path = os.path.join(cfg.out, "learnability.json")
     _write_json(path, report)

@@ -77,17 +77,6 @@ def _echelon_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return echelon, pivots
 
 
-def _reduce_against(echelon, pivots, row):
-    """Reduce an integer row against an echelon basis; None result = in span."""
-    r = [int(v) for v in row]
-    for piv, col in zip(echelon, pivots):
-        if r[col]:
-            f, pv = r[col], piv[col]
-            r = [pv * a - f * b for a, b in zip(r, piv)]
-    r = _normalize(r)
-    return r if any(r) else None
-
-
 def rank_exact(rows) -> int:
     echelon, _ = _echelon_int([list(r) for r in rows])
     return len(echelon)
@@ -100,7 +89,7 @@ def _rank_mod(rows: np.ndarray, p: int) -> int:
 def _echelon_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Row echelon form mod p, pivots scaled to 1, and its pivot columns
     (each column independent of the columns before it)."""
-    a = np.array(rows, dtype=np.int64)
+    a = np.array(rows, dtype=np.int64, order="C")
     a %= p
     pivots: list[int] = []
     rank = 0
@@ -151,48 +140,15 @@ def extend_to_full_rank(rows, candidates, p: int = _PRIMES[0]) -> list[int]:
     """Indices of the candidate rows that, taken greedily in order, extend
     the span of `rows` (integer matrices of equal width), decided mod p.
 
-    A candidate c extends the span of the rows and the earlier candidates
-    iff c N does so for the projections of the earlier ones, N a basis of
-    the rows' right null space, so the greedy pass runs on the narrow
-    candidates @ N.  N comes from the rows' echelon form by eliminating
-    above each pivot on the free columns only.  Rows independent mod p are
-    independent over the rationals, so no dependent candidate is taken; a
-    candidate dependent mod p alone (an accident of p) is missed, which a
-    rank count detects.
+    Stacked as the columns of one matrix, rows first, the candidates taken
+    are the pivot columns past the rows: a pivot column is independent of
+    the columns before it.  Rows independent mod p are independent over
+    the rationals, so no dependent candidate is taken; a candidate
+    dependent mod p alone (an accident of p) is missed, which a rank count
+    detects.
     """
-    echelon, pivots = _echelon_mod(rows, p)
-    width = echelon.shape[1]
-    free = np.setdiff1d(np.arange(width), pivots)
-    reduced = echelon[:, free]  # becomes the reduced echelon form's free part
-    for i in range(len(pivots) - 1, 0, -1):
-        above = reduced[:i]
-        above -= np.outer(echelon[:i, pivots[i]], reduced[i])
-        above %= p
-    null = np.zeros((width, len(free)), dtype=np.int64)
-    null[free, np.arange(len(free))] = 1
-    null[pivots] = -reduced % p
-    # Small candidate entries times entries below p: far from int64
-    # overflow.  einsum buffers the cast, so the candidates stay compact.
-    projected = np.einsum("ij,jk->ik", candidates, null) % p
-    return _echelon_mod(projected.T, p)[1]
-
-
-class SpanBasis:
-    """Echelonized basis of a set of integer rows supporting membership tests."""
-
-    def __init__(self, rows):
-        self.echelon, self.pivots = _echelon_int([list(r) for r in rows])
-
-    @property
-    def rank(self) -> int:
-        return len(self.echelon)
-
-    def residual(self, row):
-        """None if the row lies in the span, else its reduced remainder."""
-        return _reduce_against(self.echelon, self.pivots, row)
-
-    def contains(self, row) -> bool:
-        return self.residual(row) is None
+    _, pivots = _echelon_mod(np.vstack([rows, candidates]).T, p)
+    return [col - len(rows) for col in pivots if col >= len(rows)]
 
 
 def solve_rational(columns, target) -> list[Fraction] | None:

@@ -44,9 +44,19 @@ class FidelityFunction:
         )
 
     def evaluate_log(self, models: dict[str, SplModel]) -> float:
-        return sum(
-            float(g) * models[lab].log_fidelity(p) for lab, p, g in self.terms
-        )
+        """sum gamma * log f, one overlap lookup per layer label."""
+        total = 0.0
+        for lab in dict.fromkeys(lab for lab, _, _ in self.terms):
+            model = models[lab]
+            n = model.generators.topology.n
+            terms = [(p, g) for l, p, g in self.terms if l == lab]
+            for p, _ in terms:
+                if p.n != n:
+                    raise ValueError(f"dimension mismatch: {p.n} != {n}")
+            rows = model.generators.digit_overlaps(digits([p for p, _ in terms], n))
+            gammas = np.array([float(g) for _, g in terms])
+            total -= 2.0 * float(gammas @ (rows @ model.lambdas))
+        return total
 
     def evaluate(self, models: dict[str, SplModel]) -> float:
         return float(np.exp(self.evaluate_log(models)))
@@ -176,7 +186,7 @@ def product_rows(generators: GeneratorSet, products) -> np.ndarray:
 
 
 class LearnableSpan:
-    """Learnable-product rows over a rate space, echelonized lazily."""
+    """Learnable-product rows over a rate space."""
 
     def __init__(self, space: LambdaSpace, products: list[LearnableProduct]):
         self.space = space
@@ -189,17 +199,6 @@ class LearnableSpan:
                 gens = space.generators[lab]
                 block = product_rows(gens, [self.products[i] for i in idx])
                 self.rows[idx, off[lab] : off[lab] + len(gens)] = block
-        self._basis: exactla.SpanBasis | None = None
-
-    @property
-    def basis(self) -> exactla.SpanBasis:
-        if self._basis is None:
-            self._basis = exactla.SpanBasis(self.rows)
-        return self._basis
-
-    @property
-    def rank(self) -> int:
-        return self.basis.rank
 
 
 @dataclass(frozen=True)
@@ -341,15 +340,8 @@ def pattern_transfer_unlearnable(
     if mode == "spl":
         if topology is None:
             raise ValueError("spl mode requires a topology")
-        total = 0
-        for layer in layers:
-            gens = GeneratorSet(topology)
-            span = LearnableSpan(
-                LambdaSpace((layer.label,), {layer.label: gens}),
-                orbit_learnables(layer, gens),
-            )
-            total += len(gens) - exactla.rank_checked(span.rows)
-        return total
+        gens = GeneratorSet(topology)
+        return sum(analyze_layer(layer, gens).unlearnable_dof for layer in layers)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -126,47 +126,21 @@ def build_plan(
             unconstrained[lab] = null_generators(g, gens)
         elif cond <= MAX_INV_GRAM_COND:
             inv_gram[lab] = np.linalg.inv(g)
-    mu_entries: list[MuPlanEntry] = []
-    failures = 0
-    # Chain-shape certificates shared by this plan's layer pairs only, so a
-    # plan never depends on the plans built before it.
-    certificates: dict = {}
-    pairs, wanted = covering_pairs(topology, layers)
-    index_of = {layer.label: i for i, layer in enumerate(layers)}
-    by_label = {layer.label: layer for layer in layers}
-    for pair in pairs:
-        la, lb = by_label[pair[0]], by_label[pair[1]]
-        for chain in chain_decomposition(la, lb):
-            for target in mlcb_targets(chain, topology.n):
-                if (target.qubit, pair) not in wanted:
-                    continue
-                try:
-                    expr = mu_expression(
-                        target,
-                        topology,
-                        seed=seed + index_of[pair[0]],
-                        retries=retries,
-                        cache=certificates,
-                    )
-                except NotEquivalentError:
-                    failures += 1
-                    continue
-                refs = []
-                for prod, coeff in expr.learnable_terms:
-                    row = key_index[prod.label][prod.key()[1]]
-                    refs.append((prod.label, row, float(coeff)))
-                mu_entries.append(
-                    MuPlanEntry(
-                        qubit=target.qubit,
-                        pair=chain.pair,
-                        epsilon=float(expr.epsilon),
-                        product_terms=tuple(
-                            (l, p) for l, p, _ in target.product.terms
-                        ),
-                        learn_refs=tuple(refs),
-                        expression=expr,
-                    )
-                )
+    expressions, failures = ratio_expressions(topology, layers, seed, retries)
+    mu_entries = [
+        MuPlanEntry(
+            qubit=expr.qubit,
+            pair=expr.pair,
+            epsilon=float(expr.epsilon),
+            product_terms=tuple((l, p) for l, p, _ in expr.target.product.terms),
+            learn_refs=tuple(
+                (prod.label, key_index[prod.label][prod.key()[1]], float(coeff))
+                for prod, coeff in expr.learnable_terms
+            ),
+            expression=expr,
+        )
+        for expr in expressions
+    ]
     ratio_rows, mu_refs = _ratio_arrays(gens, layers, mu_entries)
     low_clusters = []
     partner, _ = cz_partners(layers, topology.n)
@@ -197,6 +171,40 @@ def build_plan(
         low_clusters=low_clusters,
         mu_failures=failures,
     )
+
+
+def ratio_expressions(
+    topology: Topology, layers: list[CliffordLayer], seed: int, retries: int
+) -> tuple[list[MuExpression], int]:
+    """The exact expression of every ratio the multi-layer protocol
+    measures, in schedule order, and the number of ratios whose certificate
+    search failed.
+
+    Chain-shape certificates are shared by this call's layer pairs only, so
+    the result never depends on the calls made before it.
+    """
+    expressions: list[MuExpression] = []
+    failures = 0
+    certificates: dict = {}
+    pairs, wanted = covering_pairs(topology, layers)
+    index_of = {layer.label: i for i, layer in enumerate(layers)}
+    by_label = {layer.label: layer for layer in layers}
+    for pair in pairs:
+        for chain in chain_decomposition(by_label[pair[0]], by_label[pair[1]]):
+            for target in mlcb_targets(chain, topology.n):
+                if (target.qubit, pair) not in wanted:
+                    continue
+                try:
+                    expressions.append(mu_expression(
+                        target,
+                        topology,
+                        seed=seed + index_of[pair[0]],
+                        retries=retries,
+                        cache=certificates,
+                    ))
+                except NotEquivalentError:
+                    failures += 1
+    return expressions, failures
 
 
 def _ratio_arrays(gens: GeneratorSet, layers, mu_entries):

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from cyclebench.layers import CATALOG
 from cyclebench.learnability import orbit_learnables, product_rows
 from cyclebench.pauli import PauliString
 from cyclebench.spl import GeneratorSet
-from cyclebench.pipeline import generate_models, model_rng, noisy_records
+from cyclebench.pipeline import build_plan, generate_models, model_rng, noisy_records
 
 
 def write_config(tmp_path, **overrides):
@@ -93,8 +94,8 @@ class TestLearnability:
         assert report["layers"]["I"]["unlearnable_dof"] == 0
 
     def test_rank_deficient_layer_reported(self, tmp_path):
-        # The S-only layer's plan Gram is rank-deficient; the report, which
-        # fits nothing, still covers it.
+        # The S-only layer's fit matrix would be rank-deficient; the report
+        # builds no plan and fits nothing, so it still covers the layer.
         path, _ = write_config(
             tmp_path,
             topology="square2x2",
@@ -131,6 +132,47 @@ class TestLearnability:
         report = json.loads((tmp_path / "out" / "learnability.json").read_text())
         for q, entry in report["mlcb"]["per_qubit"].items():
             assert entry["recovered"] == entry["layers"] - 1
+
+    @pytest.mark.parametrize("size", [3, 4, 5])
+    def test_closed_squares_approach_three_quarters(self, tmp_path, size):
+        # The paper's limit: on an L x L lattice with closed squares, every
+        # CZ leaves 2 unlearnable DOF and every qubit covered by l layers
+        # recovers l - 1, so (3L - 4) / (4L - 4) of them -> 3/4.
+        path, _ = write_config(tmp_path, topology=f"square{size}x{size}", layers="closed_squares")
+        assert main(["learnability", "--config", str(path)]) == 0
+        mlcb = json.loads((tmp_path / "out" / "learnability.json").read_text())["mlcb"]
+        assert mlcb["unlearnable_without_mlcb"] == 4 * size * (size - 1)
+        assert mlcb["recovered_dof"] == 3 * size**2 - 4 * size
+        assert mlcb["reduction_fraction"] == (3 * size - 4) / (4 * size - 4)
+        assert len(mlcb["ratio_certificates"]) == mlcb["recovered_dof"]
+
+    def test_certificates_are_the_plan_entries(self, tmp_path):
+        # The report and the plan take their ratios from one search: equal
+        # seeds give the same entries, learnable terms included.
+        path, _ = write_config(tmp_path, topology="square2x3", layers="open_chains")
+        assert main(["learnability", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "learnability.json").read_text())
+        cfg = parse_config(json.loads(path.read_text()))
+        plan = build_plan(cfg.topology, cfg.layers, seed=cfg.seed, retries=cli.CERT_RETRIES)
+        want = [
+            {
+                "qubit": e.qubit,
+                "pair": list(e.pair),
+                "epsilon": str(e.expression.epsilon),
+                "measured_product": [[lab, p.label()] for lab, p in e.product_terms],
+                "learnable_terms": [
+                    (lab, [s.label() for s in plan.products[lab][row].strings], coeff)
+                    for lab, row, coeff in e.learn_refs
+                ],
+            }
+            for e in plan.mu_entries
+        ]
+        for cert in report["mlcb"]["ratio_certificates"]:
+            cert["learnable_terms"] = [
+                (t["product"][0][0], [s for _, s in t["product"]], float(Fraction(t["coefficient"])))
+                for t in cert["learnable_terms"]
+            ]
+        assert len(want) == 8 and report["mlcb"]["ratio_certificates"] == want
 
 
 class TestCharacterizeFitPec:
@@ -622,10 +664,21 @@ class TestRepro:
         assert serial.count("\n") == 1 + rows
         assert (tmp_path / "2" / f"{figure}.csv").read_text() == serial
 
-    @pytest.mark.parametrize("figure, models", [("fig5a", 0), ("fig5b", 0), ("fig5b", -2)])
-    def test_sweep_without_models_rejected(self, tmp_path, capsys, figure, models):
+    @pytest.mark.parametrize("figure, flag, value", [
+        pytest.param("fig5a", "--models", 0, id="fig5a-0"),
+        pytest.param("fig5b", "--models", 0, id="fig5b-0"),
+        pytest.param("fig5b", "--models", -2, id="fig5b--2"),
+        pytest.param("fig6", "--models", 0, id="fig6-0"),
+        *(
+            pytest.param(figure, "--parallel", value, id=f"{figure}-parallel{value}")
+            for figure in ("fig5a", "fig5b", "fig6")
+            for value in (0, -1)
+        ),
+    ])
+    def test_sweep_without_models_rejected(self, tmp_path, capsys, figure, flag, value):
+        # A bad sweep size or worker count ends before any output is written.
         out = tmp_path / "out"
-        assert main(["repro", figure, "--out", str(out), "--models", str(models)]) == EXIT_CONFIG
+        assert main(["repro", figure, "--out", str(out), flag, str(value)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: models") and err.count("\n") == 1
+        assert err.startswith(f"config error: {flag[2:]}") and err.count("\n") == 1
         assert not out.exists()

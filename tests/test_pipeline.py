@@ -175,6 +175,20 @@ class TestPlan:
         assert after == alone
         assert sum(a != b for a, b in zip(alone, first)) == 2
 
+    def test_evaluate_log_is_the_per_term_sum(self, fig6_plan):
+        # One overlap lookup per layer label gives the sum of the terms'
+        # log-fidelities, on every function of the plan's certificates.
+        models = generate_models(fig6_plan, model_rng(2, 0))
+        fns = []
+        for entry in fig6_plan.mu_entries:
+            expr = entry.expression
+            fns += [expr.mu_function(), expr.target.product, expr.target.mu]
+            for cert in expr.certificates:
+                fns += [cert.f1, cert.f2, *cert.learnable_basis]
+        for fn in fns:
+            want = sum(float(g) * models[lab].log_fidelity(p) for lab, p, g in fn.terms)
+            assert abs(fn.evaluate_log(models) - want) <= 1e-12
+
     def test_mu_values_exact_on_models(self, plan):
         rng = model_rng(1, 0)
         models = generate_models(plan, rng)

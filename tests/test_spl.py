@@ -122,6 +122,10 @@ class TestFidelityProduct:
         product = FidelityFunction(tuple((l, p, Fraction(1)) for l, p in t))
         assert product.evaluate(self.models) == pytest.approx(expect, rel=1e-12)
 
+    def test_other_qubit_count(self):
+        with pytest.raises(ValueError):
+            FidelityFunction.product("B", [PauliString.identity(4)]).evaluate(self.models)
+
     def test_unknown_label(self):
         with pytest.raises(KeyError):
             FidelityFunction.product("Q", [PauliString.identity(3)]).evaluate(self.models)
