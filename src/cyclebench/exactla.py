@@ -118,10 +118,12 @@ def _echelon_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[:rank], pivots
 
 
-def rank_checked(rows) -> int:
+def rank_checked(rows, rank_p0: int | None = None) -> int:
     """Rational rank of an integer matrix (2-D array or list of rows);
-    exact for small systems, dual-prime modular above."""
-    mat = np.asarray(rows, dtype=np.int64)
+    exact for small systems, dual-prime modular above.  `rank_p0`, the rank
+    mod the first prime when the caller already has it (for instance from
+    `extend_to_full_rank`), is not computed again."""
+    mat = np.asarray(rows)  # kept in its dtype: each path converts it once
     if mat.size == 0:
         return 0
     nonzero = mat.any(axis=1)
@@ -129,26 +131,28 @@ def rank_checked(rows) -> int:
         mat = mat[nonzero]
     if mat.size <= 20000:
         return rank_exact(mat)
-    r0 = _rank_mod(mat, _PRIMES[0])
+    r0 = _rank_mod(mat, _PRIMES[0]) if rank_p0 is None else rank_p0
     r1 = _rank_mod(mat, _PRIMES[1])
     if r0 == r1:
         return r0
     return rank_exact(mat)
 
 
-def extend_to_full_rank(rows, candidates, p: int = _PRIMES[0]) -> list[int]:
-    """Indices of the candidate rows that, taken greedily in order, extend
-    the span of `rows` (integer matrices of equal width), decided mod p.
+def extend_to_full_rank(rows, candidates, p: int = _PRIMES[0]) -> tuple[int, list[int]]:
+    """(rank of `rows` mod p, indices of the candidate rows that, taken
+    greedily in order, extend the span of `rows`), integer matrices of equal
+    width, decided mod p.
 
-    Stacked as the columns of one matrix, rows first, the candidates taken
-    are the pivot columns past the rows: a pivot column is independent of
-    the columns before it.  Rows independent mod p are independent over
-    the rationals, so no dependent candidate is taken; a candidate
-    dependent mod p alone (an accident of p) is missed, which a rank count
-    detects.
+    Stacked as the columns of one matrix, rows first, the rank is the
+    number of pivot columns among the rows and the candidates taken are the
+    pivot columns past them: a pivot column is independent of the columns
+    before it.  Rows independent mod p are independent over the rationals,
+    so no dependent candidate is taken; a candidate dependent mod p alone
+    (an accident of p) is missed, which a rank count detects.
     """
     _, pivots = _echelon_mod(np.vstack([rows, candidates]).T, p)
-    return [col - len(rows) for col in pivots if col >= len(rows)]
+    taken = [col - len(rows) for col in pivots if col >= len(rows)]
+    return len(pivots) - len(taken), taken
 
 
 def solve_rational(columns, target) -> list[Fraction] | None:

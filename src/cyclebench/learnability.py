@@ -614,7 +614,6 @@ class LayerLearnability:
 def analyze_layer(layer: CliffordLayer, generators: GeneratorSet) -> LayerLearnability:
     products = orbit_learnables(layer, generators)
     rows = product_rows(generators, products)
-    rank = exactla.rank_checked(rows)
     singles_std = [
         p.strings[0] for p in products if len(p.strings) == 1 and p.source == "standard"
     ]
@@ -627,9 +626,13 @@ def analyze_layer(layer: CliffordLayer, generators: GeneratorSet) -> LayerLearna
     n_singleton_strings = len(std_keys | {s.key() for s in singles_dr})
     # The generator strings, in generator order, whose single fidelities
     # extend the product rows to full rank (the generators' own fidelities
-    # have full rank).
-    singles = generators.digit_overlaps(digits(generators.strings, layer.n))
-    basis = [generators.strings[i] for i in exactla.extend_to_full_rank(rows, singles)]
+    # have full rank).  The same elimination gives the rows' rank mod the
+    # first prime, so only the second prime's is computed again.
+    rank_p0, taken = exactla.extend_to_full_rank(
+        rows, generators.digit_overlaps(digits(generators.strings, layer.n))
+    )
+    rank = exactla.rank_checked(rows, rank_p0)
+    basis = [generators.strings[i] for i in taken]
     if rank + len(basis) != len(generators):
         raise RuntimeError(f"layer {layer.label!r}: incomplete unlearnable basis")
     return LayerLearnability(

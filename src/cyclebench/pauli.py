@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
+_HEX_DIGIT_TO_CHAR = str.maketrans("0123", "IXZY")
 
 # Dense-vector digit per qubit: I=0, X=1, Z=2, Y=3 (digit = x + 2z).
 _DIGIT_TO_BITS = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
@@ -66,10 +66,12 @@ class PauliString:
         return cls(n, xb << qubit, zb << qubit)
 
     def label(self) -> str:
-        return "".join(
-            _BITS_TO_CHAR[(self.x_bits >> q) & 1, (self.z_bits >> q) & 1]
-            for q in range(self.n)
-        )
+        # Read as hex, a mask's binary digits put bit q in hex digit q, so
+        # hex digit q of x + 2 z is the qubit's digit x_q + 2 z_q.  Hex
+        # digits are written most significant first, so the text is
+        # reversed; [: n] keeps "" for n = 0, which formats as "0".
+        spread = int(format(self.x_bits, "b"), 16) + 2 * int(format(self.z_bits, "b"), 16)
+        return format(spread, f"0{self.n}x")[::-1][: self.n].translate(_HEX_DIGIT_TO_CHAR)
 
     def __str__(self) -> str:
         return ("-" if self.sign < 0 else "") + self.label()

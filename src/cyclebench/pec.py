@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import SQ_INVERSE_DIGITS, CliffordLayer, all_single_qubit_cliffords, cz_partners
-from .pipeline import CharacterizationPlan, characterize_and_fit, generate_models, model_rng
+from .pipeline import (
+    CharacterizationPlan,
+    characterize_and_fit,
+    generate_models,
+    model_rng,
+    model_rng_states,
+)
 from .spl import GeneratorSet, SplModel
 
 # Circuit seed keys are mi * 100000 + ci * 100 + W, so they stay distinct
@@ -88,9 +94,11 @@ def pec_observable(
     Every generator acts on at most two qubits, so a step's log ratio is a
     sum over the S sites of `generators.site_tables` of a value fixed by the
     string's two digits there.  One table per call holds these values for
-    every fit f, base layer l, site s and site code,
-    T[f, l, s, code] = -2 sum_{k in s} ov16[code, k] (lambda_true - lambda_f)[l, k],
-    and each step is one lookup of the (C, S) site codes in it.
+    every base layer l, site s, site code and fit f,
+    T[l, s, code, f] = -2 sum_{k in s} ov16[code, k] (lambda_true - lambda_f)[l, k],
+    as one row of F values per (l, s, code), at row 16 S l + 16 s + code.
+    Each step is then one `take` of the (S, C) rows of all fits at once,
+    added into an (S, C, F) buffer that is summed over the sites once.
     """
     sites, site_of, ov16 = generators.site_tables
     labels = [layer.label for layer in batch.layers]
@@ -108,31 +116,37 @@ def pec_observable(
     bad = np.flatnonzero(used & ~np.isfinite(table).all(axis=(0, 2, 3)))
     if bad.size:
         raise ZeroDivisionError(f"fitted fidelity vanished on layer {labels[bad[0]]}")
-    flat = table.transpose(0, 1, 3, 2).reshape(len(fits), -1)
-    # Flat index of (layer l, site s, code 0) in each fit's table.
-    offsets = np.arange(len(labels))[:, None] * (16 * n_sites) + np.arange(n_sites) * 16
+    rows = np.ascontiguousarray(table.transpose(1, 3, 2, 0)).reshape(-1, len(fits))
+    site_rows = np.arange(0, 16 * n_sites, 16)[:, None]
+    layer_rows = batch.base * (16 * n_sites)  # (C, J)
     lo, hi = sites[:, 0], sites[:, 1]
-    log_o = np.zeros((len(fits), batch.base.shape[0]))
+    log_o = np.zeros((n_sites, batch.base.shape[0], len(fits)))
     for j, p in batch.strings():
-        idx = offsets[batch.base[:, j]] + (p[:, lo] | (p[:, hi] << 2))
-        log_o += np.take(flat, idx, axis=1).sum(axis=2)
-    return np.exp(log_o)
+        by_qubit = p.T.astype(np.intp)  # (n, C): a site's digits are two row takes
+        idx = by_qubit.take(lo, axis=0) | (by_qubit.take(hi, axis=0) << 2)
+        idx += site_rows + layer_rows[:, j]
+        log_o += rows.take(idx, axis=0)
+    return np.exp(log_o.sum(axis=0).T)
 
 
 def sample_circuit(
     base_layers: dict[str, CliffordLayer],
     j_layers: int,
     target_weight: int,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
+    states: Sequence[dict],
 ) -> CircuitBatch:
-    """One random circuit per generator in `rngs`, each ending in a uniform
-    weight-`target_weight` Pauli string.
+    """One random circuit per bit-generator state in `states`, each ending
+    in a uniform weight-`target_weight` Pauli string.
 
-    Each generator draws, in order, the base-layer index and the 24
-    single-qubit Clifford indices of every step, then the final string's
-    support and letters.  Pulling the final string back gives the initial
-    one; conjugation is a bijection, so this matches rejection sampling on
-    the initial string exactly and never rejects.
+    Circuit c is drawn from `rng` with its bit generator set to `states[c]`
+    (the format of `bit_generator.state`), so it is the circuit a fresh
+    generator in that state would draw, and `rng` is left where the last
+    circuit's draws end.  In order, the draws are the base-layer index and
+    the 24 single-qubit Clifford indices of every step, then the final
+    string's support and letters.  Pulling the final string back gives the
+    initial one; conjugation is a bijection, so this matches rejection
+    sampling on the initial string exactly and never rejects.
 
     The step draws are one bounded draw per circuit: (J, n + 1) integers
     below B = lcm(L, 24) for L base layers, kept in the smallest unsigned
@@ -154,9 +168,11 @@ def sample_circuit(
         raise ValueError("circuit needs at least one layer")
     n_layers, n_gates = len(labels), len(all_single_qubit_cliffords())
     bound = math.lcm(n_layers, n_gates)
-    draws = np.zeros((len(rngs), j_layers, n + 1), dtype=np.min_scalar_type(bound - 1))
-    final = np.zeros((len(rngs), n), dtype=np.uint8)
-    for c, rng in enumerate(rngs):
+    draws = np.zeros((len(states), j_layers, n + 1), dtype=np.min_scalar_type(bound - 1))
+    final = np.zeros((len(states), n), dtype=np.uint8)
+    bit_generator = rng.bit_generator
+    for c, state in enumerate(states):
+        bit_generator.state = state
         if n_layers == 1:
             draws[c, :, 1:] = rng.integers(0, n_gates, size=(j_layers, n))
         else:
@@ -181,7 +197,14 @@ def pec_sweep(
     baseline: str,
     master_seed: int,
 ) -> list[dict]:
-    """Rows of (model seed, circuit seed, W, O_c, O_m) for the full sweep."""
+    """Rows of (model seed, circuit seed, W, O_c, O_m) for the full sweep.
+
+    Circuit ci of model mi at weight w is drawn from the stream of
+    `model_rng(master_seed + 7919, mi * 100000 + ci * 100 + w)`.  The
+    batch's start states come from one `model_rng_states` pass, and the
+    model's generator, done with its own draws once the fits are made,
+    carries them through `sample_circuit`.
+    """
     if n_circuits > MAX_CIRCUITS or any(w >= MAX_KEY_WEIGHT for w in weights):
         raise ValueError(
             f"circuit seed keys collide beyond {MAX_CIRCUITS} circuits "
@@ -197,11 +220,10 @@ def pec_sweep(
         )
         fits = (result.fitted["conventional"], result.fitted["mlcb"])
         for w in weights:
-            rngs = [
-                model_rng(master_seed + 7919, mi * 100000 + ci * 100 + w)
-                for ci in range(n_circuits)
-            ]
-            batch = sample_circuit(base_layers, j_layers, w, rngs)
+            states = model_rng_states(
+                master_seed + 7919, [mi * 100000 + ci * 100 + w for ci in range(n_circuits)]
+            )
+            batch = sample_circuit(base_layers, j_layers, w, rng, states)
             o_c, o_m = pec_observable(models, fits, batch, plan.generators)
             rows.extend(
                 {"model_seed": mi, "circuit_seed": ci, "W": w, "O_c": float(c), "O_m": float(m)}

@@ -7,6 +7,7 @@ import os
 import tempfile
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -682,3 +683,33 @@ class TestRepro:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {flag[2:]}") and err.count("\n") == 1
         assert not out.exists()
+
+
+_REJECTED = st.integers(-(10**9), 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    figure=st.sampled_from(sorted(cli.REPRO_CONFIGS)),
+    sizes=st.tuples(
+        st.one_of(st.none(), _REJECTED, st.integers(1, 10**6)),
+        st.one_of(_REJECTED, st.integers(1, 10**6)),
+    ).filter(lambda s: s[1] < 1 or (s[0] is not None and s[0] < 1)),
+)
+def test_repro_fuzz_rejected_before_any_plan(figure, sizes):
+    # A sweep size or worker count below one ends in one line, before a plan
+    # is built or anything is written.
+    models, parallel = sizes
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        argv = ["repro", figure, "--out", out, "--parallel", str(parallel)]
+        if models is not None:
+            argv += ["--models", str(models)]
+        err = io.StringIO()
+        no_plan = mock.patch.object(cli, "_plan", side_effect=AssertionError("a plan was built"))
+        with no_plan, contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code == EXIT_CONFIG
+        assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
+        assert not os.path.exists(out)

@@ -8,7 +8,8 @@ decisions, so both return identical supports for equal rng seeds.
 `gauss_jordan_reference` is the Fraction elimination that
 `exactla.solve_rational` replaced; both must return identical coefficients.
 `extend_reference` keeps each candidate row whose addition raises a
-from-scratch mod-p rank, as `exactla.extend_to_full_rank` must.
+recomputed mod-p rank, as `exactla.extend_to_full_rank` must (which also
+returns the rows' mod-p rank).
 """
 
 from fractions import Fraction
@@ -96,7 +97,8 @@ def test_extend_matches_rank_reference(ncols, data, p):
     row = st.lists(entry, min_size=ncols, max_size=ncols)
     rows = np.array(data.draw(st.lists(row, max_size=7)), dtype=np.int64).reshape(-1, ncols)
     candidates = np.array(data.draw(st.lists(row, min_size=1, max_size=7)), dtype=np.int64)
-    assert extend_to_full_rank(rows, candidates, p) == extend_reference(rows, candidates, p)
+    rank = _rank_mod(rows, p) if len(rows) else 0
+    assert extend_to_full_rank(rows, candidates, p) == (rank, extend_reference(rows, candidates, p))
 
 
 @st.composite

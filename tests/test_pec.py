@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclebench import pec
 from cyclebench.layers import CliffordLayer, all_single_qubit_cliffords, conjugate
 from cyclebench.pauli import PauliString
 from cyclebench.pec import (
@@ -13,7 +16,7 @@ from cyclebench.pec import (
     sample_circuit,
     summarize_pec,
 )
-from cyclebench.pipeline import build_plan
+from cyclebench.pipeline import build_plan, characterize_and_fit, generate_models, model_rng
 from cyclebench.spl import GeneratorSet, SplModel, random_model
 from cyclebench.topology import Topology, four_layer_config, square_lattice
 
@@ -71,6 +74,36 @@ def bare_circuits(layer: CliffordLayer, finals: list[PauliString], steps: int) -
     )
 
 
+def streams(seeds):
+    """A generator to draw circuits from, and the start state of
+    `default_rng(seed)` for every seed: circuit c is the one that generator
+    draws."""
+    return np.random.default_rng(), [np.random.default_rng(s).bit_generator.state for s in seeds]
+
+
+def per_circuit_sample(base_layers, j_layers, target_weight, rngs):
+    """Reference: the sampler with one generator per circuit, which draws,
+    in order, one bounded draw for all steps, the support and the letters."""
+    labels = sorted(base_layers)
+    n = base_layers[labels[0]].n
+    n_layers, n_gates = len(labels), len(GROUP)
+    bound = math.lcm(n_layers, n_gates)
+    draws = np.zeros((len(rngs), j_layers, n + 1), dtype=np.min_scalar_type(bound - 1))
+    final = np.zeros((len(rngs), n), dtype=np.uint8)
+    for c, rng in enumerate(rngs):
+        if n_layers == 1:
+            draws[c, :, 1:] = rng.integers(0, n_gates, size=(j_layers, n))
+        else:
+            draws[c] = rng.integers(0, bound, size=(j_layers, n + 1))
+        qubits = rng.permutation(n)[:target_weight]
+        final[c, qubits] = np.array([1, 3, 2], dtype=np.uint8)[rng.integers(3, size=target_weight)]
+    base = (draws[:, :, 0] // (bound // n_layers)).astype(np.intp)
+    gates = draws[:, :, 1:]
+    gates //= bound // n_gates
+    gates = gates.astype(np.uint8, copy=False)
+    return CircuitBatch(tuple(base_layers[lab] for lab in labels), base, gates, final)
+
+
 def scalar_sample(base_layers, j_layers, target_weight, rng):
     """Reference: the per-draw sampler, one scalar draw per base layer,
     single-qubit gate and final letter."""
@@ -102,11 +135,11 @@ def reference_log_observable(true_models, fits, batch, gens) -> np.ndarray:
     return log_o
 
 
-def perturbed_fits(models, seed):
+def perturbed_fits(models, seed, count=2):
     rng = np.random.default_rng(seed)
     return [
         {lab: np.clip(m.lambdas + rng.normal(0, 1e-3, len(m.lambdas)), 0, None) for lab, m in models.items()}
-        for _ in range(2)
+        for _ in range(count)
     ]
 
 
@@ -158,7 +191,7 @@ class TestPecObservable:
         gens = models["B"].generators
         rng = np.random.default_rng(0)
         fitted = {"B": np.clip(models["B"].lambdas + rng.normal(0, 5e-4, len(gens)), 0, None)}
-        batch = sample_circuit({"B": b}, 6, 2, [np.random.default_rng(s) for s in range(8)])
+        batch = sample_circuit({"B": b}, 6, 2, *streams(range(8)))
         o = pec_observable(models, (fitted,), batch, gens)
         assert np.all(o > 0)
 
@@ -166,7 +199,7 @@ class TestPecObservable:
         topo, b, models = toy_models(4)
         gens = models["B"].generators
         fitted = {"B": models["B"].lambdas * 0.9}
-        full = sample_circuit({"B": b}, 4, 1, [np.random.default_rng(s) for s in range(6)])
+        full = sample_circuit({"B": b}, 4, 1, *streams(range(6)))
         o_full = pec_observable(models, (fitted,), full, gens)
         first = CircuitBatch(full.layers, full.base[:, :2], full.gates[:, :2], entering(full)[2])
         second = CircuitBatch(full.layers, full.base[:, 2:], full.gates[:, 2:], full.final)
@@ -189,13 +222,27 @@ class TestPecObservable:
         rng = np.random.default_rng(2)
         models = {lab: random_model(gens, layer, rng=rng) for lab, layer in layers.items()}
         fitted = {"B": models["B"].lambdas, "G": np.full(len(gens), np.inf)}
-        batch = sample_circuit(layers, 6, 1, [np.random.default_rng(s) for s in range(8)])
+        batch = sample_circuit(layers, 6, 1, *streams(range(8)))
         assert np.any(batch.base == 1)  # labels sort as B, G
         with pytest.raises(ZeroDivisionError, match="layer G"):
             pec_observable(models, (fitted,), batch, gens)
         only_b = CircuitBatch(batch.layers, np.zeros_like(batch.base), batch.gates, batch.final)
         o = pec_observable(models, (fitted,), only_b, gens)
         assert np.all(np.isfinite(o)) and np.all(o > 0)
+
+    @pytest.mark.parametrize("n_fits", [1, 2, 3])
+    def test_any_number_of_fits(self, n_fits):
+        gens, layers, models = isolated_qubit_setup()
+        fits = perturbed_fits(models, seed=6, count=n_fits)
+        batch = sample_circuit(layers, 5, 2, *streams(range(9)))
+        log_o = np.log(pec_observable(models, fits, batch, gens))
+        assert log_o.shape == (n_fits, 9)
+        ref = reference_log_observable(models, fits, batch, gens)
+        np.testing.assert_allclose(log_o, ref, rtol=0, atol=1e-12)
+        # A fit's row does not depend on the fits beside it.
+        for f, fit in enumerate(fits):
+            alone = np.log(pec_observable(models, [fit], batch, gens))
+            np.testing.assert_array_equal(log_o[f], alone[0])
 
     @pytest.mark.parametrize("setup", ["small_plan", "isolated_qubit", "shuffled"])
     def test_matches_string_by_string_reference(self, setup, request):
@@ -212,7 +259,7 @@ class TestPecObservable:
         fits = perturbed_fits(models, seed=5)
         n = gens.topology.n
         for w in (1, 3, n):
-            batch = sample_circuit(layers, 7, w, [np.random.default_rng([w, c]) for c in range(12)])
+            batch = sample_circuit(layers, 7, w, *streams([w, c] for c in range(12)))
             log_o = np.log(pec_observable(models, fits, batch, gens))
             ref = reference_log_observable(models, fits, batch, gens)
             np.testing.assert_allclose(log_o, ref, rtol=0, atol=1e-12)
@@ -232,7 +279,7 @@ class TestSampleCircuit:
 
     @pytest.mark.parametrize("w", [2, 20])
     def test_final_weight_constraint(self, w):
-        batch = sample_circuit(self.layers, 40, w, [np.random.default_rng(11 + c) for c in range(4)])
+        batch = sample_circuit(self.layers, 40, w, *streams(11 + c for c in range(4)))
         beta0 = entering(batch)[0]
         for c in range(4):
             assert np.count_nonzero(batch.final[c]) == w
@@ -242,29 +289,30 @@ class TestSampleCircuit:
             assert p.unsigned() == pauli(batch.final[c])
 
     def test_deterministic_under_seed(self):
-        a = sample_circuit(self.layers, 10, 5, [np.random.default_rng(3)])
-        b = sample_circuit(self.layers, 10, 5, [np.random.default_rng(3)])
+        a = sample_circuit(self.layers, 10, 5, *streams([3]))
+        b = sample_circuit(self.layers, 10, 5, *streams([3]))
         for field in ("base", "gates", "final"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert np.array_equal(entering(a)[0], entering(b)[0])
 
     def test_full_weight_on_one_qubit_toy(self):
         layer = CliffordLayer(1, (), (), "B")
-        batch = sample_circuit({"B": layer}, 5, 1, [np.random.default_rng(0)])
+        batch = sample_circuit({"B": layer}, 5, 1, *streams([0]))
         assert np.count_nonzero(batch.final) == 1
         assert np.count_nonzero(entering(batch)[0]) == 1
 
     def test_weight_out_of_range(self):
         for w in (21, -1):
             with pytest.raises(ValueError):
-                sample_circuit(self.layers, 5, w, [np.random.default_rng(0)])
+                sample_circuit(self.layers, 5, w, *streams([0]))
         with pytest.raises(ValueError):
-            sample_circuit(self.layers, 0, 2, [np.random.default_rng(0)])
+            sample_circuit(self.layers, 0, 2, *streams([0]))
 
     def test_matches_scalar_draws(self):
         # One bounded draw below B = lcm(L, 24) per circuit (B = 24 for
         # L = 1, 2, 3, 4; 120 for 5; 264 for 11) reproduces one scalar draw
-        # per slot, and leaves every generator in the same state.
+        # per slot, and leaves the generator in the same state after each
+        # circuit.
         cases = [(self.layers, 40, (0, 2, 20))]
         for n_layers in (1, 2, 3, 5, 11):
             layers = {
@@ -276,15 +324,16 @@ class TestSampleCircuit:
             n = layers[next(iter(layers))].n
             for w in weights:
                 seeds = range(60)
-                rngs = [np.random.default_rng(s) for s in seeds]
-                batch = sample_circuit(layers, j_layers, w, rngs)
+                rng, states = streams(seeds)
+                batch = sample_circuit(layers, j_layers, w, rng, states)
                 for c, s in enumerate(seeds):
-                    rng = np.random.default_rng(s)
-                    base, gates, final = scalar_sample(layers, j_layers, w, rng)
+                    ref = np.random.default_rng(s)
+                    base, gates, final = scalar_sample(layers, j_layers, w, ref)
                     assert np.array_equal(batch.base[c], base)
                     assert np.array_equal(batch.gates[c], gates.reshape(j_layers, n))
                     assert np.array_equal(batch.final[c], final)
-                    assert rngs[c].bit_generator.state == rng.bit_generator.state
+                    sample_circuit(layers, j_layers, w, rng, [states[c]])
+                    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @st.composite
@@ -313,7 +362,7 @@ def random_base_layers(draw):
 def test_batched_propagation_matches_conjugate(spec, j_layers, data, seed):
     n, layers = spec
     w = data.draw(st.integers(0, n))
-    batch = sample_circuit(layers, j_layers, w, [np.random.default_rng([seed, c]) for c in range(3)])
+    batch = sample_circuit(layers, j_layers, w, *streams([seed, c] for c in range(3)))
     steps = entering(batch)
     for c in range(3):
         assert np.count_nonzero(batch.final[c]) == w
@@ -364,6 +413,46 @@ class TestPecSweep:
         )
         assert len(rows) == 4
         assert calls == []
+
+    def test_matches_per_circuit_generators(self, small_plan, monkeypatch):
+        # The sweep draws exactly the circuits of one fresh generator per
+        # circuit key, and its rows are their observables.
+        master, n_models, n_circuits, j_layers, weights = 4, 2, 5, 7, (0, 2, 6)
+        batches = []
+
+        def recorded(*args):
+            batches.append(sample_circuit(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(pec, "sample_circuit", recorded)
+        rows = iter(pec_sweep(
+            small_plan, n_models=n_models, n_circuits=n_circuits, j_layers=j_layers,
+            weights=weights, sigma=1e-4, sigma_prime=1e-2, baseline="unit_depth",
+            master_seed=master,
+        ))
+        base_layers = {layer.label: layer for layer in small_plan.layers}
+        got = iter(batches)
+        for mi in range(n_models):
+            rng = model_rng(master, mi)
+            models = generate_models(small_plan, rng)
+            res = characterize_and_fit(small_plan, models, 1e-4, 1e-2, "unit_depth", rng)
+            fits = (res.fitted["conventional"], res.fitted["mlcb"])
+            for w in weights:
+                rngs = [
+                    model_rng(master + 7919, mi * 100000 + ci * 100 + w)
+                    for ci in range(n_circuits)
+                ]
+                want, batch = per_circuit_sample(base_layers, j_layers, w, rngs), next(got)
+                for field in ("base", "gates", "final"):
+                    a, b = getattr(batch, field), getattr(want, field)
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                ref = reference_log_observable(models, fits, want, small_plan.generators)
+                for ci in range(n_circuits):
+                    row = next(rows)
+                    assert (row["model_seed"], row["circuit_seed"], row["W"]) == (mi, ci, w)
+                    assert math.log(row["O_c"]) == pytest.approx(ref[0, ci], rel=0, abs=1e-12)
+                    assert math.log(row["O_m"]) == pytest.approx(ref[1, ci], rel=0, abs=1e-12)
+        assert next(got, None) is None and next(rows, None) is None
 
     @pytest.mark.parametrize(
         "circuits, weights", [(MAX_CIRCUITS + 1, (2,)), (2, (100,))], ids=["circuits", "weight"]
