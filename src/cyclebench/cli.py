@@ -22,7 +22,7 @@ import numpy as np
 from .fitting import RankDeficientError
 from .layers import CATALOG, CliffordLayer
 from .learnability import analyze_layer, mlcb_recovery
-from .pec import MAX_CIRCUITS, MAX_KEY_WEIGHT, pec_sweep, summarize_pec
+from .pec import MAX_CIRCUITS, MAX_KEY_WEIGHT, _model_rows, summarize_pec
 from .pauli import PauliString
 from .pipeline import (
     CharacterizationPlan,
@@ -354,18 +354,34 @@ def _run_item(args) -> tuple[int, RunResult]:
     return index, result
 
 
-def _sweep(cfg: RunConfig, seed: int | None = None) -> list[tuple[int, RunResult]]:
-    """(index, result) of every model of the sweep, in index order, on
-    `cfg.parallel` processes, never more than there are models.  Models draw
-    from `seed` (default `cfg.seed`); the plan keeps `cfg.seed`."""
-    _check_models(cfg)
-    _plan(cfg)  # config errors end here, before any worker starts
+def _run_pec_model(args) -> list[dict]:
+    cfg_raw, seed, index = args
+    cfg = parse_config(cfg_raw)
+    return _model_rows(
+        _plan(cfg), index, cfg.circuits, cfg.j_layers, cfg.weights, cfg.sigma,
+        cfg.sigma_prime, cfg.baseline, seed,
+    )
+
+
+def _map_models(cfg: RunConfig, worker, seed: int | None = None) -> list:
+    """`worker((cfg.raw, seed, index))` for every model index, in index
+    order, on `cfg.parallel` processes, never more than there are models.
+    Models draw from `seed` (default `cfg.seed`); the plan keeps `cfg.seed`
+    and is built here first, so config errors end before any worker starts
+    (and forked workers inherit it)."""
+    _plan(cfg)
     items = [(cfg.raw, cfg.seed if seed is None else seed, i) for i in range(cfg.models)]
     workers = min(cfg.parallel, cfg.models)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            return pool.map(_run_item, items)
-    return [_run_item(item) for item in items]
+            return pool.map(worker, items)
+    return [worker(item) for item in items]
+
+
+def _sweep(cfg: RunConfig, seed: int | None = None) -> list[tuple[int, RunResult]]:
+    """(index, result) of every model of the sweep (`_map_models`)."""
+    _check_models(cfg)
+    return _map_models(cfg, _run_item, seed)
 
 
 def cmd_fit(cfg: RunConfig) -> int:
@@ -409,7 +425,7 @@ def _check_models(cfg: RunConfig) -> None:
 
 def _check_pec(cfg: RunConfig) -> None:
     # Only `pec` reads these fields; the seed key of each circuit bounds
-    # circuits and weights (pec.pec_sweep).
+    # circuits and weights (pec.MAX_CIRCUITS, pec.MAX_KEY_WEIGHT).
     _check_models(cfg)
     if not cfg.layers:
         raise ConfigError("pec draws circuits from the layers, and there are none")
@@ -431,18 +447,8 @@ def _check_pec(cfg: RunConfig) -> None:
 
 def cmd_pec(cfg: RunConfig) -> int:
     _check_pec(cfg)
-    plan = _plan(cfg)
-    rows = pec_sweep(
-        plan,
-        n_models=cfg.models,
-        n_circuits=cfg.circuits,
-        j_layers=cfg.j_layers,
-        weights=cfg.weights,
-        sigma=cfg.sigma,
-        sigma_prime=cfg.sigma_prime,
-        baseline=cfg.baseline,
-        master_seed=cfg.seed,
-    )
+    # The rows of `pec.pec_sweep`, one model per work item.
+    rows = [row for model in _map_models(cfg, _run_pec_model) for row in model]
     os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, "pec.csv")
     with open(csv_path, "w", newline="") as fh:

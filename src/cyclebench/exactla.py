@@ -83,18 +83,34 @@ def rank_exact(rows) -> int:
 
 
 def _rank_mod(rows: np.ndarray, p: int) -> int:
-    return len(_echelon_mod(rows, p)[1])
+    return len(_pivots_mod(rows, p))
 
 
-def _echelon_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form mod p, pivots scaled to 1, and its pivot columns
-    (each column independent of the columns before it)."""
-    a = np.array(rows, dtype=np.int64, order="C")
-    a %= p
+# Entries per block of rows converted or updated at a time, which bounds
+# the int64 temporaries of `_pivots_mod` at 512 kB each.
+_PIVOT_BLOCK = 1 << 16
+
+
+def _pivots_mod(rows: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of the row echelon form mod p < 2^31 (each column
+    independent of the columns before it).
+
+    The matrix is held mod p in int32, half the size of int64.  Each pivot,
+    scaled to 1, is subtracted from the rows below it that are nonzero in
+    its column, in int64 blocks of at most `_PIVOT_BLOCK` entries, so that
+    no temporary grows with the matrix.
+    """
+    rows = np.asarray(rows)
+    nrows, ncols = rows.shape
+    a = np.empty((nrows, ncols), dtype=np.int32)
+    step = max(1, _PIVOT_BLOCK // max(ncols, 1))
+    for lo in range(0, nrows, step):
+        block = rows[lo : lo + step].astype(np.int64)
+        block %= p
+        a[lo : lo + step] = block
     pivots: list[int] = []
     rank = 0
     col = 0
-    nrows, ncols = a.shape
     while rank < nrows and col < ncols:
         nz = np.nonzero(a[rank:, col])[0]
         if nz.size == 0:
@@ -106,16 +122,19 @@ def _echelon_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             a[[rank, i]] = a[[i, rank]]
         inv = pow(int(a[rank, col]), p - 2, p)
         # Rows from `rank` down are zero left of `col`.
-        a[rank, col:] = (a[rank, col:] * inv) % p
-        mask = np.nonzero(a[rank + 1 :, col])[0] + rank + 1
-        if mask.size:
-            below = a[mask, col:]
-            below -= np.outer(below[:, 0], a[rank, col:])
-            below %= p
-            a[mask, col:] = below
+        pivot = a[rank, col:].astype(np.int64) * inv % p
+        a[rank, col:] = pivot
+        below = nz[1:] + rank  # the swap left the other nonzero rows in place
+        step = max(1, _PIVOT_BLOCK // len(pivot))
+        for lo in range(0, below.size, step):
+            block_rows = below[lo : lo + step]
+            block = a[block_rows, col:].astype(np.int64)
+            block -= block[:, :1] * pivot
+            block %= p
+            a[block_rows, col:] = block
         rank += 1
         col += 1
-    return a[:rank], pivots
+    return pivots
 
 
 def rank_checked(rows, rank_p0: int | None = None) -> int:
@@ -150,7 +169,7 @@ def extend_to_full_rank(rows, candidates, p: int = _PRIMES[0]) -> tuple[int, lis
     so no dependent candidate is taken; a candidate dependent mod p alone
     (an accident of p) is missed, which a rank count detects.
     """
-    _, pivots = _echelon_mod(np.vstack([rows, candidates]).T, p)
+    pivots = _pivots_mod(np.vstack([rows, candidates]).T, p)
     taken = [col - len(rows) for col in pivots if col >= len(rows)]
     return len(pivots) - len(taken), taken
 

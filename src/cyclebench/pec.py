@@ -40,6 +40,13 @@ MAX_KEY_WEIGHT = 100
 # string draw stands for.
 _LETTER_DIGITS = np.array([1, 3, 2], dtype=np.uint8)
 
+# Words a Fisher-Yates position of `sample_circuit`'s vectorized support
+# draw looks ahead; a circuit needing more is drawn by the generator's calls
+# (about once in 10^5 circuits on 20 qubits).
+_LOOKAHEAD = 16
+# Raw 64-bit words per chunk of `sample_circuit`'s word blocks (256 kB).
+_CHUNK_WORDS = 1 << 15
+
 
 @dataclass(frozen=True)
 class CircuitBatch:
@@ -129,6 +136,59 @@ def pec_observable(
     return np.exp(log_o.sum(axis=0).T)
 
 
+def _lemire(words: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw below r (1 < r < 2^32) from each uint32 word w
+    (`buffered_bounded_lemire_uint32`, after Lemire, ACM TOMS 45, 2019):
+    the value floor(w r / 2^32), as uint64, and whether numpy rejects w,
+    which it does when (w r) mod 2^32 < (2^32 - r) mod r, and then draws
+    another word."""
+    rejected = words * np.uint32(r) < (2**32 - r) % r  # uint32 wraps mod 2^32
+    values = words.astype(np.uint64)
+    values *= np.uint64(r)
+    values >>= np.uint64(32)
+    return values, rejected
+
+
+def _support_draws(tail: np.ndarray, n: int, weight: int):
+    """numpy's `permutation(n)[:weight]` followed by `integers(3, size=weight)`
+    for every row of `tail`, the (m, width) uint32 words each row's draws
+    read in order: (support (m, weight), letters (m, weight), and whether a
+    row must be redrawn, since its draws reject more than a look-ahead
+    allows, a letter word is rejected or the words run out).
+
+    `permutation` is Fisher-Yates from the top: for i = n-1 down to 1 it
+    swaps entry i with entry j, drawn by numpy's `random_interval(i)`, the
+    first word whose low bits under the smallest mask 2^k - 1 >= i are at
+    most i.  Every row's position i looks at the `_LOOKAHEAD` words from its
+    own pointer at once.
+    """
+    m, width = tail.shape
+    flat = tail.ravel()
+    rows = np.arange(m)
+    end = rows * width + width
+    ptr = end - width
+    perm = np.tile(np.arange(n), (m, 1))
+    perm_flat = perm.ravel()
+    perm_rows = rows * n
+    ahead = np.arange(_LOOKAHEAD)
+    redraw = np.zeros(m, dtype=bool)
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        window = flat.take(ptr[:, None] + ahead, mode="clip")  # past `end`: checked below
+        window &= mask
+        first = (window <= i).argmax(axis=1)
+        j = window[rows, first]
+        redraw |= j > i  # no word of the window accepted
+        ptr += first + 1
+        j = np.minimum(j, i) + perm_rows
+        swapped = perm_flat.take(j)
+        perm_flat[j] = perm[:, i]
+        perm[:, i] = swapped
+    letters, rejected = _lemire(flat.take(ptr[:, None] + np.arange(weight), mode="clip"), 3)
+    redraw |= rejected.any(axis=1) | (ptr + weight > end)
+    return perm[:, :weight], letters, redraw
+
+
 def sample_circuit(
     base_layers: dict[str, CliffordLayer],
     j_layers: int,
@@ -136,21 +196,20 @@ def sample_circuit(
     rng: np.random.Generator,
     states: Sequence[dict],
 ) -> CircuitBatch:
-    """One random circuit per bit-generator state in `states`, each ending
-    in a uniform weight-`target_weight` Pauli string.
+    """One random circuit per `PCG64` state in `states`, each ending in a
+    uniform weight-`target_weight` Pauli string.
 
-    Circuit c is drawn from `rng` with its bit generator set to `states[c]`
-    (the format of `bit_generator.state`), so it is the circuit a fresh
-    generator in that state would draw, and `rng` is left where the last
-    circuit's draws end.  In order, the draws are the base-layer index and
-    the 24 single-qubit Clifford indices of every step, then the final
-    string's support and letters.  Pulling the final string back gives the
-    initial one; conjugation is a bijection, so this matches rejection
-    sampling on the initial string exactly and never rejects.
+    Circuit c is the circuit a fresh generator in state `states[c]` (the
+    format of `bit_generator.state`) draws, and `rng`, whose bit generator
+    is a `PCG64`, is left where the last circuit's draws end.  In order,
+    the draws are one bounded draw for all steps, then the final string's
+    support and letters:
 
-    The step draws are one bounded draw per circuit: (J, n + 1) integers
-    below B = lcm(L, 24) for L base layers, kept in the smallest unsigned
-    type that holds them and divided, for all circuits at once, by B / L
+        draws = rng.integers(0, B, size=(J, n + 1))
+        qubits = rng.permutation(n)[:W]
+        letters = rng.integers(3, size=W)
+
+    B = lcm(L, 24) for L base layers, and the draws are divided by B / L
     (base layer) or B / 24 (gate).  This is the stream of one scalar draw per
     slot.  Below 2^32 numpy maps one 32-bit word x to floor(r x / 2^32) for
     the range r of the slot, and floor(floor(B x / 2^32) / (B / r)) =
@@ -158,7 +217,23 @@ def sample_circuit(
     rejection falls on a slot (probability at most B / 2^32 per slot, about
     4e-9 for garnet20's four layers), and both are exactly uniform either
     way.  A single base layer consumes no random word per step, as a scalar
-    draw of range one does not, so then only the gates are drawn.
+    draw of range one does not, so then only the gates are drawn.  Pulling
+    the final string back gives the initial one; conjugation is a bijection,
+    so this matches rejection sampling on the initial string exactly and
+    never rejects.
+
+    Those three calls read 32-bit words, which `PCG64` serves as the low and
+    then the high half of each 64-bit output.  So each circuit instead takes
+    one `bit_generator.random_raw` block of the words its draws read if
+    nothing is rejected, plus a margin, and numpy's algorithms run on the
+    blocks' little-endian uint32 view for all circuits at once: Lemire's
+    bounded draw for the steps and letters (`_lemire`) and Fisher-Yates with
+    masked rejection for the support (`_support_draws`).  A circuit whose
+    draws these cannot finish (a rejected bounded draw, a long rejection
+    run, a used-up block, a state holding a buffered half word) and the last
+    circuit, which leaves `rng` where it must be, make the three calls
+    themselves.  The blocks are drawn in chunks of about `_CHUNK_WORDS`
+    words, to bound their temporaries.
     """
     labels = sorted(base_layers)
     n = base_layers[labels[0]].n
@@ -171,13 +246,38 @@ def sample_circuit(
     draws = np.zeros((len(states), j_layers, n + 1), dtype=np.min_scalar_type(bound - 1))
     final = np.zeros((len(states), n), dtype=np.uint8)
     bit_generator = rng.bit_generator
-    for c, state in enumerate(states):
-        bit_generator.state = state
+    steps = draws[:, :, 1:] if n_layers == 1 else draws
+    slots = math.prod(steps.shape[1:])
+    width = slots + 2 * (n - 1) + _LOOKAHEAD + target_weight  # words per circuit
+    k = (width + 1) // 2
+    m = max(len(states) - 1, 0)  # circuits drawn from word blocks
+    chunk = max(1, _CHUNK_WORDS // k)
+    block = np.empty((min(chunk, m), k), dtype="<u8")
+    tail = np.empty((m, 2 * k - slots), dtype="<u4")
+    redraw = np.zeros(m, dtype=bool)
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        for c in range(lo, hi):
+            bit_generator.state = states[c]
+            block[c - lo] = bit_generator.random_raw(k)
+        words = block[: hi - lo].view("<u4")
+        values, rejected = _lemire(words[:, :slots], n_gates if n_layers == 1 else bound)
+        steps[lo:hi] = values.reshape(hi - lo, *steps.shape[1:])
+        redraw[lo:hi] = rejected.any(axis=1)
+        tail[lo:hi] = words[:, slots:]
+    if target_weight:
+        qubits, letters, unfinished = _support_draws(tail, n, target_weight)
+        final[np.arange(m)[:, None], qubits] = _LETTER_DIGITS[letters]
+        redraw |= unfinished
+    redraw |= np.array([states[c]["has_uint32"] for c in range(m)], dtype=bool)
+    for c in [*np.flatnonzero(redraw).tolist(), *range(m, len(states))]:
+        bit_generator.state = states[c]
         if n_layers == 1:
             draws[c, :, 1:] = rng.integers(0, n_gates, size=(j_layers, n))
         else:
             draws[c] = rng.integers(0, bound, size=(j_layers, n + 1))
         qubits = rng.permutation(n)[:target_weight]
+        final[c] = 0
         final[c, qubits] = _LETTER_DIGITS[rng.integers(3, size=target_weight)]
     base = (draws[:, :, 0] // (bound // n_layers)).astype(np.intp)
     gates = draws[:, :, 1:]
@@ -197,9 +297,31 @@ def pec_sweep(
     baseline: str,
     master_seed: int,
 ) -> list[dict]:
-    """Rows of (model seed, circuit seed, W, O_c, O_m) for the full sweep.
+    """Rows of (model seed, circuit seed, W, O_c, O_m) for the full sweep,
+    model by model (`_model_rows`)."""
+    return [
+        row
+        for mi in range(n_models)
+        for row in _model_rows(
+            plan, mi, n_circuits, j_layers, weights, sigma, sigma_prime, baseline, master_seed
+        )
+    ]
 
-    Circuit ci of model mi at weight w is drawn from the stream of
+
+def _model_rows(
+    plan: CharacterizationPlan,
+    mi: int,
+    n_circuits: int,
+    j_layers: int,
+    weights: tuple[int, ...],
+    sigma: float,
+    sigma_prime: float,
+    baseline: str,
+    master_seed: int,
+) -> list[dict]:
+    """`pec_sweep`'s rows of model `mi`, which depend on no other model.
+
+    Circuit ci at weight w is drawn from the stream of
     `model_rng(master_seed + 7919, mi * 100000 + ci * 100 + w)`.  The
     batch's start states come from one `model_rng_states` pass, and the
     model's generator, done with its own draws once the fits are made,
@@ -211,24 +333,21 @@ def pec_sweep(
             f"or weight {MAX_KEY_WEIGHT - 1}"
         )
     base_layers = {layer.label: layer for layer in plan.layers}
+    rng = model_rng(master_seed, mi)
+    models = generate_models(plan, rng)
+    result = characterize_and_fit(plan, models, sigma, sigma_prime, baseline, rng)
+    fits = (result.fitted["conventional"], result.fitted["mlcb"])
     rows = []
-    for mi in range(n_models):
-        rng = model_rng(master_seed, mi)
-        models = generate_models(plan, rng)
-        result = characterize_and_fit(
-            plan, models, sigma, sigma_prime, baseline, rng
+    for w in weights:
+        states = model_rng_states(
+            master_seed + 7919, [mi * 100000 + ci * 100 + w for ci in range(n_circuits)]
         )
-        fits = (result.fitted["conventional"], result.fitted["mlcb"])
-        for w in weights:
-            states = model_rng_states(
-                master_seed + 7919, [mi * 100000 + ci * 100 + w for ci in range(n_circuits)]
-            )
-            batch = sample_circuit(base_layers, j_layers, w, rng, states)
-            o_c, o_m = pec_observable(models, fits, batch, plan.generators)
-            rows.extend(
-                {"model_seed": mi, "circuit_seed": ci, "W": w, "O_c": float(c), "O_m": float(m)}
-                for ci, (c, m) in enumerate(zip(o_c, o_m))
-            )
+        batch = sample_circuit(base_layers, j_layers, w, rng, states)
+        o_c, o_m = pec_observable(models, fits, batch, plan.generators)
+        rows.extend(
+            {"model_seed": mi, "circuit_seed": ci, "W": w, "O_c": float(c), "O_m": float(m)}
+            for ci, (c, m) in enumerate(zip(o_c, o_m))
+        )
     return rows
 
 

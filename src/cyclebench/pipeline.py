@@ -122,11 +122,15 @@ def build_plan(
         floats = stacked.astype(float)
         g = floats.T @ floats
         del floats  # freed before the inverse's workspace: lower peak RSS
-        rank, cond = gram_rank(g)
-        if rank < len(g):
-            unconstrained[lab] = null_generators(g, gens)
-        elif cond <= MAX_INV_GRAM_COND:
-            inv_gram[lab] = np.linalg.inv(g)
+        inv = bounded_inverse(g)
+        if inv is not None:
+            inv_gram[lab] = inv
+        else:
+            rank, cond = gram_rank(g)
+            if rank < len(g):
+                unconstrained[lab] = null_generators(g, gens)
+            elif cond <= MAX_INV_GRAM_COND:
+                inv_gram[lab] = np.linalg.inv(g)
     expressions, failures = ratio_expressions(topology, layers, seed, retries)
     mu_entries = [
         MuPlanEntry(
@@ -231,6 +235,21 @@ def _ratio_arrays(gens: GeneratorSet, layers, mu_entries):
             np.array([coeff for _, _, coeff in refs], dtype=float),
         )
     return ratio_rows, mu_refs
+
+
+def bounded_inverse(gram: np.ndarray) -> np.ndarray | None:
+    """The inverse of a symmetric Gram matrix G when ||G||_inf ||G^-1||_inf
+    <= MAX_INV_GRAM_COND, else None (also for a singular or non-finite
+    inverse).  The product bounds cond_2(G) from above (the 2-norm of a
+    symmetric matrix is at most its inf-norm), so a kept inverse is one
+    `gram_rank`'s condition number would keep, without its eigenvalue
+    decomposition; None leaves the decision to `gram_rank`."""
+    try:
+        inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        return None
+    bound = np.abs(gram).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+    return inv if bound <= MAX_INV_GRAM_COND else None
 
 
 def gram_rank(gram: np.ndarray) -> tuple[int, float]:

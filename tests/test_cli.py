@@ -44,6 +44,28 @@ def write_config(tmp_path, **overrides):
     return path, cfg
 
 
+
+def recording_pool(monkeypatch) -> list[int]:
+    """Replace the sweeps' process pool by a stand-in that maps in this
+    process; the returned list records the size of every pool started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    return sizes
+
 class TestGenerateModel:
     def test_writes_models_with_expected_size(self, tmp_path):
         path, cfg = write_config(tmp_path)
@@ -237,6 +259,25 @@ class TestCharacterizeFitPec:
         summary = json.loads((tmp_path / "out" / "pec_summary.json").read_text())
         assert "2" in summary["by_weight"] or 2 in summary["by_weight"]
 
+
+    def test_pec_parallel_matches_serial(self, tmp_path):
+        # Models run on worker processes write the serial run's bytes.
+        path, _ = write_config(tmp_path, models=3, weights=[1, 3])
+        outputs = []
+        for n in ("1", "2"):
+            out = tmp_path / n
+            assert main(["pec", "--config", str(path), "--parallel", n, "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("pec.csv", "pec_summary.json")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count(b"\n") == 1 + 3 * 2 * 2
+
+    def test_pec_starts_at_most_models_workers(self, tmp_path, monkeypatch):
+        sizes = recording_pool(monkeypatch)
+        for models, parallel, want in ((2, 64, [2]), (1, 64, []), (3, 2, [2])):
+            sizes.clear()
+            path, _ = write_config(tmp_path, topology="square2x2", models=models)
+            assert main(["pec", "--config", str(path), "--parallel", str(parallel)]) == 0
+            assert sizes == want
 
 class TestPecConfig:
     def test_single_circuit_prints_ratio_na(self, tmp_path, capsys):
@@ -520,23 +561,7 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
     def test_sweep_starts_at_most_models_workers(self, tmp_path, monkeypatch):
-        # A stand-in pool records its size and maps in this process.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        sizes = recording_pool(monkeypatch)
         for models, parallel, want in ((2, 64, [2]), (1, 64, []), (3, 2, [2])):
             sizes.clear()
             path, _ = write_config(tmp_path, topology="square2x2", models=models)
@@ -571,8 +596,13 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "command, extra",
-        [("fit", {}), ("fit", {"parallel": 2}), ("pec", {"weights": [2]})],
-        ids=["fit", "fit_parallel", "pec"],
+        [
+            ("fit", {}),
+            ("fit", {"parallel": 2}),
+            ("pec", {"weights": [2]}),
+            ("pec", {"weights": [2], "parallel": 2}),
+        ],
+        ids=["fit", "fit_parallel", "pec", "pec_parallel"],
     )
     def test_rank_deficiency_exit_code(self, tmp_path, capsys, command, extra):
         path, _ = write_config(tmp_path, **self.SQ_RANK, **extra)

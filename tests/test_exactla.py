@@ -9,16 +9,20 @@ decisions, so both return identical supports for equal rng seeds.
 `exactla.solve_rational` replaced; both must return identical coefficients.
 `extend_reference` keeps each candidate row whose addition raises a
 recomputed mod-p rank, as `exactla.extend_to_full_rank` must (which also
-returns the rows' mod-p rank).
+returns the rows' mod-p rank).  `pivots_reference` is row echelon
+elimination mod p in Python integers, which the int32/int64 block kernel
+`exactla._pivots_mod` must match pivot for pivot.
 """
 
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyclebench import exactla
 from cyclebench.exactla import (
     _PRIMES,
     _rank_mod,
@@ -100,6 +104,46 @@ def test_extend_matches_rank_reference(ncols, data, p):
     rank = _rank_mod(rows, p) if len(rows) else 0
     assert extend_to_full_rank(rows, candidates, p) == (rank, extend_reference(rows, candidates, p))
 
+
+
+def pivots_reference(rows, p):
+    """Pivot columns of the row echelon form mod p, in Python integers."""
+    a = [[int(v) % p for v in row] for row in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        rank = len(pivots)
+        sel = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if sel is None:
+            continue
+        a[rank], a[sel] = a[sel], a[rank]
+        inv = pow(a[rank][col], p - 2, p)
+        a[rank] = [v * inv % p for v in a[rank]]
+        for i in range(rank + 1, len(a)):
+            if a[i][col]:
+                f = a[i][col]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[rank])]
+        pivots.append(col)
+    return pivots
+
+
+@pytest.mark.parametrize("block", [1, 7, exactla._PIVOT_BLOCK])
+def test_pivots_match_python_elimination(monkeypatch, block):
+    # Blocks of one entry convert and update one row at a time; entries far
+    # beyond p, negative entries, sparse and low-rank matrices.
+    monkeypatch.setattr(exactla, "_PIVOT_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for trial in range(40):
+        nrows, ncols = rng.integers(1, 14, size=2)
+        if trial % 4 == 0:
+            rows = rng.integers(-(2**40), 2**40, size=(nrows, ncols))
+        elif trial % 4 == 1:
+            rank = rng.integers(1, min(nrows, ncols) + 1)
+            rows = rng.integers(-3, 4, size=(nrows, rank)) @ rng.integers(-3, 4, size=(rank, ncols))
+        else:
+            rows = rng.integers(-2, 3, size=(nrows, ncols)) * (rng.random((nrows, ncols)) < 0.3)
+        rows = rows.astype(np.int8 if trial % 4 == 2 else np.int64)
+        for p in (*PRIMES, _PRIMES[1]):
+            assert exactla._pivots_mod(rows, p) == pivots_reference(rows.tolist(), p)
 
 @st.composite
 def search_problems(draw):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,6 +119,74 @@ def scalar_sample(base_layers, j_layers, target_weight, rng):
         letter = rng.integers(3)
         final[q] = (letter != 2) + 2 * (letter != 0)
     return np.array(base), np.array(gates), final
+
+
+def scalar_lemire(words, r):
+    """A copy of numpy's `buffered_bounded_lemire_uint32` for the range
+    [0, r): (value, words consumed) from the iterator `words`."""
+    consumed = 1
+    m = next(words) * r
+    leftover = m & 0xFFFFFFFF
+    if leftover < r:
+        threshold = (0xFFFFFFFF - (r - 1)) % r
+        while leftover < threshold:
+            consumed += 1
+            m = next(words) * r
+            leftover = m & 0xFFFFFFFF
+    return m >> 32, consumed
+
+
+def scalar_support(words, n, weight):
+    """A copy of numpy's `permutation(n)` (Fisher-Yates from the top, each
+    j by `random_interval`) and `integers(3, size=weight)` on the uint32
+    words of the iterator `words`: (support, letters, words read, most
+    words read for one position, whether a letter word was rejected)."""
+    perm, read, longest = list(range(n)), 0, 0
+    for i in range(n - 1, 0, -1):
+        mask, tries = (1 << i.bit_length()) - 1, 0
+        while True:
+            tries += 1
+            j = next(words) & mask
+            if j <= i:
+                break
+        perm[i], perm[j] = perm[j], perm[i]
+        read, longest = read + tries, max(longest, tries)
+    letters, rejected = [], False
+    for _ in range(weight):
+        value, consumed = scalar_lemire(words, 3)
+        letters.append(value)
+        read, rejected = read + consumed, rejected or consumed > 1
+    return perm[:weight], letters, read, longest, rejected
+
+
+def assert_scalar_draws(layers, j_layers, w, batch, states):
+    """Circuit c of `batch` is what `scalar_sample` draws from `states[c]`."""
+    n = layers[next(iter(layers))].n
+    for c, state in enumerate(states):
+        ref = np.random.default_rng()
+        ref.bit_generator.state = state
+        base, gates, final = scalar_sample(layers, j_layers, w, ref)
+        assert np.array_equal(batch.base[c], base)
+        assert np.array_equal(batch.gates[c], gates.reshape(j_layers, n))
+        assert np.array_equal(batch.final[c], final)
+
+
+class CountingGenerator(np.random.Generator):
+    """A generator that counts its `permutation` calls: one per circuit
+    drawn by the generator's own calls."""
+
+    permutations = 0
+
+    def permutation(self, *args, **kwargs):
+        self.permutations += 1
+        return super().permutation(*args, **kwargs)
+
+
+def cz_layers(n_layers, n=3):
+    return {
+        f"L{i:02d}": CliffordLayer(n, ((0, 1),) if i % 2 else (), (), f"L{i:02d}")
+        for i in range(n_layers)
+    }
 
 
 def reference_log_observable(true_models, fits, batch, gens) -> np.ndarray:
@@ -336,12 +405,108 @@ class TestSampleCircuit:
                     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+    @pytest.mark.parametrize("r", [2, 3, 5, 24, 120, 264, 1000, 2**31 + 1, 2**32 - 1])
+    def test_lemire_matches_numpy_bounded_draw(self, r):
+        # Words whose low product word (w r) mod 2^32 sits at, just above and
+        # below numpy's rejection threshold (2^32 - r) mod r: ceil(k 2^32 / r)
+        # + d leaves k 2^32 mod r stepped by d r, and an odd r reaches any
+        # low word through its inverse mod 2^32.
+        threshold = 2**32 % r
+        if r <= 1000:
+            crafted = [-(-k * 2**32 // r) + d for k in range(r) for d in (0, 1, 2)]
+        else:
+            inverse = pow(r, -1, 2**32)
+            crafted = [(low * inverse) % 2**32 for low in (0, threshold - 1, threshold, threshold + 1)]
+        crafted += np.random.default_rng(r).integers(0, 2**32, 500).tolist()
+        words = np.array([w for w in crafted if w < 2**32], dtype=np.uint32)
+        values, rejected = pec._lemire(words, r)
+        low = (words.astype(np.uint64) * r) % 2**32
+        # A power of two has no threshold and rejects nothing.
+        assert rejected.any() == (threshold > 0) and (low == threshold).any() and not rejected.all()
+        more = np.random.default_rng(0).integers(0, 2**32, 40).tolist()
+        for w, value, rej in zip(words.tolist(), values.tolist(), rejected):
+            # An accepted word is one draw; a rejected one makes numpy read on.
+            got, consumed = scalar_lemire(iter([w, *more]), r)
+            assert rej == (consumed > 1)
+            if not rej:
+                assert value == got
+        # The scalar copy is numpy's draw on a real stream: PCG64's 32-bit
+        # words are the low and then the high half of each raw output.
+        rng = np.random.default_rng(r)
+        stream = np.random.default_rng(r).bit_generator.random_raw(1000).astype("<u8").view("<u4")
+        it = iter(stream.tolist())
+        want = [scalar_lemire(it, r)[0] for _ in range(100)]
+        assert rng.integers(0, r, size=100).tolist() == want
+
+    @pytest.mark.parametrize("n, weight", [(1, 1), (2, 1), (3, 2), (8, 0), (8, 5), (20, 20)])
+    @pytest.mark.parametrize("lookahead", [1, 4, 16])
+    def test_support_matches_numpy_shuffle(self, monkeypatch, n, weight, lookahead):
+        # Rows of random words, some with low bits that reject for long runs
+        # and some too short for their draws: a row is redrawn exactly when
+        # numpy's own draws read past its words, past the look-ahead at one
+        # position, or through a rejected letter word.
+        monkeypatch.setattr(pec, "_LOOKAHEAD", lookahead)
+        rng = np.random.default_rng(n * 100 + lookahead)
+        width = 2 * n + weight
+        tail = rng.integers(0, 2**32, size=(400, width), dtype=np.uint64).astype(np.uint32)
+        tail[::3] |= np.uint32(0xFFFF)  # j = mask: rejected unless i = mask
+        tail[::7] = 0  # j = 0 always, and a letter word of zero is rejected
+        support, letters, redraw = pec._support_draws(tail, n, weight)
+        more = np.random.default_rng(0).integers(0, 2**32, 40 * n + 40).tolist()
+        outcomes = set()
+        for row, words in enumerate(tail.tolist()):
+            want, want_letters, read, longest, rejected = scalar_support(iter(words + more), n, weight)
+            expect = read > width or longest > lookahead or rejected
+            assert redraw[row] == expect
+            outcomes.add(expect)
+            if not expect:
+                assert support[row].tolist() == want
+                assert letters[row].tolist() == want_letters
+        assert outcomes == {False, True} or n == 1
+
+    @pytest.mark.parametrize("lookahead, chunk_words", [(1, 1 << 15), (2, 1), (16, 600)])
+    def test_fallback_and_chunks_match_scalar_draws(self, monkeypatch, lookahead, chunk_words):
+        # A look-ahead of one word sends most circuits back to the
+        # generator's own calls; small chunks split the batch's word blocks.
+        monkeypatch.setattr(pec, "_LOOKAHEAD", lookahead)
+        monkeypatch.setattr(pec, "_CHUNK_WORDS", chunk_words)
+        for layers, j_layers, w in ((self.layers, 40, 20), (self.layers, 40, 2), (cz_layers(11), 7, 3)):
+            _, states = streams(range(30))
+            rng = CountingGenerator(np.random.PCG64())
+            batch = sample_circuit(layers, j_layers, w, rng, states)
+            assert_scalar_draws(layers, j_layers, w, batch, states)
+            if lookahead == 1:
+                assert rng.permutations > 1
+            ref = np.random.default_rng()
+            ref.bit_generator.state = states[-1]
+            scalar_sample(layers, j_layers, w, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_buffered_half_word_state(self):
+        # A state holding the high half of a 64-bit output (has_uint32 = 1)
+        # serves that half first; its circuit is drawn by the generator.
+        states = []
+        for s in range(6):
+            gen = np.random.default_rng(s)
+            gen.integers(0, 2**32, size=s % 2 + 1, dtype=np.uint32)
+            states.append(gen.bit_generator.state)
+        assert [st["has_uint32"] for st in states] == [1, 0] * 3
+        batch = sample_circuit(self.layers, 9, 4, np.random.default_rng(), states)
+        assert_scalar_draws(self.layers, 9, 4, batch, states)
+
+    def test_empty_batch(self):
+        batch = sample_circuit(self.layers, 3, 2, *streams([]))
+        assert batch.base.shape == (0, 3) and batch.gates.shape == (0, 3, 20)
+        assert batch.final.shape == (0, 20)
+
+
 @st.composite
 def random_base_layers(draw):
-    """1-3 random CZ layers (non-overlapping pairs) on 1-8 qubits."""
+    """1, 2, 3, 5 or 11 random CZ layers (non-overlapping pairs) on 1-8
+    qubits: B = lcm(L, 24) is 24, 24, 24, 120 and 264 (uint16 draws)."""
     n = draw(st.integers(1, 8))
     layers = {}
-    for i in range(draw(st.integers(1, 3))):
+    for i in range(draw(st.sampled_from([1, 2, 3, 5, 11]))):
         order = draw(st.permutations(range(n)))
         pairs = tuple(
             (order[k], order[k + 1])
@@ -360,9 +525,15 @@ def random_base_layers(draw):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_propagation_matches_conjugate(spec, j_layers, data, seed):
+    # Every weight from 0 to n, and a look-ahead small enough to send some
+    # circuits back to the generator's own calls: the batch is the scalar
+    # draws, and propagates as `conjugate` does.
     n, layers = spec
     w = data.draw(st.integers(0, n))
-    batch = sample_circuit(layers, j_layers, w, *streams([seed, c] for c in range(3)))
+    rng, states = streams([seed, c] for c in range(3))
+    with mock.patch.object(pec, "_LOOKAHEAD", data.draw(st.sampled_from([1, 3, 16]))):
+        batch = sample_circuit(layers, j_layers, w, rng, states)
+    assert_scalar_draws(layers, j_layers, w, batch, states)
     steps = entering(batch)
     for c in range(3):
         assert np.count_nonzero(batch.final[c]) == w
@@ -371,6 +542,7 @@ def test_batched_propagation_matches_conjugate(spec, j_layers, data, seed):
             assert np.array_equal(digits(p), steps[j][c])
             p = conjugate(step_layer(batch, c, j), p).unsigned()
         assert np.array_equal(digits(p), batch.final[c])
+
 
 
 class TestPecSweep:

@@ -449,6 +449,63 @@ class TestInverseGramGuard:
                 assert b.fit_meta[pipe][lab]["kkt_residual"] <= 1e-10
 
 
+    def test_bound_decides_like_the_spectrum(self):
+        # ||G||_inf ||G^-1||_inf >= cond_2(G): an inverse it keeps is one the
+        # spectrum keeps, and with the spectrum as the fallback every Gram
+        # matrix gets the decision of `gram_rank` alone, near the bound too.
+        decisions = set()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            u, _ = np.linalg.qr(rng.normal(size=(40, 20)))
+            v, _ = np.linalg.qr(rng.normal(size=(20, 20)))
+            a = (u * np.logspace(0, -rng.uniform(0, 4.5), 20)) @ v.T
+            if seed % 10 == 0:
+                a[:, 3] = a[:, 7]
+            gram = a.T @ a
+            rank, cond = gram_rank(gram)
+            want = rank == len(gram) and cond <= MAX_INV_GRAM_COND
+            inv = pipeline.bounded_inverse(gram)
+            if inv is not None:
+                assert want and cond <= MAX_INV_GRAM_COND
+                np.testing.assert_array_equal(inv, np.linalg.inv(gram))
+            decisions.add((want, inv is not None))
+        assert decisions == {(False, False), (True, False), (True, True)}
+
+    def test_singular_or_non_finite_inverse_falls_back(self):
+        assert pipeline.bounded_inverse(np.zeros((3, 3))) is None
+        assert pipeline.bounded_inverse(np.full((2, 2), np.nan)) is None
+        assert pipeline.bounded_inverse(np.diag([1.0, 1e-300])) is None
+
+    def test_plan_takes_the_spectrum_only_when_the_bound_fails(self, monkeypatch, line_plan):
+        # Well-conditioned layers need no eigenvalue decomposition; the
+        # rank-deficient sq layer and a layer over a lowered bound fall back
+        # to it and are decided as before.
+        calls = []
+
+        def counted(gram):
+            calls.append(len(gram))
+            return gram_rank(gram)
+
+        monkeypatch.setattr(pipeline, "gram_rank", counted)
+        topo = Topology(3, ((0, 1), (1, 2)))
+        plain = build_plan(topo, line_plan.layers)
+        assert calls == [] and set(plain.inv_gram) == {"B", "G"}
+        sq = build_plan(square_lattice(2, 2), [CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")])
+        assert calls and sq.inv_gram == {} and sq.unconstrained["A"][0] == 42
+        gram = plain.s_fit["B"].T.astype(float) @ plain.s_fit["B"]
+        inv = plain.inv_gram["B"]
+        cond = gram_rank(gram)[1]
+        bound = np.abs(gram).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+        assert cond < bound
+        # Between cond_2 and the bound the spectrum still keeps the inverse.
+        monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", (cond + bound) / 2)
+        calls.clear()
+        kept = build_plan(topo, line_plan.layers)
+        assert calls == [len(gram)] * 2
+        np.testing.assert_array_equal(kept.inv_gram["B"], inv)
+        monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", cond / 2)
+        assert build_plan(topo, line_plan.layers).inv_gram == {}
+
 class TestCharacterizeAndFit:
     def test_noiseless_recovery_both_pipelines(self, plan):
         rng = model_rng(2, 0)
