@@ -7,7 +7,8 @@ float ranks are untrustworthy.  Small systems run fraction-free integer
 elimination (exact).  Large rank queries run vectorized elimination modulo
 two independent 31-bit primes; a modular rank is a certified lower bound on
 the rational rank, and agreement of both primes is accepted for the upper
-bound (disagreement falls back to the exact path).
+bound (disagreement falls back to the exact path).  All modular rank,
+extension and solution work runs on one elimination kernel, `_pivots_mod`.
 
 The certificate support search works mod p from one elimination per call:
 a particular solution and a left null-space basis, reduced in each retry's
@@ -83,7 +84,7 @@ def rank_exact(rows) -> int:
 
 
 def _rank_mod(rows: np.ndarray, p: int) -> int:
-    return len(_pivots_mod(rows, p))
+    return len(_pivots_mod(rows, p)[0])
 
 
 # Entries per block of rows converted or updated at a time, which bounds
@@ -91,20 +92,27 @@ def _rank_mod(rows: np.ndarray, p: int) -> int:
 _PIVOT_BLOCK = 1 << 16
 
 
-def _pivots_mod(rows: np.ndarray, p: int) -> list[int]:
+def _pivots_mod(
+    rows: np.ndarray, p: int, nrows: int | None = None, ncols: int | None = None
+) -> tuple[list[int], np.ndarray]:
     """Pivot columns of the row echelon form mod p < 2^31 (each column
-    independent of the columns before it).
+    independent of the columns before it), and the reduced matrix mod p.
 
-    The matrix is held mod p in int32, half the size of int64.  Each pivot,
-    scaled to 1, is subtracted from the rows below it that are nonzero in
-    its column, in int64 blocks of at most `_PIVOT_BLOCK` entries, so that
-    no temporary grows with the matrix.
+    Pivots are taken among the first `nrows` rows and `ncols` columns (all
+    by default); every row below the pivot is reduced, so rows past `nrows`
+    record the combinations that eliminate them.  The matrix is held mod p
+    in int32, half the size of int64.  Each pivot, scaled to 1, is
+    subtracted from the rows below it that are nonzero in its column, in
+    int64 blocks of at most `_PIVOT_BLOCK` entries, so that no temporary
+    grows with the matrix.
     """
     rows = np.asarray(rows)
-    nrows, ncols = rows.shape
-    a = np.empty((nrows, ncols), dtype=np.int32)
-    step = max(1, _PIVOT_BLOCK // max(ncols, 1))
-    for lo in range(0, nrows, step):
+    height, width = rows.shape
+    nrows = height if nrows is None else nrows
+    ncols = width if ncols is None else ncols
+    a = np.empty((height, width), dtype=np.int32)
+    step = max(1, _PIVOT_BLOCK // max(width, 1))
+    for lo in range(0, height, step):
         block = rows[lo : lo + step].astype(np.int64)
         block %= p
         a[lo : lo + step] = block
@@ -113,7 +121,7 @@ def _pivots_mod(rows: np.ndarray, p: int) -> list[int]:
     col = 0
     while rank < nrows and col < ncols:
         nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
+        if nz.size == 0 or nz[0] >= nrows - rank:
             col += 1
             continue
         pivots.append(col)
@@ -134,7 +142,7 @@ def _pivots_mod(rows: np.ndarray, p: int) -> list[int]:
             a[block_rows, col:] = block
         rank += 1
         col += 1
-    return pivots
+    return pivots, a
 
 
 def rank_checked(rows, rank_p0: int | None = None) -> int:
@@ -169,7 +177,7 @@ def extend_to_full_rank(rows, candidates, p: int = _PRIMES[0]) -> tuple[int, lis
     so no dependent candidate is taken; a candidate dependent mod p alone
     (an accident of p) is missed, which a rank count detects.
     """
-    pivots = _pivots_mod(np.vstack([rows, candidates]).T, p)
+    pivots = _pivots_mod(np.vstack([rows, candidates]).T, p)[0]
     taken = [col - len(rows) for col in pivots if col >= len(rows)]
     return len(pivots) - len(taken), taken
 
@@ -239,37 +247,22 @@ def _solution_and_null_space(rows: np.ndarray, target: np.ndarray, p: int):
     """Mod-p particular solution c of c @ rows = target and a basis of the
     left null space of rows (as matrix rows), or None if no solution exists.
 
-    Eliminates [rows | I] once: the identity part records each echelon row
-    as a combination of the input rows, so reducing the target against the
-    echelon rows accumulates c, and the rows that end up zero on the left
-    carry the null vectors.
+    `_pivots_mod` eliminates [rows | I; target | 0] with pivots among the
+    rows and their columns only: the identity part records each reduced
+    row as a combination of the input rows, so the target row ends as
+    [0 | -c] when the target is in the span, and the rows that end up zero
+    on the left carry the null vectors.
     """
     m, ncols = rows.shape
-    aug = np.concatenate([rows, np.eye(m, dtype=np.int64)], axis=1)
-    t = target.copy()
-    c = np.zeros(m, dtype=np.int64)
-    rank = 0
-    for col in range(ncols):
-        if rank == m:
-            break
-        nz = np.nonzero(aug[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        i = rank + nz[0]
-        if i != rank:
-            aug[[rank, i]] = aug[[i, rank]]
-        aug[rank] = (aug[rank] * pow(int(aug[rank, col]), p - 2, p)) % p
-        below = np.nonzero(aug[rank + 1 :, col])[0] + rank + 1
-        if below.size:
-            aug[below] = (aug[below] - np.outer(aug[below, col], aug[rank])) % p
-        if t[col]:
-            f = int(t[col])
-            t = (t - f * aug[rank, :ncols]) % p
-            c = (c + f * aug[rank, ncols:]) % p
-        rank += 1
-    if t.any():
+    aug = np.zeros((m + 1, ncols + m), dtype=np.int64)
+    aug[:m, :ncols] = rows
+    aug[:m, ncols:] = np.eye(m, dtype=np.int64)
+    aug[m, :ncols] = target
+    pivots, aug = _pivots_mod(aug, p, m, ncols)
+    if aug[m, :ncols].any():
         return None
-    return c, aug[rank:, ncols:]
+    c = -aug[m, ncols:].astype(np.int64) % p
+    return c, aug[len(pivots) : m, ncols:].astype(np.int64)
 
 
 def modular_support_search(

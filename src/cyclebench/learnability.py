@@ -58,9 +58,6 @@ class FidelityFunction:
             total -= 2.0 * float(gammas @ (rows @ model.lambdas))
         return total
 
-    def evaluate(self, models: dict[str, SplModel]) -> float:
-        return float(np.exp(self.evaluate_log(models)))
-
     def scaled(self, factor: Fraction) -> "FidelityFunction":
         return FidelityFunction(
             tuple((lab, p, g * factor) for lab, p, g in self.terms)
@@ -203,27 +200,20 @@ class LearnableSpan:
 
 @dataclass(frozen=True)
 class EquivalenceCertificate:
-    """log F1 = epsilon * log F2 + sum_i sigma_i * log F_i, exactly in lambda."""
+    """log F1 = epsilon * log F2 + sum_i sigma_i * log F_i, exactly in lambda,
+    with F_i the fidelity product of basis_products[i]."""
 
     f1: FidelityFunction
     f2: FidelityFunction
     epsilon: Fraction
     sigma: tuple[Fraction, ...]
-    learnable_basis: tuple[FidelityFunction, ...]
-    basis_products: tuple[LearnableProduct, ...] = ()
+    basis_products: tuple[LearnableProduct, ...]
 
     def residual_log(self, models: dict[str, SplModel]) -> float:
         val = self.f1.evaluate_log(models) - float(self.epsilon) * self.f2.evaluate_log(models)
-        for s, fn in zip(self.sigma, self.learnable_basis):
-            val -= float(s) * fn.evaluate_log(models)
+        for s, prod in zip(self.sigma, self.basis_products):
+            val -= float(s) * prod.function().evaluate_log(models)
         return val
-
-    def combined_function(self) -> FidelityFunction:
-        """f1 expressed as a single FidelityFunction of the RHS terms."""
-        out = self.f2.scaled(self.epsilon)
-        for s, fn in zip(self.sigma, self.learnable_basis):
-            out = out + fn.scaled(s)
-        return out
 
 
 class NotEquivalentError(ValueError):
@@ -265,20 +255,14 @@ def express_search(
     else:
         raise NotEquivalentError("exact solve failed after retries")
     eps = Fraction(0)
-    sigma, basis_fns, basis_prods = [], [], []
+    sigma, basis = [], []
     for idx, c in zip(support, coeffs):
         if idx == 0:
             eps = c
-            continue
-        if c == 0:
-            continue
-        prod = span.products[idx - 1]
-        sigma.append(c)
-        basis_fns.append(prod.function())
-        basis_prods.append(prod)
-    cert = EquivalenceCertificate(
-        target, anchor, eps, tuple(sigma), tuple(basis_fns), tuple(basis_prods)
-    )
+        elif c != 0:
+            sigma.append(c)
+            basis.append(span.products[idx - 1])
+    cert = EquivalenceCertificate(target, anchor, eps, tuple(sigma), tuple(basis))
     _verify_certificate(cert, space)
     return cert
 
@@ -287,8 +271,8 @@ def _verify_certificate(cert: EquivalenceCertificate, space: LambdaSpace) -> Non
     """f1 - epsilon f2 - sum sigma_i f_i must vanish exactly on the rate
     space; checked in integers, scaled by the lcm of all denominators."""
     terms = list(cert.f1.terms) + list(cert.f2.scaled(-cert.epsilon).terms)
-    for s, fn in zip(cert.sigma, cert.learnable_basis):
-        terms += fn.scaled(-s).terms
+    for s, prod in zip(cert.sigma, cert.basis_products):
+        terms += prod.function().scaled(-s).terms
     if space.int_row(FidelityFunction(tuple(terms))).any():
         raise NotEquivalentError("certificate failed exact verification")
 
@@ -433,9 +417,6 @@ class MuExpression:
             out = out + prod.function().scaled(coeff)
         return out
 
-    def evaluate(self, models: dict[str, SplModel]) -> float:
-        return self.mu_function().evaluate(models)
-
 
 def _chain_cache_key(chain: Chain, topology: Topology, q: int):
     index = {g: i for i, g in enumerate(chain.qubits)}
@@ -450,31 +431,20 @@ def _chain_cache_key(chain: Chain, topology: Topology, q: int):
     return (chain.kind, colors, local_edges, index[q])
 
 
-def _localize(fn: FidelityFunction, index: dict[int, int], k: int) -> FidelityFunction:
+def _mapped(
+    fn: FidelityFunction, labels: dict[str, str], src, dst, n: int
+) -> FidelityFunction:
+    """`fn` on n qubits with each label l renamed labels[l] and the letter
+    of qubit src[i] moved to qubit dst[i] (other qubits dropped)."""
+    moves = tuple(zip(src, dst))
     terms = []
     for lab, p, g in fn.terms:
         x = z = 0
-        for gq, lq in index.items():
-            x |= ((p.x_bits >> gq) & 1) << lq
-            z |= ((p.z_bits >> gq) & 1) << lq
-        terms.append((lab, PauliString(k, x, z), g))
+        for s, d in moves:
+            x |= ((p.x_bits >> s) & 1) << d
+            z |= ((p.z_bits >> s) & 1) << d
+        terms.append((labels[lab], PauliString(n, x, z), g))
     return FidelityFunction(tuple(terms))
-
-
-def _globalize_string(p: PauliString, qubits: tuple[int, ...], n: int) -> PauliString:
-    x = z = 0
-    for lq, gq in enumerate(qubits):
-        x |= ((p.x_bits >> lq) & 1) << gq
-        z |= ((p.z_bits >> lq) & 1) << gq
-    return PauliString(n, x, z)
-
-
-def _globalize_product(prod: LearnableProduct, qubits, n) -> LearnableProduct:
-    return LearnableProduct(
-        prod.label,
-        tuple(_globalize_string(p, qubits, n) for p in prod.strings),
-        prod.source,
-    )
 
 
 def mu_expression(
@@ -501,12 +471,13 @@ def mu_expression(
     # for the pair's first/second layer) so identical chain shapes from
     # different layer pairs share the search.
     relabel = {chain.pair[0]: "0", chain.pair[1]: "1"}
+    qubits = chain.qubits
+    k = len(qubits)
     if key not in cache:
-        qubits = chain.qubits
         index = {g: i for i, g in enumerate(qubits)}
-        k = len(qubits)
-        local_topo = topology.induced(qubits)
-        gens = GeneratorSet(local_topo)
+        gens = GeneratorSet(topology.induced(qubits))
+        product = _mapped(target.product, relabel, qubits, range(k), k)
+        mu = _mapped(target.mu, relabel, qubits, range(k), k)
         certs = []
         for which, lab in enumerate(chain.pair):
             loc = relabel[lab]
@@ -517,49 +488,46 @@ def mu_expression(
             span = LearnableSpan(
                 LambdaSpace((loc,), {loc: gens}), orbit_learnables(layer, gens)
             )
-            anchor = FidelityFunction(
-                tuple(
-                    (relabel[l], p, g)
-                    for l, p, g in _localize(target.product, index, k).terms
-                    if l == lab
-                )
-            )
-            tgt = FidelityFunction(
-                tuple(
-                    (relabel[l], p, abs(g))
-                    for l, p, g in _localize(target.mu, index, k).terms
-                    if l == lab
-                )
-            )
+            anchor = FidelityFunction(tuple(t for t in product.terms if t[0] == loc))
+            tgt = FidelityFunction(tuple((l, p, abs(g)) for l, p, g in mu.terms if l == loc))
             certs.append(express_search(tgt, anchor, span, seed=seed + which, retries=retries))
         cache[key] = tuple(certs)
-    unlabel = {"0": chain.pair[0], "1": chain.pair[1]}
-    cert1, cert2 = (_relabel_cert(c, unlabel) for c in cache[key])
+    cert1, cert2 = cache[key]
     if cert1.epsilon != -cert2.epsilon:
         raise NotEquivalentError(
             "layer certificates disagree on the product exponent; "
             "the measured product cannot isolate the ratio"
         )
-    terms: dict = {}
-    for sgn, cert in ((Fraction(1), cert1), (Fraction(-1), cert2)):
-        for prod, coeff in zip(cert.basis_products, cert.sigma):
-            gprod = _globalize_product(prod, chain.qubits, n)
-            k2 = gprod.key()
-            if k2 in terms:
-                terms[k2] = (terms[k2][0], terms[k2][1] + sgn * coeff)
-            else:
-                terms[k2] = (gprod, sgn * coeff)
+    unlabel = {"0": chain.pair[0], "1": chain.pair[1]}
+
+    def globalize(fn: FidelityFunction) -> FidelityFunction:
+        return _mapped(fn, unlabel, range(k), qubits, n)
+
     gcerts = tuple(
         EquivalenceCertificate(
-            _globalize_fn(c.f1, chain.qubits, n),
-            _globalize_fn(c.f2, chain.qubits, n),
+            globalize(c.f1),
+            globalize(c.f2),
             c.epsilon,
             c.sigma,
-            tuple(_globalize_fn(f, chain.qubits, n) for f in c.learnable_basis),
-            tuple(_globalize_product(p, chain.qubits, n) for p in c.basis_products),
+            tuple(
+                LearnableProduct(
+                    unlabel[prod.label],
+                    tuple(p for _, p, _ in globalize(prod.function()).terms),
+                    prod.source,
+                )
+                for prod in c.basis_products
+            ),
         )
         for c in (cert1, cert2)
     )
+    terms: dict = {}
+    for sgn, cert in zip((Fraction(1), Fraction(-1)), gcerts):
+        for prod, coeff in zip(cert.basis_products, cert.sigma):
+            k2 = prod.key()
+            if k2 in terms:
+                terms[k2] = (terms[k2][0], terms[k2][1] + sgn * coeff)
+            else:
+                terms[k2] = (prod, sgn * coeff)
     return MuExpression(
         qubit=target.qubit,
         pair=chain.pair,
@@ -567,30 +535,6 @@ def mu_expression(
         epsilon=cert1.epsilon,
         learnable_terms=tuple((p, c) for p, c in terms.values() if c != 0),
         certificates=gcerts,
-    )
-
-
-def _globalize_fn(fn: FidelityFunction, qubits, n) -> FidelityFunction:
-    return FidelityFunction(
-        tuple((lab, _globalize_string(p, qubits, n), g) for lab, p, g in fn.terms)
-    )
-
-
-def _relabel_fn(fn: FidelityFunction, mapping: dict[str, str]) -> FidelityFunction:
-    return FidelityFunction(tuple((mapping[l], p, g) for l, p, g in fn.terms))
-
-
-def _relabel_cert(cert: EquivalenceCertificate, mapping: dict[str, str]) -> EquivalenceCertificate:
-    return EquivalenceCertificate(
-        _relabel_fn(cert.f1, mapping),
-        _relabel_fn(cert.f2, mapping),
-        cert.epsilon,
-        cert.sigma,
-        tuple(_relabel_fn(f, mapping) for f in cert.learnable_basis),
-        tuple(
-            LearnableProduct(mapping[p.label], p.strings, p.source)
-            for p in cert.basis_products
-        ),
     )
 
 

@@ -83,9 +83,6 @@ class PauliString:
         m = self.x_bits | self.z_bits
         return tuple(q for q in range(self.n) if (m >> q) & 1)
 
-    def is_identity(self) -> bool:
-        return self.x_bits == 0 and self.z_bits == 0
-
     def unsigned(self) -> "PauliString":
         return self if self.sign == 1 else PauliString(self.n, self.x_bits, self.z_bits)
 
@@ -138,13 +135,6 @@ def from_digits(rows: np.ndarray, n: int) -> list[PauliString]:
         PauliString(n, int.from_bytes(x.tobytes(), "little"), int.from_bytes(z.tobytes(), "little"))
         for x, z in zip(xs, zs)
     ]
-
-
-def symplectic_inner(a: PauliString, b: PauliString) -> int:
-    """0 if the two Paulis commute, 1 if they anticommute."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} != {b.n}")
-    return ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) & 1
 
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:

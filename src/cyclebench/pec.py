@@ -281,7 +281,8 @@ def sample_circuit(
         final[c, qubits] = _LETTER_DIGITS[rng.integers(3, size=target_weight)]
     base = (draws[:, :, 0] // (bound // n_layers)).astype(np.intp)
     gates = draws[:, :, 1:]
-    gates //= bound // n_gates
+    if bound != n_gates:
+        gates //= bound // n_gates
     gates = gates.astype(np.uint8, copy=False)  # a view of the draws while B <= 256
     return CircuitBatch(tuple(base_layers[lab] for lab in labels), base, gates, final)
 

@@ -128,7 +128,7 @@ def build_plan(
         else:
             rank, cond = gram_rank(g)
             if rank < len(g):
-                unconstrained[lab] = null_generators(g, gens)
+                unconstrained[lab] = (rank, null_generators(g, gens, rank))
             elif cond <= MAX_INV_GRAM_COND:
                 inv_gram[lab] = np.linalg.inv(g)
     expressions, failures = ratio_expressions(topology, layers, seed, retries)
@@ -262,17 +262,14 @@ def gram_rank(gram: np.ndarray) -> tuple[int, float]:
     return rank, (top / s.min() if rank == len(gram) else np.inf)
 
 
-def null_generators(gram: np.ndarray, gens: GeneratorSet) -> tuple[int, list[str]]:
-    """Numerical rank of a fit matrix's Gram and the generators whose rates
-    it leaves undetermined: those with weight in the null-space eigenvectors,
-    most weight first (none when the rank is full)."""
-    rank = gram_rank(gram)[0]
-    if rank == len(gram):
-        return rank, []
+def null_generators(gram: np.ndarray, gens: GeneratorSet, rank: int) -> list[str]:
+    """The generators whose rates a fit matrix leaves undetermined, given
+    the numerical rank of its Gram (from `gram_rank`): those with weight in
+    the null-space eigenvectors, most weight first (none at full rank)."""
     _, vecs = np.linalg.eigh(gram)  # ascending eigenvalues
     weight = np.square(vecs[:, : len(gram) - rank]).sum(axis=1)
     order = np.argsort(-weight, kind="stable")
-    return rank, [gens.strings[i].label() for i in order if weight[i] > 1e-9]
+    return [gens.strings[i].label() for i in order if weight[i] > 1e-9]
 
 
 def covering_pairs(topology: Topology, layers: list[CliffordLayer]):

@@ -38,10 +38,6 @@ class Topology:
             if len(self.coords) != self.n:
                 raise ValueError("coords must cover every qubit")
 
-    @property
-    def num_pairs(self) -> int:
-        return len(self.edges)
-
     def induced(self, qubits: tuple[int, ...]) -> "Topology":
         """Subgraph on the given qubits, relabelled 0..k-1 in list order."""
         index = {q: i for i, q in enumerate(qubits)}

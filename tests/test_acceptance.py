@@ -228,7 +228,7 @@ class TestCriterion6RatioIdentity:
             direct = models["B"].fidelity(PauliString.from_label("XII")) / models[
                 "G"
             ].fidelity(PauliString.from_label("IIX"))
-            worst = max(worst, abs(expr.evaluate(models) - direct))
+            worst = max(worst, abs(np.exp(expr.mu_function().evaluate_log(models)) - direct))
         ok = worst < 1e-10
         report(6, ok, f"ratio from measured product matches exact model (worst {worst:.2e})")
 

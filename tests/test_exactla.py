@@ -11,9 +11,13 @@ decisions, so both return identical supports for equal rng seeds.
 recomputed mod-p rank, as `exactla.extend_to_full_rank` must (which also
 returns the rows' mod-p rank).  `pivots_reference` is row echelon
 elimination mod p in Python integers, which the int32/int64 block kernel
-`exactla._pivots_mod` must match pivot for pivot.
+`exactla._pivots_mod` must match pivot for pivot and entry for entry.
+`solution_reference` is the int64 elimination that
+`exactla._solution_and_null_space` replaced by that kernel; both must
+return the same solution and null-space basis.
 """
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -30,7 +34,12 @@ from cyclebench.exactla import (
     modular_support_search,
     solve_rational,
 )
-from cyclebench.learnability import EquivalenceCertificate, FidelityFunction, LambdaSpace
+from cyclebench.learnability import (
+    EquivalenceCertificate,
+    FidelityFunction,
+    LambdaSpace,
+    LearnableProduct,
+)
 from cyclebench.pauli import PauliString
 from cyclebench.spl import GeneratorSet
 from cyclebench.topology import Topology
@@ -106,13 +115,17 @@ def test_extend_matches_rank_reference(ncols, data, p):
 
 
 
-def pivots_reference(rows, p):
-    """Pivot columns of the row echelon form mod p, in Python integers."""
+def pivots_reference(rows, p, nrows=None, ncols=None):
+    """Pivot columns of the row echelon form mod p, taken among the first
+    `nrows` rows and `ncols` columns, and the reduced matrix, in Python
+    integers."""
     a = [[int(v) % p for v in row] for row in rows]
+    nrows = len(a) if nrows is None else nrows
+    ncols = (len(a[0]) if a else 0) if ncols is None else ncols
     pivots = []
-    for col in range(len(a[0]) if a else 0):
+    for col in range(ncols):
         rank = len(pivots)
-        sel = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        sel = next((i for i in range(rank, nrows) if a[i][col]), None)
         if sel is None:
             continue
         a[rank], a[sel] = a[sel], a[rank]
@@ -123,13 +136,15 @@ def pivots_reference(rows, p):
                 f = a[i][col]
                 a[i] = [(v - f * w) % p for v, w in zip(a[i], a[rank])]
         pivots.append(col)
-    return pivots
+    return pivots, a
 
 
 @pytest.mark.parametrize("block", [1, 7, exactla._PIVOT_BLOCK])
 def test_pivots_match_python_elimination(monkeypatch, block):
     # Blocks of one entry convert and update one row at a time; entries far
-    # beyond p, negative entries, sparse and low-rank matrices.
+    # beyond p, negative entries, sparse and low-rank matrices.  Each matrix
+    # is also eliminated with pivots limited to a leading block, the rows
+    # past it reduced too, as in the certificate search's [rows | I; t | 0].
     monkeypatch.setattr(exactla, "_PIVOT_BLOCK", block)
     rng = np.random.default_rng(block)
     for trial in range(40):
@@ -142,8 +157,45 @@ def test_pivots_match_python_elimination(monkeypatch, block):
         else:
             rows = rng.integers(-2, 3, size=(nrows, ncols)) * (rng.random((nrows, ncols)) < 0.3)
         rows = rows.astype(np.int8 if trial % 4 == 2 else np.int64)
-        for p in (*PRIMES, _PRIMES[1]):
-            assert exactla._pivots_mod(rows, p) == pivots_reference(rows.tolist(), p)
+        limits = (rng.integers(0, nrows + 1), rng.integers(0, ncols + 1))
+        for p, bounds in itertools.product((*PRIMES, _PRIMES[1]), ((), limits)):
+            pivots, reduced = exactla._pivots_mod(rows, p, *bounds)
+            want_pivots, want = pivots_reference(rows.tolist(), p, *bounds)
+            assert pivots == want_pivots
+            assert reduced.dtype == np.int32 and reduced.tolist() == want
+
+
+def solution_reference(rows, target, p):
+    """The int64 [rows | I] elimination that `_solution_and_null_space`
+    replaced: the target is reduced against each new pivot row, and its
+    multiples accumulate c."""
+    m, ncols = rows.shape
+    aug = np.concatenate([rows, np.eye(m, dtype=np.int64)], axis=1)
+    t = target.copy()
+    c = np.zeros(m, dtype=np.int64)
+    rank = 0
+    for col in range(ncols):
+        if rank == m:
+            break
+        nz = np.nonzero(aug[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        i = rank + nz[0]
+        if i != rank:
+            aug[[rank, i]] = aug[[i, rank]]
+        aug[rank] = (aug[rank] * pow(int(aug[rank, col]), p - 2, p)) % p
+        below = np.nonzero(aug[rank + 1 :, col])[0] + rank + 1
+        if below.size:
+            aug[below] = (aug[below] - np.outer(aug[below, col], aug[rank])) % p
+        if t[col]:
+            f = int(t[col])
+            t = (t - f * aug[rank, :ncols]) % p
+            c = (c + f * aug[rank, ncols:]) % p
+        rank += 1
+    if t.any():
+        return None
+    return c, aug[rank:, ncols:]
+
 
 @st.composite
 def search_problems(draw):
@@ -194,6 +246,26 @@ def test_search_matches_rank_reference(problem, p, seed, retries):
         assert spans_mod(rows, got, target, p)
         if not (target % p).any():
             assert got == []
+
+
+@settings(max_examples=300, deadline=None)
+@example(  # no rows: the empty combination solves a zero target only
+    problem=(np.zeros((0, 2), dtype=np.int64), np.array([0, 0])), p=7,
+)
+@example(problem=(np.zeros((0, 2), dtype=np.int64), np.array([0, 1])), p=7)
+@given(problem=search_problems(), p=st.sampled_from(PRIMES))
+def test_solution_and_null_space_match_reference(problem, p):
+    rows, target = (np.asarray(a, dtype=np.int64) % p for a in problem)
+    got = exactla._solution_and_null_space(rows, target, p)
+    want = solution_reference(rows, target, p)
+    if want is None:
+        assert got is None
+        return
+    (c, null), (want_c, want_null) = got, want
+    assert c.dtype == null.dtype == np.int64
+    assert c.tolist() == want_c.tolist()
+    assert null.shape == want_null.shape and null.tolist() == want_null.tolist()
+    assert not ((c.astype(object) @ rows.astype(object) - target) % p).any()
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +405,15 @@ def test_int_row_of_fractional_certificate():
         f2=FidelityFunction.product("A", [pauli("XII"), pauli("IZI")]),
         epsilon=Fraction(1, 2),
         sigma=(Fraction(-1, 2), Fraction(1, 3)),
-        learnable_basis=(
-            FidelityFunction.product("A", [pauli("IZI")]),
-            FidelityFunction.product("B", [pauli("ZZI"), pauli("IIY")]),
+        basis_products=(
+            LearnableProduct("A", (pauli("IZI"),), "standard"),
+            LearnableProduct("B", (pauli("ZZI"), pauli("IIY")), "standard"),
         ),
     )
-    fn = cert.combined_function()
+    # f1 written through the right-hand side's terms.
+    fn = cert.f2.scaled(cert.epsilon)
+    for s, prod in zip(cert.sigma, cert.basis_products):
+        fn = fn + prod.function().scaled(s)
     assert any(g.denominator > 1 for _, _, g in fn.terms)
     assert np.array_equal(space.int_row(fn), scaled_row(space, fn))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -111,21 +112,40 @@ class TestPlan:
         assert plan.unconstrained == {}
         for lab in plan.labels:
             S = np.vstack([plan.s_high[lab], plan.s_low[lab]]).astype(float)
-            assert null_generators(S.T @ S, plan.generators) == (len(plan.generators), [])
+            rank = gram_rank(S.T @ S)[0]
+            assert rank == len(plan.generators)
+            assert null_generators(S.T @ S, plan.generators, rank) == []
 
     def test_learnable_rows_alone_rank_deficient(self):
         # Without the two unlearnable singles a CZ layer's fit matrix loses
         # two directions; with them it is full rank.
         single = build_plan(Topology(2, ((0, 1),)), [CliffordLayer(2, ((0, 1),), (), "C")])
         high = single.s_high["C"].astype(float)
-        rank, names = null_generators(high.T @ high, single.generators)
-        assert rank == 15 - 2 and names
+        rank = gram_rank(high.T @ high)[0]
+        assert rank == 15 - 2 and null_generators(high.T @ high, single.generators, rank)
         assert single.unconstrained == {}
 
     def test_sq_layer_rank_deficient(self, sq_plan):
         rank, names = sq_plan.unconstrained["A"]
         assert rank == 42 < len(sq_plan.generators) == 48
         assert names and all(name[2] in "XY" for name in names)
+
+    def test_rank_deficient_layer_decomposed_once(self, monkeypatch):
+        # `gram_rank`'s eigenvalues decide the rank; `null_generators` takes
+        # that rank and needs only its eigenvectors.
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        layer = CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")
+        sq = build_plan(square_lattice(2, 2), [layer])
+        assert sorted(calls) == ["eigh", "eigvalsh"]
+        assert sq.unconstrained["A"][0] == 42
 
     def test_cached_plan_keys_on_sq_gates(self):
         # The same CZ pairs with and without an S gate are different plans.
@@ -163,6 +183,13 @@ class TestPlan:
         assert small.mu_failures == 0
         assert mu_entries_text(small) == PINNED_MU_ENTRIES
 
+    def test_fig6_certificates_pinned(self, fig6_plan):
+        topo = garnet20()
+        chains = build_plan(topo, four_layer_config(topo, "open_chains"), seed=20240503, retries=8)
+        for scheme, plan in (("closed_squares", fig6_plan), ("open_chains", chains)):
+            assert plan.mu_failures == 0 and len(plan.mu_entries) == 42
+            assert certificate_digest(plan) == PINNED_FIG6_DIGESTS[scheme], scheme
+
     def test_plan_independent_of_earlier_plans(self):
         # Each plan keeps its own certificate cache.  Seeds 0 and 7 find
         # different certificates for two of these entries, so a cache shared
@@ -185,7 +212,7 @@ class TestPlan:
             expr = entry.expression
             fns += [expr.mu_function(), expr.target.product, expr.target.mu]
             for cert in expr.certificates:
-                fns += [cert.f1, cert.f2, *cert.learnable_basis]
+                fns += [cert.f1, cert.f2, *(prod.function() for prod in cert.basis_products)]
         for fn in fns:
             want = sum(float(g) * models[lab].log_fidelity(p) for lab, p, g in fn.terms)
             assert abs(fn.evaluate_log(models) - want) <= 1e-12
@@ -194,7 +221,7 @@ class TestPlan:
         rng = model_rng(1, 0)
         models = generate_models(plan, rng)
         for entry in plan.mu_entries:
-            mu_fn = entry.expression.mu_function().evaluate(models)
+            mu_fn = np.exp(entry.expression.mu_function().evaluate_log(models))
             num, den = entry.expression.target.mu.terms
             direct = models[num[0]].fidelity(num[1]) / models[den[0]].fidelity(den[1])
             assert mu_fn == pytest.approx(direct, abs=1e-10)
@@ -222,6 +249,33 @@ def cert_text(cert):
     )
     return f"{cert.epsilon} | " + " ".join(terms)
 
+
+def certificate_digest(plan):
+    """sha256 of each entry's `mu_entries_text` row, both certificates' f1
+    and f2, and its learnable terms with their products' strings."""
+
+    def fn_text(fn):
+        return " ".join(f"{g}*{lab}[{p.label()}]" for lab, p, g in fn.terms)
+
+    lines = []
+    for row, entry in zip(mu_entries_text(plan), plan.mu_entries):
+        expr = entry.expression
+        lines.append(repr(row))
+        lines += [f"{fn_text(c.f1)} = {fn_text(c.f2)}" for c in expr.certificates]
+        lines += [
+            f"{coeff}*{p.label}{p.source[0]}[{','.join(q.label() for q in p.strings)}]"
+            for p, coeff in expr.learnable_terms
+        ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Recorded before certificates held their learnable products once and before
+# the support search ran on `exactla._pivots_mod`: the fig6 plans (garnet20,
+# seed 20240503, 8 retries) on closed squares and open chains.
+PINNED_FIG6_DIGESTS = {
+    "closed_squares": "8a9c5ee8bdbf07d71f754a5a6e898c69d28e72778e600162a4e7c278eb4365ba",
+    "open_chains": "e4590729de855e8024a33e9e10831326a29110f17007f1720c3fea59325100dc",
+}
 
 # (qubit, pair, epsilon, learn_refs, certificate of each layer)
 PINNED_MU_ENTRIES = [
