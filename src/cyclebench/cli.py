@@ -35,7 +35,7 @@ from .pipeline import (
     ratio_expressions,
     sweep_item,
 )
-from .spl import GeneratorSet, RandomModelParams, random_model
+from .spl import GeneratorSet, random_model
 from .topology import LAYER_SCHEMES, Topology, four_layer_config, preset
 
 EXIT_CONFIG = 2
@@ -111,6 +111,10 @@ def parse_config(raw: dict) -> RunConfig:
         baseline = raw.get("baseline", "symmetry")
         if baseline not in ("symmetry", "unit_depth"):
             raise ConfigError(f"unknown baseline {baseline!r}")
+        # Checked here, not when the outputs are written after all the work.
+        out = raw.get("out", "out")
+        if not isinstance(out, str) or not out:
+            raise ConfigError(f"out must be a non-empty string, got {out!r}")
         return RunConfig(
             topology=topo,
             layers=layers,
@@ -124,7 +128,7 @@ def parse_config(raw: dict) -> RunConfig:
             circuits=_integer(raw, "circuits", 10),
             j_layers=_integer(raw, "j_layers", 40),
             weights=tuple(raw.get("weights", (2, 20))),
-            out=raw.get("out", "out"),
+            out=out,
             parallel=_integer(raw, "parallel", 1, minimum=1),
             raw=raw,
         )
@@ -225,7 +229,7 @@ def cmd_generate_model(cfg: RunConfig) -> int:
     gens = GeneratorSet(cfg.topology)
     os.makedirs(cfg.out, exist_ok=True)
     for layer in cfg.layers:
-        model = random_model(gens, layer, RandomModelParams(), rng)
+        model = random_model(gens, layer, rng)
         payload = model.to_dict()
         payload["config_digest"] = cfg.digest()
         _write_json(os.path.join(cfg.out, f"model_{layer.label}.json"), payload)
@@ -525,7 +529,7 @@ def cmd_repro(figure: str, out: str, parallel: int, models: int | None = None) -
         base = {k: v for k, v in spec.items()
                 if k not in ("schemes", "sigma_prime_multipliers")}
         results = [
-            (key, _sweep(parse_config(dict(base, parallel=parallel, **change)), seed))
+            (key, _sweep(parse_config(dict(base, out=out, parallel=parallel, **change)), seed))
             for key, change, seed in sweeps
         ]
         os.makedirs(out, exist_ok=True)

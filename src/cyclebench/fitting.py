@@ -12,6 +12,11 @@ import numpy as np
 from .spl import SplModel
 
 
+# The KKT tolerance on the gradient, relative to max(1, max |A^T b|).  An
+# n-column fit that needs more than 10 n + 100 passive-set solves fails.
+TOL = 1e-12
+
+
 class RankDeficientError(ValueError):
     """A fit matrix leaves some rate directions unconstrained."""
 
@@ -27,15 +32,13 @@ class FitResult:
 def nnls(
     A: np.ndarray,
     b: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
     inv_gram: np.ndarray | None = None,
 ) -> FitResult:
     """argmin_{x >= 0} || A x - b ||_2 by block principal pivoting.
 
     Kim & Park's method on the normal equations: every iteration solves
     A_F^T A_F x_F = A_F^T b on the passive set F and exchanges the infeasible
-    indices (passive with x_i <= 0, active with gradient above tol * scale).
+    indices (passive with x_i <= 0, active with gradient above TOL * scale).
     All of them are exchanged while their count keeps falling, with a budget
     of three non-improving exchanges.  The first passive set is the sign
     pattern x > 0 of the unconstrained solution.  When the budget runs out,
@@ -65,11 +68,10 @@ def nnls(
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = A.shape[1]
-    if max_iter is None:
-        max_iter = 10 * n + 100
+    max_iter = 10 * n + 100
     atb = A.T @ b
     scale = max(1.0, float(np.abs(atb).max(initial=0.0)))
-    gtol = tol * scale
+    gtol = TOL * scale
     iters = 0
 
     if inv_gram is None:

@@ -11,7 +11,7 @@ measured multi-layer product plus learnable terms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -77,45 +77,24 @@ class FidelityFunction:
         )
 
 
-@dataclass(frozen=True)
-class LambdaSpace:
-    """Concatenated rate space over an ordered set of layers."""
+def int_row(generators: GeneratorSet, fn: FidelityFunction) -> np.ndarray:
+    """The rate-space row of `fn` (sum of g * overlaps over its terms, all
+    on the one layer whose rates `generators` index), scaled by the lcm of
+    its denominators, in integers.
 
-    labels: tuple[str, ...]
-    generators: dict[str, GeneratorSet] = field(hash=False)
-
-    @property
-    def dim(self) -> int:
-        return sum(len(self.generators[lab]) for lab in self.labels)
-
-    def offsets(self) -> dict[str, int]:
-        off, total = {}, 0
-        for lab in self.labels:
-            off[lab] = total
-            total += len(self.generators[lab])
-        return off
-
-    def int_row(self, fn: FidelityFunction) -> np.ndarray:
-        """The rate-space row of `fn` (sum of g * overlaps over its terms),
-        scaled by the lcm of its denominators, in integers.
-
-        With D the lcm of the coefficient denominators, R = sum (g D) *
-        overlaps is D times the row, and R / gcd(D, R) is the row times the
-        lcm of its own denominators (terms may cancel; a zero row stays 0).
-        """
-        den = lcm(*(g.denominator for _, _, g in fn.terms))
-        weights = [int(g * den) for _, _, g in fn.terms]
-        # Overlaps are 0 or 1, so int64 is exact below this bound.
-        wide = sum(map(abs, weights)) >= 2**63
-        out = np.zeros(self.dim, dtype=object if wide else np.int64)
-        off = self.offsets()
-        for lab in dict.fromkeys(lab for lab, _, _ in fn.terms):
-            gens = self.generators[lab]
-            idx = [i for i, (l, _, _) in enumerate(fn.terms) if l == lab]
-            rows = gens.digit_overlaps(digits([fn.terms[i][1] for i in idx], gens.topology.n))
-            w = np.array([weights[i] for i in idx], dtype=out.dtype)
-            out[off[lab] : off[lab] + len(gens)] += w @ rows.astype(out.dtype)
-        return out // gcd(den, int(np.gcd.reduce(out)))
+    With D the lcm of the coefficient denominators, R = sum (g D) *
+    overlaps is D times the row, and R / gcd(D, R) is the row times the
+    lcm of its own denominators (terms may cancel; a zero row stays 0).
+    """
+    if len({lab for lab, _, _ in fn.terms}) > 1:
+        raise ValueError("int_row takes the terms of one layer")
+    den = lcm(*(g.denominator for _, _, g in fn.terms))
+    weights = [int(g * den) for _, _, g in fn.terms]
+    # Overlaps are 0 or 1, so int64 is exact below this bound.
+    dtype = object if sum(map(abs, weights)) >= 2**63 else np.int64
+    rows = generators.digit_overlaps(digits([p for _, p, _ in fn.terms], generators.topology.n))
+    out = np.array(weights, dtype=dtype) @ rows.astype(dtype)
+    return out // gcd(den, int(np.gcd.reduce(out)))
 
 
 @dataclass(frozen=True)
@@ -182,22 +161,6 @@ def product_rows(generators: GeneratorSet, products) -> np.ndarray:
     return out
 
 
-class LearnableSpan:
-    """Learnable-product rows over a rate space."""
-
-    def __init__(self, space: LambdaSpace, products: list[LearnableProduct]):
-        self.space = space
-        self.products = list(products)
-        self.rows = np.zeros((len(self.products), space.dim), dtype=np.int8)
-        off = space.offsets()
-        for lab in space.labels:
-            idx = [i for i, p in enumerate(self.products) if p.label == lab]
-            if idx:
-                gens = space.generators[lab]
-                block = product_rows(gens, [self.products[i] for i in idx])
-                self.rows[idx, off[lab] : off[lab] + len(gens)] = block
-
-
 @dataclass(frozen=True)
 class EquivalenceCertificate:
     """log F1 = epsilon * log F2 + sum_i sigma_i * log F_i, exactly in lambda,
@@ -223,21 +186,21 @@ class NotEquivalentError(ValueError):
 def express_search(
     target: FidelityFunction,
     anchor: FidelityFunction,
-    span: LearnableSpan,
+    generators: GeneratorSet,
+    products: list[LearnableProduct],
     seed: int = 0,
     retries: int = 32,
 ) -> EquivalenceCertificate:
-    """Express `target` through `anchor` plus few learnable rows.
+    """Express `target` through `anchor` plus few of the learnable
+    `products`, all functions of one layer's rates over `generators`.
 
     Randomized greedy elimination over the learnable rows (runs modulo a
     31-bit prime for speed), then an exact rational solve on the surviving
     support; the returned certificate is verified symbolically, so a modular
     accident can only cost a retry, never correctness.
     """
-    space = span.space
-    t = space.int_row(target)
-    row_a = space.int_row(anchor)
-    cols = np.vstack([row_a, span.rows])
+    t = int_row(generators, target)
+    cols = np.vstack([int_row(generators, anchor), product_rows(generators, products)])
     rng = np.random.default_rng(seed)
     support = exactla.modular_support_search(cols, t, rng, retries)
     if support is None:
@@ -261,19 +224,19 @@ def express_search(
             eps = c
         elif c != 0:
             sigma.append(c)
-            basis.append(span.products[idx - 1])
+            basis.append(products[idx - 1])
     cert = EquivalenceCertificate(target, anchor, eps, tuple(sigma), tuple(basis))
-    _verify_certificate(cert, space)
+    _verify_certificate(cert, generators)
     return cert
 
 
-def _verify_certificate(cert: EquivalenceCertificate, space: LambdaSpace) -> None:
+def _verify_certificate(cert: EquivalenceCertificate, generators: GeneratorSet) -> None:
     """f1 - epsilon f2 - sum sigma_i f_i must vanish exactly on the rate
     space; checked in integers, scaled by the lcm of all denominators."""
     terms = list(cert.f1.terms) + list(cert.f2.scaled(-cert.epsilon).terms)
     for s, prod in zip(cert.sigma, cert.basis_products):
         terms += prod.function().scaled(-s).terms
-    if space.int_row(FidelityFunction(tuple(terms))).any():
+    if int_row(generators, FidelityFunction(tuple(terms))).any():
         raise NotEquivalentError("certificate failed exact verification")
 
 
@@ -484,13 +447,12 @@ def mu_expression(
             layer_edges = tuple(
                 (index[a], index[b]) for (a, b), elab in chain.edges if elab == lab
             )
-            layer = CliffordLayer(k, layer_edges, (), loc)
-            span = LearnableSpan(
-                LambdaSpace((loc,), {loc: gens}), orbit_learnables(layer, gens)
-            )
+            products = orbit_learnables(CliffordLayer(k, layer_edges, (), loc), gens)
             anchor = FidelityFunction(tuple(t for t in product.terms if t[0] == loc))
             tgt = FidelityFunction(tuple((l, p, abs(g)) for l, p, g in mu.terms if l == loc))
-            certs.append(express_search(tgt, anchor, span, seed=seed + which, retries=retries))
+            certs.append(
+                express_search(tgt, anchor, gens, products, seed=seed + which, retries=retries)
+            )
         cache[key] = tuple(certs)
     cert1, cert2 = cache[key]
     if cert1.epsilon != -cert2.epsilon:

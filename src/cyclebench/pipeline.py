@@ -22,7 +22,7 @@ from .learnability import (
     product_rows,
 )
 from .pauli import PauliString, digits
-from .spl import GeneratorSet, RandomModelParams, SplModel, random_model
+from .spl import GeneratorSet, SplModel, random_model
 from .topology import Topology
 
 
@@ -294,15 +294,8 @@ def covering_pairs(topology: Topology, layers: list[CliffordLayer]):
     return pairs, wanted
 
 
-def generate_models(
-    plan: CharacterizationPlan,
-    rng: np.random.Generator,
-    params: RandomModelParams = RandomModelParams(),
-) -> dict[str, SplModel]:
-    return {
-        layer.label: random_model(plan.generators, layer, params, rng)
-        for layer in plan.layers
-    }
+def generate_models(plan: CharacterizationPlan, rng: np.random.Generator) -> dict[str, SplModel]:
+    return {layer.label: random_model(plan.generators, layer, rng) for layer in plan.layers}
 
 
 @dataclass
@@ -615,11 +608,10 @@ def sweep_item(
     sigma: float,
     sigma_prime: float,
     baseline: str,
-    params: RandomModelParams = RandomModelParams(),
     pipelines: tuple[str, ...] = ("conventional", "mlcb"),
 ) -> tuple[dict[str, SplModel], RunResult]:
     rng = model_rng(master_seed, index)
-    models = generate_models(plan, rng, params)
+    models = generate_models(plan, rng)
     result = characterize_and_fit(
         plan, models, sigma, sigma_prime, baseline, rng, pipelines
     )

@@ -200,14 +200,13 @@ class RandomModelParams:
     mean_active: tuple[float, float] = (1e-3, 2e-3)
     spread_active: tuple[float, float] = (7.5e-4, 1.5e-3)
     std_active: tuple[float, float] = (1e-3, 2e-3)
-    seed: int | None = None
 
 
 def random_model(
     generators: GeneratorSet,
     layer: CliffordLayer,
+    rng: np.random.Generator,
     params: RandomModelParams = RandomModelParams(),
-    rng: np.random.Generator | None = None,
 ) -> SplModel:
     """Draw a realistic rate vector for one layer over the generator set
     (and so the topology) `generators`.
@@ -216,14 +215,11 @@ def random_model(
     of the layer (that gate's per-gate mean then applies); generators
     straddling two gates, or touching idling qubits, are inactive.
     """
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
-    gate_means = np.array(
-        [
-            [rng.normal(params.mean_active[w], params.spread_active[w]) for w in (0, 1)]
-            for _ in layer.cz_pairs
-        ]
-    ).reshape(-1, 2)
+    # One draw in gate order, weight 1 before weight 2 per gate: the same
+    # stream as one draw per gate mean.
+    gate_means = rng.normal(
+        params.mean_active, params.spread_active, size=(len(layer.cz_pairs), 2)
+    )
     gate, w = generators.gate_activity(layer.cz_pairs)
     active = gate >= 0
     loc = np.take(params.mean_inactive, w)

@@ -14,8 +14,6 @@ from cyclebench.exactla import rank_checked
 from cyclebench.fitting import nnls
 from cyclebench.layers import CliffordLayer, chain_decomposition, conjugate, s_dressing
 from cyclebench.learnability import (
-    LambdaSpace,
-    LearnableSpan,
     analyze_layer,
     mlcb_targets,
     mu_expression,

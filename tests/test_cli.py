@@ -536,6 +536,16 @@ class TestErrors:
         assert err.startswith("config error: pipelines") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [5, ["a"], ""], ids=["number", "list", "empty"])
+    def test_non_string_out_rejected(self, tmp_path, capsys, value):
+        # A number or list ended in a TypeError traceback once the report
+        # was computed, an empty path in FileNotFoundError.
+        path, _ = write_config(tmp_path, topology="garnet20", out=value)
+        assert main(["learnability", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out must be a non-empty string")
+        assert err.count("\n") == 1
+
     def test_single_pipeline_fits(self, tmp_path):
         path, _ = write_config(tmp_path, topology="square2x2", pipelines=["mlcb"])
         assert main(["fit", "--config", str(path)]) == 0
@@ -705,9 +715,13 @@ class TestRepro:
             for figure in ("fig5a", "fig5b", "fig6")
             for value in (0, -1)
         ),
+        *(
+            pytest.param(figure, "--out", "", id=f"{figure}-out-empty")
+            for figure in ("fig5a", "fig5b", "fig6")
+        ),
     ])
     def test_sweep_without_models_rejected(self, tmp_path, capsys, figure, flag, value):
-        # A bad sweep size or worker count ends before any output is written.
+        # A bad sweep size, worker count or output path ends before any work.
         out = tmp_path / "out"
         assert main(["repro", figure, "--out", str(out), flag, str(value)]) == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -37,8 +37,8 @@ from cyclebench.exactla import (
 from cyclebench.learnability import (
     EquivalenceCertificate,
     FidelityFunction,
-    LambdaSpace,
     LearnableProduct,
+    int_row,
 )
 from cyclebench.pauli import PauliString
 from cyclebench.spl import GeneratorSet
@@ -377,21 +377,19 @@ def test_solve_large_denominators():
 # Integer rows
 
 
-def scaled_row(space, fn):
+def scaled_row(gens, fn):
     """The Fraction row (sum of g * overlaps over the terms) times the lcm
     of its denominators."""
-    row = [Fraction(0)] * space.dim
-    off = space.offsets()
-    for lab, p, g in fn.terms:
-        for i, v in enumerate(space.generators[lab].overlaps(p)):
-            row[off[lab] + i] += g * int(v)
+    row = [Fraction(0)] * len(gens)
+    for _, p, g in fn.terms:
+        for i, v in enumerate(gens.overlaps(p)):
+            row[i] += g * int(v)
     den = lcm(*(v.denominator for v in row))
     return [int(v * den) for v in row]
 
 
-def line_space(n=3):
-    gens = GeneratorSet(Topology(n, tuple((q, q + 1) for q in range(n - 1))))
-    return LambdaSpace(("A", "B"), {"A": gens, "B": gens})
+def line_generators(n=3):
+    return GeneratorSet(Topology(n, tuple((q, q + 1) for q in range(n - 1))))
 
 
 def pauli(label):
@@ -399,7 +397,7 @@ def pauli(label):
 
 
 def test_int_row_of_fractional_certificate():
-    space = line_space()
+    gens = line_generators()
     cert = EquivalenceCertificate(
         f1=FidelityFunction.product("A", [pauli("XII")]),
         f2=FidelityFunction.product("A", [pauli("XII"), pauli("IZI")]),
@@ -407,7 +405,7 @@ def test_int_row_of_fractional_certificate():
         sigma=(Fraction(-1, 2), Fraction(1, 3)),
         basis_products=(
             LearnableProduct("A", (pauli("IZI"),), "standard"),
-            LearnableProduct("B", (pauli("ZZI"), pauli("IIY")), "standard"),
+            LearnableProduct("A", (pauli("ZZI"), pauli("IIY")), "standard"),
         ),
     )
     # f1 written through the right-hand side's terms.
@@ -415,25 +413,32 @@ def test_int_row_of_fractional_certificate():
     for s, prod in zip(cert.sigma, cert.basis_products):
         fn = fn + prod.function().scaled(s)
     assert any(g.denominator > 1 for _, _, g in fn.terms)
-    assert np.array_equal(space.int_row(fn), scaled_row(space, fn))
+    assert np.array_equal(int_row(gens, fn), scaled_row(gens, fn))
 
 
 def test_int_row_of_cancelling_terms():
-    space = line_space()
+    gens = line_generators()
     x = pauli("XII")
     zero = FidelityFunction((("A", x, Fraction(1, 2)), ("A", x, Fraction(-1, 2))))
-    assert np.array_equal(space.int_row(zero), [0] * space.dim)
+    assert np.array_equal(int_row(gens, zero), [0] * len(gens))
     # Quarters that sum to integers leave no denominator to scale by.
-    twice = FidelityFunction((("B", x, Fraction(3, 4)), ("B", x, Fraction(5, 4))))
-    assert np.array_equal(space.int_row(twice), scaled_row(space, twice))
-    assert set(space.int_row(twice)) == {0, 2}
+    twice = FidelityFunction((("A", x, Fraction(3, 4)), ("A", x, Fraction(5, 4))))
+    assert np.array_equal(int_row(gens, twice), scaled_row(gens, twice))
+    assert set(int_row(gens, twice)) == {0, 2}
+
+
+def test_int_row_takes_one_layer():
+    fn = FidelityFunction.product("A", [pauli("XII")]) + FidelityFunction.product(
+        "B", [pauli("IZI")]
+    )
+    with pytest.raises(ValueError, match="one layer"):
+        int_row(line_generators(), fn)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["A", "B"]),
             st.text("IXYZ", min_size=3, max_size=3),
             st.fractions(min_value=-3, max_value=3, max_denominator=6),
         ),
@@ -441,19 +446,19 @@ def test_int_row_of_cancelling_terms():
     )
 )
 def test_int_row_matches_fraction_row(terms):
-    space = line_space()
-    fn = FidelityFunction(tuple((lab, pauli(s), g) for lab, s, g in terms))
-    assert np.array_equal(space.int_row(fn), scaled_row(space, fn))
+    gens = line_generators()
+    fn = FidelityFunction(tuple(("A", pauli(s), g) for s, g in terms))
+    assert np.array_equal(int_row(gens, fn), scaled_row(gens, fn))
 
 
 def test_int_row_exact_beyond_int64():
     # Weights above 2**63 take the exact object-integer path.
-    space = line_space()
+    gens = line_generators()
     big = FidelityFunction(
         (
             ("A", pauli("XZI"), Fraction(2**70 + 1, 3)),
             ("A", pauli("IYI"), Fraction(-(2**66), 5)),
-            ("B", pauli("ZZZ"), Fraction(7, 2**40)),
+            ("A", pauli("ZZZ"), Fraction(7, 2**40)),
         )
     )
-    assert np.array_equal(space.int_row(big), scaled_row(space, big))
+    assert np.array_equal(int_row(gens, big), scaled_row(gens, big))

@@ -83,7 +83,7 @@ class TestNnls:
             A[:, j] = A[:, i]
         fit = nnls(A, b)
         assert fit.kkt_residual <= 1e-10
-        assert fit.iterations <= 10 * n + 100  # the default max_iter
+        assert fit.iterations <= 10 * n + 100  # nnls's iteration guard
         assert np.all(fit.lambdas >= 0)
         ref, ref_norm = scipy.optimize.nnls(A, b)
         # The minimizer need not be unique (wide or singular A); the
@@ -116,7 +116,7 @@ class TestNnls:
         assume(np.linalg.cond(A_f) < 1e3)
         fit = nnls(A, b, inv_gram=np.linalg.inv(A_f.T @ A_f))
         assert fit.kkt_residual <= 1e-10
-        assert fit.iterations <= 10 * n + 100  # the default max_iter
+        assert fit.iterations <= 10 * n + 100  # nnls's iteration guard
         assert np.all(fit.lambdas >= 0)
         ref, ref_norm = scipy.optimize.nnls(A_f, b)
         assert fit.residual_norm**2 == pytest.approx(ref_norm**2, rel=1e-9, abs=1e-12)

@@ -142,7 +142,7 @@ class TestRandomModel:
         )
         topo = line_topology(4)
         layer = CliffordLayer(4, ((0, 1), (2, 3)), (), "L")
-        model = random_model(GeneratorSet(topo), layer, params, np.random.default_rng(0))
+        model = random_model(GeneratorSet(topo), layer, np.random.default_rng(0), params)
         assert np.all(model.lambdas == 0.0)
 
     def test_seed_determinism(self):
@@ -173,9 +173,29 @@ class TestRandomModel:
                 ref.append(rng.normal(params.mean_inactive[w], params.std_inactive[w]))
             else:
                 ref.append(rng.normal(means[gate][w], params.std_active[w]))
-        model = random_model(gens, layer, params, np.random.default_rng(3))
+        model = random_model(gens, layer, np.random.default_rng(3), params)
         assert np.array_equal(model.lambdas, np.clip(ref, 0.0, None))
         assert model.generators is gens
+
+    def test_two_normal_calls_per_model(self):
+        # The gate means come from one call and the rates from another,
+        # whatever the number of gates.
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng, self.calls = np.random.default_rng(seed), 0
+
+            def normal(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.normal(*args, **kwargs)
+
+        gens = GeneratorSet(garnet20())
+        for pairs in ((), ((0, 1),), ((0, 1), (2, 3), (8, 9))):
+            layer = CliffordLayer(20, pairs, (), "L")
+            rng = CountingRng(5)
+            model = random_model(gens, layer, rng)
+            assert rng.calls == 2
+            plain = random_model(gens, layer, np.random.default_rng(5))
+            assert np.array_equal(model.lambdas, plain.lambdas)
 
     def test_cached_activity_matches_generator_loop(self):
         # Reference: the per-generator loop that decided each generator's
@@ -212,7 +232,7 @@ class TestRandomModel:
         params = RandomModelParams()
         for seed in range(3):
             for layer in layers + layers[::-1]:
-                got = random_model(gens, layer, params, np.random.default_rng(seed))
+                got = random_model(gens, layer, np.random.default_rng(seed), params)
                 want = loop_model(gens, layer, params, np.random.default_rng(seed))
                 assert np.array_equal(got.lambdas, want)
 
@@ -228,7 +248,7 @@ class TestRandomModel:
         rng = np.random.default_rng(7)
         draws = []
         for _ in range(400):
-            model = random_model(gens, layer, params, rng)
+            model = random_model(gens, layer, rng, params)
             draws.extend(model.lambdas[w2])
         draws = np.array(draws)
         oracle_rng = np.random.default_rng(8)
@@ -247,7 +267,7 @@ class TestRandomModel:
         topo = line_topology(4)
         layer = CliffordLayer(4, ((0, 1), (2, 3)), (), "L")
         gens = GeneratorSet(topo)
-        model = random_model(gens, layer, params, np.random.default_rng(0))
+        model = random_model(gens, layer, np.random.default_rng(0), params)
         for i, p in enumerate(gens.strings):
             sup = p.support()
             if sup in ((1, 2),):
