@@ -177,7 +177,10 @@ def _pipelines(raw: dict) -> tuple[str, ...]:
 
 
 def _check_layers(layers: list[CliffordLayer], topo: Topology) -> None:
-    # Outputs are keyed by label, and CZ gates need a coupler.
+    # Every command works layer by layer, outputs are keyed by label, and CZ
+    # gates need a coupler.
+    if not layers:
+        raise ConfigError("layers must not be empty")
     labels = [layer.label for layer in layers]
     dup = sorted({lab for lab in labels if labels.count(lab) > 1})
     if dup:
@@ -405,7 +408,7 @@ def cmd_fit(cfg: RunConfig) -> int:
                 "schema": "spl-model/1",
                 "label": lab,
                 "topology": cfg.topology.to_dict(),
-                "w_max": 2,
+                "w_max": GeneratorSet.w_max,
                 "lambdas": [float(v) for v in lam],
                 "fitted_by": pipeline,
                 "fit": result.fit_meta.get(pipeline, {}).get(lab, {}),
@@ -431,8 +434,6 @@ def _check_pec(cfg: RunConfig) -> None:
     # Only `pec` reads these fields; the seed key of each circuit bounds
     # circuits and weights (pec.MAX_CIRCUITS, pec.MAX_KEY_WEIGHT).
     _check_models(cfg)
-    if not cfg.layers:
-        raise ConfigError("pec draws circuits from the layers, and there are none")
     if not 1 <= cfg.circuits <= MAX_CIRCUITS:
         raise ConfigError(f"circuits must be in [1, {MAX_CIRCUITS}], got {cfg.circuits}")
     if not 1 <= cfg.j_layers <= MAX_J_LAYERS:

@@ -14,8 +14,8 @@ The certificate support search works mod p from one elimination per call:
 a particular solution and a left null-space basis, reduced in each retry's
 visiting order by one rank-1 step per pivot, all retries in lockstep.  Its
 decisions match the rank comparison exactly mod p.  The support is then
-solved exactly by fraction-free (Bareiss) elimination in Python integers,
-and the solution is checked against every equation in integers.
+solved exactly on the same fraction-free integer elimination as the exact
+rank, and the solution is checked against every equation in integers.
 """
 
 from __future__ import annotations
@@ -185,56 +185,24 @@ def extend_to_full_rank(rows, candidates, p: int = _PRIMES[0]) -> tuple[int, lis
 def solve_rational(columns, target) -> list[Fraction] | None:
     """Exact coefficients c with sum_i c_i columns[i] = target, or None.
 
-    Fraction-free (Bareiss) elimination of the augmented system [A | b],
-    A[:, i] = columns[i], in Python integers: every entry stays an integer
-    minor of the input, and the last pivot D is the determinant of the pivot
-    block, so back-substitution yields the integers D c.  Fractions are built
-    only for the output coefficients.  A column dependent on earlier ones
-    gets c_i = 0 (the solution is unique when the columns are independent).
-    The result is then checked against every equation in integers, scaled by
-    the lcm of the coefficient denominators.
+    `_echelon_int` reduces the equations [A | b], A[:, i] = columns[i]; a
+    pivot in the b column means b is outside the column span.  Every pivot
+    column is independent of the columns before it, so a column dependent on
+    earlier ones gets c_i = 0 (the solution is unique when the columns are
+    independent), and back-substitution over the pivot columns in Fractions
+    gives the others.  The result is then checked against every equation in
+    integers, scaled by the lcm of the coefficient denominators.
     """
     ncols = len(columns)
-    if ncols == 0:
-        return [] if not any(target) else None
     cols = [[int(v) for v in col] for col in columns]
     rhs = [int(v) for v in target]
-    # Equations with an all-zero row hold for every c once b_i = 0.
-    aug = []
-    for i, b in enumerate(rhs):
-        row = [col[i] for col in cols]
-        if any(row):
-            aug.append(row + [b])
-        elif b:
-            return None
-    pivots: list[int] = []
-    prev = 1
-    for col in range(ncols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        piv = aug[r]
-        pv = piv[col]
-        for i in range(r + 1, len(aug)):
-            row = aug[i]
-            f = row[col]
-            aug[i] = row[:col] + [(pv * a - f * b) // prev for a, b in zip(row[col:], piv[col:])]
-        prev = pv
-        pivots.append(col)
-    rank = len(pivots)
-    if any(aug[i][ncols] for i in range(rank, len(aug))):
+    echelon, pivots = _echelon_int([[col[i] for col in cols] + [b] for i, b in enumerate(rhs)])
+    if pivots and pivots[-1] == ncols:
         return None
-    if rank == 0:
-        return [Fraction(0)] * ncols
-    det = aug[rank - 1][pivots[-1]]
-    scaled = [0] * ncols  # det * c, integer by Cramer's rule
-    for r in range(rank - 1, -1, -1):
-        row = aug[r]
-        acc = det * row[ncols] - sum(row[j] * scaled[j] for j in pivots[r + 1 :])
-        scaled[pivots[r]] = acc // row[pivots[r]]
-    coeffs = [Fraction(v, det) for v in scaled]
+    coeffs = [Fraction(0)] * ncols
+    for row, col in zip(reversed(echelon), reversed(pivots)):
+        acc = row[ncols] - sum(row[j] * coeffs[j] for j in range(col + 1, ncols) if coeffs[j])
+        coeffs[col] = acc / Fraction(row[col])
     den = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     for i, b in enumerate(rhs):

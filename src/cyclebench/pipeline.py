@@ -122,15 +122,11 @@ def build_plan(
         floats = stacked.astype(float)
         g = floats.T @ floats
         del floats  # freed before the inverse's workspace: lower peak RSS
-        inv = bounded_inverse(g)
+        inv, deficient = classify_gram(g, gens)
         if inv is not None:
             inv_gram[lab] = inv
-        else:
-            rank, cond = gram_rank(g)
-            if rank < len(g):
-                unconstrained[lab] = (rank, null_generators(g, gens, rank))
-            elif cond <= MAX_INV_GRAM_COND:
-                inv_gram[lab] = np.linalg.inv(g)
+        if deficient is not None:
+            unconstrained[lab] = deficient
     expressions, failures = ratio_expressions(topology, layers, seed, retries)
     mu_entries = [
         MuPlanEntry(
@@ -237,39 +233,33 @@ def _ratio_arrays(gens: GeneratorSet, layers, mu_entries):
     return ratio_rows, mu_refs
 
 
-def bounded_inverse(gram: np.ndarray) -> np.ndarray | None:
-    """The inverse of a symmetric Gram matrix G when ||G||_inf ||G^-1||_inf
-    <= MAX_INV_GRAM_COND, else None (also for a singular or non-finite
-    inverse).  The product bounds cond_2(G) from above (the 2-norm of a
-    symmetric matrix is at most its inf-norm), so a kept inverse is one
-    `gram_rank`'s condition number would keep, without its eigenvalue
-    decomposition; None leaves the decision to `gram_rank`."""
+def classify_gram(
+    gram: np.ndarray, gens: GeneratorSet
+) -> tuple[np.ndarray | None, tuple[int, list[str]] | None]:
+    """(G^-1 or None, (rank, unconstrained generators) or None) of a
+    symmetric Gram matrix G over `gens`, from one inverse and at most one
+    `eigh`.  The inverse is kept when ||G||_inf ||G^-1||_inf, an upper bound
+    on cond_2(G), or else cond_2(G) itself is at most MAX_INV_GRAM_COND.  The
+    rank has the tolerance of `np.linalg.matrix_rank(gram, hermitian=True)`;
+    below full rank the unconstrained generators are those with weight in the
+    null-space eigenvectors, most weight first."""
     try:
         inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
-        return None
-    bound = np.abs(gram).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
-    return inv if bound <= MAX_INV_GRAM_COND else None
-
-
-def gram_rank(gram: np.ndarray) -> tuple[int, float]:
-    """Numerical rank of a symmetric Gram matrix, with the tolerance of
-    `np.linalg.matrix_rank(gram, hermitian=True)`, and its condition number
-    (inf when the rank is not full), from one eigenvalue decomposition."""
-    s = np.abs(np.linalg.eigvalsh(gram))
+        inv = None
+    else:
+        bound = np.abs(gram).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+        if bound <= MAX_INV_GRAM_COND:
+            return inv, None
+    values, vecs = np.linalg.eigh(gram)  # ascending eigenvalues
+    s = np.abs(values)
     top = s.max(initial=0.0)
     rank = int(np.count_nonzero(s > top * len(gram) * np.finfo(float).eps))
-    return rank, (top / s.min() if rank == len(gram) else np.inf)
-
-
-def null_generators(gram: np.ndarray, gens: GeneratorSet, rank: int) -> list[str]:
-    """The generators whose rates a fit matrix leaves undetermined, given
-    the numerical rank of its Gram (from `gram_rank`): those with weight in
-    the null-space eigenvectors, most weight first (none at full rank)."""
-    _, vecs = np.linalg.eigh(gram)  # ascending eigenvalues
+    if rank == len(gram):
+        return (inv if top / s.min() <= MAX_INV_GRAM_COND else None), None
     weight = np.square(vecs[:, : len(gram) - rank]).sum(axis=1)
     order = np.argsort(-weight, kind="stable")
-    return [gens.strings[i].label() for i in order if weight[i] > 1e-9]
+    return None, (rank, [gens.strings[i].label() for i in order if weight[i] > 1e-9])
 
 
 def covering_pairs(topology: Topology, layers: list[CliffordLayer]):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,12 +32,10 @@ class GeneratorSet:
     """
 
     topology: Topology
-    w_max: int = 2
     strings: tuple[PauliString, ...] = field(default=None)  # type: ignore[assignment]
+    w_max: ClassVar[int] = 2
 
     def __post_init__(self):
-        if self.w_max != 2:
-            raise NotImplementedError("only weight-2 generator sets are supported")
         if self.strings is None:
             object.__setattr__(self, "strings", self._build())
         object.__setattr__(
@@ -172,7 +171,9 @@ class SplModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SplModel":
-        gens = GeneratorSet(Topology.from_dict(d["topology"]), d.get("w_max", 2))
+        if d.get("w_max", GeneratorSet.w_max) != GeneratorSet.w_max:
+            raise ValueError(f"only weight-{GeneratorSet.w_max} generator sets are supported")
+        gens = GeneratorSet(Topology.from_dict(d["topology"]))
         return cls(d["label"], gens, np.array(d["lambdas"], dtype=float))
 
     def dump(self, path) -> None:

@@ -20,6 +20,8 @@ class Topology:
     preset: str = ""
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"qubit count n must be an integer >= 1, got {self.n!r}")
         norm = []
         seen = set()
         for a, b in self.edges:

@@ -657,6 +657,34 @@ class TestErrors:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    COMMANDS = ["generate-model", "learnability", "characterize", "fit", "pec"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "topology",
+        [{"n": 0, "edges": []}, "square0x0", {"n": -1, "edges": []},
+         {"n": 2.5, "edges": []}, {"n": "3", "edges": []}, {"n": True, "edges": []}],
+        ids=["zero", "square0x0", "negative", "fraction", "string", "bool"],
+    )
+    def test_invalid_qubit_count_rejected(self, tmp_path, capsys, command, topology):
+        # These ended in reshape or TypeError tracebacks, or in a misleading
+        # message; generate-model wrote |K| = 0 models for n = 0.
+        path, _ = write_config(tmp_path, topology=topology, layers=[{"label": "A"}])
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "qubit count n must be an integer >= 1" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate-model", "learnability", "characterize", "fit"])
+    def test_empty_layers_rejected(self, tmp_path, capsys, command):
+        # fit wrote delta_c = delta_m = 0 with no ratio, characterize 0 records.
+        path, _ = write_config(tmp_path, topology="square2x2", layers=[])
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: layers") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_layers_take_the_topology_qubit_count(self, tmp_path, capsys):
         # A per-layer "n" is not part of the layer spec and is ignored; it
         # used to end in a traceback when it differed from the topology's.

@@ -14,7 +14,10 @@ elimination mod p in Python integers, which the int32/int64 block kernel
 `exactla._pivots_mod` must match pivot for pivot and entry for entry.
 `solution_reference` is the int64 elimination that
 `exactla._solution_and_null_space` replaced by that kernel; both must
-return the same solution and null-space basis.
+return the same solution and null-space basis.  `bareiss_reference` is the
+fraction-free (Bareiss) solver that `exactla.solve_rational` replaced by
+the exact rank's elimination, `_echelon_int`; both must return the same
+coefficients or None.
 """
 
 import itertools
@@ -347,6 +350,100 @@ def test_solve_matches_fraction_reference(system):
     assert got == gauss_jordan_reference(columns, target)
     if got is not None:
         assert all(isinstance(c, Fraction) for c in got)
+        assert solves(columns, target, got)
+
+
+def bareiss_reference(columns, target):
+    """Fraction-free (Bareiss) elimination of [A | b] in Python integers,
+    back-substitution for det * c, dependent columns at c_i = 0, and the
+    integer check against every equation."""
+    ncols = len(columns)
+    if ncols == 0:
+        return [] if not any(target) else None
+    cols = [[int(v) for v in col] for col in columns]
+    rhs = [int(v) for v in target]
+    aug = []
+    for i, b in enumerate(rhs):
+        row = [col[i] for col in cols]
+        if any(row):
+            aug.append(row + [b])
+        elif b:
+            return None
+    pivots = []
+    prev = 1
+    for col in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        piv = aug[r]
+        pv = piv[col]
+        for i in range(r + 1, len(aug)):
+            row = aug[i]
+            f = row[col]
+            aug[i] = row[:col] + [(pv * a - f * b) // prev for a, b in zip(row[col:], piv[col:])]
+        prev = pv
+        pivots.append(col)
+    rank = len(pivots)
+    if any(aug[i][ncols] for i in range(rank, len(aug))):
+        return None
+    if rank == 0:
+        return [Fraction(0)] * ncols
+    det = aug[rank - 1][pivots[-1]]
+    scaled = [0] * ncols
+    for r in range(rank - 1, -1, -1):
+        row = aug[r]
+        acc = det * row[ncols] - sum(row[j] * scaled[j] for j in pivots[r + 1 :])
+        scaled[pivots[r]] = acc // row[pivots[r]]
+    coeffs = [Fraction(v, det) for v in scaled]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    for i, b in enumerate(rhs):
+        if sum(v * col[i] for v, col in zip(ints, cols) if v) != den * b:
+            return None
+    return coeffs
+
+
+@st.composite
+def degenerate_systems(draw):
+    """Systems with dependent columns, zero equations and targets that are
+    consistent or not, with entries up to 2**70 (past int64)."""
+    ncols = draw(st.integers(0, 6))
+    dim = draw(st.integers(0, 8))
+    bound = draw(st.sampled_from([1, 9, 2**70]))
+    entry = st.integers(-bound, bound)
+    columns = [draw(st.lists(entry, min_size=dim, max_size=dim)) for _ in range(ncols)]
+    for _ in range(draw(st.integers(0, 2)) if columns else 0):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        i, j = draw(st.integers(0, len(columns) - 1)), draw(st.integers(0, len(columns) - 1))
+        columns.insert(
+            draw(st.integers(0, len(columns))),
+            [a * x + b * y for x, y in zip(columns[i], columns[j])],
+        )
+    zero_rows = draw(st.lists(st.integers(0, dim), max_size=2))
+    for row in sorted(zero_rows, reverse=True):
+        for col in columns:
+            col.insert(row, 0)
+    dim += len(zero_rows)
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(columns), max_size=len(columns)))
+    target = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(dim)]
+    if dim and draw(st.booleans()):
+        # Often inconsistent, always so on a zero equation.
+        target[draw(st.integers(0, dim - 1))] += draw(st.sampled_from([1, -7, 2**65]))
+    return columns, target
+
+
+@settings(max_examples=400, deadline=None)
+@example(system=([[0, 0], [0, 0]], [0, 1]))  # a zero equation with b != 0
+@example(system=([[2**64, 3], [2**65, 6]], [2**66, 12]))  # dependent, past int64
+@example(system=([], []))
+@given(system=degenerate_systems())
+def test_solve_matches_bareiss_reference(system):
+    columns, target = system
+    got = solve_rational(columns, target)
+    assert got == bareiss_reference(columns, target)
+    if got is not None:
         assert solves(columns, target, got)
 
 

@@ -22,14 +22,13 @@ from cyclebench.pipeline import (
     build_plan,
     cached_plan,
     characterize_and_fit,
+    classify_gram,
     covering_pairs,
     estimate_mu,
     generate_models,
-    gram_rank,
     model_rng,
     model_rng_states,
     noisy_records,
-    null_generators,
     sweep_item,
 )
 from cyclebench.spl import GeneratorSet, SplModel
@@ -69,6 +68,20 @@ def sq_plan():
     # fit matrix has no low-accuracy row for them.
     layer = CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")
     return build_plan(square_lattice(2, 2), [layer])
+
+
+def count_linalg(monkeypatch, names=("inv", "eigh", "eigvalsh")) -> list[str]:
+    """Record the name of every call of the given `np.linalg` functions."""
+    calls = []
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 class TestPlan:
@@ -112,17 +125,20 @@ class TestPlan:
         assert plan.unconstrained == {}
         for lab in plan.labels:
             S = np.vstack([plan.s_high[lab], plan.s_low[lab]]).astype(float)
-            rank = gram_rank(S.T @ S)[0]
-            assert rank == len(plan.generators)
-            assert null_generators(S.T @ S, plan.generators, rank) == []
+            assert np.linalg.matrix_rank(S.T @ S, hermitian=True) == len(plan.generators)
+            # Full rank: no unconstrained generators, and the inverse is the
+            # plan's.
+            inv, deficient = classify_gram(S.T @ S, plan.generators)
+            assert deficient is None
+            np.testing.assert_array_equal(inv, plan.inv_gram[lab])
 
     def test_learnable_rows_alone_rank_deficient(self):
         # Without the two unlearnable singles a CZ layer's fit matrix loses
         # two directions; with them it is full rank.
         single = build_plan(Topology(2, ((0, 1),)), [CliffordLayer(2, ((0, 1),), (), "C")])
         high = single.s_high["C"].astype(float)
-        rank = gram_rank(high.T @ high)[0]
-        assert rank == 15 - 2 and null_generators(high.T @ high, single.generators, rank)
+        inv, (rank, names) = classify_gram(high.T @ high, single.generators)
+        assert inv is None and rank == 15 - 2 and names
         assert single.unconstrained == {}
 
     def test_sq_layer_rank_deficient(self, sq_plan):
@@ -131,20 +147,12 @@ class TestPlan:
         assert names and all(name[2] in "XY" for name in names)
 
     def test_rank_deficient_layer_decomposed_once(self, monkeypatch):
-        # `gram_rank`'s eigenvalues decide the rank; `null_generators` takes
-        # that rank and needs only its eigenvectors.
-        calls = []
-        for name in ("eigvalsh", "eigh"):
-            real = getattr(np.linalg, name)
-
-            def counted(a, *args, _name=name, _real=real, **kwargs):
-                calls.append(_name)
-                return _real(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        # The inverse fails the bound, and one `eigh` gives both the rank
+        # and the null-space generators.
+        calls = count_linalg(monkeypatch)
         layer = CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")
         sq = build_plan(square_lattice(2, 2), [layer])
-        assert sorted(calls) == ["eigh", "eigvalsh"]
+        assert sorted(calls) == ["eigh", "inv"]
         assert sq.unconstrained["A"][0] == 42
 
     def test_cached_plan_keys_on_sq_gates(self):
@@ -469,17 +477,28 @@ class TestInverseGramGuard:
         v, _ = np.linalg.qr(rng.normal(size=(n, n)))
         return (u * np.logspace(0, -4, n)) @ v.T, rng
 
-    def test_rank_and_condition_from_one_spectrum(self):
+    # 30 generator labels, one per column of the drawn matrices.
+    GENS = GeneratorSet(Topology(10, ()))
+
+    def test_rank_and_condition_from_one_spectrum(self, monkeypatch):
         a, _ = self.ill_conditioned(0)
         gram = a.T @ a
-        rank, cond = gram_rank(gram)
-        assert rank == np.linalg.matrix_rank(gram, hermitian=True) == 30
-        assert cond == pytest.approx(1e8, rel=1e-3)
-        assert cond > MAX_INV_GRAM_COND
+        assert np.linalg.matrix_rank(gram, hermitian=True) == 30
+        # Full rank (no unconstrained generators), cond > MAX_INV_GRAM_COND.
+        inv, deficient = classify_gram(gram, self.GENS)
+        assert inv is None and deficient is None
+        # cond = 1e8 within 1e-3: kept just above it, refused just below.
+        for bound, kept in ((1.001e8, True), (0.999e8, False)):
+            monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", bound)
+            inv, deficient = classify_gram(gram, self.GENS)
+            assert (inv is not None) == kept and deficient is None
+        monkeypatch.undo()
         a[:, 3] = a[:, 7]
-        rank, cond = gram_rank(a.T @ a)
+        inv, (rank, names) = classify_gram(a.T @ a, self.GENS)
         assert rank == np.linalg.matrix_rank(a.T @ a, hermitian=True) == 29
-        assert cond == np.inf
+        # cond = inf: no inverse, and the null vector is e_3 - e_7.
+        assert inv is None
+        assert sorted(names) == sorted(self.GENS.strings[i].label() for i in (3, 7))
 
     def test_ill_conditioned_layers_fit_by_factoring(self):
         # Such a layer keeps no inverse Gram; nnls then factors each
@@ -506,7 +525,7 @@ class TestInverseGramGuard:
     def test_bound_decides_like_the_spectrum(self):
         # ||G||_inf ||G^-1||_inf >= cond_2(G): an inverse it keeps is one the
         # spectrum keeps, and with the spectrum as the fallback every Gram
-        # matrix gets the decision of `gram_rank` alone, near the bound too.
+        # matrix gets the spectrum's decision alone, near the bound too.
         decisions = set()
         for seed in range(60):
             rng = np.random.default_rng(seed)
@@ -516,46 +535,58 @@ class TestInverseGramGuard:
             if seed % 10 == 0:
                 a[:, 3] = a[:, 7]
             gram = a.T @ a
-            rank, cond = gram_rank(gram)
+            s = np.abs(np.linalg.eigvalsh(gram))
+            rank = np.linalg.matrix_rank(gram, hermitian=True)
+            cond = s.max() / s.min() if rank == len(gram) else np.inf
             want = rank == len(gram) and cond <= MAX_INV_GRAM_COND
-            inv = pipeline.bounded_inverse(gram)
+            inv, deficient = classify_gram(gram, self.GENS)
+            assert (inv is not None) == want
+            assert (deficient is not None) == (rank < len(gram))
+            if deficient is not None:
+                assert deficient[0] == rank
             if inv is not None:
-                assert want and cond <= MAX_INV_GRAM_COND
                 np.testing.assert_array_equal(inv, np.linalg.inv(gram))
-            decisions.add((want, inv is not None))
+            bounded = rank == len(gram) and (
+                np.abs(gram).sum(axis=1).max() * np.abs(np.linalg.inv(gram)).sum(axis=1).max()
+                <= MAX_INV_GRAM_COND
+            )
+            decisions.add((want, bool(bounded)))
         assert decisions == {(False, False), (True, False), (True, True)}
 
     def test_singular_or_non_finite_inverse_falls_back(self):
-        assert pipeline.bounded_inverse(np.zeros((3, 3))) is None
-        assert pipeline.bounded_inverse(np.full((2, 2), np.nan)) is None
-        assert pipeline.bounded_inverse(np.diag([1.0, 1e-300])) is None
+        gens = self.GENS
+        inv, (rank, names) = classify_gram(np.zeros((3, 3)), gens)
+        assert inv is None and rank == 0
+        assert names == [gens.strings[i].label() for i in range(3)]
+        assert classify_gram(np.full((2, 2), np.nan), gens)[0] is None
+        inv, (rank, names) = classify_gram(np.diag([1.0, 1e-300]), gens)
+        assert inv is None and rank == 1 and names == [gens.strings[1].label()]
 
     def test_plan_takes_the_spectrum_only_when_the_bound_fails(self, monkeypatch, line_plan):
         # Well-conditioned layers need no eigenvalue decomposition; the
         # rank-deficient sq layer and a layer over a lowered bound fall back
-        # to it and are decided as before.
-        calls = []
-
-        def counted(gram):
-            calls.append(len(gram))
-            return gram_rank(gram)
-
-        monkeypatch.setattr(pipeline, "gram_rank", counted)
+        # to one `eigh` and are decided as before, each from one inverse.
+        eigvalsh = np.linalg.eigvalsh
+        calls = count_linalg(monkeypatch)
         topo = Topology(3, ((0, 1), (1, 2)))
         plain = build_plan(topo, line_plan.layers)
-        assert calls == [] and set(plain.inv_gram) == {"B", "G"}
+        assert calls == ["inv", "inv"] and set(plain.inv_gram) == {"B", "G"}
+        calls.clear()
         sq = build_plan(square_lattice(2, 2), [CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")])
-        assert calls and sq.inv_gram == {} and sq.unconstrained["A"][0] == 42
+        assert calls == ["inv", "eigh"]
+        assert sq.inv_gram == {} and sq.unconstrained["A"][0] == 42
         gram = plain.s_fit["B"].T.astype(float) @ plain.s_fit["B"]
         inv = plain.inv_gram["B"]
-        cond = gram_rank(gram)[1]
+        s = np.abs(eigvalsh(gram))
+        cond = s.max() / s.min()
         bound = np.abs(gram).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
         assert cond < bound
-        # Between cond_2 and the bound the spectrum still keeps the inverse.
+        # Between cond_2 and the bound the spectrum still keeps the inverse,
+        # the one already computed.
         monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", (cond + bound) / 2)
         calls.clear()
         kept = build_plan(topo, line_plan.layers)
-        assert calls == [len(gram)] * 2
+        assert calls == ["inv", "eigh"] * 2
         np.testing.assert_array_equal(kept.inv_gram["B"], inv)
         monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", cond / 2)
         assert build_plan(topo, line_plan.layers).inv_gram == {}

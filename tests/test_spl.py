@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -291,3 +292,17 @@ class TestSerialization:
         path2 = tmp_path / "model2.json"
         back.dump(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_w_max_is_written_and_checked(self):
+        # The generator weight is fixed at 2: the file still records it, and
+        # a model of another weight is refused rather than misread.
+        model = random_model(GeneratorSet(line_topology(2)), CliffordLayer(2, ((0, 1),), (), "C"),
+                             rng=np.random.default_rng(0))
+        d = model.to_dict()
+        assert d["w_max"] == GeneratorSet.w_max == 2
+        assert "w_max" not in {f.name for f in dataclasses.fields(GeneratorSet)}
+        back = SplModel.from_dict({k: v for k, v in d.items() if k != "w_max"})
+        assert np.array_equal(back.lambdas, model.lambdas)
+        for w in (1, 3):
+            with pytest.raises(ValueError, match="weight-2"):
+                SplModel.from_dict(dict(d, w_max=w))
