@@ -22,7 +22,7 @@ import numpy as np
 from .fitting import RankDeficientError
 from .layers import CATALOG, CliffordLayer
 from .learnability import analyze_layer, mlcb_recovery
-from .pec import MAX_CIRCUITS, MAX_KEY_WEIGHT, _model_rows, summarize_pec
+from .pec import check_limits, model_rows, summarize_pec
 from .pauli import PauliString
 from .pipeline import (
     CharacterizationPlan,
@@ -35,7 +35,7 @@ from .pipeline import (
     ratio_expressions,
     sweep_item,
 )
-from .spl import GeneratorSet, random_model
+from .spl import GeneratorSet, SplModel, random_model
 from .topology import LAYER_SCHEMES, Topology, four_layer_config, preset
 
 EXIT_CONFIG = 2
@@ -46,10 +46,6 @@ PIPELINES = ("conventional", "mlcb")
 
 # Randomized orders per certificate search of every command's ratios.
 CERT_RETRIES = 8
-
-# A PEC batch holds one byte per circuit, step and qubit; this keeps a
-# 1000-circuit batch on garnet20 at 20 MB (the paper's circuits have 40).
-MAX_J_LAYERS = 1000
 
 
 class ConfigError(ValueError):
@@ -81,15 +77,15 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+def load_config(path: str, overrides: dict) -> RunConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-    return parse_config(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {raw!r}")
+    return parse_config(raw | {k: v for k, v in overrides.items() if v is not None})
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -204,10 +200,22 @@ def _parse_layer(spec: dict, n: int) -> CliffordLayer:
     return CliffordLayer(n, cz, gates, spec.get("label", ""))
 
 
+def _make_out(out: str) -> None:
+    # Called once a command's config checks pass, before any of its work.
+    try:
+        os.makedirs(out, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: an embedded null byte
+        raise ConfigError(f"cannot use out {out!r}: {exc}") from exc
+
+
 def _write_json(path, payload) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
+
+
+def _write_model(cfg: RunConfig, name: str, model: SplModel, **extra) -> None:
+    payload = {**model.to_dict(), **extra, "config_digest": cfg.digest()}
+    _write_json(os.path.join(cfg.out, f"{name}.json"), payload)
 
 
 def _check_shared_layers(cfg: RunConfig) -> None:
@@ -223,24 +231,25 @@ def _check_shared_layers(cfg: RunConfig) -> None:
 
 
 def _plan(cfg: RunConfig) -> CharacterizationPlan:
-    _check_shared_layers(cfg)
     return cached_plan(cfg.topology, cfg.layers, seed=cfg.seed, retries=CERT_RETRIES)
 
 
 def cmd_generate_model(cfg: RunConfig) -> int:
+    _make_out(cfg.out)
     rng = model_rng(cfg.seed, 0)
     gens = GeneratorSet(cfg.topology)
-    os.makedirs(cfg.out, exist_ok=True)
     for layer in cfg.layers:
         model = random_model(gens, layer, rng)
-        payload = model.to_dict()
-        payload["config_digest"] = cfg.digest()
-        _write_json(os.path.join(cfg.out, f"model_{layer.label}.json"), payload)
+        _write_model(cfg, f"model_{layer.label}", model)
         print(f"wrote model_{layer.label}.json  |K| = {len(model.generators)}")
     return 0
 
 
 def cmd_learnability(cfg: RunConfig) -> int:
+    certificates = any(layer.cz_pairs for layer in cfg.layers) and len(cfg.layers) > 1
+    if certificates:
+        _check_shared_layers(cfg)
+    _make_out(cfg.out)
     gens = GeneratorSet(cfg.topology)
     report = {
         "schema": "learnability-report/1",
@@ -269,8 +278,7 @@ def cmd_learnability(cfg: RunConfig) -> int:
         "recovered_dof": recovered,
         "reduction_fraction": recovered / total_unlearnable if total_unlearnable else 0.0,
     }
-    if any(layer.cz_pairs for layer in cfg.layers) and len(cfg.layers) > 1:
-        _check_shared_layers(cfg)
+    if certificates:
         expressions, _ = ratio_expressions(cfg.topology, cfg.layers, cfg.seed, CERT_RETRIES)
         report["mlcb"]["ratio_certificates"] = [
             {
@@ -302,6 +310,8 @@ def cmd_learnability(cfg: RunConfig) -> int:
 
 def cmd_characterize(cfg: RunConfig) -> int:
     # The draw of model 0 of `fit`: these are the data its first fit uses.
+    _check_shared_layers(cfg)
+    _make_out(cfg.out)
     plan = _plan(cfg)
     rng = model_rng(cfg.seed, 0)
     models = generate_models(plan, rng)
@@ -344,9 +354,7 @@ def cmd_characterize(cfg: RunConfig) -> int:
     path = os.path.join(cfg.out, "records.json")
     _write_json(path, payload)
     for layer in cfg.layers:
-        payload = models[layer.label].to_dict()
-        payload["config_digest"] = cfg.digest()
-        _write_json(os.path.join(cfg.out, f"model_{layer.label}.json"), payload)
+        _write_model(cfg, f"model_{layer.label}", models[layer.label])
     print(f"wrote {len(records)} records -> {path}")
     return 0
 
@@ -364,7 +372,7 @@ def _run_item(args) -> tuple[int, RunResult]:
 def _run_pec_model(args) -> list[dict]:
     cfg_raw, seed, index = args
     cfg = parse_config(cfg_raw)
-    return _model_rows(
+    return model_rows(
         _plan(cfg), index, cfg.circuits, cfg.j_layers, cfg.weights, cfg.sigma,
         cfg.sigma_prime, cfg.baseline, seed,
     )
@@ -374,8 +382,7 @@ def _map_models(cfg: RunConfig, worker, seed: int | None = None) -> list:
     """`worker((cfg.raw, seed, index))` for every model index, in index
     order, on `cfg.parallel` processes, never more than there are models.
     Models draw from `seed` (default `cfg.seed`); the plan keeps `cfg.seed`
-    and is built here first, so config errors end before any worker starts
-    (and forked workers inherit it)."""
+    and is built here first, so forked workers inherit it."""
     _plan(cfg)
     items = [(cfg.raw, cfg.seed if seed is None else seed, i) for i in range(cfg.models)]
     workers = min(cfg.parallel, cfg.models)
@@ -385,15 +392,10 @@ def _map_models(cfg: RunConfig, worker, seed: int | None = None) -> list:
     return [worker(item) for item in items]
 
 
-def _sweep(cfg: RunConfig, seed: int | None = None) -> list[tuple[int, RunResult]]:
-    """(index, result) of every model of the sweep (`_map_models`)."""
-    _check_models(cfg)
-    return _map_models(cfg, _run_item, seed)
-
-
 def cmd_fit(cfg: RunConfig) -> int:
-    results = _sweep(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
+    _check_sweep(cfg)
+    _make_out(cfg.out)
+    results = _map_models(cfg, _run_item)
     csv_path = os.path.join(cfg.out, "metrics.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -401,20 +403,13 @@ def cmd_fit(cfg: RunConfig) -> int:
         for index, res in results:
             writer.writerow([index, cfg.digest(), res.delta_c, res.delta_m, res.ratio])
     # The first model's fitted rate vectors go to files as well.
-    result = results[0][1]
+    result, gens = results[0][1], _plan(cfg).generators
     for pipeline, fitted in result.fitted.items():
         for lab, lam in fitted.items():
-            payload = {
-                "schema": "spl-model/1",
-                "label": lab,
-                "topology": cfg.topology.to_dict(),
-                "w_max": GeneratorSet.w_max,
-                "lambdas": [float(v) for v in lam],
-                "fitted_by": pipeline,
-                "fit": result.fit_meta.get(pipeline, {}).get(lab, {}),
-                "config_digest": cfg.digest(),
-            }
-            _write_json(os.path.join(cfg.out, f"fitted_{pipeline}_{lab}.json"), payload)
+            _write_model(
+                cfg, f"fitted_{pipeline}_{lab}", SplModel(lab, gens, lam),
+                fitted_by=pipeline, fit=result.fit_meta.get(pipeline, {}).get(lab, {}),
+            )
     valid = [res.ratio for _, res in results if res.ratio is not None]
     if valid:
         print(
@@ -425,36 +420,21 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_models(cfg: RunConfig) -> None:
+def _check_sweep(cfg: RunConfig) -> None:
     if cfg.models < 1:
         raise ConfigError(f"models must be at least 1, got {cfg.models}")
-
-
-def _check_pec(cfg: RunConfig) -> None:
-    # Only `pec` reads these fields; the seed key of each circuit bounds
-    # circuits and weights (pec.MAX_CIRCUITS, pec.MAX_KEY_WEIGHT).
-    _check_models(cfg)
-    if not 1 <= cfg.circuits <= MAX_CIRCUITS:
-        raise ConfigError(f"circuits must be in [1, {MAX_CIRCUITS}], got {cfg.circuits}")
-    if not 1 <= cfg.j_layers <= MAX_J_LAYERS:
-        raise ConfigError(f"j_layers must be in [1, {MAX_J_LAYERS}], got {cfg.j_layers}")
-    w_max = min(cfg.topology.n, MAX_KEY_WEIGHT - 1)
-    weights = list(cfg.weights)
-    if not weights or any(
-        isinstance(w, bool) or not isinstance(w, int) or not 0 <= w <= w_max for w in weights
-    ):
-        raise ConfigError(
-            f"weights must be a non-empty list of integers in [0, {w_max}], got {weights}"
-        )
-    if len(set(weights)) != len(weights):
-        raise ConfigError(f"weights must be distinct, got {weights}")
+    _check_shared_layers(cfg)
 
 
 def cmd_pec(cfg: RunConfig) -> int:
-    _check_pec(cfg)
+    _check_sweep(cfg)
+    try:  # only `pec` reads circuits, j_layers and weights
+        check_limits(cfg.topology.n, cfg.circuits, cfg.j_layers, cfg.weights)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    _make_out(cfg.out)
     # The rows of `pec.pec_sweep`, one model per work item.
     rows = [row for model in _map_models(cfg, _run_pec_model) for row in model]
-    os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, "pec.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -529,11 +509,14 @@ def cmd_repro(figure: str, out: str, parallel: int, models: int | None = None) -
             ]
         base = {k: v for k, v in spec.items()
                 if k not in ("schemes", "sigma_prime_multipliers")}
-        results = [
-            (key, _sweep(parse_config(dict(base, out=out, parallel=parallel, **change)), seed))
+        sweeps = [
+            (key, parse_config(dict(base, out=out, parallel=parallel, **change)), seed)
             for key, change, seed in sweeps
         ]
-        os.makedirs(out, exist_ok=True)
+        for _, cfg, _ in sweeps:
+            _check_sweep(cfg)
+        _make_out(out)
+        results = [(key, _map_models(cfg, _run_item, seed)) for key, cfg, seed in sweeps]
         path = os.path.join(out, f"{figure}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

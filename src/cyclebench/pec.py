@@ -21,19 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import SQ_INVERSE_DIGITS, CliffordLayer, all_single_qubit_cliffords, cz_partners
-from .pipeline import (
-    CharacterizationPlan,
-    characterize_and_fit,
-    generate_models,
-    model_rng,
-    model_rng_states,
-)
+from .pipeline import CharacterizationPlan, characterize_and_fit, generate_models, model_rng
 from .spl import GeneratorSet, SplModel
 
 # Circuit seed keys are mi * 100000 + ci * 100 + W, so they stay distinct
 # only while ci < MAX_CIRCUITS and W < MAX_KEY_WEIGHT.
 MAX_CIRCUITS = 1000
 MAX_KEY_WEIGHT = 100
+# A PEC batch holds one byte per circuit, step and qubit; this keeps a
+# 1000-circuit batch on garnet20 at 20 MB (the paper's circuits have 40).
+MAX_J_LAYERS = 1000
 
 
 # Digit of the Pauli that letter index 0, 1, 2 (X, Y, Z) of the final
@@ -189,21 +186,109 @@ def _support_draws(tail: np.ndarray, n: int, weight: int):
     return perm[:, :weight], letters, redraw
 
 
+# numpy's SeedSequence hash constants and the PCG64 multiplier
+# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64).  numpy's
+# stream-compatibility policy (NEP 19) fixes the SeedSequence -> PCG64
+# mapping they define.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # (initial constant, multiplier), pool mixing
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # the same for generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int):
+    """numpy's running hash constant: (h_t, h_t+1 = h_t mult) per hash."""
+    h = init
+    while True:
+        nxt = (h * mult) & _MASK32
+        yield h, nxt
+        h = nxt
+
+
+def _hashmix(value, constants):
+    """SeedSequence's hashmix, on a Python int or a uint32 array."""
+    h, nxt = next(constants)
+    value = ((value ^ h) * nxt) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative int, at least one."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _start_states(master_seed: int, keys: Sequence[int]) -> list[dict]:
+    """The `bit_generator.state` that `model_rng(master_seed, k)` starts in,
+    for every k of `keys`, without building a SeedSequence or a generator.
+
+    One pass runs SeedSequence's pool hash: the entropy words (zero-padded
+    to the four-word pool, as a spawn key requires) are shared by all keys
+    and hashed once in Python ints; the spawn-key words are hashed for all
+    keys at once in uint32 arrays.  The hash constant advances the same way
+    for every key, so a key with fewer words just keeps its pool past its
+    last word.  The pool's eight output words then seed PCG64 by its 128-bit
+    step, in Python ints.  A test pins the states to `model_rng`'s.
+    """
+    keys = [int(k) for k in keys]
+    if master_seed < 0 or any(k < 0 for k in keys):
+        raise ValueError("seed and keys must be nonnegative")
+    entropy = _uint32_words(master_seed)
+    entropy += [0] * (4 - len(entropy))
+    constants = _hash_constants(*_HASH_A)
+    pool = [_hashmix(word, constants) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
+    pool = [np.full(len(keys), word, dtype=np.uint32) for word in pool]
+    for shift in range(0, max(keys, default=0).bit_length() or 1, 32):
+        word = np.array([(k >> shift) & _MASK32 for k in keys], dtype=np.uint32)
+        has_word = np.array([shift == 0 or k >> shift > 0 for k in keys])
+        for dst in range(4):
+            mixed = _mix(pool[dst], _hashmix(word, constants))
+            pool[dst] = np.where(has_word, mixed, pool[dst])
+    constants = _hash_constants(*_HASH_B)
+    out = np.array([_hashmix(pool[i % 4], constants) for i in range(8)], dtype=np.uint64)
+    # PCG64 reads the words as little-endian uint64 (seed_hi, seed_lo,
+    # seq_hi, seq_lo) and steps s -> s M + inc from 0, adding the seed
+    # between its two steps, with inc = 2 seq + 1 (mod 2^128).
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in (out[0::2] | (out[1::2] << 32)).T.tolist():
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        })
+    return states
+
+
 def sample_circuit(
     base_layers: dict[str, CliffordLayer],
     j_layers: int,
     target_weight: int,
-    rng: np.random.Generator,
-    states: Sequence[dict],
+    master_seed: int,
+    keys: Sequence[int],
 ) -> CircuitBatch:
-    """One random circuit per `PCG64` state in `states`, each ending in a
-    uniform weight-`target_weight` Pauli string.
-
-    Circuit c is the circuit a fresh generator in state `states[c]` (the
-    format of `bit_generator.state`) draws, and `rng`, whose bit generator
-    is a `PCG64`, is left where the last circuit's draws end.  In order,
-    the draws are one bounded draw for all steps, then the final string's
-    support and letters:
+    """One random circuit per key in `keys`, each ending in a uniform
+    weight-`target_weight` Pauli string: circuit c is the circuit that
+    `model_rng(master_seed, keys[c])` draws.  In order, its draws are one
+    bounded draw for all steps, then the final string's support and letters:
 
         draws = rng.integers(0, B, size=(J, n + 1))
         qubits = rng.permutation(n)[:W]
@@ -223,17 +308,18 @@ def sample_circuit(
     never rejects.
 
     Those three calls read 32-bit words, which `PCG64` serves as the low and
-    then the high half of each 64-bit output.  So each circuit instead takes
-    one `bit_generator.random_raw` block of the words its draws read if
-    nothing is rejected, plus a margin, and numpy's algorithms run on the
-    blocks' little-endian uint32 view for all circuits at once: Lemire's
-    bounded draw for the steps and letters (`_lemire`) and Fisher-Yates with
-    masked rejection for the support (`_support_draws`).  A circuit whose
-    draws these cannot finish (a rejected bounded draw, a long rejection
-    run, a used-up block, a state holding a buffered half word) and the last
-    circuit, which leaves `rng` where it must be, make the three calls
-    themselves.  The blocks are drawn in chunks of about `_CHUNK_WORDS`
-    words, to bound their temporaries.
+    then the high half of each 64-bit output.  So every circuit's start state
+    comes from one `_start_states` pass and is set on a `PCG64` of the
+    sampler's own, which takes one `random_raw` block of the words the draws
+    read if nothing is rejected, plus a margin; a start state holds no
+    buffered half word, so the block begins with the circuit's first word.
+    numpy's algorithms then run on the blocks' little-endian uint32 view for
+    all circuits at once: Lemire's bounded draw for the steps and letters
+    (`_lemire`) and Fisher-Yates with masked rejection for the support
+    (`_support_draws`).  Only a circuit whose draws these cannot finish (a
+    rejected bounded draw, a long rejection run, a used-up block) makes the
+    three calls itself.  The blocks are drawn in chunks of about
+    `_CHUNK_WORDS` words, to bound their temporaries.
     """
     labels = sorted(base_layers)
     n = base_layers[labels[0]].n
@@ -241,16 +327,18 @@ def sample_circuit(
         raise ValueError("target weight out of range")
     if j_layers < 1:
         raise ValueError("circuit needs at least one layer")
+    states = _start_states(master_seed, keys)
+    m = len(states)
     n_layers, n_gates = len(labels), len(all_single_qubit_cliffords())
     bound = math.lcm(n_layers, n_gates)
-    draws = np.zeros((len(states), j_layers, n + 1), dtype=np.min_scalar_type(bound - 1))
-    final = np.zeros((len(states), n), dtype=np.uint8)
+    draws = np.zeros((m, j_layers, n + 1), dtype=np.min_scalar_type(bound - 1))
+    final = np.zeros((m, n), dtype=np.uint8)
+    rng = np.random.Generator(np.random.PCG64())
     bit_generator = rng.bit_generator
     steps = draws[:, :, 1:] if n_layers == 1 else draws
     slots = math.prod(steps.shape[1:])
     width = slots + 2 * (n - 1) + _LOOKAHEAD + target_weight  # words per circuit
     k = (width + 1) // 2
-    m = max(len(states) - 1, 0)  # circuits drawn from word blocks
     chunk = max(1, _CHUNK_WORDS // k)
     block = np.empty((min(chunk, m), k), dtype="<u8")
     tail = np.empty((m, 2 * k - slots), dtype="<u4")
@@ -269,8 +357,7 @@ def sample_circuit(
         qubits, letters, unfinished = _support_draws(tail, n, target_weight)
         final[np.arange(m)[:, None], qubits] = _LETTER_DIGITS[letters]
         redraw |= unfinished
-    redraw |= np.array([states[c]["has_uint32"] for c in range(m)], dtype=bool)
-    for c in [*np.flatnonzero(redraw).tolist(), *range(m, len(states))]:
+    for c in np.flatnonzero(redraw).tolist():
         bit_generator.state = states[c]
         if n_layers == 1:
             draws[c, :, 1:] = rng.integers(0, n_gates, size=(j_layers, n))
@@ -287,6 +374,25 @@ def sample_circuit(
     return CircuitBatch(tuple(base_layers[lab] for lab in labels), base, gates, final)
 
 
+def check_limits(n: int, n_circuits: int, j_layers: int, weights: Sequence[int]) -> None:
+    """Raise ValueError unless a sweep on n qubits keeps its circuit keys distinct
+    and its batches bounded, with distinct weights of at most n."""
+    if not 1 <= n_circuits <= MAX_CIRCUITS:
+        raise ValueError(f"circuits must be in [1, {MAX_CIRCUITS}], got {n_circuits}")
+    if not 1 <= j_layers <= MAX_J_LAYERS:
+        raise ValueError(f"j_layers must be in [1, {MAX_J_LAYERS}], got {j_layers}")
+    w_max = min(n, MAX_KEY_WEIGHT - 1)
+    weights = list(weights)
+    if not weights or any(
+        isinstance(w, bool) or not isinstance(w, int) or not 0 <= w <= w_max for w in weights
+    ):
+        raise ValueError(
+            f"weights must be a non-empty list of integers in [0, {w_max}], got {weights}"
+        )
+    if len(set(weights)) != len(weights):
+        raise ValueError(f"weights must be distinct, got {weights}")
+
+
 def pec_sweep(
     plan: CharacterizationPlan,
     n_models: int,
@@ -299,17 +405,17 @@ def pec_sweep(
     master_seed: int,
 ) -> list[dict]:
     """Rows of (model seed, circuit seed, W, O_c, O_m) for the full sweep,
-    model by model (`_model_rows`)."""
+    model by model (`model_rows`)."""
     return [
         row
         for mi in range(n_models)
-        for row in _model_rows(
+        for row in model_rows(
             plan, mi, n_circuits, j_layers, weights, sigma, sigma_prime, baseline, master_seed
         )
     ]
 
 
-def _model_rows(
+def model_rows(
     plan: CharacterizationPlan,
     mi: int,
     n_circuits: int,
@@ -322,17 +428,11 @@ def _model_rows(
 ) -> list[dict]:
     """`pec_sweep`'s rows of model `mi`, which depend on no other model.
 
-    Circuit ci at weight w is drawn from the stream of
-    `model_rng(master_seed + 7919, mi * 100000 + ci * 100 + w)`.  The
-    batch's start states come from one `model_rng_states` pass, and the
-    model's generator, done with its own draws once the fits are made,
-    carries them through `sample_circuit`.
+    Circuit ci at weight w is what
+    `model_rng(master_seed + 7919, mi * 100000 + ci * 100 + w)` draws
+    (`sample_circuit`); `check_limits` keeps these keys distinct.
     """
-    if n_circuits > MAX_CIRCUITS or any(w >= MAX_KEY_WEIGHT for w in weights):
-        raise ValueError(
-            f"circuit seed keys collide beyond {MAX_CIRCUITS} circuits "
-            f"or weight {MAX_KEY_WEIGHT - 1}"
-        )
+    check_limits(plan.topology.n, n_circuits, j_layers, weights)
     base_layers = {layer.label: layer for layer in plan.layers}
     rng = model_rng(master_seed, mi)
     models = generate_models(plan, rng)
@@ -340,10 +440,8 @@ def _model_rows(
     fits = (result.fitted["conventional"], result.fitted["mlcb"])
     rows = []
     for w in weights:
-        states = model_rng_states(
-            master_seed + 7919, [mi * 100000 + ci * 100 + w for ci in range(n_circuits)]
-        )
-        batch = sample_circuit(base_layers, j_layers, w, rng, states)
+        keys = [mi * 100000 + ci * 100 + w for ci in range(n_circuits)]
+        batch = sample_circuit(base_layers, j_layers, w, master_seed + 7919, keys)
         o_c, o_m = pec_observable(models, fits, batch, plan.generators)
         rows.extend(
             {"model_seed": mi, "circuit_seed": ci, "W": w, "O_c": float(c), "O_m": float(m)}

@@ -5,7 +5,6 @@ reconstructions to the truth."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -494,101 +493,6 @@ def model_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     )
-
-
-# numpy's SeedSequence hash constants and the PCG64 multiplier
-# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64).  numpy's
-# stream-compatibility policy (NEP 19) fixes the SeedSequence -> PCG64
-# mapping they define.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_HASH_A = (0x43B0D7E5, 0x931E8875)  # (initial constant, multiplier), pool mixing
-_HASH_B = (0x8B51F9DD, 0x58F38DED)  # the same for generate_state
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_constants(init: int, mult: int):
-    """numpy's running hash constant: (h_t, h_t+1 = h_t mult) per hash."""
-    h = init
-    while True:
-        nxt = (h * mult) & _MASK32
-        yield h, nxt
-        h = nxt
-
-
-def _hashmix(value, constants):
-    """SeedSequence's hashmix, on a Python int or a uint32 array."""
-    h, nxt = next(constants)
-    value = ((value ^ h) * nxt) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a nonnegative int, at least one."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def model_rng_states(master_seed: int, indices: Sequence[int]) -> list[dict]:
-    """The `bit_generator.state` that `model_rng(master_seed, i)` starts in,
-    for every i of `indices`, without building a SeedSequence or a generator.
-
-    One pass runs SeedSequence's pool hash: the entropy words (zero-padded
-    to the four-word pool, as a spawn key requires) are shared by all
-    indices and hashed once in Python ints; the spawn-key words are hashed
-    for all indices at once in uint32 arrays.  The hash constant advances
-    the same way for every index, so an index with fewer key words just
-    keeps its pool past its last word.  The pool's eight output words then
-    seed PCG64 by its 128-bit step, in Python ints.  A test pins the states
-    to `model_rng`'s.
-    """
-    keys = [int(i) for i in indices]
-    if master_seed < 0 or any(k < 0 for k in keys):
-        raise ValueError("seed and indices must be nonnegative")
-    if not keys:
-        return []
-    entropy = _uint32_words(master_seed)
-    entropy += [0] * (4 - len(entropy))
-    constants = _hash_constants(*_HASH_A)
-    pool = [_hashmix(word, constants) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
-    pool = [np.full(len(keys), word, dtype=np.uint32) for word in pool]
-    for shift in range(0, max(keys).bit_length() or 1, 32):
-        word = np.array([(k >> shift) & _MASK32 for k in keys], dtype=np.uint32)
-        has_word = np.array([shift == 0 or k >> shift > 0 for k in keys])
-        for dst in range(4):
-            mixed = _mix(pool[dst], _hashmix(word, constants))
-            pool[dst] = np.where(has_word, mixed, pool[dst])
-    constants = _hash_constants(*_HASH_B)
-    out = np.array([_hashmix(pool[i % 4], constants) for i in range(8)], dtype=np.uint64)
-    # PCG64 reads the words as little-endian uint64 (seed_hi, seed_lo,
-    # seq_hi, seq_lo) and steps s -> s M + inc from 0, adding the seed
-    # between its two steps, with inc = 2 seq + 1 (mod 2^128).
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in (out[0::2] | (out[1::2] << 32)).T.tolist():
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append({
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        })
-    return states
 
 
 def sweep_item(

@@ -58,6 +58,8 @@ class Topology:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Topology":
+        if not isinstance(d, dict) or not isinstance(d.get("preset", ""), str):
+            raise ValueError(f"topology must be a preset name or an object, got {d!r}")
         if d.get("preset"):
             topo = preset(d["preset"])
             if "n" in d and d["n"] != topo.n:

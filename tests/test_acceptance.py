@@ -28,7 +28,6 @@ from cyclebench.pipeline import (
     covering_pairs,
     generate_models,
     model_rng,
-    model_rng_states,
     sweep_item,
 )
 from cyclebench.spl import GeneratorSet, random_model
@@ -300,8 +299,8 @@ class TestCriterion10PecSweep:
             res = characterize_and_fit(plan, models, SIGMA, sigma_prime, "unit_depth", rng)
             fits = (res.fitted["conventional"], res.fitted["mlcb"])
             for w in (2, 20):
-                states = model_rng_states(20240504, [mi * 1000 + ci * 10 + w for ci in range(10)])
-                batch = sample_circuit(base_layers, 40, w, rng, states)
+                keys = [mi * 1000 + ci * 10 + w for ci in range(10)]
+                batch = sample_circuit(base_layers, 40, w, 20240504, keys)
                 oc, om = pec_observable(models, fits, batch, plan.generators)
                 o_c[w].extend(oc)
                 o_m[w].extend(om)

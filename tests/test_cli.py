@@ -715,6 +715,48 @@ class TestErrors:
         assert main(["generate-model", "--config", str(path)]) == 0
         assert (tmp_path / "out" / "model_A.json").exists()
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "shape",
+        [[1, 2], "garnet20", {"topology": 5}, {"topology": ["garnet20"]},
+         {"topology": {"preset": 5}}],
+        ids=["root_list", "root_string", "topology_number", "topology_list", "preset_number"],
+    )
+    def test_bad_config_shape_rejected(self, tmp_path, capsys, command, shape):
+        # These ended in AttributeError tracebacks.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(shape))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [*COMMANDS, "repro"])
+    @pytest.mark.parametrize("kind", ["existing_file", "under_a_file", "null_byte"])
+    def test_unusable_out_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, kind
+    ):
+        # These ended in FileExistsError, NotADirectoryError or ValueError
+        # tracebacks, most of them only after all the work.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = {
+            "existing_file": str(blocker), "under_a_file": str(blocker / "out"),
+            "null_byte": str(tmp_path / "a\0b"),
+        }[kind]
+        for name in ("_plan", "analyze_layer", "random_model"):
+            monkeypatch.setattr(cli, name, mock.Mock(side_effect=AssertionError("work started")))
+        if command == "repro":
+            argv = ["repro", "fig5a", "--out", out, "--models", "1"]
+        else:
+            path, _ = write_config(tmp_path, topology="square2x2")
+            argv = [command, "--config", str(path), "--out", out]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot use out {out!r}") and err.count("\n") == 1
+        assert blocker.read_text() == ""
+
 
 class TestRepro:
     def test_fig6_smoke(self, tmp_path):

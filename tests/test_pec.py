@@ -75,11 +75,10 @@ def bare_circuits(layer: CliffordLayer, finals: list[PauliString], steps: int) -
     )
 
 
-def streams(seeds):
-    """A generator to draw circuits from, and the start state of
-    `default_rng(seed)` for every seed: circuit c is the one that generator
-    draws."""
-    return np.random.default_rng(), [np.random.default_rng(s).bit_generator.state for s in seeds]
+def start_states(master_seed, keys):
+    """The start state of `model_rng(master_seed, key)` for every key: circuit
+    c of `sample_circuit(..., master_seed, keys)` is the one it draws."""
+    return [model_rng(master_seed, k).bit_generator.state for k in keys]
 
 
 def per_circuit_sample(base_layers, j_layers, target_weight, rngs):
@@ -172,13 +171,13 @@ def assert_scalar_draws(layers, j_layers, w, batch, states):
 
 
 class CountingGenerator(np.random.Generator):
-    """A generator that counts its `permutation` calls: one per circuit
-    drawn by the generator's own calls."""
+    """A generator that counts the `permutation` calls of all its instances:
+    one per circuit drawn by the generator's own calls."""
 
     permutations = 0
 
     def permutation(self, *args, **kwargs):
-        self.permutations += 1
+        CountingGenerator.permutations += 1
         return super().permutation(*args, **kwargs)
 
 
@@ -260,7 +259,7 @@ class TestPecObservable:
         gens = models["B"].generators
         rng = np.random.default_rng(0)
         fitted = {"B": np.clip(models["B"].lambdas + rng.normal(0, 5e-4, len(gens)), 0, None)}
-        batch = sample_circuit({"B": b}, 6, 2, *streams(range(8)))
+        batch = sample_circuit({"B": b}, 6, 2, 0, range(8))
         o = pec_observable(models, (fitted,), batch, gens)
         assert np.all(o > 0)
 
@@ -268,7 +267,7 @@ class TestPecObservable:
         topo, b, models = toy_models(4)
         gens = models["B"].generators
         fitted = {"B": models["B"].lambdas * 0.9}
-        full = sample_circuit({"B": b}, 4, 1, *streams(range(6)))
+        full = sample_circuit({"B": b}, 4, 1, 0, range(6))
         o_full = pec_observable(models, (fitted,), full, gens)
         first = CircuitBatch(full.layers, full.base[:, :2], full.gates[:, :2], entering(full)[2])
         second = CircuitBatch(full.layers, full.base[:, 2:], full.gates[:, 2:], full.final)
@@ -291,7 +290,7 @@ class TestPecObservable:
         rng = np.random.default_rng(2)
         models = {lab: random_model(gens, layer, rng=rng) for lab, layer in layers.items()}
         fitted = {"B": models["B"].lambdas, "G": np.full(len(gens), np.inf)}
-        batch = sample_circuit(layers, 6, 1, *streams(range(8)))
+        batch = sample_circuit(layers, 6, 1, 0, range(8))
         assert np.any(batch.base == 1)  # labels sort as B, G
         with pytest.raises(ZeroDivisionError, match="layer G"):
             pec_observable(models, (fitted,), batch, gens)
@@ -303,7 +302,7 @@ class TestPecObservable:
     def test_any_number_of_fits(self, n_fits):
         gens, layers, models = isolated_qubit_setup()
         fits = perturbed_fits(models, seed=6, count=n_fits)
-        batch = sample_circuit(layers, 5, 2, *streams(range(9)))
+        batch = sample_circuit(layers, 5, 2, 0, range(9))
         log_o = np.log(pec_observable(models, fits, batch, gens))
         assert log_o.shape == (n_fits, 9)
         ref = reference_log_observable(models, fits, batch, gens)
@@ -328,7 +327,7 @@ class TestPecObservable:
         fits = perturbed_fits(models, seed=5)
         n = gens.topology.n
         for w in (1, 3, n):
-            batch = sample_circuit(layers, 7, w, *streams([w, c] for c in range(12)))
+            batch = sample_circuit(layers, 7, w, w, range(12))
             log_o = np.log(pec_observable(models, fits, batch, gens))
             ref = reference_log_observable(models, fits, batch, gens)
             np.testing.assert_allclose(log_o, ref, rtol=0, atol=1e-12)
@@ -348,7 +347,7 @@ class TestSampleCircuit:
 
     @pytest.mark.parametrize("w", [2, 20])
     def test_final_weight_constraint(self, w):
-        batch = sample_circuit(self.layers, 40, w, *streams(11 + c for c in range(4)))
+        batch = sample_circuit(self.layers, 40, w, 0, [11 + c for c in range(4)])
         beta0 = entering(batch)[0]
         for c in range(4):
             assert np.count_nonzero(batch.final[c]) == w
@@ -358,30 +357,29 @@ class TestSampleCircuit:
             assert p.unsigned() == pauli(batch.final[c])
 
     def test_deterministic_under_seed(self):
-        a = sample_circuit(self.layers, 10, 5, *streams([3]))
-        b = sample_circuit(self.layers, 10, 5, *streams([3]))
+        a = sample_circuit(self.layers, 10, 5, 0, [3])
+        b = sample_circuit(self.layers, 10, 5, 0, [3])
         for field in ("base", "gates", "final"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert np.array_equal(entering(a)[0], entering(b)[0])
 
     def test_full_weight_on_one_qubit_toy(self):
         layer = CliffordLayer(1, (), (), "B")
-        batch = sample_circuit({"B": layer}, 5, 1, *streams([0]))
+        batch = sample_circuit({"B": layer}, 5, 1, 0, [0])
         assert np.count_nonzero(batch.final) == 1
         assert np.count_nonzero(entering(batch)[0]) == 1
 
     def test_weight_out_of_range(self):
         for w in (21, -1):
             with pytest.raises(ValueError):
-                sample_circuit(self.layers, 5, w, *streams([0]))
+                sample_circuit(self.layers, 5, w, 0, [0])
         with pytest.raises(ValueError):
-            sample_circuit(self.layers, 0, 2, *streams([0]))
+            sample_circuit(self.layers, 0, 2, 0, [0])
 
     def test_matches_scalar_draws(self):
         # One bounded draw below B = lcm(L, 24) per circuit (B = 24 for
         # L = 1, 2, 3, 4; 120 for 5; 264 for 11) reproduces one scalar draw
-        # per slot, and leaves the generator in the same state after each
-        # circuit.
+        # per slot.
         cases = [(self.layers, 40, (0, 2, 20))]
         for n_layers in (1, 2, 3, 5, 11):
             layers = {
@@ -392,18 +390,13 @@ class TestSampleCircuit:
         for layers, j_layers, weights in cases:
             n = layers[next(iter(layers))].n
             for w in weights:
-                seeds = range(60)
-                rng, states = streams(seeds)
-                batch = sample_circuit(layers, j_layers, w, rng, states)
-                for c, s in enumerate(seeds):
-                    ref = np.random.default_rng(s)
-                    base, gates, final = scalar_sample(layers, j_layers, w, ref)
+                keys = range(60)
+                batch = sample_circuit(layers, j_layers, w, 0, keys)
+                for c, k in enumerate(keys):
+                    base, gates, final = scalar_sample(layers, j_layers, w, model_rng(0, k))
                     assert np.array_equal(batch.base[c], base)
                     assert np.array_equal(batch.gates[c], gates.reshape(j_layers, n))
                     assert np.array_equal(batch.final[c], final)
-                    sample_circuit(layers, j_layers, w, rng, [states[c]])
-                    assert rng.bit_generator.state == ref.bit_generator.state
-
 
     @pytest.mark.parametrize("r", [2, 3, 5, 24, 120, 264, 1000, 2**31 + 1, 2**32 - 1])
     def test_lemire_matches_numpy_bounded_draw(self, r):
@@ -470,32 +463,16 @@ class TestSampleCircuit:
         # generator's own calls; small chunks split the batch's word blocks.
         monkeypatch.setattr(pec, "_LOOKAHEAD", lookahead)
         monkeypatch.setattr(pec, "_CHUNK_WORDS", chunk_words)
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
         for layers, j_layers, w in ((self.layers, 40, 20), (self.layers, 40, 2), (cz_layers(11), 7, 3)):
-            _, states = streams(range(30))
-            rng = CountingGenerator(np.random.PCG64())
-            batch = sample_circuit(layers, j_layers, w, rng, states)
-            assert_scalar_draws(layers, j_layers, w, batch, states)
+            monkeypatch.setattr(CountingGenerator, "permutations", 0)
+            batch = sample_circuit(layers, j_layers, w, 0, range(30))
+            assert_scalar_draws(layers, j_layers, w, batch, start_states(0, range(30)))
             if lookahead == 1:
-                assert rng.permutations > 1
-            ref = np.random.default_rng()
-            ref.bit_generator.state = states[-1]
-            scalar_sample(layers, j_layers, w, ref)
-            assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_buffered_half_word_state(self):
-        # A state holding the high half of a 64-bit output (has_uint32 = 1)
-        # serves that half first; its circuit is drawn by the generator.
-        states = []
-        for s in range(6):
-            gen = np.random.default_rng(s)
-            gen.integers(0, 2**32, size=s % 2 + 1, dtype=np.uint32)
-            states.append(gen.bit_generator.state)
-        assert [st["has_uint32"] for st in states] == [1, 0] * 3
-        batch = sample_circuit(self.layers, 9, 4, np.random.default_rng(), states)
-        assert_scalar_draws(self.layers, 9, 4, batch, states)
+                assert CountingGenerator.permutations > 1
 
     def test_empty_batch(self):
-        batch = sample_circuit(self.layers, 3, 2, *streams([]))
+        batch = sample_circuit(self.layers, 3, 2, 0, [])
         assert batch.base.shape == (0, 3) and batch.gates.shape == (0, 3, 20)
         assert batch.final.shape == (0, 20)
 
@@ -530,10 +507,9 @@ def test_batched_propagation_matches_conjugate(spec, j_layers, data, seed):
     # draws, and propagates as `conjugate` does.
     n, layers = spec
     w = data.draw(st.integers(0, n))
-    rng, states = streams([seed, c] for c in range(3))
     with mock.patch.object(pec, "_LOOKAHEAD", data.draw(st.sampled_from([1, 3, 16]))):
-        batch = sample_circuit(layers, j_layers, w, rng, states)
-    assert_scalar_draws(layers, j_layers, w, batch, states)
+        batch = sample_circuit(layers, j_layers, w, seed, range(3))
+    assert_scalar_draws(layers, j_layers, w, batch, start_states(seed, range(3)))
     steps = entering(batch)
     for c in range(3):
         assert np.count_nonzero(batch.final[c]) == w
@@ -627,10 +603,12 @@ class TestPecSweep:
         assert next(got, None) is None and next(rows, None) is None
 
     @pytest.mark.parametrize(
-        "circuits, weights", [(MAX_CIRCUITS + 1, (2,)), (2, (100,))], ids=["circuits", "weight"]
+        "circuits, weights, message",
+        [(MAX_CIRCUITS + 1, (2,), "circuits must be in"), (2, (100,), "weights must be")],
+        ids=["circuits", "weight"],
     )
-    def test_colliding_seed_keys_rejected(self, small_plan, circuits, weights):
-        with pytest.raises(ValueError, match="collide"):
+    def test_colliding_seed_keys_rejected(self, small_plan, circuits, weights, message):
+        with pytest.raises(ValueError, match=message):
             pec_sweep(
                 small_plan, n_models=1, n_circuits=circuits, j_layers=2, weights=weights,
                 sigma=1e-4, sigma_prime=1e-2, baseline="unit_depth", master_seed=0,

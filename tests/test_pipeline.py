@@ -12,7 +12,7 @@ import pytest
 
 import cyclebench
 
-from cyclebench import fitting, pipeline
+from cyclebench import fitting, pec, pipeline
 from cyclebench.fitting import RankDeficientError, nnls
 from cyclebench.layers import CATALOG, CliffordLayer
 from cyclebench.pauli import PauliString
@@ -27,7 +27,6 @@ from cyclebench.pipeline import (
     estimate_mu,
     generate_models,
     model_rng,
-    model_rng_states,
     noisy_records,
     sweep_item,
 )
@@ -791,27 +790,27 @@ class TestModelRngStates:
         "entropy", [0, 7919, 2**32 - 1, 2**32, 2**64 + 7918, 2**96 + 5, 2**128 + 3, 2**160 + 1]
     )
     def test_states_are_model_rng_states(self, entropy):
-        states = model_rng_states(entropy, self.KEYS)
+        states = pec._start_states(entropy, self.KEYS)
         assert states == [model_rng(entropy, k).bit_generator.state for k in self.KEYS]
 
     def test_draws_match(self):
         # A generator set to the state draws model_rng's stream.
         rng = np.random.default_rng()
-        for key, state in zip(self.KEYS, model_rng_states(12, self.KEYS)):
+        for key, state in zip(self.KEYS, pec._start_states(12, self.KEYS)):
             rng.bit_generator.state = state
             assert np.array_equal(rng.integers(0, 2**40, 16), model_rng(12, key).integers(0, 2**40, 16))
 
     def test_each_key_alone(self):
         # A key's state does not depend on the keys batched with it.
-        together = model_rng_states(5, self.KEYS)
-        assert together == [model_rng_states(5, [k])[0] for k in self.KEYS]
+        together = pec._start_states(5, self.KEYS)
+        assert together == [pec._start_states(5, [k])[0] for k in self.KEYS]
 
     def test_edges(self):
-        assert model_rng_states(3, []) == []
-        assert model_rng_states(3, np.arange(3)) == model_rng_states(3, [0, 1, 2])
+        assert pec._start_states(3, []) == []
+        assert pec._start_states(3, np.arange(3)) == pec._start_states(3, [0, 1, 2])
         for seed, keys in ((-1, [0]), (0, [2, -1])):
             with pytest.raises(ValueError, match="nonnegative"):
-                model_rng_states(seed, keys)
+                pec._start_states(seed, keys)
 
 
 def test_plan_fit_and_pec_paths_import_no_scipy():
