@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,8 @@ from cyclebench import pec
 from cyclebench.layers import CliffordLayer, all_single_qubit_cliffords, conjugate
 from cyclebench.pauli import PauliString
 from cyclebench.pec import (
-    MAX_CIRCUITS,
     CircuitBatch,
+    check_limits,
     pec_observable,
     pec_sweep,
     sample_circuit,
@@ -602,14 +603,18 @@ class TestPecSweep:
                     assert math.log(row["O_m"]) == pytest.approx(ref[1, ci], rel=0, abs=1e-12)
         assert next(got, None) is None and next(rows, None) is None
 
-    @pytest.mark.parametrize(
-        "circuits, weights, message",
-        [(MAX_CIRCUITS + 1, (2,), "circuits must be in"), (2, (100,), "weights must be")],
-        ids=["circuits", "weight"],
-    )
-    def test_colliding_seed_keys_rejected(self, small_plan, circuits, weights, message):
-        with pytest.raises(ValueError, match=message):
-            pec_sweep(
-                small_plan, n_models=1, n_circuits=circuits, j_layers=2, weights=weights,
-                sigma=1e-4, sigma_prime=1e-2, baseline="unit_depth", master_seed=0,
-            )
+    @pytest.mark.parametrize("case", ["circuits", "weight"])
+    def test_colliding_seed_keys_rejected(self, small_plan, case):
+        # Circuit keys mi*100000 + ci*100 + w stay distinct only for ci < 1000
+        # and w < 100.
+        if case == "circuits":
+            with pytest.raises(ValueError, match=re.escape("circuits must be in [1, 1000]")):
+                pec_sweep(
+                    small_plan, n_models=1, n_circuits=1001, j_layers=2, weights=(2,),
+                    sigma=1e-4, sigma_prime=1e-2, baseline="unit_depth", master_seed=0,
+                )
+        else:
+            # On 200 qubits the key limit, not n, bounds W.
+            with pytest.raises(ValueError, match=re.escape("integers in [0, 99], got [100]")):
+                check_limits(200, 2, 2, [100])
+            check_limits(200, 2, 2, [99])
