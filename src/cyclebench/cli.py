@@ -195,6 +195,10 @@ def _parse_layer(spec: dict, n: int) -> CliffordLayer:
     sq = spec.get("sq", {}) if isinstance(spec, dict) else None
     if not isinstance(sq, dict) or not isinstance(spec.get("label", ""), str):
         raise ConfigError(f'layer {spec!r} is not an object with a string "label" and "sq" object')
+    # int() also reads "02" and " 2", so two keys could name one qubit.
+    bad = [q for q in sq if not (q.isascii() and q.isdigit() and str(int(q)) == q)]
+    if bad:
+        raise ConfigError(f"sq keys {bad} are not qubit indices in plain decimal")
     gates = tuple((int(q), CATALOG[name]) for q, name in sq.items())
     cz = tuple(tuple(p) for p in spec.get("cz", ()))
     return CliffordLayer(n, cz, gates, spec.get("label", ""))
@@ -328,12 +332,12 @@ def cmd_characterize(cfg: RunConfig) -> int:
         }
 
     records = []
-    for lab in plan.labels:
-        for prod, value in zip(plan.products[lab], data.high[lab]):
+    for lab, lp in plan.layers.items():
+        for prod, value in zip(lp.products, data.high[lab]):
             targets = [(lab, p) for p in prod.strings]
             records.append(record(targets, value, cfg.sigma, "high", f"orbit:{prod.source}"))
         if cfg.baseline == "unit_depth":
-            for q, value in zip(plan.low_qubits[lab], data.low[lab]):
+            for q, value in zip(lp.low_qubits, data.low[lab]):
                 targets = [(lab, PauliString.single(cfg.topology.n, q, "X"))]
                 records.append(
                     record(targets, value, cfg.sigma_prime, "low", f"unit_depth:q{q}")

@@ -47,7 +47,7 @@ def nnls(
     rule can cycle once A lacks full column rank (wide systems).
 
     `inv_gram` is H = (A^T A)^-1 of a full-column-rank A, as
-    `CharacterizationPlan.inv_gram` holds per layer.  With it each passive
+    `LayerPlan.inv_gram` holds for its layer's `LayerPlan.s`.  With it each passive
     set is solved as a Schur complement on the active set C: x0 = H rhs,
     y = H_CC^-1 x0_C, x = x0 - H_:C y, and y is the gradient on C.  H A^T b
     is formed once per fit, and each solve gathers only the rows H_C: of

@@ -117,6 +117,12 @@ SQ_DIGITS = np.array([_digit_images(g) for g in all_single_qubit_cliffords()], d
 SQ_INVERSE_DIGITS = np.argsort(SQ_DIGITS, axis=1).astype(np.uint8)
 
 
+def is_qubit(q, n: int) -> bool:
+    """Whether q indexes one of n qubits.  1.0 and True equal 1 in every
+    comparison and set lookup, so only integers pass."""
+    return isinstance(q, (int, np.integer)) and not isinstance(q, bool) and 0 <= q < n
+
+
 @dataclass(frozen=True)
 class CliffordLayer:
     """A layer of non-overlapping gates: CZ pairs plus single-qubit Cliffords.
@@ -132,6 +138,12 @@ class CliffordLayer:
     label: str = ""
 
     def __post_init__(self):
+        for pair in self.cz_pairs:
+            if len(pair) != 2 or not all(is_qubit(q, self.n) for q in pair):
+                raise ValueError(f"CZ pair {list(pair)} is not two integer qubits in [0, {self.n})")
+        qubits = [q for q, _ in self.sq_gates]
+        if len(set(qubits)) < len(qubits) or not all(is_qubit(q, self.n) for q in qubits):
+            raise ValueError(f"sq_gates qubits {qubits} are not distinct integers in [0, {self.n})")
         pairs = tuple(sorted(tuple(sorted(p)) for p in self.cz_pairs))
         object.__setattr__(self, "cz_pairs", pairs)
         object.__setattr__(self, "sq_gates", tuple(sorted(self.sq_gates)))
@@ -139,14 +151,9 @@ class CliffordLayer:
         for a, b in pairs:
             if a == b:
                 raise ValueError("CZ pair must join two distinct qubits")
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError("CZ pair references qubit outside layer")
             if a in seen or b in seen:
                 raise ValueError("CZ pairs must have non-overlapping supports")
             seen.update((a, b))
-        for q, _ in self.sq_gates:
-            if not 0 <= q < self.n:
-                raise ValueError("single-qubit gate outside layer")
 
     def support(self) -> frozenset[int]:
         qs = {q for pair in self.cz_pairs for q in pair}

@@ -433,7 +433,7 @@ def model_rows(
     (`sample_circuit`); `check_limits` keeps these keys distinct.
     """
     check_limits(plan.topology.n, n_circuits, j_layers, weights)
-    base_layers = {layer.label: layer for layer in plan.layers}
+    base_layers = {lab: lp.layer for lab, lp in plan.layers.items()}
     rng = model_rng(master_seed, mi)
     models = generate_models(plan, rng)
     result = characterize_and_fit(plan, models, sigma, sigma_prime, baseline, rng)

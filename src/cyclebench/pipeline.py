@@ -41,39 +41,45 @@ class MuPlanEntry:
     expression: MuExpression
 
 
+@dataclass(frozen=True, eq=False)
+class LayerPlan:
+    """One layer's part of a plan: its orbit products, and its int8 fit
+    matrix S whose first `n_high` rows are their overlap rows and whose
+    other rows are the low-accuracy single fidelities on `low_qubits`, each
+    lying in orbit product `symmetry_row[i]`.  `inv_gram` is (S^T S)^-1 for
+    nnls when S has full column rank and cond(S^T S) <= MAX_INV_GRAM_COND;
+    `unconstrained` is (rank, unconstrained generators) when S lacks full
+    column rank.  `ratio_rows` holds the overlap rows of the ratio entries'
+    product terms in this layer with each row's entry index, and `mu_refs`
+    the (entry, high-row index, coefficient) arrays of mu_hat's learn_refs
+    items here."""
+
+    layer: CliffordLayer
+    products: list[LearnableProduct]
+    s: np.ndarray
+    n_high: int
+    low_qubits: list[int]
+    symmetry_row: list[int]
+    inv_gram: np.ndarray | None
+    unconstrained: tuple[int, list[str]] | None
+    ratio_rows: tuple[np.ndarray, np.ndarray]
+    mu_refs: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass
 class CharacterizationPlan:
     """Model-independent description of one characterization campaign.
 
-    Holds the learnable-product rows, the low-accuracy single-fidelity
-    targets, and the multi-layer ratio expressions with their certificates;
-    building it once amortizes the certificate searches across a sweep.
+    Holds one LayerPlan per layer, in configuration order, and the
+    multi-layer ratio expressions with their certificates; building it once
+    amortizes the certificate searches across a sweep.
     """
 
     topology: Topology
-    layers: list[CliffordLayer]
     generators: GeneratorSet
-    products: dict[str, list[LearnableProduct]]
-    # S = [s_high; s_low] per layer, the fit matrix; s_high and s_low are
-    # row views of it.
-    s_fit: dict[str, np.ndarray]
-    s_high: dict[str, np.ndarray]
-    low_qubits: dict[str, list[int]]  # gate qubits, in order, per layer
-    s_low: dict[str, np.ndarray]
-    # (S^T S)^-1 of S = [s_high; s_low] per full-rank layer with
-    # cond(S^T S) <= MAX_INV_GRAM_COND, for nnls.
-    inv_gram: dict[str, np.ndarray]
-    # Per layer whose S lacks full column rank: (rank, unconstrained generators).
-    unconstrained: dict[str, tuple[int, list[str]]]
-    symmetry_row: dict[str, list[int]]  # per low target: index of its orbit product
+    layers: dict[str, LayerPlan]
     mu_entries: list[MuPlanEntry]
-    # Per layer: the overlap rows of every ratio entry's product terms in
-    # that layer, with each row's entry index.
-    ratio_rows: dict[str, tuple[np.ndarray, np.ndarray]]
-    # mu_hat's references: epsilon per entry and, per layer, the (entry,
-    # high-row index, coefficient) arrays of every learn_refs item.
-    mu_epsilon: np.ndarray
-    mu_refs: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    mu_epsilon: np.ndarray  # per ratio entry
     # Per qubit covered by two or more layers: the covering labels, in
     # order, and the low-row index of the qubit's partner in each.
     low_clusters: list[tuple[int, tuple[str, ...], tuple[int, ...]]]
@@ -81,7 +87,7 @@ class CharacterizationPlan:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(layer.label for layer in self.layers)
+        return tuple(self.layers)
 
 
 def build_plan(
@@ -91,41 +97,27 @@ def build_plan(
     retries: int = 16,
 ) -> CharacterizationPlan:
     gens = GeneratorSet(topology)
-    products: dict[str, list[LearnableProduct]] = {}
-    s_fit: dict[str, np.ndarray] = {}
-    s_high: dict[str, np.ndarray] = {}
-    low_qubits: dict[str, list[int]] = {}
-    s_low: dict[str, np.ndarray] = {}
-    inv_gram: dict[str, np.ndarray] = {}
-    unconstrained: dict[str, tuple[int, list[str]]] = {}
-    symmetry_row: dict[str, list[int]] = {}
+    fits = []
     key_index: dict[str, dict] = {}
     for layer in layers:
-        lab = layer.label
         prods = orbit_learnables(layer, gens)
-        products[lab] = prods
         rows = product_rows(gens, prods)
-        key_index[lab] = {prod.key()[1]: i for i, prod in enumerate(prods)}
+        key_index[layer.label] = {prod.key()[1]: i for i, prod in enumerate(prods)}
         qubits = sorted(q for pair in layer.cz_pairs for q in pair)
-        low_qubits[lab] = qubits
         singles = [PauliString.single(topology.n, q, "X") for q in qubits]
         lrows = gens.digit_overlaps(digits(singles, topology.n))
         # Standard orbits are disjoint: each single fidelity lies in one.
         standard = {
             s.key(): i for i, p in enumerate(prods) if p.source == "standard" for s in p.strings
         }
-        symmetry_row[lab] = [standard[alpha.key()] for alpha in singles]
-        stacked = s_fit[lab] = np.vstack([rows, lrows])
-        s_high[lab], s_low[lab] = stacked[: len(rows)], stacked[len(rows) :]
+        symmetry_row = [standard[alpha.key()] for alpha in singles]
+        stacked = np.vstack([rows, lrows])
         # Integer entries far below 2**53, so the float product is exact.
         floats = stacked.astype(float)
         g = floats.T @ floats
         del floats  # freed before the inverse's workspace: lower peak RSS
         inv, deficient = classify_gram(g, gens)
-        if inv is not None:
-            inv_gram[lab] = inv
-        if deficient is not None:
-            unconstrained[lab] = deficient
+        fits.append((layer, prods, stacked, len(rows), qubits, symmetry_row, inv, deficient))
     expressions, failures = ratio_expressions(topology, layers, seed, retries)
     mu_entries = [
         MuPlanEntry(
@@ -141,7 +133,35 @@ def build_plan(
         )
         for expr in expressions
     ]
-    ratio_rows, mu_refs = _ratio_arrays(gens, layers, mu_entries)
+    terms = {layer.label: [] for layer in layers}
+    refs = {layer.label: [] for layer in layers}
+    for e, entry in enumerate(mu_entries):
+        for l, p in entry.product_terms:
+            terms[l].append((e, p))
+        for l, row, coeff in entry.learn_refs:
+            refs[l].append((e, row, coeff))
+    plans: dict[str, LayerPlan] = {}
+    for layer, prods, stacked, n_high, qubits, symmetry_row, inv, deficient in fits:
+        lab = layer.label
+        plans[lab] = LayerPlan(
+            layer=layer,
+            products=prods,
+            s=stacked,
+            n_high=n_high,
+            low_qubits=qubits,
+            symmetry_row=symmetry_row,
+            inv_gram=inv,
+            unconstrained=deficient,
+            ratio_rows=(
+                gens.digit_overlaps(digits([p for _, p in terms[lab]], topology.n)),
+                np.array([e for e, _ in terms[lab]], dtype=np.intp),
+            ),
+            mu_refs=(
+                np.array([e for e, _, _ in refs[lab]], dtype=np.intp),
+                np.array([row for _, row, _ in refs[lab]], dtype=np.intp),
+                np.array([coeff for _, _, coeff in refs[lab]], dtype=float),
+            ),
+        )
     low_clusters = []
     partner, _ = cz_partners(layers, topology.n)
     for q in range(topology.n):
@@ -150,24 +170,14 @@ def build_plan(
             low_clusters.append((
                 q,
                 tuple(layers[i].label for i in covering),
-                tuple(low_qubits[layers[i].label].index(partner[i, q]) for i in covering),
+                tuple(plans[layers[i].label].low_qubits.index(partner[i, q]) for i in covering),
             ))
     return CharacterizationPlan(
         topology=topology,
-        layers=list(layers),
         generators=gens,
-        products=products,
-        s_fit=s_fit,
-        s_high=s_high,
-        low_qubits=low_qubits,
-        s_low=s_low,
-        inv_gram=inv_gram,
-        unconstrained=unconstrained,
-        symmetry_row=symmetry_row,
+        layers=plans,
         mu_entries=mu_entries,
-        ratio_rows=ratio_rows,
         mu_epsilon=np.array([e.epsilon for e in mu_entries], dtype=float),
-        mu_refs=mu_refs,
         low_clusters=low_clusters,
         mu_failures=failures,
     )
@@ -205,31 +215,6 @@ def ratio_expressions(
                 except NotEquivalentError:
                     failures += 1
     return expressions, failures
-
-
-def _ratio_arrays(gens: GeneratorSet, layers, mu_entries):
-    """Per layer: (the overlap rows of the ratio entries' product terms in
-    the layer, their entry indices), and (entry, high-row index,
-    coefficient) of the entries' learn_refs items in the layer."""
-    ratio_rows, mu_refs = {}, {}
-    for layer in layers:
-        lab = layer.label
-        terms = [
-            (e, p) for e, entry in enumerate(mu_entries)
-            for l, p in entry.product_terms if l == lab
-        ]
-        rows = gens.digit_overlaps(digits([p for _, p in terms], gens.topology.n))
-        ratio_rows[lab] = (rows, np.array([e for e, _ in terms], dtype=np.intp))
-        refs = [
-            (e, row, coeff) for e, entry in enumerate(mu_entries)
-            for l, row, coeff in entry.learn_refs if l == lab
-        ]
-        mu_refs[lab] = (
-            np.array([e for e, _, _ in refs], dtype=np.intp),
-            np.array([row for _, row, _ in refs], dtype=np.intp),
-            np.array([coeff for _, _, coeff in refs], dtype=float),
-        )
-    return ratio_rows, mu_refs
 
 
 def classify_gram(
@@ -284,7 +269,7 @@ def covering_pairs(topology: Topology, layers: list[CliffordLayer]):
 
 
 def generate_models(plan: CharacterizationPlan, rng: np.random.Generator) -> dict[str, SplModel]:
-    return {layer.label: random_model(plan.generators, layer, rng) for layer in plan.layers}
+    return {lab: random_model(plan.generators, lp.layer, rng) for lab, lp in plan.layers.items()}
 
 
 @dataclass
@@ -309,7 +294,7 @@ class NoisyRecords:
 
     `high`: every orbit product per layer, with its Gaussian noise and
     unclipped; `low`: the low-accuracy single-fidelity estimates per layer,
-    in `plan.low_qubits` order; `ratio_products`: each ratio entry's noisy
+    in `LayerPlan.low_qubits` order; `ratio_products`: each ratio entry's noisy
     multi-layer product, in `plan.mu_entries` order.
     """
 
@@ -336,17 +321,17 @@ def noisy_records(
         raise ValueError(f"unknown baseline {baseline!r}")
     high: dict[str, np.ndarray] = {}
     low: dict[str, np.ndarray] = {}
-    for lab in plan.labels:
+    for lab, lp in plan.layers.items():
         lam = models[lab].lambdas
         # einsum reads the int8 rows without a float copy.
-        exact = np.exp(-2.0 * np.einsum("ij,j->i", plan.s_high[lab], lam))
+        exact = np.exp(-2.0 * np.einsum("ij,j->i", lp.s[: lp.n_high], lam))
         noisy = exact + (rng.normal(0.0, sigma, exact.shape) if sigma > 0 else 0.0)
         high[lab] = noisy
         if baseline == "symmetry":
-            prods = np.clip(noisy[plan.symmetry_row[lab]], 1e-12, 1.0)
+            prods = np.clip(noisy[lp.symmetry_row], 1e-12, 1.0)
             low[lab] = np.sqrt(prods)
         else:
-            exact_low = np.exp(-2.0 * np.einsum("ij,j->i", plan.s_low[lab], lam))
+            exact_low = np.exp(-2.0 * np.einsum("ij,j->i", lp.s[lp.n_high :], lam))
             noise = (
                 rng.normal(0.0, sigma_prime, exact_low.shape)
                 if sigma_prime > 0
@@ -355,7 +340,8 @@ def noisy_records(
             low[lab] = np.clip(exact_low + noise, 1e-12, 1.0)
     # Sum over every entry's product terms of <alpha, lambda>, layer by layer.
     overlap = np.zeros(len(plan.mu_entries))
-    for lab, (rows, entry) in plan.ratio_rows.items():
+    for lab, lp in plan.layers.items():
+        rows, entry = lp.ratio_rows
         terms = np.einsum("ij,j->i", rows, models[lab].lambdas)
         overlap += np.bincount(entry, terms, minlength=len(overlap))
     exact = np.exp(-2.0 * overlap)
@@ -375,7 +361,8 @@ def estimate_mu(
     o_noisy = records.ratio_products
     measured = np.isfinite(o_noisy) & (o_noisy > 0)
     log_mu = plan.mu_epsilon * np.log(np.where(measured, o_noisy, 1.0))
-    for lab, (entry, row, coeff) in plan.mu_refs.items():
+    for lab, lp in plan.layers.items():
+        entry, row, coeff = lp.mu_refs
         logs = np.log(np.maximum(records.high[lab][row], 1e-12))
         log_mu += np.bincount(entry, coeff * logs, minlength=len(log_mu))
     with np.errstate(over="ignore"):
@@ -405,14 +392,14 @@ def characterize_and_fit(
     RankDeficientError: its fits would not determine the rates.
     """
     records = noisy_records(plan, models, sigma, sigma_prime, baseline, rng)
-    if plan.unconstrained:
+    deficient = [(lab, lp.unconstrained) for lab, lp in plan.layers.items() if lp.unconstrained]
+    if deficient:
         raise RankDeficientError("; ".join(
             f"layer {lab!r} fit matrix has rank {rank} < {len(plan.generators)}, "
             f"unconstrained generators include {' '.join(names[:4])}"
-            for lab, (rank, names) in plan.unconstrained.items()
+            for lab, (rank, names) in deficient
         ))
-    labels = plan.labels
-    for lab in labels:
+    for lab in plan.labels:
         if not (np.isfinite(records.high[lab]).all() and np.isfinite(records.low[lab]).all()):
             raise RuntimeError(f"non-finite noisy record on layer {lab!r}")
     mu_hat = estimate_mu(plan, records)
@@ -425,16 +412,15 @@ def characterize_and_fit(
     # One float64 copy of each layer's S per call, shared by the pipelines'
     # fits, so that nnls multiplies by BLAS.  The buffer lives for this call
     # only: the allocator reuses it from call to call.
-    rows = max((len(plan.s_fit[lab]) for lab in labels), default=0)
+    rows = max((len(lp.s) for lp in plan.layers.values()), default=0)
     workspace = np.empty((rows, len(plan.generators)))
-    for lab in labels:
-        s = plan.s_fit[lab]
-        a = workspace[: len(s)]
-        np.copyto(a, s)
+    for lab, lp in plan.layers.items():
+        a = workspace[: len(lp.s)]
+        np.copyto(a, lp.s)
         log_high = np.log(np.clip(records.high[lab], 1e-12, None))
         for pipeline in pipelines:
             rhs = -0.5 * np.concatenate([log_high, np.log(rhs_low[pipeline][lab])])
-            fit = nnls(a, rhs, inv_gram=plan.inv_gram.get(lab))
+            fit = nnls(a, rhs, inv_gram=lp.inv_gram)
             fitted[pipeline][lab] = fit.lambdas
             fit_meta[pipeline][lab] = {
                 "residual_norm": fit.residual_norm,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .layers import CliffordLayer
+from .layers import CliffordLayer, is_qubit
 
 LAYER_LABELS = ("B", "G", "R", "O")
 
@@ -25,10 +25,10 @@ class Topology:
         norm = []
         seen = set()
         for a, b in self.edges:
+            if not (is_qubit(a, self.n) and is_qubit(b, self.n)):
+                raise ValueError(f"edge {[a, b]} is not two integer qubits in [0, {self.n})")
             if a == b:
                 raise ValueError("self-loop in topology")
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError("edge references invalid qubit")
             e = (min(a, b), max(a, b))
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")

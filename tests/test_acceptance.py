@@ -114,7 +114,7 @@ class TestCriterion3ParallelCzCounting:
 class TestCriterion4MlcbDofRecovery:
     def test_recovery(self, garnet_squares_plan):
         plan = garnet_squares_plan
-        supports = [layer.support() for layer in plan.layers]
+        supports = [lp.layer.support() for lp in plan.layers.values()]
         per_qubit = {}
         for entry in plan.mu_entries:
             per_qubit[entry.qubit] = per_qubit.get(entry.qubit, 0) + 1
@@ -289,7 +289,7 @@ class TestCriterion9UnitDepthBaselineSweep:
 class TestCriterion10PecSweep:
     def test_fig6(self, garnet_squares_plan):
         plan = garnet_squares_plan
-        base_layers = {layer.label: layer for layer in plan.layers}
+        base_layers = {lab: lp.layer for lab, lp in plan.layers.items()}
         sigma_prime = 1e-2
         o_c = {2: [], 20: []}
         o_m = {2: [], 20: []}

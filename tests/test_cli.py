@@ -184,7 +184,7 @@ class TestLearnability:
                 "epsilon": str(e.expression.epsilon),
                 "measured_product": [[lab, p.label()] for lab, p in e.product_terms],
                 "learnable_terms": [
-                    (lab, [s.label() for s in plan.products[lab][row].strings], coeff)
+                    (lab, [s.label() for s in plan.layers[lab].products[row].strings], coeff)
                     for lab, row, coeff in e.learn_refs
                 ],
             }
@@ -232,7 +232,8 @@ class TestCharacterizeFitPec:
             ((lab, label),) = r["targets"]
             assert label == PauliString.single(6, q, "X").label()
             assert r["sigma"] == cfg["sigma_prime"]
-        assert len(lows) == (baseline == "unit_depth") * sum(map(len, plan.low_qubits.values()))
+        n_low = sum(len(lp.low_qubits) for lp in plan.layers.values())
+        assert len(lows) == (baseline == "unit_depth") * n_low
 
     def test_fit_writes_metrics(self, tmp_path):
         path, cfg = write_config(tmp_path)
@@ -636,22 +637,36 @@ class TestErrors:
         assert main(["generate-model", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
-        "layers",
+        "config",
         [
-            [{"label": "A", "cz": [[0, 1]]}, {"label": "A", "cz": [[2, 3]]}],
-            [{"label": "A", "cz": [[0, 3]]}],  # 0-3 is a diagonal of the square
-            ["A"],
-            [{"label": "A", "cz": [[0, 1]], "sq": ["S"]}],
-            [{"label": "A", "cz": [[0, 1]], "sq": "S"}],
-            [{"label": 5, "cz": [[0, 1]]}],
+            {"layers": [{"label": "A", "cz": [[0, 1]]}, {"label": "A", "cz": [[2, 3]]}]},
+            {"layers": [{"label": "A", "cz": [[0, 3]]}]},  # 0-3 is a diagonal of the square
+            {"layers": ["A"]},
+            {"layers": [{"label": "A", "cz": [[0, 1]], "sq": ["S"]}]},
+            {"layers": [{"label": "A", "cz": [[0, 1]], "sq": "S"}]},
+            {"layers": [{"label": 5, "cz": [[0, 1]]}]},
+            # 1.0 and true equal the qubit 1 in every set and range check.
+            {"layers": [{"label": "A", "cz": [[0, 1.0]]}]},
+            {"layers": [{"label": "A", "cz": [[True, 0]]}]},
+            {"layers": [{"label": "A", "cz": [[0]]}]},
+            {"layers": [{"label": "A", "cz": [[0, 1, 3]]}]},
+            # int() reads "02" as qubit 2.
+            {"layers": [{"label": "A", "cz": [[0, 1]], "sq": {"2": "H", "02": "S"}}]},
+            {"layers": [{"label": "A", "cz": [[0, 1]], "sq": {"2": "H", "02": "H"}}]},
+            {
+                "topology": {"n": 4, "edges": [[0, 1.0], [2, 3], [0, 2], [1, 3]]},
+                "layers": [{"label": "A", "cz": [[0, 2]]}],
+            },
         ],
         ids=[
             "duplicate_labels", "cz_on_non_edge", "layer_as_string", "sq_as_list",
-            "sq_as_string", "label_not_string",
+            "sq_as_string", "label_not_string", "cz_float_qubit", "cz_bool_qubit",
+            "cz_one_qubit", "cz_three_qubits", "sq_two_gates_one_qubit",
+            "sq_same_gate_twice_one_qubit", "edge_float_qubit",
         ],
     )
-    def test_silently_wrong_layers_rejected(self, tmp_path, capsys, layers):
-        path, _ = write_config(tmp_path, topology="square2x2", layers=layers)
+    def test_silently_wrong_layers_rejected(self, tmp_path, capsys, config):
+        path, _ = write_config(tmp_path, **{"topology": "square2x2", **config})
         assert main(["generate-model", "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1

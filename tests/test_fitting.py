@@ -16,7 +16,7 @@ class TestNnls:
         # The single-CZ fit matrix: learnable orbit products plus the two
         # unlearnable singles, b = -log(f)/2 of the exact fidelities.
         plan = build_plan(Topology(2, ((0, 1),)), [CliffordLayer(2, ((0, 1),), (), "C")])
-        S = np.vstack([plan.s_high["C"], plan.s_low["C"]]).astype(float)
+        S = plan.layers["C"].s.astype(float)
         lam = np.random.default_rng(5).uniform(0, 5e-3, 15)
         fit = nnls(S, S @ lam)
         assert np.max(np.abs(fit.lambdas - lam)) < 1e-8

@@ -104,6 +104,22 @@ class TestLayerValidation:
         with pytest.raises(ValueError):
             CliffordLayer(3, ((0, 1), (1, 2)))
 
+    @pytest.mark.parametrize(
+        "cz, sq, match",
+        [
+            (((0, 1.0),), (), r"CZ pair \[0, 1.0\]"),
+            (((True, 0),), (), r"CZ pair \[True, 0\]"),
+            (((0, 1, 2),), (), r"CZ pair \[0, 1, 2\]"),
+            ((), ((2.0, CATALOG["H"]),), r"qubits \[2.0\] are not distinct integers"),
+            ((), ((2, CATALOG["H"]), (2, CATALOG["S"])), r"qubits \[2, 2\] are not distinct"),
+            ((), ((2, CATALOG["H"]), (2, CATALOG["H"])), r"qubits \[2, 2\] are not distinct"),
+        ],
+        ids=["cz_float", "cz_bool", "cz_three_qubits", "sq_float", "sq_two_gates", "sq_same_gate"],
+    )
+    def test_malformed_qubits_rejected(self, cz, sq, match):
+        with pytest.raises(ValueError, match=match):
+            CliffordLayer(3, cz, sq)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             CliffordLayer(2, ((0, 2),))

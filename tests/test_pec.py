@@ -317,7 +317,7 @@ class TestPecObservable:
     def test_matches_string_by_string_reference(self, setup, request):
         if setup == "small_plan":
             plan = request.getfixturevalue("small_plan")
-            gens, layers = plan.generators, {l.label: l for l in plan.layers}
+            gens, layers = plan.generators, {lab: lp.layer for lab, lp in plan.layers.items()}
             rng = np.random.default_rng(3)
             models = {lab: random_model(gens, layer, rng=rng) for lab, layer in layers.items()}
         else:
@@ -579,7 +579,7 @@ class TestPecSweep:
             weights=weights, sigma=1e-4, sigma_prime=1e-2, baseline="unit_depth",
             master_seed=master,
         ))
-        base_layers = {layer.label: layer for layer in small_plan.layers}
+        base_layers = {lab: lp.layer for lab, lp in small_plan.layers.items()}
         got = iter(batches)
         for mi in range(n_models):
             rng = model_rng(master, mi)
@@ -618,3 +618,36 @@ class TestPecSweep:
             with pytest.raises(ValueError, match=re.escape("integers in [0, 99], got [100]")):
                 check_limits(200, 2, 2, [100])
             check_limits(200, 2, 2, [99])
+
+
+class TestModelRngStates:
+    # Entropies and spawn keys on both sides of 2**32 and beyond 2**64, so
+    # both take one, two and three 32-bit words (entropies of more than four
+    # words are hashed into the pool after its first mixing pass).
+    KEYS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**96 - 1, 7919 * 100000 + 99]
+
+    @pytest.mark.parametrize(
+        "entropy", [0, 7919, 2**32 - 1, 2**32, 2**64 + 7918, 2**96 + 5, 2**128 + 3, 2**160 + 1]
+    )
+    def test_states_are_model_rng_states(self, entropy):
+        states = pec._start_states(entropy, self.KEYS)
+        assert states == [model_rng(entropy, k).bit_generator.state for k in self.KEYS]
+
+    def test_draws_match(self):
+        # A generator set to the state draws model_rng's stream.
+        rng = np.random.default_rng()
+        for key, state in zip(self.KEYS, pec._start_states(12, self.KEYS)):
+            rng.bit_generator.state = state
+            assert np.array_equal(rng.integers(0, 2**40, 16), model_rng(12, key).integers(0, 2**40, 16))
+
+    def test_each_key_alone(self):
+        # A key's state does not depend on the keys batched with it.
+        together = pec._start_states(5, self.KEYS)
+        assert together == [pec._start_states(5, [k])[0] for k in self.KEYS]
+
+    def test_edges(self):
+        assert pec._start_states(3, []) == []
+        assert pec._start_states(3, np.arange(3)) == pec._start_states(3, [0, 1, 2])
+        for seed, keys in ((-1, [0]), (0, [2, -1])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                pec._start_states(seed, keys)

@@ -12,7 +12,7 @@ import pytest
 
 import cyclebench
 
-from cyclebench import fitting, pec, pipeline
+from cyclebench import fitting, pipeline
 from cyclebench.fitting import RankDeficientError, nnls
 from cyclebench.layers import CATALOG, CliffordLayer
 from cyclebench.pauli import PauliString
@@ -69,6 +69,18 @@ def sq_plan():
     return build_plan(square_lattice(2, 2), [layer])
 
 
+def config_layers(plan) -> list[CliffordLayer]:
+    return [lp.layer for lp in plan.layers.values()]
+
+
+def kept_inverses(plan) -> set[str]:
+    return {lab for lab, lp in plan.layers.items() if lp.inv_gram is not None}
+
+
+def deficiencies(plan) -> dict[str, tuple[int, list[str]]]:
+    return {lab: lp.unconstrained for lab, lp in plan.layers.items() if lp.unconstrained}
+
+
 def count_linalg(monkeypatch, names=("inv", "eigh", "eigvalsh")) -> list[str]:
     """Record the name of every call of the given `np.linalg` functions."""
     calls = []
@@ -97,7 +109,7 @@ class TestPlan:
             assert q in supports[pair[0]] and q in supports[pair[1]]
 
     def test_all_wanted_ratios_built(self, plan):
-        wanted = covering_pairs(plan.topology, plan.layers)[1]
+        wanted = covering_pairs(plan.topology, config_layers(plan))[1]
         built = {(e.qubit, e.pair) for e in plan.mu_entries}
         assert built == wanted
         assert plan.mu_failures == 0
@@ -105,13 +117,13 @@ class TestPlan:
     def test_plan_inverse_gram(self, plan, sq_plan):
         # H = (S^T S)^-1 per full-rank layer; fits through it equal nnls
         # factoring its own passive blocks.
-        assert "A" not in sq_plan.inv_gram
+        assert sq_plan.layers["A"].inv_gram is None
         rng = model_rng(3, 0)
         models = generate_models(plan, rng)
-        for lab in plan.labels:
-            S = np.vstack([plan.s_high[lab], plan.s_low[lab]])
+        for lab, lp in plan.layers.items():
+            S = lp.s
             gram = S.T.astype(float) @ S
-            H = plan.inv_gram[lab]
+            H = lp.inv_gram
             assert np.max(np.abs(H @ gram - np.eye(len(gram)))) < 1e-10
             b = S @ models[lab].lambdas + rng.normal(0.0, 1e-3, len(S))
             own = nnls(S, b)
@@ -121,27 +133,28 @@ class TestPlan:
             assert given.kkt_residual <= 1e-10
 
     def test_full_rank_plan(self, plan):
-        assert plan.unconstrained == {}
-        for lab in plan.labels:
-            S = np.vstack([plan.s_high[lab], plan.s_low[lab]]).astype(float)
+        assert deficiencies(plan) == {}
+        for lp in plan.layers.values():
+            S = lp.s.astype(float)
             assert np.linalg.matrix_rank(S.T @ S, hermitian=True) == len(plan.generators)
             # Full rank: no unconstrained generators, and the inverse is the
             # plan's.
             inv, deficient = classify_gram(S.T @ S, plan.generators)
             assert deficient is None
-            np.testing.assert_array_equal(inv, plan.inv_gram[lab])
+            np.testing.assert_array_equal(inv, lp.inv_gram)
 
     def test_learnable_rows_alone_rank_deficient(self):
         # Without the two unlearnable singles a CZ layer's fit matrix loses
         # two directions; with them it is full rank.
         single = build_plan(Topology(2, ((0, 1),)), [CliffordLayer(2, ((0, 1),), (), "C")])
-        high = single.s_high["C"].astype(float)
+        lp = single.layers["C"]
+        high = lp.s[: lp.n_high].astype(float)
         inv, (rank, names) = classify_gram(high.T @ high, single.generators)
         assert inv is None and rank == 15 - 2 and names
-        assert single.unconstrained == {}
+        assert deficiencies(single) == {}
 
     def test_sq_layer_rank_deficient(self, sq_plan):
-        rank, names = sq_plan.unconstrained["A"]
+        rank, names = sq_plan.layers["A"].unconstrained
         assert rank == 42 < len(sq_plan.generators) == 48
         assert names and all(name[2] in "XY" for name in names)
 
@@ -152,7 +165,7 @@ class TestPlan:
         layer = CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")
         sq = build_plan(square_lattice(2, 2), [layer])
         assert sorted(calls) == ["eigh", "inv"]
-        assert sq.unconstrained["A"][0] == 42
+        assert sq.layers["A"].unconstrained[0] == 42
 
     def test_cached_plan_keys_on_sq_gates(self):
         # The same CZ pairs with and without an S gate are different plans.
@@ -160,26 +173,23 @@ class TestPlan:
         with_sq = [CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")]
         cz_only = [CliffordLayer(4, ((0, 1),), (), "A")]
         first = cached_plan(topo, with_sq)
-        assert "A" in first.unconstrained
+        assert "A" in deficiencies(first)
         plain = cached_plan(topo, cz_only)
-        assert plain is not first and plain.unconstrained == {}
+        assert plain is not first and deficiencies(plain) == {}
         assert cached_plan(topo, list(with_sq)) is first
 
     def test_fit_rows_are_compact_overlap_sums(self, plan):
         # int8 and C-contiguous: the noisy-record einsums read the rows in
         # place, and each fit call copies them once into its float workspace.
         gens = plan.generators
-        for lab in plan.labels:
-            high, low = plan.s_high[lab], plan.s_low[lab]
-            for rows in (high, low):
-                assert rows.dtype == np.int8 and rows.flags.c_contiguous
-                assert rows.base is plan.s_fit[lab]
-            assert np.array_equal(plan.s_fit[lab], np.vstack([high, low]))
+        for lp in plan.layers.values():
+            assert lp.s.dtype == np.int8 and lp.s.flags.c_contiguous
+            high, low = lp.s[: lp.n_high], lp.s[lp.n_high :]
             want = [sum(gens.overlaps(p).astype(int) for p in prod.strings)
-                    for prod in plan.products[lab]]
+                    for prod in lp.products]
             assert np.array_equal(high, want)
             want = [gens.overlaps(PauliString.single(gens.topology.n, q, "X"))
-                    for q in plan.low_qubits[lab]]
+                    for q in lp.low_qubits]
             assert np.array_equal(low, want)
 
     def test_mu_entries_pinned(self):
@@ -189,6 +199,12 @@ class TestPlan:
         small = build_plan(topo, four_layer_config(topo, "open_chains"), seed=0, retries=4)
         assert small.mu_failures == 0
         assert mu_entries_text(small) == PINNED_MU_ENTRIES
+
+    def test_plan_arrays_pinned(self, fig6_plan):
+        topo = square_lattice(2, 3)
+        small = build_plan(topo, four_layer_config(topo, "open_chains"), seed=0, retries=4)
+        for name, plan in (("square2x3", small), ("fig6", fig6_plan)):
+            assert plan_arrays_digest(plan) == PINNED_PLAN_DIGESTS[name], name
 
     def test_fig6_certificates_pinned(self, fig6_plan):
         topo = garnet20()
@@ -276,6 +292,41 @@ def certificate_digest(plan):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def plan_arrays_digest(plan):
+    """sha256 of every layer's exact arrays (`s`, `n_high`, `low_qubits`,
+    `symmetry_row`, the ratio rows and entries, the mu_hat references), the
+    mu_hat exponents and the low clusters.  `inv_gram` is left out: its
+    float bits depend on the BLAS build."""
+    h = hashlib.sha256()
+
+    def put(values, dtype):
+        a = np.ascontiguousarray(values, dtype=dtype)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+
+    for lab, lp in plan.layers.items():
+        h.update(lab.encode())
+        rows, entries = lp.ratio_rows
+        entry, row, coeff = lp.mu_refs
+        for values, dtype in (
+            (lp.s, np.int8), (lp.n_high, np.int64), (lp.low_qubits, np.int64),
+            (lp.symmetry_row, np.int64), (rows, np.int8), (entries, np.int64),
+            (entry, np.int64), (row, np.int64), (coeff, np.float64),
+        ):
+            put(values, dtype)
+    put(plan.mu_epsilon, np.float64)
+    h.update(repr(plan.low_clusters).encode())
+    return h.hexdigest()
+
+
+# Recorded from the per-quantity dicts that the plan held before its
+# per-layer records: square 2x3 open chains (seed 0, 4 retries) and the fig6
+# plan.
+PINNED_PLAN_DIGESTS = {
+    "square2x3": "4feb9606d0f5b97b67d416cfd1fe3c0ec0acea2a5d46d74f2b37ff507f9abc7c",
+    "fig6": "6e81604dd1d55270941ec8ca04ad27ea277ace37b26e68b49facdf7bb05389a6",
+}
+
 # Recorded before certificates held their learnable products once and before
 # the support search ran on `exactla._pivots_mod`: the fig6 plans (garnet20,
 # seed 20240503, 8 retries) on closed squares and open chains.
@@ -340,8 +391,8 @@ class TestPlanRatioArrays:
 
     def test_ratio_rows_are_product_terms(self, small_plan):
         gens = small_plan.generators
-        for lab in small_plan.labels:
-            rows, entry = small_plan.ratio_rows[lab]
+        for lab, lp in small_plan.layers.items():
+            rows, entry = lp.ratio_rows
             want = [
                 (e, gens.overlaps(p)) for e, m in enumerate(small_plan.mu_entries)
                 for l, p in m.product_terms if l == lab
@@ -397,13 +448,13 @@ class TestFitWorkspace:
             "mlcb": _refined_low(plan, records.low, estimate_mu(plan, records)),
         }
         for pipe, low in lows.items():
-            for lab in plan.labels:
-                s = plan.s_fit[lab]
+            for lab, lp in plan.layers.items():
+                s = lp.s
                 assert s.dtype == np.int8
                 rhs = -0.5 * np.concatenate([
                     np.log(np.clip(records.high[lab], 1e-12, None)), np.log(low[lab]),
                 ])
-                want = nnls(s, rhs, inv_gram=plan.inv_gram[lab])
+                want = nnls(s, rhs, inv_gram=lp.inv_gram)
                 got = result.fitted[pipe][lab]
                 assert np.max(np.abs(got - want.lambdas)) <= 1e-12
                 assert result.fit_meta[pipe][lab]["kkt_residual"] <= 1e-10
@@ -511,8 +562,8 @@ class TestInverseGramGuard:
     def test_plan_without_inverse_fits_the_same(self, line_plan, monkeypatch):
         monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", 0.0)
         topo = Topology(3, ((0, 1), (1, 2)))
-        bare = build_plan(topo, line_plan.layers)
-        assert bare.inv_gram == {} and bare.unconstrained == {}
+        bare = build_plan(topo, config_layers(line_plan))
+        assert kept_inverses(bare) == set() and deficiencies(bare) == {}
         a = sweep_item(line_plan, 5, 0, 1e-4, 1e-3, "unit_depth")[1]
         b = sweep_item(bare, 5, 0, 1e-4, 1e-3, "unit_depth")[1]
         for pipe in a.fitted:
@@ -568,14 +619,14 @@ class TestInverseGramGuard:
         eigvalsh = np.linalg.eigvalsh
         calls = count_linalg(monkeypatch)
         topo = Topology(3, ((0, 1), (1, 2)))
-        plain = build_plan(topo, line_plan.layers)
-        assert calls == ["inv", "inv"] and set(plain.inv_gram) == {"B", "G"}
+        plain = build_plan(topo, config_layers(line_plan))
+        assert calls == ["inv", "inv"] and kept_inverses(plain) == {"B", "G"}
         calls.clear()
         sq = build_plan(square_lattice(2, 2), [CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")])
         assert calls == ["inv", "eigh"]
-        assert sq.inv_gram == {} and sq.unconstrained["A"][0] == 42
-        gram = plain.s_fit["B"].T.astype(float) @ plain.s_fit["B"]
-        inv = plain.inv_gram["B"]
+        assert kept_inverses(sq) == set() and sq.layers["A"].unconstrained[0] == 42
+        gram = plain.layers["B"].s.T.astype(float) @ plain.layers["B"].s
+        inv = plain.layers["B"].inv_gram
         s = np.abs(eigvalsh(gram))
         cond = s.max() / s.min()
         bound = np.abs(gram).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
@@ -584,11 +635,11 @@ class TestInverseGramGuard:
         # the one already computed.
         monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", (cond + bound) / 2)
         calls.clear()
-        kept = build_plan(topo, line_plan.layers)
+        kept = build_plan(topo, config_layers(line_plan))
         assert calls == ["inv", "eigh"] * 2
-        np.testing.assert_array_equal(kept.inv_gram["B"], inv)
+        np.testing.assert_array_equal(kept.layers["B"].inv_gram, inv)
         monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", cond / 2)
-        assert build_plan(topo, line_plan.layers).inv_gram == {}
+        assert kept_inverses(build_plan(topo, config_layers(line_plan))) == set()
 
 class TestCharacterizeAndFit:
     def test_noiseless_recovery_both_pipelines(self, plan):
@@ -628,7 +679,7 @@ class TestCharacterizeAndFit:
         models = generate_models(sq_plan, rng)
         with pytest.raises(RankDeficientError, match=r"layer 'A' .* rank 42 < 48") as exc:
             characterize_and_fit(sq_plan, models, 0.0, 0.0, "unit_depth", rng)
-        assert sq_plan.unconstrained["A"][1][0] in str(exc.value)
+        assert sq_plan.layers["A"].unconstrained[1][0] in str(exc.value)
 
     def test_mlcb_improves_on_unit_depth_noise(self, plan):
         ratios = []
@@ -660,11 +711,12 @@ class TestNoisyRecords:
         # product is exp(-4 lambda) = 0.9801.
         models = cz_models(cz_plan, ZI=-np.log(0.9801) / 4)
         low = noisy_records(cz_plan, models, 0.0, 0.0, "symmetry", model_rng(0, 0)).low
-        assert low["C"][cz_plan.low_qubits["C"].index(0)] == pytest.approx(0.99)
+        lp = cz_plan.layers["C"]
+        assert low["C"][lp.low_qubits.index(0)] == pytest.approx(0.99)
         # One estimate per single fidelity, each from its clipped orbit product.
         data = noisy_records(cz_plan, models, 1e-3, 0.0, "symmetry", model_rng(1, 0))
-        rows = data.high["C"][cz_plan.symmetry_row["C"]]
-        assert len(data.low["C"]) == len(cz_plan.low_qubits["C"])
+        rows = data.high["C"][lp.symmetry_row]
+        assert len(data.low["C"]) == len(lp.low_qubits)
         assert np.array_equal(data.low["C"], np.sqrt(np.clip(rows, 1e-12, 1.0)))
 
     def test_symmetry_exact_on_symmetric_model(self, cz_plan):
@@ -674,7 +726,7 @@ class TestNoisyRecords:
         fxz = models["C"].fidelity(PauliString.from_label("XZ"))
         assert fxi == pytest.approx(fxz)
         low = noisy_records(cz_plan, models, 0.0, 0.0, "symmetry", model_rng(0, 0)).low
-        assert low["C"][cz_plan.low_qubits["C"].index(0)] == pytest.approx(fxi, rel=1e-12)
+        assert low["C"][cz_plan.layers["C"].low_qubits.index(0)] == pytest.approx(fxi, rel=1e-12)
 
     def test_symmetry_bias_on_asymmetric_model(self, cz_plan):
         # ZX lowers f_XI alone and IX lowers f_XZ alone.
@@ -682,7 +734,7 @@ class TestNoisyRecords:
         assert models["C"].fidelity(PauliString.from_label("XI")) == pytest.approx(0.98)
         assert models["C"].fidelity(PauliString.from_label("XZ")) == pytest.approx(0.995)
         low = noisy_records(cz_plan, models, 0.0, 0.0, "symmetry", model_rng(0, 0)).low
-        est = low["C"][cz_plan.low_qubits["C"].index(0)]
+        est = low["C"][cz_plan.layers["C"].low_qubits.index(0)]
         assert est == pytest.approx(np.sqrt(0.98 * 0.995))
         assert abs(est - 0.98) == pytest.approx(0.0075, abs=3e-4)
 
@@ -694,7 +746,7 @@ class TestNoisyRecords:
         clipped = 0
         for _ in range(20):
             data = noisy_records(cz_plan, models, 1e-4, 0.0, "symmetry", rng)
-            above = data.high["C"][cz_plan.symmetry_row["C"]] > 1.0
+            above = data.high["C"][cz_plan.layers["C"].symmetry_row] > 1.0
             clipped += np.count_nonzero(above)
             assert np.all(data.low["C"][above] == 1.0)
             assert np.all(data.low["C"] <= 1.0)
@@ -703,15 +755,15 @@ class TestNoisyRecords:
     def test_unit_depth_exact_at_zero_noise(self, line_plan):
         models = generate_models(line_plan, model_rng(0, 0))
         low = noisy_records(line_plan, models, 0.0, 0.0, "unit_depth", model_rng(1, 0)).low
-        for lab in line_plan.labels:
-            for q, est in zip(line_plan.low_qubits[lab], low[lab]):
+        for lab, lp in line_plan.layers.items():
+            for q, est in zip(lp.low_qubits, low[lab]):
                 alpha = PauliString.single(3, q, "X")
                 assert est == pytest.approx(models[lab].fidelity(alpha))
 
     def test_unit_depth_dispersion(self, line_plan):
         models = generate_models(line_plan, model_rng(0, 0))
         exact = models["B"].fidelity(PauliString.from_label("XII"))
-        i = line_plan.low_qubits["B"].index(0)
+        i = line_plan.layers["B"].low_qubits.index(0)
         rng = model_rng(1, 0)
         draws = [
             noisy_records(line_plan, models, 0.0, 1e-3, "unit_depth", rng).low["B"][i] - exact
@@ -753,8 +805,8 @@ class TestLinePlan:
 class TestRefinedLow:
     def exact_lows(self, line_plan, models):
         return {
-            lab: np.exp(-2.0 * (line_plan.s_low[lab].astype(float) @ models[lab].lambdas))
-            for lab in line_plan.labels
+            lab: np.exp(-2.0 * (lp.s[lp.n_high :].astype(float) @ models[lab].lambdas))
+            for lab, lp in line_plan.layers.items()
         }
 
     def test_exact_ratio_pulls_biased_low_toward_truth(self, line_plan):
@@ -762,8 +814,8 @@ class TestRefinedLow:
         # its partner 2; the exact ratio removes half the differential bias.
         models = generate_models(line_plan, model_rng(12, 0))
         truth = self.exact_lows(line_plan, models)
-        b0 = line_plan.low_qubits["B"].index(0)
-        g2 = line_plan.low_qubits["G"].index(2)
+        b0 = line_plan.layers["B"].low_qubits.index(0)
+        g2 = line_plan.layers["G"].low_qubits.index(2)
         biased = {lab: v.copy() for lab, v in truth.items()}
         biased["B"][b0] *= 1.008
         mu = truth["B"][b0] / truth["G"][g2]
@@ -778,39 +830,6 @@ class TestRefinedLow:
         refined = _refined_low(line_plan, lows, {})
         for lab in line_plan.labels:
             assert np.array_equal(refined[lab], lows[lab])
-
-
-class TestModelRngStates:
-    # Entropies and spawn keys on both sides of 2**32 and beyond 2**64, so
-    # both take one, two and three 32-bit words (entropies of more than four
-    # words are hashed into the pool after its first mixing pass).
-    KEYS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**96 - 1, 7919 * 100000 + 99]
-
-    @pytest.mark.parametrize(
-        "entropy", [0, 7919, 2**32 - 1, 2**32, 2**64 + 7918, 2**96 + 5, 2**128 + 3, 2**160 + 1]
-    )
-    def test_states_are_model_rng_states(self, entropy):
-        states = pec._start_states(entropy, self.KEYS)
-        assert states == [model_rng(entropy, k).bit_generator.state for k in self.KEYS]
-
-    def test_draws_match(self):
-        # A generator set to the state draws model_rng's stream.
-        rng = np.random.default_rng()
-        for key, state in zip(self.KEYS, pec._start_states(12, self.KEYS)):
-            rng.bit_generator.state = state
-            assert np.array_equal(rng.integers(0, 2**40, 16), model_rng(12, key).integers(0, 2**40, 16))
-
-    def test_each_key_alone(self):
-        # A key's state does not depend on the keys batched with it.
-        together = pec._start_states(5, self.KEYS)
-        assert together == [pec._start_states(5, [k])[0] for k in self.KEYS]
-
-    def test_edges(self):
-        assert pec._start_states(3, []) == []
-        assert pec._start_states(3, np.arange(3)) == pec._start_states(3, [0, 1, 2])
-        for seed, keys in ((-1, [0]), (0, [2, -1])):
-            with pytest.raises(ValueError, match="nonnegative"):
-                pec._start_states(seed, keys)
 
 
 def test_plan_fit_and_pec_paths_import_no_scipy():
