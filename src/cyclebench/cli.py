@@ -15,7 +15,9 @@ import math
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,8 +28,7 @@ from .pec import check_limits, model_rows, summarize_pec
 from .pauli import PauliString
 from .pipeline import (
     CharacterizationPlan,
-    RunResult,
-    cached_plan,
+    build_plan,
     covering_pairs,
     generate_models,
     model_rng,
@@ -54,21 +55,21 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    # `parse_config` builds every RunConfig and holds each field's default.
     topology: Topology
     layers: list[CliffordLayer]
-    scheme: str = ""
-    sigma: float = 1e-4
-    sigma_prime: float = 1e-3
-    baseline: str = "symmetry"  # symmetry | unit_depth
-    pipelines: tuple[str, ...] = PIPELINES
-    seed: int = 0
-    models: int = 1
-    circuits: int = 10
-    j_layers: int = 40
-    weights: tuple[int, ...] = (2, 20)
-    out: str = "out"
-    parallel: int = 1
-    raw: dict = field(default_factory=dict)
+    sigma: float
+    sigma_prime: float
+    baseline: str  # symmetry | unit_depth
+    pipelines: tuple[str, ...]
+    seed: int
+    models: int
+    circuits: int
+    j_layers: int
+    weights: tuple[int, ...]
+    out: str
+    parallel: int
+    raw: dict
 
     def digest(self) -> str:
         # Runtime knobs do not change what is computed.
@@ -95,11 +96,9 @@ def parse_config(raw: dict) -> RunConfig:
             preset(topo_spec) if isinstance(topo_spec, str) else Topology.from_dict(topo_spec)
         )
         layers_spec = raw.get("layers", "closed_squares")
-        scheme = ""
         if isinstance(layers_spec, str):
             if layers_spec not in LAYER_SCHEMES:
                 raise ConfigError(f"unknown layer scheme {layers_spec!r}")
-            scheme = layers_spec
             layers = four_layer_config(topo, layers_spec)
         else:
             layers = [_parse_layer(spec, topo.n) for spec in layers_spec]
@@ -114,7 +113,6 @@ def parse_config(raw: dict) -> RunConfig:
         return RunConfig(
             topology=topo,
             layers=layers,
-            scheme=scheme,
             sigma=_noise(raw, "sigma", 1e-4),
             sigma_prime=_noise(raw, "sigma_prime", 1e-3),
             baseline=baseline,
@@ -199,6 +197,12 @@ def _parse_layer(spec: dict, n: int) -> CliffordLayer:
     bad = [q for q in sq if not (q.isascii() and q.isdigit() and str(int(q)) == q)]
     if bad:
         raise ConfigError(f"sq keys {bad} are not qubit indices in plain decimal")
+    for q, name in sq.items():
+        if not isinstance(name, str) or name not in CATALOG:
+            raise ConfigError(
+                f"layer {spec.get('label', '')!r}: unknown single-qubit gate {name!r} "
+                f"on qubit {q}; choose from {sorted(CATALOG)}"
+            )
     gates = tuple((int(q), CATALOG[name]) for q, name in sq.items())
     cz = tuple(tuple(p) for p in spec.get("cz", ()))
     return CliffordLayer(n, cz, gates, spec.get("label", ""))
@@ -235,7 +239,8 @@ def _check_shared_layers(cfg: RunConfig) -> None:
 
 
 def _plan(cfg: RunConfig) -> CharacterizationPlan:
-    return cached_plan(cfg.topology, cfg.layers, seed=cfg.seed, retries=CERT_RETRIES)
+    # Each command builds its plan here, once, and hands it to its models.
+    return build_plan(cfg.topology, cfg.layers, seed=cfg.seed, retries=CERT_RETRIES)
 
 
 def cmd_generate_model(cfg: RunConfig) -> int:
@@ -363,58 +368,70 @@ def cmd_characterize(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_item(args) -> tuple[int, RunResult]:
-    cfg_raw, seed, index = args
-    cfg = parse_config(cfg_raw)
-    _, result = sweep_item(
-        _plan(cfg), seed, index, cfg.sigma, cfg.sigma_prime, cfg.baseline,
-        pipelines=cfg.pipelines,
-    )
-    return index, result
-
-
-def _run_pec_model(args) -> list[dict]:
-    cfg_raw, seed, index = args
-    cfg = parse_config(cfg_raw)
-    return model_rows(
-        _plan(cfg), index, cfg.circuits, cfg.j_layers, cfg.weights, cfg.sigma,
-        cfg.sigma_prime, cfg.baseline, seed,
-    )
-
-
-def _map_models(cfg: RunConfig, worker, seed: int | None = None) -> list:
-    """`worker((cfg.raw, seed, index))` for every model index, in index
-    order, on `cfg.parallel` processes, never more than there are models.
-    Models draw from `seed` (default `cfg.seed`); the plan keeps `cfg.seed`
-    and is built here first, so forked workers inherit it."""
-    _plan(cfg)
-    items = [(cfg.raw, cfg.seed if seed is None else seed, i) for i in range(cfg.models)]
+def _map_models(cfg: RunConfig, job: Callable[[int], object]) -> list:
+    """`job(index)` for every model index, in index order, on `cfg.parallel`
+    processes, never more than there are models.  Each worker receives
+    `job`, and the plan it holds, once: a forked worker shares the parent's
+    copy, a spawned one unpickles it."""
+    indices = range(cfg.models)
     workers = min(cfg.parallel, cfg.models)
     if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(worker, items)
-    return [worker(item) for item in items]
+        with multiprocessing.Pool(workers, _set_worker_job, (job,)) as pool:
+            return pool.map(_run_worker_job, indices)
+    return [job(i) for i in indices]
+
+
+_worker_job: Callable[[int], object] | None = None  # set in pool workers only
+
+
+def _set_worker_job(job: Callable[[int], object]) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_worker_job(index: int):
+    return _worker_job(index)
+
+
+def _write_sweeps(path: str, header: list[str], lead, sweeps) -> list[list]:
+    """Draw and fit every model of each (key, cfg, plan, seed) sweep, its
+    models drawn from `seed`, then write `path`: one CSV row per model,
+    `lead(key, index)` followed by delta_c, delta_m and r.  Returns each
+    sweep's `sweep_item` pairs."""
+    done = [
+        (key, _map_models(cfg, partial(
+            sweep_item, plan, seed, sigma=cfg.sigma, sigma_prime=cfg.sigma_prime,
+            baseline=cfg.baseline, pipelines=cfg.pipelines,
+        )))
+        for key, cfg, plan, seed in sweeps
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*header, "delta_c", "delta_m", "r"])
+        for key, items in done:
+            for i, (_, res) in enumerate(items):
+                writer.writerow([*lead(key, i), res.delta_c, res.delta_m, res.ratio])
+    return [items for _, items in done]
 
 
 def cmd_fit(cfg: RunConfig) -> int:
     _check_sweep(cfg)
     _make_out(cfg.out)
-    results = _map_models(cfg, _run_item)
+    plan = _plan(cfg)
     csv_path = os.path.join(cfg.out, "metrics.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "config", "delta_c", "delta_m", "r"])
-        for index, res in results:
-            writer.writerow([index, cfg.digest(), res.delta_c, res.delta_m, res.ratio])
+    (items,) = _write_sweeps(
+        csv_path, ["seed", "config"], lambda key, i: [i, key],
+        [(cfg.digest(), cfg, plan, cfg.seed)],
+    )
     # The first model's fitted rate vectors go to files as well.
-    result, gens = results[0][1], _plan(cfg).generators
+    result = items[0][1]
     for pipeline, fitted in result.fitted.items():
         for lab, lam in fitted.items():
             _write_model(
-                cfg, f"fitted_{pipeline}_{lab}", SplModel(lab, gens, lam),
+                cfg, f"fitted_{pipeline}_{lab}", SplModel(lab, plan.generators, lam),
                 fitted_by=pipeline, fit=result.fit_meta.get(pipeline, {}).get(lab, {}),
             )
-    valid = [res.ratio for _, res in results if res.ratio is not None]
+    valid = [res.ratio for _, res in items if res.ratio is not None]
     if valid:
         print(
             f"{len(valid)} models: median r = {float(np.median(valid)):.3f} -> {csv_path}"
@@ -438,7 +455,12 @@ def cmd_pec(cfg: RunConfig) -> int:
         raise ConfigError(str(exc)) from exc
     _make_out(cfg.out)
     # The rows of `pec.pec_sweep`, one model per work item.
-    rows = [row for model in _map_models(cfg, _run_pec_model) for row in model]
+    job = partial(
+        model_rows, _plan(cfg), n_circuits=cfg.circuits, j_layers=cfg.j_layers,
+        weights=cfg.weights, sigma=cfg.sigma, sigma_prime=cfg.sigma_prime,
+        baseline=cfg.baseline, master_seed=cfg.seed,
+    )
+    rows = [row for model in _map_models(cfg, job) for row in model]
     csv_path = os.path.join(cfg.out, "pec.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -499,39 +521,33 @@ def cmd_repro(figure: str, out: str, parallel: int, models: int | None = None) -
         raise ConfigError(f"unknown figure {figure!r}; choose from {sorted(REPRO_CONFIGS)}")
     if models is not None:
         spec = dict(spec, models=models)
-    if figure in ("fig5a", "fig5b"):
-        # One sweep per scheme (fig5a) or per sigma'/sigma multiplier
-        # (fig5b, models drawn from seed + multiplier on the spec's plan).
-        if figure == "fig5a":
-            header = "scheme"
-            sweeps = [(s, {"layers": s}, None) for s in spec["schemes"]]
-        else:
-            header = "sigma_prime_over_sigma"
-            sweeps = [
-                (m, {"sigma_prime": m * spec["sigma"]}, spec["seed"] + m)
-                for m in spec["sigma_prime_multipliers"]
-            ]
-        base = {k: v for k, v in spec.items()
-                if k not in ("schemes", "sigma_prime_multipliers")}
-        sweeps = [
-            (key, parse_config(dict(base, out=out, parallel=parallel, **change)), seed)
-            for key, change, seed in sweeps
-        ]
-        for _, cfg, _ in sweeps:
-            _check_sweep(cfg)
-        _make_out(out)
-        results = [(key, _map_models(cfg, _run_item, seed)) for key, cfg, seed in sweeps]
-        path = os.path.join(out, f"{figure}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([header, "seed", "delta_c", "delta_m", "r"])
-            for key, sweep in results:
-                for i, res in sweep:
-                    writer.writerow([key, i, res.delta_c, res.delta_m, res.ratio])
-        print(f"-> {path}")
-        return 0
-    cfg = parse_config(dict(spec, out=out, parallel=parallel))
-    return cmd_pec(cfg)
+    base = {k: v for k, v in spec.items() if k not in ("schemes", "sigma_prime_multipliers")}
+    base.update(out=out, parallel=parallel)
+    if figure == "fig6":
+        return cmd_pec(parse_config(base))
+    # One sweep per scheme (fig5a, each on its own plan) or per sigma'/sigma
+    # multiplier m (fig5b, models drawn from seed + m on one shared plan).
+    if figure == "fig5a":
+        header = "scheme"
+        cfgs = {s: parse_config(dict(base, layers=s)) for s in spec["schemes"]}
+    else:
+        header = "sigma_prime_over_sigma"
+        cfgs = {
+            m: parse_config(dict(base, sigma_prime=m * spec["sigma"]))
+            for m in spec["sigma_prime_multipliers"]
+        }
+    for cfg in cfgs.values():
+        _check_sweep(cfg)
+    _make_out(out)
+    if figure == "fig5a":
+        sweeps = [(s, cfg, _plan(cfg), cfg.seed) for s, cfg in cfgs.items()]
+    else:
+        plan = _plan(next(iter(cfgs.values())))
+        sweeps = [(m, cfg, plan, spec["seed"] + m) for m, cfg in cfgs.items()]
+    path = os.path.join(out, f"{figure}.csv")
+    _write_sweeps(path, [header, "seed"], lambda key, i: [key, i], sweeps)
+    print(f"-> {path}")
+    return 0
 
 
 def main(argv=None) -> int:

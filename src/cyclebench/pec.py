@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import SQ_INVERSE_DIGITS, CliffordLayer, all_single_qubit_cliffords, cz_partners
-from .pipeline import CharacterizationPlan, characterize_and_fit, generate_models, model_rng
+from .pipeline import CharacterizationPlan, sweep_item
 from .spl import GeneratorSet, SplModel
 
 # Circuit seed keys are mi * 100000 + ci * 100 + W, so they stay distinct
@@ -428,15 +428,14 @@ def model_rows(
 ) -> list[dict]:
     """`pec_sweep`'s rows of model `mi`, which depend on no other model.
 
+    The model and its fits are `sweep_item(plan, master_seed, mi, ...)`'s.
     Circuit ci at weight w is what
     `model_rng(master_seed + 7919, mi * 100000 + ci * 100 + w)` draws
     (`sample_circuit`); `check_limits` keeps these keys distinct.
     """
     check_limits(plan.topology.n, n_circuits, j_layers, weights)
     base_layers = {lab: lp.layer for lab, lp in plan.layers.items()}
-    rng = model_rng(master_seed, mi)
-    models = generate_models(plan, rng)
-    result = characterize_and_fit(plan, models, sigma, sigma_prime, baseline, rng)
+    models, result = sweep_item(plan, master_seed, mi, sigma, sigma_prime, baseline)
     fits = (result.fitted["conventional"], result.fitted["mlcb"])
     rows = []
     for w in weights:

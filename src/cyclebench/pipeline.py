@@ -459,21 +459,6 @@ def _refined_low(
     return refined
 
 
-_PLAN_CACHE: dict = {}
-
-
-def cached_plan(topology: Topology, layers: list[CliffordLayer], **kw) -> CharacterizationPlan:
-    key = (
-        topology.n,
-        topology.edges,
-        tuple(layers),
-        tuple(sorted(kw.items())),
-    )
-    if key not in _PLAN_CACHE:
-        _PLAN_CACHE[key] = build_plan(topology, layers, **kw)
-    return _PLAN_CACHE[key]
-
-
 def model_rng(master_seed: int, index: int) -> np.random.Generator:
     """Deterministic per-item generator; independent of execution order."""
     return np.random.default_rng(

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from fractions import Fraction
@@ -46,13 +48,15 @@ def write_config(tmp_path, **overrides):
 
 
 def recording_pool(monkeypatch) -> list[int]:
-    """Replace the sweeps' process pool by a stand-in that maps in this
-    process; the returned list records the size of every pool started."""
+    """Replace the sweeps' process pool by a stand-in that runs its
+    initializer and maps in this process; the returned list records the size
+    of every pool started."""
     sizes = []
 
     class RecordingPool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -64,6 +68,8 @@ def recording_pool(monkeypatch) -> list[int]:
             return [fn(item) for item in items]
 
     monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    # The initializer sets a worker's job here; it is reset after the test.
+    monkeypatch.setattr(cli, "_worker_job", None)
     return sizes
 
 class TestGenerateModel:
@@ -271,6 +277,56 @@ class TestCharacterizeFitPec:
             outputs.append([(out / name).read_bytes() for name in ("pec.csv", "pec_summary.json")])
         assert outputs[0] == outputs[1]
         assert outputs[0][0].count(b"\n") == 1 + 3 * 2 * 2
+
+    def test_spawned_workers_match_serial(self, tmp_path):
+        # Spawned workers start from a fresh interpreter: each one receives
+        # the parent's plan through the pool's initializer.
+        path, _ = write_config(tmp_path, topology="square2x2", models=2, j_layers=4)
+        names = {"fit": ["metrics.csv"], "pec": ["pec.csv", "pec_summary.json"]}
+        for command in names:
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "serial")]) == 0
+        script = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "from cyclebench.cli import main\n"
+            "for command in ('fit', 'pec'):\n"
+            "    argv = [command, '--config', sys.argv[1], '--out', sys.argv[2], '--parallel', '2']\n"
+            "    assert main(argv) == 0\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(path), str(tmp_path / "spawned")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        for name in [*names["fit"], *names["pec"]]:
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert (tmp_path / "spawned" / name).read_bytes() == serial, name
+
+    @pytest.mark.parametrize(
+        "argv, plans",
+        [
+            (["repro", "fig5b", "--models", "1"], 1),
+            (["repro", "fig5a", "--models", "1"], 2),
+            (["fit", "--parallel", "2"], 1),
+        ],
+        ids=["fig5b", "fig5a", "fit_parallel"],
+    )
+    def test_each_plan_built_once(self, tmp_path, monkeypatch, argv, plans):
+        # fig5b's sweeps share one plan, fig5a builds one per scheme, and the
+        # models of a sweep never rebuild theirs.
+        sizes = recording_pool(monkeypatch)
+        built = mock.Mock(wraps=cli._plan)
+        monkeypatch.setattr(cli, "_plan", built)
+        path, _ = write_config(tmp_path, topology="square2x2")
+        if argv[0] == "fit":
+            argv = [*argv, "--config", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert built.call_count == plans
+        assert sizes == ([2] if argv[0] == "fit" else [])
 
     def test_pec_starts_at_most_models_workers(self, tmp_path, monkeypatch):
         sizes = recording_pool(monkeypatch)
@@ -653,6 +709,10 @@ class TestErrors:
             # int() reads "02" as qubit 2.
             {"layers": [{"label": "A", "cz": [[0, 1]], "sq": {"2": "H", "02": "S"}}]},
             {"layers": [{"label": "A", "cz": [[0, 1]], "sq": {"2": "H", "02": "H"}}]},
+            # These named the gate as a bare key, or a Python TypeError.
+            {"layers": [{"label": "A", "cz": [[0, 1]], "sq": {"2": "Q"}}]},
+            {"layers": [{"label": "A", "cz": [[0, 1]], "sq": {"2": 5}}]},
+            {"layers": [{"label": "A", "cz": [[0, 1]], "sq": {"2": ["H"]}}]},
             {
                 "topology": {"n": 4, "edges": [[0, 1.0], [2, 3], [0, 2], [1, 3]]},
                 "layers": [{"label": "A", "cz": [[0, 2]]}],
@@ -662,7 +722,8 @@ class TestErrors:
             "duplicate_labels", "cz_on_non_edge", "layer_as_string", "sq_as_list",
             "sq_as_string", "label_not_string", "cz_float_qubit", "cz_bool_qubit",
             "cz_one_qubit", "cz_three_qubits", "sq_two_gates_one_qubit",
-            "sq_same_gate_twice_one_qubit", "edge_float_qubit",
+            "sq_same_gate_twice_one_qubit", "edge_float_qubit", "sq_unknown_gate",
+            "sq_gate_number", "sq_gate_list",
         ],
     )
     def test_silently_wrong_layers_rejected(self, tmp_path, capsys, config):
@@ -671,6 +732,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gate", ["Q", 5, ["H"]])
+    def test_unknown_sq_gate_named(self, tmp_path, capsys, gate):
+        layers = [{"label": "A", "cz": [[0, 1]], "sq": {"2": gate}}]
+        path, _ = write_config(tmp_path, topology="square2x2", layers=layers)
+        assert main(["generate-model", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: layer 'A': unknown single-qubit gate {gate!r} on qubit 2; "
+            f"choose from {sorted(CATALOG)}\n"
+        )
 
     COMMANDS = ["generate-model", "learnability", "characterize", "fit", "pec"]
 

@@ -20,7 +20,6 @@ from cyclebench.pipeline import (
     MAX_INV_GRAM_COND,
     _refined_low,
     build_plan,
-    cached_plan,
     characterize_and_fit,
     classify_gram,
     covering_pairs,
@@ -167,16 +166,13 @@ class TestPlan:
         assert sorted(calls) == ["eigh", "inv"]
         assert sq.layers["A"].unconstrained[0] == 42
 
-    def test_cached_plan_keys_on_sq_gates(self):
+    def test_plan_keeps_sq_gates(self):
         # The same CZ pairs with and without an S gate are different plans.
         topo = square_lattice(2, 2)
         with_sq = [CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")]
         cz_only = [CliffordLayer(4, ((0, 1),), (), "A")]
-        first = cached_plan(topo, with_sq)
-        assert "A" in deficiencies(first)
-        plain = cached_plan(topo, cz_only)
-        assert plain is not first and deficiencies(plain) == {}
-        assert cached_plan(topo, list(with_sq)) is first
+        assert "A" in deficiencies(build_plan(topo, with_sq))
+        assert deficiencies(build_plan(topo, cz_only)) == {}
 
     def test_fit_rows_are_compact_overlap_sums(self, plan):
         # int8 and C-contiguous: the noisy-record einsums read the rows in
