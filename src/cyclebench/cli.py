@@ -28,6 +28,7 @@ from .pec import check_limits, model_rows, summarize_pec
 from .pauli import PauliString
 from .pipeline import (
     CharacterizationPlan,
+    RunResult,
     build_plan,
     covering_pairs,
     generate_models,
@@ -43,10 +44,14 @@ EXIT_CONFIG = 2
 EXIT_RANK = 3
 EXIT_NUMERIC = 4
 
-PIPELINES = ("conventional", "mlcb")
-
 # Randomized orders per certificate search of every command's ratios.
 CERT_RETRIES = 8
+
+# Every key some command reads; any other key is a config error.
+CONFIG_KEYS = (
+    "topology", "layers", "sigma", "sigma_prime", "baseline", "seed",
+    "models", "circuits", "j_layers", "weights", "out", "parallel",
+)
 
 
 class ConfigError(ValueError):
@@ -61,7 +66,6 @@ class RunConfig:
     sigma: float
     sigma_prime: float
     baseline: str  # symmetry | unit_depth
-    pipelines: tuple[str, ...]
     seed: int
     models: int
     circuits: int
@@ -90,6 +94,9 @@ def load_config(path: str, overrides: dict) -> RunConfig:
 
 
 def parse_config(raw: dict) -> RunConfig:
+    unknown = [key for key in raw if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; a config takes {list(CONFIG_KEYS)}")
     try:
         topo_spec = raw["topology"]
         topo = (
@@ -116,7 +123,6 @@ def parse_config(raw: dict) -> RunConfig:
             sigma=_noise(raw, "sigma", 1e-4),
             sigma_prime=_noise(raw, "sigma_prime", 1e-3),
             baseline=baseline,
-            pipelines=_pipelines(raw),
             seed=_integer(raw, "seed", 0, minimum=0),
             models=_integer(raw, "models", 1),
             circuits=_integer(raw, "circuits", 10),
@@ -153,21 +159,6 @@ def _noise(raw: dict, name: str, default: float) -> float:
     ):
         raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
     return float(value)
-
-
-def _pipelines(raw: dict) -> tuple[str, ...]:
-    value = raw.get("pipelines", PIPELINES)
-    if (
-        not isinstance(value, (list, tuple))
-        or not value
-        or any(name not in PIPELINES for name in value)
-        or len(set(value)) != len(value)
-    ):
-        raise ConfigError(
-            f"pipelines must be a non-empty list of distinct names from {list(PIPELINES)}, "
-            f"got {value!r}"
-        )
-    return tuple(value)
 
 
 def _check_layers(layers: list[CliffordLayer], topo: Topology) -> None:
@@ -393,25 +384,30 @@ def _run_worker_job(index: int):
     return _worker_job(index)
 
 
-def _write_sweeps(path: str, header: list[str], lead, sweeps) -> list[list]:
+def _fit_model(plan: CharacterizationPlan, seed: int, index: int, **noise) -> RunResult:
+    # A worker sends back only the result, not the drawn models.
+    return sweep_item(plan, seed, index, **noise)[1]
+
+
+def _write_sweeps(path: str, header: list[str], lead, sweeps) -> list[list[RunResult]]:
     """Draw and fit every model of each (key, cfg, plan, seed) sweep, its
     models drawn from `seed`, then write `path`: one CSV row per model,
     `lead(key, index)` followed by delta_c, delta_m and r.  Returns each
-    sweep's `sweep_item` pairs."""
+    sweep's results."""
     done = [
         (key, _map_models(cfg, partial(
-            sweep_item, plan, seed, sigma=cfg.sigma, sigma_prime=cfg.sigma_prime,
-            baseline=cfg.baseline, pipelines=cfg.pipelines,
+            _fit_model, plan, seed, sigma=cfg.sigma, sigma_prime=cfg.sigma_prime,
+            baseline=cfg.baseline,
         )))
         for key, cfg, plan, seed in sweeps
     ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*header, "delta_c", "delta_m", "r"])
-        for key, items in done:
-            for i, (_, res) in enumerate(items):
+        for key, results in done:
+            for i, res in enumerate(results):
                 writer.writerow([*lead(key, i), res.delta_c, res.delta_m, res.ratio])
-    return [items for _, items in done]
+    return [results for _, results in done]
 
 
 def cmd_fit(cfg: RunConfig) -> int:
@@ -419,19 +415,19 @@ def cmd_fit(cfg: RunConfig) -> int:
     _make_out(cfg.out)
     plan = _plan(cfg)
     csv_path = os.path.join(cfg.out, "metrics.csv")
-    (items,) = _write_sweeps(
+    (results,) = _write_sweeps(
         csv_path, ["seed", "config"], lambda key, i: [i, key],
         [(cfg.digest(), cfg, plan, cfg.seed)],
     )
     # The first model's fitted rate vectors go to files as well.
-    result = items[0][1]
+    result = results[0]
     for pipeline, fitted in result.fitted.items():
         for lab, lam in fitted.items():
             _write_model(
                 cfg, f"fitted_{pipeline}_{lab}", SplModel(lab, plan.generators, lam),
-                fitted_by=pipeline, fit=result.fit_meta.get(pipeline, {}).get(lab, {}),
+                fitted_by=pipeline, fit=result.fit_meta[pipeline][lab],
             )
-    valid = [res.ratio for _, res in items if res.ratio is not None]
+    valid = [res.ratio for res in results if res.ratio is not None]
     if valid:
         print(
             f"{len(valid)} models: median r = {float(np.median(valid)):.3f} -> {csv_path}"

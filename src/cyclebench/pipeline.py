@@ -5,7 +5,7 @@ reconstructions to the truth."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -274,18 +274,12 @@ def generate_models(plan: CharacterizationPlan, rng: np.random.Generator) -> dic
 
 @dataclass
 class RunResult:
-    delta: dict[str, float]
+    # L1 distances of the conventional and the multi-layer (mlcb) fits.
+    delta_c: float
+    delta_m: float
     fitted: dict[str, dict[str, np.ndarray]]  # pipeline -> label -> lambdas
-    ratio: float | None
-    fit_meta: dict[str, dict[str, dict]] = field(default_factory=dict)
-
-    @property
-    def delta_c(self) -> float:
-        return self.delta.get("conventional", float("nan"))
-
-    @property
-    def delta_m(self) -> float:
-        return self.delta.get("mlcb", float("nan"))
+    fit_meta: dict[str, dict[str, dict]]  # pipeline -> label -> nnls diagnostics
+    ratio: float | None  # delta_m / delta_c; None when delta_c is 0
 
 
 @dataclass
@@ -382,7 +376,6 @@ def characterize_and_fit(
     sigma_prime: float,
     baseline: str,
     rng: np.random.Generator,
-    pipelines: tuple[str, ...] = ("conventional", "mlcb"),
 ) -> RunResult:
     """Steps (ii)-(v) for one noise model: noisy records, both fits, L1
     distances and their ratio.
@@ -402,13 +395,12 @@ def characterize_and_fit(
     for lab in plan.labels:
         if not (np.isfinite(records.high[lab]).all() and np.isfinite(records.low[lab]).all()):
             raise RuntimeError(f"non-finite noisy record on layer {lab!r}")
-    mu_hat = estimate_mu(plan, records)
-    rhs_low = {
-        pipeline: _refined_low(plan, records.low, mu_hat) if pipeline == "mlcb" else records.low
-        for pipeline in pipelines
+    low = {
+        "conventional": records.low,
+        "mlcb": _refined_low(plan, records.low, estimate_mu(plan, records)),
     }
-    fitted: dict[str, dict[str, np.ndarray]] = {p: {} for p in pipelines}
-    fit_meta: dict[str, dict[str, dict]] = {p: {} for p in pipelines}
+    fitted: dict[str, dict[str, np.ndarray]] = {p: {} for p in low}
+    fit_meta: dict[str, dict[str, dict]] = {p: {} for p in low}
     # One float64 copy of each layer's S per call, shared by the pipelines'
     # fits, so that nnls multiplies by BLAS.  The buffer lives for this call
     # only: the allocator reuses it from call to call.
@@ -418,8 +410,8 @@ def characterize_and_fit(
         a = workspace[: len(lp.s)]
         np.copyto(a, lp.s)
         log_high = np.log(np.clip(records.high[lab], 1e-12, None))
-        for pipeline in pipelines:
-            rhs = -0.5 * np.concatenate([log_high, np.log(rhs_low[pipeline][lab])])
+        for pipeline, low_est in low.items():
+            rhs = -0.5 * np.concatenate([log_high, np.log(low_est[lab])])
             fit = nnls(a, rhs, inv_gram=lp.inv_gram)
             fitted[pipeline][lab] = fit.lambdas
             fit_meta[pipeline][lab] = {
@@ -427,11 +419,10 @@ def characterize_and_fit(
                 "kkt_residual": fit.kkt_residual,
                 "iterations": fit.iterations,
             }
-    delta = {pipeline: distance_metrics(models, fitted[pipeline]) for pipeline in pipelines}
-    ratio = None
-    if "conventional" in delta and "mlcb" in delta and delta["conventional"] > 0:
-        ratio = delta["mlcb"] / delta["conventional"]
-    return RunResult(delta=delta, fitted=fitted, ratio=ratio, fit_meta=fit_meta)
+    delta_c = distance_metrics(models, fitted["conventional"])
+    delta_m = distance_metrics(models, fitted["mlcb"])
+    ratio = delta_m / delta_c if delta_c > 0 else None
+    return RunResult(delta_c, delta_m, fitted, fit_meta, ratio)
 
 
 def _refined_low(
@@ -473,11 +464,8 @@ def sweep_item(
     sigma: float,
     sigma_prime: float,
     baseline: str,
-    pipelines: tuple[str, ...] = ("conventional", "mlcb"),
 ) -> tuple[dict[str, SplModel], RunResult]:
     rng = model_rng(master_seed, index)
     models = generate_models(plan, rng)
-    result = characterize_and_fit(
-        plan, models, sigma, sigma_prime, baseline, rng, pipelines
-    )
+    result = characterize_and_fit(plan, models, sigma, sigma_prime, baseline, rng)
     return models, result

@@ -3,6 +3,7 @@ for dense-circuit characterization on square lattices."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .layers import CliffordLayer, is_qubit
@@ -98,11 +99,10 @@ def garnet20() -> Topology:
 def preset(name: str) -> Topology:
     if name == "garnet20":
         return garnet20()
-    if name.startswith("square"):
-        dims = name[len("square"):]
-        w, h = (int(v) for v in dims.split("x"))
-        return square_lattice(w, h)
-    raise ValueError(f"unknown topology preset {name!r}")
+    dims = re.fullmatch(r"square([0-9]+)x([0-9]+)", name)
+    if dims:
+        return square_lattice(int(dims[1]), int(dims[2]))
+    raise ValueError(f"unknown topology preset {name!r}; use garnet20 or squareWxH")
 
 
 def _edge_class(topology: Topology, edge: tuple[int, int], scheme: str) -> int:

@@ -23,7 +23,7 @@ from cyclebench.layers import CATALOG
 from cyclebench.learnability import orbit_learnables, product_rows
 from cyclebench.pauli import PauliString
 from cyclebench.spl import GeneratorSet
-from cyclebench.pipeline import build_plan, generate_models, model_rng, noisy_records
+from cyclebench.pipeline import RunResult, build_plan, generate_models, model_rng, noisy_records
 
 
 def write_config(tmp_path, **overrides):
@@ -47,10 +47,11 @@ def write_config(tmp_path, **overrides):
 
 
 
-def recording_pool(monkeypatch) -> list[int]:
+def recording_pool(monkeypatch, returned: list | None = None) -> list[int]:
     """Replace the sweeps' process pool by a stand-in that runs its
     initializer and maps in this process; the returned list records the size
-    of every pool started."""
+    of every pool started, and `returned`, when given, every value a mapped
+    job returned."""
     sizes = []
 
     class RecordingPool:
@@ -65,7 +66,10 @@ def recording_pool(monkeypatch) -> list[int]:
             return False
 
         def map(self, fn, items):
-            return [fn(item) for item in items]
+            results = [fn(item) for item in items]
+            if returned is not None:
+                returned.extend(results)
+            return results
 
     monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
     # The initializer sets a worker's job here; it is reset after the test.
@@ -328,6 +332,15 @@ class TestCharacterizeFitPec:
         assert built.call_count == plans
         assert sizes == ([2] if argv[0] == "fit" else [])
 
+    def test_fit_workers_return_only_results(self, tmp_path, monkeypatch):
+        # The sweep writer reads only each model's RunResult; the drawn
+        # models are not sent back from the workers.
+        returned = []
+        recording_pool(monkeypatch, returned)
+        path, _ = write_config(tmp_path, topology="square2x2")
+        assert main(["fit", "--config", str(path), "--parallel", "2"]) == 0
+        assert len(returned) == 2 and all(type(r) is RunResult for r in returned)
+
     def test_pec_starts_at_most_models_workers(self, tmp_path, monkeypatch):
         sizes = recording_pool(monkeypatch)
         for models, parallel, want in ((2, 64, [2]), (1, 64, []), (3, 2, [2])):
@@ -461,17 +474,13 @@ def test_pec_fuzz_on_drawn_topologies(cfg):
 
 
 _NOISE = st.sampled_from([-1, 0, 1e-4, 1e-2, math.nan, math.inf, 1e200])
-_PIPELINES = st.sampled_from([
-    ["conventional", "mlcb"], ["mlcb", "conventional"], ["mlcb"], ["conventional"],
-    "mlcb", [], ["foo"], ["mlcb", "mlcb"],
-])
 
 
 @st.composite
 def drawn_command_configs(draw):
     """A 2-4 qubit topology on a random subset of qubit pairs with 1-3
     layers of CZ gates on its edges and single-qubit gates from the catalog
-    on drawn qubits, and drawn seed, noise widths and pipelines."""
+    on drawn qubits, and drawn seed and noise widths."""
     n = draw(st.integers(2, 4))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
@@ -494,7 +503,6 @@ def drawn_command_configs(draw):
         "seed": draw(st.integers(-3, 50)),
         "sigma": draw(_NOISE),
         "sigma_prime": draw(_NOISE),
-        "pipelines": draw(_PIPELINES),
         "models": draw(st.integers(1, 2)),
         "parallel": 1,
     }
@@ -587,10 +595,12 @@ class TestErrors:
         ids=["string", "unknown", "empty", "repeated", "nested", "null"],
     )
     def test_invalid_pipelines_rejected(self, tmp_path, capsys, value):
+        # Every sweep fits both pipelines; the removed option is an unknown key.
         path, _ = write_config(tmp_path, topology="square2x2", pipelines=value)
         assert main(["fit", "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: pipelines") and err.count("\n") == 1
+        assert err.startswith("config error: unknown config keys ['pipelines']")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", [5, ["a"], ""], ids=["number", "list", "empty"])
@@ -602,14 +612,6 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: out must be a non-empty string")
         assert err.count("\n") == 1
-
-    def test_single_pipeline_fits(self, tmp_path):
-        path, _ = write_config(tmp_path, topology="square2x2", pipelines=["mlcb"])
-        assert main(["fit", "--config", str(path)]) == 0
-        with open(tmp_path / "out" / "metrics.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
-        assert all(math.isnan(float(r["delta_c"])) and float(r["delta_m"]) > 0 for r in rows)
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_parallel_below_one_rejected(self, tmp_path, capsys, value):
@@ -744,6 +746,38 @@ class TestErrors:
         )
 
     COMMANDS = ["generate-model", "learnability", "characterize", "fit", "pec"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "key, value", [("sigma_prim", 0.5), ("schemes", ["open_chains"])],
+        ids=["mistyped", "repro_only"],
+    )
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, command, key, value):
+        # A mistyped sigma_prime ran on the default, a repro-only key was ignored.
+        path, _ = write_config(tmp_path, topology="square2x2", **{key: value})
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: unknown config keys [{key!r}]; "
+            f"a config takes {list(cli.CONFIG_KEYS)}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "topology",
+        ["square2x2x2", {"preset": "square2x"}, "square-1x2", "square 2x2", "square\u0662x2"],
+        ids=["three_sizes", "missing_height", "negative", "space", "arabic_indic_digit"],
+    )
+    def test_malformed_preset_rejected(self, tmp_path, capsys, command, topology):
+        # These ended in "too many values to unpack" or an int() message,
+        # blamed a qubit count of -2, or read a space or a non-ASCII digit.
+        path, _ = write_config(tmp_path, topology=topology, layers=[{"label": "A"}])
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        name = topology if isinstance(topology, str) else topology["preset"]
+        assert f"unknown topology preset {name!r}; use garnet20 or squareWxH" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize(
