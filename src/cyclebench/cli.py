@@ -117,6 +117,10 @@ def parse_config(raw: dict) -> RunConfig:
         out = raw.get("out", "out")
         if not isinstance(out, str) or not out:
             raise ConfigError(f"out must be a non-empty string, got {out!r}")
+        # `pec.check_limits` checks the elements, for `pec` only.
+        weights = raw.get("weights", (2, 20))
+        if not isinstance(weights, (list, tuple)):
+            raise ConfigError(f"weights must be a list of integers, got {weights!r}")
         return RunConfig(
             topology=topo,
             layers=layers,
@@ -127,7 +131,7 @@ def parse_config(raw: dict) -> RunConfig:
             models=_integer(raw, "models", 1),
             circuits=_integer(raw, "circuits", 10),
             j_layers=_integer(raw, "j_layers", 40),
-            weights=tuple(raw.get("weights", (2, 20))),
+            weights=tuple(weights),
             out=out,
             parallel=_integer(raw, "parallel", 1, minimum=1),
             raw=raw,
@@ -340,7 +344,8 @@ def cmd_characterize(cfg: RunConfig) -> int:
                 )
     for entry, value in zip(plan.mu_entries, data.ratio_products):
         provenance = f"mlcb:q{entry.qubit}:{entry.pair[0]}{entry.pair[1]}"
-        records.append(record(entry.product_terms, value, cfg.sigma, "high", provenance))
+        targets = [(lab, p) for lab, p, _ in entry.expression.target.product.terms]
+        records.append(record(targets, value, cfg.sigma, "high", provenance))
     # JSON has no infinities; `fit` refuses these draws as well.
     bad = next((r for r in records if not math.isfinite(r["estimate"])), None)
     if bad is not None:
@@ -361,11 +366,11 @@ def cmd_characterize(cfg: RunConfig) -> int:
 
 def _map_models(cfg: RunConfig, job: Callable[[int], object]) -> list:
     """`job(index)` for every model index, in index order, on `cfg.parallel`
-    processes, never more than there are models.  Each worker receives
+    processes, never more than there are models or CPUs.  Each worker receives
     `job`, and the plan it holds, once: a forked worker shares the parent's
     copy, a spawned one unpickles it."""
     indices = range(cfg.models)
-    workers = min(cfg.parallel, cfg.models)
+    workers = min(cfg.parallel, cfg.models, os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(workers, _set_worker_job, (job,)) as pool:
             return pool.map(_run_worker_job, indices)

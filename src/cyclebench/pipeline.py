@@ -35,9 +35,6 @@ MAX_INV_GRAM_COND = 1e6
 class MuPlanEntry:
     qubit: int
     pair: tuple[str, str]
-    epsilon: float
-    product_terms: tuple[tuple[str, PauliString], ...]
-    learn_refs: tuple[tuple[str, int, float], ...]  # (label, high-row index, coeff)
     expression: MuExpression
 
 
@@ -51,8 +48,8 @@ class LayerPlan:
     `unconstrained` is (rank, unconstrained generators) when S lacks full
     column rank.  `ratio_rows` holds the overlap rows of the ratio entries'
     product terms in this layer with each row's entry index, and `mu_refs`
-    the (entry, high-row index, coefficient) arrays of mu_hat's learn_refs
-    items here."""
+    the (entry, high-row index, coefficient) arrays of the entries'
+    learnable terms in this layer."""
 
     layer: CliffordLayer
     products: list[LearnableProduct]
@@ -96,13 +93,23 @@ def build_plan(
     seed: int = 0,
     retries: int = 16,
 ) -> CharacterizationPlan:
+    """The ratio expressions first, then one LayerPlan per layer, built in
+    one pass with its share of the entries' terms."""
     gens = GeneratorSet(topology)
-    fits = []
-    key_index: dict[str, dict] = {}
+    expressions, failures = ratio_expressions(topology, layers, seed, retries)
+    # Each entry's measured product terms and learnable terms, by layer.
+    terms = {layer.label: [] for layer in layers}
+    refs = {layer.label: [] for layer in layers}
+    for e, expr in enumerate(expressions):
+        for l, p, _ in expr.target.product.terms:
+            terms[l].append((e, p))
+        for prod, coeff in expr.learnable_terms:
+            refs[prod.label].append((e, prod.key(), float(coeff)))
+    plans: dict[str, LayerPlan] = {}
     for layer in layers:
+        lab = layer.label
         prods = orbit_learnables(layer, gens)
         rows = product_rows(gens, prods)
-        key_index[layer.label] = {prod.key()[1]: i for i, prod in enumerate(prods)}
         qubits = sorted(q for pair in layer.cz_pairs for q in pair)
         singles = [PauliString.single(topology.n, q, "X") for q in qubits]
         lrows = gens.digit_overlaps(digits(singles, topology.n))
@@ -110,46 +117,20 @@ def build_plan(
         standard = {
             s.key(): i for i, p in enumerate(prods) if p.source == "standard" for s in p.strings
         }
-        symmetry_row = [standard[alpha.key()] for alpha in singles]
         stacked = np.vstack([rows, lrows])
         # Integer entries far below 2**53, so the float product is exact.
         floats = stacked.astype(float)
         g = floats.T @ floats
         del floats  # freed before the inverse's workspace: lower peak RSS
         inv, deficient = classify_gram(g, gens)
-        fits.append((layer, prods, stacked, len(rows), qubits, symmetry_row, inv, deficient))
-    expressions, failures = ratio_expressions(topology, layers, seed, retries)
-    mu_entries = [
-        MuPlanEntry(
-            qubit=expr.qubit,
-            pair=expr.pair,
-            epsilon=float(expr.epsilon),
-            product_terms=tuple((l, p) for l, p, _ in expr.target.product.terms),
-            learn_refs=tuple(
-                (prod.label, key_index[prod.label][prod.key()[1]], float(coeff))
-                for prod, coeff in expr.learnable_terms
-            ),
-            expression=expr,
-        )
-        for expr in expressions
-    ]
-    terms = {layer.label: [] for layer in layers}
-    refs = {layer.label: [] for layer in layers}
-    for e, entry in enumerate(mu_entries):
-        for l, p in entry.product_terms:
-            terms[l].append((e, p))
-        for l, row, coeff in entry.learn_refs:
-            refs[l].append((e, row, coeff))
-    plans: dict[str, LayerPlan] = {}
-    for layer, prods, stacked, n_high, qubits, symmetry_row, inv, deficient in fits:
-        lab = layer.label
+        row_of = {prod.key(): i for i, prod in enumerate(prods)}
         plans[lab] = LayerPlan(
             layer=layer,
             products=prods,
             s=stacked,
-            n_high=n_high,
+            n_high=len(rows),
             low_qubits=qubits,
-            symmetry_row=symmetry_row,
+            symmetry_row=[standard[alpha.key()] for alpha in singles],
             inv_gram=inv,
             unconstrained=deficient,
             ratio_rows=(
@@ -158,7 +139,7 @@ def build_plan(
             ),
             mu_refs=(
                 np.array([e for e, _, _ in refs[lab]], dtype=np.intp),
-                np.array([row for _, row, _ in refs[lab]], dtype=np.intp),
+                np.array([row_of[key] for _, key, _ in refs[lab]], dtype=np.intp),
                 np.array([coeff for _, _, coeff in refs[lab]], dtype=float),
             ),
         )
@@ -176,8 +157,8 @@ def build_plan(
         topology=topology,
         generators=gens,
         layers=plans,
-        mu_entries=mu_entries,
-        mu_epsilon=np.array([e.epsilon for e in mu_entries], dtype=float),
+        mu_entries=[MuPlanEntry(expr.qubit, expr.pair, expr) for expr in expressions],
+        mu_epsilon=np.array([float(expr.epsilon) for expr in expressions], dtype=float),
         low_clusters=low_clusters,
         mu_failures=failures,
     )

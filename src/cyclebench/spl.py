@@ -5,7 +5,6 @@ model generation."""
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -64,14 +63,10 @@ class GeneratorSet:
         return self._index[p.key()]
 
     def overlaps(self, alpha: PauliString) -> np.ndarray:
-        """Vector of symplectic products <alpha, kappa> over the whole set,
-        read from `site_tables` at alpha's digits on each site."""
+        """Vector of symplectic products <alpha, kappa> over the whole set."""
         if alpha.n != self.topology.n:
             raise ValueError(f"dimension mismatch: {alpha.n} != {self.topology.n}")
-        sites, site_of, ov16 = self.site_tables
-        p = digits([alpha], alpha.n)[0]
-        codes = p[sites[:, 0]] | (p[sites[:, 1]] << 2)
-        return ov16[codes[site_of], np.arange(len(self))]
+        return self.digit_overlaps(digits([alpha], alpha.n))[0]
 
     @functools.cached_property
     def support_masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -175,15 +170,6 @@ class SplModel:
             raise ValueError(f"only weight-{GeneratorSet.w_max} generator sets are supported")
         gens = GeneratorSet(Topology.from_dict(d["topology"]))
         return cls(d["label"], gens, np.array(d["lambdas"], dtype=float))
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "SplModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

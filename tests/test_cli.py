@@ -24,6 +24,7 @@ from cyclebench.learnability import orbit_learnables, product_rows
 from cyclebench.pauli import PauliString
 from cyclebench.spl import GeneratorSet
 from cyclebench.pipeline import RunResult, build_plan, generate_models, model_rng, noisy_records
+from test_pipeline import learn_refs
 
 
 def write_config(tmp_path, **overrides):
@@ -47,11 +48,11 @@ def write_config(tmp_path, **overrides):
 
 
 
-def recording_pool(monkeypatch, returned: list | None = None) -> list[int]:
+def recording_pool(monkeypatch, returned: list | None = None, cpus: int = 64) -> list[int]:
     """Replace the sweeps' process pool by a stand-in that runs its
-    initializer and maps in this process; the returned list records the size
-    of every pool started, and `returned`, when given, every value a mapped
-    job returned."""
+    initializer and maps in this process, on a host of `cpus` CPUs; the
+    returned list records the size of every pool started, and `returned`,
+    when given, every value a mapped job returned."""
     sizes = []
 
     class RecordingPool:
@@ -72,6 +73,7 @@ def recording_pool(monkeypatch, returned: list | None = None) -> list[int]:
             return results
 
     monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     # The initializer sets a worker's job here; it is reset after the test.
     monkeypatch.setattr(cli, "_worker_job", None)
     return sizes
@@ -192,10 +194,12 @@ class TestLearnability:
                 "qubit": e.qubit,
                 "pair": list(e.pair),
                 "epsilon": str(e.expression.epsilon),
-                "measured_product": [[lab, p.label()] for lab, p in e.product_terms],
+                "measured_product": [
+                    [lab, p.label()] for lab, p, _ in e.expression.target.product.terms
+                ],
                 "learnable_terms": [
                     (lab, [s.label() for s in plan.layers[lab].products[row].strings], coeff)
-                    for lab, row, coeff in e.learn_refs
+                    for lab, row, coeff in learn_refs(plan, e)
                 ],
             }
             for e in plan.mu_entries
@@ -378,6 +382,19 @@ class TestPecConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "pec"])
+    @pytest.mark.parametrize(
+        "value, given", [("22", "'22'"), (None, "None"), (5, "5"), ({"a": 2}, "{'a': 2}")]
+    )
+    def test_weights_not_a_list_rejected(self, tmp_path, capsys, command, value, given):
+        # Once read as tuple(value): "22" was reported as ['2', '2'], null
+        # and 5 as not iterable, and `fit` ran on "22" and {"a": 2}.
+        path, _ = write_config(tmp_path, topology="square2x2", weights=value)
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: weights must be a list of integers, got {given}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -636,6 +653,13 @@ class TestErrors:
             path, _ = write_config(tmp_path, topology="square2x2", models=models)
             assert main(["fit", "--config", str(path), "--parallel", str(parallel)]) == 0
             assert sizes == want
+
+    def test_sweep_starts_at_most_cpu_count_workers(self, tmp_path, monkeypatch):
+        # The stand-in pool starts no process, whatever size it records.
+        sizes = recording_pool(monkeypatch, cpus=2)
+        path, _ = write_config(tmp_path, topology="square2x2", models=3)
+        assert main(["fit", "--config", str(path), "--parallel", "1000000"]) == 0
+        assert sizes == [2]
 
     @pytest.mark.parametrize("sigma", [1e200, 1e308])
     @pytest.mark.parametrize("command", ["characterize", "fit", "pec"])

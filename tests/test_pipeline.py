@@ -246,6 +246,17 @@ class TestPlan:
             assert mu_fn == pytest.approx(direct, abs=1e-10)
 
 
+def learn_refs(plan, entry):
+    """(label, high-row index, coefficient) of each learnable term of a ratio
+    entry: the row is that of the orbit product with the term's strings."""
+    refs = []
+    for prod, coeff in entry.expression.learnable_terms:
+        rows = [frozenset(s.key() for s in p.strings) for p in plan.layers[prod.label].products]
+        row = rows.index(frozenset(s.key() for s in prod.strings))
+        refs.append((prod.label, row, float(coeff)))
+    return refs
+
+
 def mu_entries_text(plan):
     """(qubit, pair, epsilon, learn_refs, certificate of each layer) per entry."""
     return [
@@ -253,7 +264,7 @@ def mu_entries_text(plan):
             e.qubit,
             "".join(e.pair),
             str(e.expression.epsilon),
-            " ".join(f"{lab}{row}:{coeff!r}" for lab, row, coeff in e.learn_refs),
+            " ".join(f"{lab}{row}:{coeff!r}" for lab, row, coeff in learn_refs(plan, e)),
             *(cert_text(c) for c in e.expression.certificates),
         )
         for e in plan.mu_entries
@@ -379,7 +390,7 @@ class TestPlanRatioArrays:
         models = generate_models(plan, rng)
         got = noisy_records(plan, models, 0.0, 0.0, "unit_depth", rng).ratio_products
         want = [
-            np.exp(sum(models[l].log_fidelity(p) for l, p in e.product_terms))
+            np.exp(sum(models[l].log_fidelity(p) for l, p, _ in e.expression.target.product.terms))
             for e in plan.mu_entries
         ]
         assert len(got) == len(want) > 0
@@ -391,7 +402,7 @@ class TestPlanRatioArrays:
             rows, entry = lp.ratio_rows
             want = [
                 (e, gens.overlaps(p)) for e, m in enumerate(small_plan.mu_entries)
-                for l, p in m.product_terms if l == lab
+                for l, p, _ in m.expression.target.product.terms if l == lab
             ]
             assert rows.dtype == np.int8 and len(rows) == len(want)
             assert entry.tolist() == [e for e, _ in want]
@@ -507,8 +518,8 @@ def scalar_mu_hat(plan, records):
     for entry, o_noisy in zip(plan.mu_entries, records.ratio_products):
         if o_noisy <= 0:
             continue
-        log_mu = entry.epsilon * np.log(o_noisy)
-        for l, row, coeff in entry.learn_refs:
+        log_mu = float(entry.expression.epsilon) * np.log(o_noisy)
+        for l, row, coeff in learn_refs(plan, entry):
             log_mu += coeff * np.log(max(records.high[l][row], 1e-12))
         out[(entry.qubit, entry.pair)] = float(np.exp(log_mu))
     return out

@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclebench.cli import main
 from cyclebench.layers import CliffordLayer
 from cyclebench.learnability import FidelityFunction
 from cyclebench.pauli import PauliString
+from cyclebench.pipeline import model_rng
 from cyclebench.spl import (
     GeneratorSet,
     RandomModelParams,
@@ -279,19 +281,28 @@ class TestRandomModel:
 
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
+        # The file `generate-model` writes reads back to the model it drew.
         topo = garnet20()
+        config = {
+            "topology": "garnet20",
+            "layers": [{"label": "B", "cz": [[0, 1], [4, 5]]}],
+            "seed": 9,
+            "out": str(tmp_path / "out"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["generate-model", "--config", str(path)]) == 0
+        text = (tmp_path / "out" / "model_B.json").read_text()
+        data = json.loads(text)
+        back = SplModel.from_dict(data)
         layer = CliffordLayer(20, ((0, 1), (4, 5)), (), "B")
-        model = random_model(GeneratorSet(topo), layer, rng=np.random.default_rng(9))
-        path = tmp_path / "model.json"
-        model.dump(path)
-        back = SplModel.load(path)
+        model = random_model(GeneratorSet(topo), layer, model_rng(9, 0))
         assert back.layer_label == "B"
-        assert np.array_equal(back.lambdas, model.lambdas)
+        assert back.lambdas.tobytes() == model.lambdas.tobytes()
         assert back.generators.topology.edges == topo.edges
-        # Double roundtrip produces identical bytes.
-        path2 = tmp_path / "model2.json"
-        back.dump(path2)
-        assert path.read_bytes() == path2.read_bytes()
+        # Written again, the model gives identical bytes.
+        again = {**back.to_dict(), "config_digest": data["config_digest"]}
+        assert json.dumps(again, indent=1) == text
 
     def test_w_max_is_written_and_checked(self):
         # The generator weight is fixed at 2: the file still records it, and
