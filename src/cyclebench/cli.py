@@ -250,9 +250,8 @@ def cmd_generate_model(cfg: RunConfig) -> int:
 
 
 def cmd_learnability(cfg: RunConfig) -> int:
+    _check_shared_layers(cfg)
     certificates = any(layer.cz_pairs for layer in cfg.layers) and len(cfg.layers) > 1
-    if certificates:
-        _check_shared_layers(cfg)
     _make_out(cfg.out)
     gens = GeneratorSet(cfg.topology)
     report = {

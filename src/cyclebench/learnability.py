@@ -240,56 +240,38 @@ def _verify_certificate(cert: EquivalenceCertificate, generators: GeneratorSet) 
         raise NotEquivalentError("certificate failed exact verification")
 
 
-def pattern_transfer_unlearnable(
-    layers,
-    n: int | None = None,
-    mode: str = "general",
-    topology: Topology | None = None,
-) -> int:
-    """Count unlearnable degrees of freedom.
+def pattern_transfer_unlearnable(layers, n: int | None = None) -> int:
+    """Count unlearnable degrees of freedom over all Pauli noise.
 
-    "general" counts over all Pauli noise: 2^n - c with c the number of
-    connected components of the pattern transfer graph (support patterns
-    linked by conjugation; single-qubit dressing never changes a pattern).
-    Guarded at n <= 8 since it enumerates 4^n strings.
-
-    "spl" counts over the local model's generator-indexed fidelities: for
-    each layer, |K| minus the rank of its learnable orbit-product rows,
-    summed over the layers.
+    The count is 2^n - c with c the number of connected components of the
+    pattern transfer graph (support patterns linked by conjugation;
+    single-qubit dressing never changes a pattern).  Guarded at n <= 8
+    since it enumerates 4^n strings.
     """
-    if isinstance(layers, CliffordLayer):
-        layers = [layers]
-    if mode == "general":
-        if n is None:
-            n = layers[0].n
-        if n > 8:
-            raise ValueError("general mode enumerates 4^n strings; n <= 8 required")
-        parent = list(range(1 << n))
+    if n is None:
+        n = layers[0].n
+    if n > 8:
+        raise ValueError("enumerates 4^n strings; n <= 8 required")
+    parent = list(range(1 << n))
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
 
-        for layer in layers:
-            for xz in itertools.product(range(1 << n), repeat=2):
-                p = PauliString(n, xz[0], xz[1])
-                q = conjugate(layer, p)
-                union(p.x_bits | p.z_bits, q.x_bits | q.z_bits)
-        comps = len({find(i) for i in range(1 << n)})
-        return (1 << n) - comps
-    if mode == "spl":
-        if topology is None:
-            raise ValueError("spl mode requires a topology")
-        gens = GeneratorSet(topology)
-        return sum(analyze_layer(layer, gens).unlearnable_dof for layer in layers)
-    raise ValueError(f"unknown mode {mode!r}")
+    for layer in layers:
+        for xz in itertools.product(range(1 << n), repeat=2):
+            p = PauliString(n, xz[0], xz[1])
+            q = conjugate(layer, p)
+            union(p.x_bits | p.z_bits, q.x_bits | q.z_bits)
+    comps = len({find(i) for i in range(1 << n)})
+    return (1 << n) - comps
 
 
 # ---------------------------------------------------------------------------

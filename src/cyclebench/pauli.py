@@ -13,11 +13,6 @@ import numpy as np
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _HEX_DIGIT_TO_CHAR = str.maketrans("0123", "IXZY")
 
-# Dense-vector digit per qubit: I=0, X=1, Z=2, Y=3 (digit = x + 2z).
-_DIGIT_TO_BITS = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
-
-DENSE_QUBIT_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class PauliString:
@@ -90,31 +85,8 @@ class PauliString:
         """Sign-free hashable key used for fidelity indexing."""
         return (self.x_bits, self.z_bits)
 
-    def dense_index(self) -> int:
-        """Index into a length-4**n dense vector (digit x+2z per qubit)."""
-        idx = 0
-        for q in range(self.n - 1, -1, -1):
-            idx = 4 * idx + ((self.x_bits >> q) & 1) + 2 * ((self.z_bits >> q) & 1)
-        return idx
-
-    @classmethod
-    def from_dense_index(cls, n: int, idx: int) -> "PauliString":
-        x = z = 0
-        for q in range(n):
-            xb, zb = _DIGIT_TO_BITS[idx % 4]
-            x |= xb << q
-            z |= zb << q
-            idx //= 4
-        return cls(n, x, z)
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
-
-
-def all_pauli_strings(n: int):
-    """Iterate all 4**n unsigned strings in dense-index order."""
-    for idx in range(4**n):
-        yield PauliString.from_dense_index(n, idx)
 
 
 def digits(strings, n: int) -> np.ndarray:
@@ -157,79 +129,3 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     ) % 4
     sign = a.sign * b.sign * (1 if k in (0, 1) else -1)
     return PauliString(a.n, x, z, sign)
-
-
-@dataclass(frozen=True)
-class FidelityVector:
-    """A complete assignment of Pauli fidelities f_alpha for all 4**n strings."""
-
-    n: int
-    values: tuple[float, ...]  # dense order, values[0] = f_identity
-
-    def __post_init__(self):
-        if len(self.values) != 4**self.n:
-            raise ValueError(
-                f"fidelity vector must have 4**n = {4**self.n} entries, "
-                f"got {len(self.values)}"
-            )
-
-    @classmethod
-    def from_function(cls, n: int, fn) -> "FidelityVector":
-        return cls(n, tuple(float(fn(p)) for p in all_pauli_strings(n)))
-
-    def value(self, p: PauliString) -> float:
-        return self.values[p.dense_index()]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
-# Single-qubit transform kernel in digit order (I, X, Z, Y):
-# K[a, b] = (-1)^{<a, b>} for single-qubit Paulis a, b.
-_WH_KERNEL = np.array(
-    [
-        [1, 1, 1, 1],
-        [1, 1, -1, -1],
-        [1, -1, 1, -1],
-        [1, -1, -1, 1],
-    ],
-    dtype=float,
-)
-
-
-def _apply_kernel(vec: np.ndarray, n: int) -> np.ndarray:
-    out = vec.reshape((4,) * n) if n else vec
-    for axis in range(n):
-        out = np.tensordot(_WH_KERNEL, out, axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
-    return out.reshape(-1)
-
-def walsh_hadamard(f: FidelityVector) -> dict[PauliString, float]:
-    """Error probabilities p_alpha = 4^-n sum_beta f_beta (-1)^{<alpha,beta>}.
-
-    The normalization makes the probabilities sum to one when f_identity is
-    one (equivalently, it inverts f_beta = sum_alpha p_alpha
-    (-1)^{<alpha,beta>}).  The transform factorizes over qubits, so it costs
-    O(n 4^n) rather than O(16^n); it is gated at n <= 12 to avoid runaway
-    memory use.
-    """
-    n = f.n
-    if n > DENSE_QUBIT_LIMIT:
-        raise ValueError(f"dense transform limited to n <= {DENSE_QUBIT_LIMIT}")
-    probs = _apply_kernel(f.as_array(), n) / 4**n
-    return {p: float(probs[i]) for i, p in enumerate(all_pauli_strings(n))}
-
-
-def inverse_walsh_hadamard(probs: dict[PauliString, float]) -> FidelityVector:
-    """Fidelities from a probability map: f_beta = sum_alpha p_alpha
-    (-1)^{<alpha,beta>} (the kernel squares to 4^n times the identity)."""
-    if not probs:
-        raise ValueError("empty probability map")
-    n = next(iter(probs)).n
-    if n > DENSE_QUBIT_LIMIT:
-        raise ValueError(f"dense transform limited to n <= {DENSE_QUBIT_LIMIT}")
-    vec = np.zeros(4**n)
-    for p, v in probs.items():
-        vec[p.dense_index()] = v
-    vals = _apply_kernel(vec, n)
-    return FidelityVector(n, tuple(float(v) for v in vals))

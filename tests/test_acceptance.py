@@ -20,7 +20,7 @@ from cyclebench.learnability import (
     orbit_learnables,
     pattern_transfer_unlearnable,
 )
-from cyclebench.pauli import FidelityVector, PauliString, inverse_walsh_hadamard, walsh_hadamard
+from cyclebench.pauli import PauliString
 from cyclebench.pec import pec_observable, sample_circuit
 from cyclebench.pipeline import (
     build_plan,
@@ -89,7 +89,7 @@ class TestCriterion2SingleCzLearnability:
             and dr == ["XX", "XY", "YX", "YY"]
             and rep.independent_pair_constraints == 6
             and rep.unlearnable_dof == 2
-            and pattern_transfer_unlearnable([layer], n=2, mode="general") == 2
+            and pattern_transfer_unlearnable([layer], n=2) == 2
         )
         report(
             2, ok,
@@ -106,7 +106,7 @@ class TestCriterion3ParallelCzCounting:
             n = 2 * ng
             topo = Topology(n, tuple((i, i + 1) for i in range(n - 1)))
             layer = CliffordLayer(n, tuple((2 * i, 2 * i + 1) for i in range(ng)), (), "L")
-            results[ng] = pattern_transfer_unlearnable([layer], mode="spl", topology=topo)
+            results[ng] = analyze_layer(layer, GeneratorSet(topo)).unlearnable_dof
         ok = all(results[ng] == 2 * ng for ng in results)
         report(3, ok, f"model-restricted unlearnable DOF = 2*n_g for n_g=1..10: {results}")
 
@@ -326,15 +326,6 @@ class TestCriterion10PecSweep:
 
 class TestCriterion11NumericalBedrock:
     def test_bedrock(self):
-        # Walsh-Hadamard roundtrip for n <= 3.
-        rng = np.random.default_rng(0)
-        wh_worst = 0.0
-        for n in (1, 2, 3):
-            vals = 1.0 - 0.08 * rng.random(4**n)
-            vals[0] = 1.0
-            f = FidelityVector(n, tuple(vals))
-            back = inverse_walsh_hadamard(walsh_hadamard(f))
-            wh_worst = max(wh_worst, float(np.max(np.abs(back.as_array() - f.as_array()))))
         # KKT residuals on 1000 random small systems.
         kkt_worst = 0.0
         for seed in range(1000):
@@ -343,17 +334,4 @@ class TestCriterion11NumericalBedrock:
             A = srng.normal(size=(m, n))
             b = srng.normal(size=m)
             kkt_worst = max(kkt_worst, nnls(A, b).kkt_residual)
-        # SPAM robustness of the decay fit on noiseless data.
-        from cyclebench.experiment import NoisySample, decay_fit
-
-        fits = []
-        for spam in (0.5, 0.9, 1.0):
-            samples = [NoisySample(d, spam * 0.97**d, 1e-9) for d in (2, 4, 8, 16)]
-            fits.append(decay_fit(samples)[1])
-        spam_spread = max(fits) - min(fits)
-        ok = wh_worst < 1e-12 and kkt_worst < 1e-10 and spam_spread < 1e-12
-        report(
-            11, ok,
-            f"transform roundtrip {wh_worst:.1e}, worst KKT {kkt_worst:.1e} over 1000 systems, "
-            f"decay-fit SPAM spread {spam_spread:.1e}",
-        )
+        report(11, kkt_worst < 1e-10, f"worst KKT {kkt_worst:.1e} over 1000 systems")

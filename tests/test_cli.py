@@ -161,6 +161,21 @@ class TestLearnability:
             assert rank_checked(full) == len(gens) == entry["generators"]
         assert len(report["layers"]["C"]["unlearnable_basis"]) == 7
 
+    def test_shared_sq_layers_rejected(self, tmp_path, capsys):
+        # Without CZ gates no ratio certificate backs a recovered DOF, so the
+        # report refuses the shared single-qubit layout as `fit` does.
+        path, _ = write_config(
+            tmp_path,
+            topology="square2x2",
+            layers=[{"label": "A", "sq": {"0": "H"}}, {"label": "B", "sq": {"0": "S"}}],
+        )
+        assert main(["learnability", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: layer 'A': single-qubit gates (\"sq\") are not supported "
+            "in a layer that shares qubits with another layer\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_recovery_counts(self, tmp_path):
         path, cfg = write_config(tmp_path)
         assert main(["learnability", "--config", str(path)]) == 0
@@ -543,11 +558,12 @@ def test_every_command_fuzz_exits_cleanly(cfg, command):
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().count("\n") == 1
-    # README: the commands that build a plan refuse single-qubit gates in a
-    # layer that shares a qubit with another layer.
+    # README: the commands that build a plan, and `learnability` with more
+    # than one layer, refuse single-qubit gates in a layer that shares a
+    # qubit with another layer.
     layers = cfg["layers"]
     builds_plan = command in ("characterize", "fit") or (
-        command == "learnability" and len(layers) > 1 and any(l["cz"] for l in layers)
+        command == "learnability" and len(layers) > 1
     )
     if builds_plan and shares_sq_qubits(layers):
         assert code == EXIT_CONFIG

@@ -147,24 +147,23 @@ class TestUnlearnableBasis:
 class TestPatternTransfer:
     def test_single_cz_general(self):
         cz = CliffordLayer(2, ((0, 1),), (), "C")
-        assert pattern_transfer_unlearnable([cz], n=2, mode="general") == 2
+        assert pattern_transfer_unlearnable([cz], n=2) == 2
 
     def test_identity_layer(self):
         ident = CliffordLayer(3, (), (), "I")
-        assert pattern_transfer_unlearnable([ident], n=3, mode="general") == 0
+        assert pattern_transfer_unlearnable([ident], n=3) == 0
 
     @pytest.mark.parametrize("ng", [1, 2, 3])
     def test_parallel_cz_spl_mode(self, ng):
         n = 2 * ng
         topo = Topology(n, tuple((i, i + 1) for i in range(n - 1)))
         layer = CliffordLayer(n, tuple((2 * i, 2 * i + 1) for i in range(ng)), (), "L")
-        got = pattern_transfer_unlearnable([layer], mode="spl", topology=topo)
-        assert got == 2 * ng
+        assert analyze_layer(layer, GeneratorSet(topo)).unlearnable_dof == 2 * ng
 
     def test_guard(self):
         layer = CliffordLayer(9, ((0, 1),), (), "L")
         with pytest.raises(ValueError):
-            pattern_transfer_unlearnable([layer], n=9, mode="general")
+            pattern_transfer_unlearnable([layer], n=9)
 
 
 def three_qubit_setup():

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclebench.pauli import (
-    FidelityVector,
-    PauliString,
-    all_pauli_strings,
-    digits,
-    from_digits,
-    inverse_walsh_hadamard,
-    multiply,
-    walsh_hadamard,
-)
+from cyclebench.pauli import PauliString, digits, from_digits, multiply
 
 I2 = np.eye(2, dtype=complex)
 XM = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -61,10 +52,6 @@ class TestPauliString:
     def test_identity(self):
         p = PauliString.identity(4)
         assert p.key() == (0, 0) and p.sign == 1 and p.weight() == 0
-
-    def test_dense_index_roundtrip(self):
-        for p in all_pauli_strings(3):
-            assert PauliString.from_dense_index(3, p.dense_index()).key() == p.key()
 
     def test_mask_guard(self):
         with pytest.raises(ValueError):
@@ -156,43 +143,14 @@ class TestMultiply:
         assert p.z_bits == a.z_bits ^ b.z_bits
 
 
-class TestWalshHadamard:
-    def test_noiseless_channel(self):
-        f = FidelityVector.from_function(2, lambda p: 1.0)
-        probs = walsh_hadamard(f)
-        for p, v in probs.items():
-            assert v == pytest.approx(1.0 if p.weight() == 0 else 0.0, abs=1e-14)
-
-    def test_single_x_error_channel(self):
-        # rho -> (1-p) rho + p X rho X has f_I = f_X = 1, f_Y = f_Z = 1 - 2p.
-        p_err = 0.03
-
-        def fid(p):
-            if p.weight() == 0 or p.label() == "X":
-                return 1.0
-            return 1.0 - 2.0 * p_err
-
-        probs = walsh_hadamard(FidelityVector.from_function(1, fid))
-        assert probs[PauliString.from_label("X")] == pytest.approx(p_err, abs=1e-14)
-        assert probs[PauliString.from_label("I")] == pytest.approx(1 - p_err, abs=1e-14)
-        assert probs[PauliString.from_label("Y")] == pytest.approx(0.0, abs=1e-14)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(11)
-        for n in (1, 2, 3):
-            vals = 1.0 - 0.05 * rng.random(4**n)
-            vals[0] = 1.0
-            f = FidelityVector(n, tuple(vals))
-            back = inverse_walsh_hadamard(walsh_hadamard(f))
-            assert np.max(np.abs(back.as_array() - f.as_array())) < 1e-12
-
-    def test_incomplete_vector_rejected(self):
-        with pytest.raises(ValueError):
-            FidelityVector(2, (1.0, 0.9))
-
-    def test_qubit_guard(self):
-        with pytest.raises(ValueError):
-            walsh_hadamard(FidelityVector(13, tuple([1.0] * 4**13)))
+def error_probabilities(n, fid):
+    """p_alpha = 4^-n sum_beta f_beta (-1)^<alpha, beta> over all 4^n
+    strings: the dense reference transform from Pauli fidelities to the
+    channel's error probabilities, keyed by `PauliString.key()`."""
+    strings = [PauliString(n, x, z) for x in range(1 << n) for z in range(1 << n)]
+    f = np.array([fid(p) for p in strings])
+    signs = np.array([[(-1) ** symplectic_inner(a, b) for b in strings] for a in strings])
+    return {p.key(): float(v) for p, v in zip(strings, signs @ f / 4**n)}
 
 
 class TestSplChannelOracle:
@@ -201,7 +159,7 @@ class TestSplChannelOracle:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_probabilities_match_channel_composition(self, seed):
-        from cyclebench.spl import GeneratorSet
+        from cyclebench.spl import GeneratorSet, SplModel
         from cyclebench.topology import Topology
 
         n = 3
@@ -210,13 +168,7 @@ class TestSplChannelOracle:
         rng = np.random.default_rng(seed)
         lam = rng.uniform(0, 0.02, len(gens))
 
-        def fid(p):
-            total = 0.0
-            for g, l in zip(gens.strings, lam):
-                total += symplectic_inner(p, g) * l
-            return float(np.exp(-2.0 * total))
-
-        probs = walsh_hadamard(FidelityVector.from_function(n, fid))
+        probs = error_probabilities(n, SplModel("L", gens, lam).fidelity)
         # Oracle: compose single-generator channels as index convolutions.
         dist = {PauliString.identity(n).key(): 1.0}
         for g, l in zip(gens.strings, lam):
@@ -228,7 +180,7 @@ class TestSplChannelOracle:
                 nxt[key] = nxt.get(key, 0.0) + w * pr
                 nxt[flip.key()] = nxt.get(flip.key(), 0.0) + (1.0 - w) * pr
             dist = nxt
-        for p, v in probs.items():
-            assert v == pytest.approx(dist.get(p.key(), 0.0), abs=1e-12)
+        for key, v in probs.items():
+            assert v == pytest.approx(dist.get(key, 0.0), abs=1e-12)
             assert v >= -1e-12
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)

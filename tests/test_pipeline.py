@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -839,28 +841,47 @@ class TestRefinedLow:
             assert np.array_equal(refined[lab], lows[lab])
 
 
-def test_plan_fit_and_pec_paths_import_no_scipy():
-    # Importing scipy.linalg alone about doubles a fresh process's resident
-    # set; the plan, fit and PEC paths stay on numpy.
+def test_plan_fit_and_pec_paths_import_no_scipy(tmp_path):
+    # scipy is a test-only dependency: every command runs with it
+    # unimportable (importing scipy.linalg alone would also about double a
+    # fresh process's resident set).
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "topology": "square2x2",
+                "layers": "closed_squares",
+                "baseline": "unit_depth",
+                "models": 1,
+                "circuits": 5,
+                "j_layers": 4,
+                "weights": [2],
+                "out": str(tmp_path / "out"),
+            }
+        )
+    )
     code = textwrap.dedent(
         """
         import sys
-        from cyclebench import pec, pipeline
-        from cyclebench.topology import four_layer_config, square_lattice
-        topo = square_lattice(2, 2)
-        plan = pipeline.build_plan(topo, four_layer_config(topo, "closed_squares"))
-        pipeline.sweep_item(plan, 0, 0, 1e-4, 1e-3, "unit_depth")
-        pec.pec_sweep(plan, 1, 5, 4, (2,), 1e-4, 1e-3, "unit_depth", 0)
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        sys.modules["scipy"] = None
+        from cyclebench.cli import main
+        commands = ("generate-model", "learnability", "characterize", "fit", "pec")
+        print([main([command, "--config", sys.argv[1]]) for command in commands])
         """
     )
     src = str(Path(cyclebench.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(config)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]", out.stdout + out.stderr
+    # The declared runtime dependencies are numpy alone (read without
+    # tomllib, which Python 3.10 lacks).
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    names = [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in re.findall(r'"([^"]+)"', block)]
+    assert names == ["numpy"]
