@@ -1,120 +1,46 @@
 """Clifford layers (parallel CZ gates plus single-qubit Cliffords), their
-conjugation action on one signed Pauli string (`conjugate`) and on arrays
-of unsigned digits x + 2z (every propagation), and chain decomposition of
-CZ-only layer pairs."""
+conjugation action on one Pauli string (`conjugate`) and on arrays of
+digits x + 2z (every propagation), and chain decomposition of CZ-only layer
+pairs.
+
+Paulis are kept up to phase, so a single-qubit Clifford is its digit row:
+entry d is the digit of the image of digit d.  Cliffords that differ by a
+Pauli (S and Sdg, SX and SXdg, I and X, Y, Z) share a row.
+"""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import PauliString
 
-# Signed single-qubit Pauli as (sign, x, z).
-SignedPauli1q = tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class SingleQubitClifford:
-    """A single-qubit Clifford defined by its conjugation action on X and Z."""
-
-    name: str
-    x_image: SignedPauli1q
-    z_image: SignedPauli1q
-
-    def __post_init__(self):
-        # The images must anticommute, otherwise this is not a valid Clifford.
-        (_, xx, xz), (_, zx, zz) = self.x_image, self.z_image
-        if ((xx & zz) ^ (xz & zx)) != 1:
-            raise ValueError(f"images of X and Z must anticommute ({self.name})")
-
-    @functools.cached_property
-    def table(self) -> dict[tuple[int, int], SignedPauli1q]:
-        """Conjugation images of all four (x, z) single-qubit Paulis."""
-        tab = {(0, 0): (1, 0, 0), (1, 0): self.x_image, (0, 1): self.z_image}
-        # Y = iXZ, so U Y U^ = i (U X U^)(U Z U^); tracking the leftover
-        # power of i exactly keeps the result Hermitian.
-        sx, xx, xz = self.x_image
-        sz, zx, zz = self.z_image
-        x, z = xx ^ zx, xz ^ zz
-        k = ((xx & xz) + (zx & zz) + 2 * (xz & zx) - (x & z)) % 4
-        k = (k + 1) % 4  # extra factor i from Y = iXZ
-        if k % 2 != 0:
-            raise ValueError("image of Y is not Hermitian; invalid action")
-        tab[(1, 1)] = (sx * sz * (1 if k == 0 else -1), x, z)
-        return tab
-
-    def inverse(self) -> "SingleQubitClifford":
-        return _inverse_action(self.x_image, self.z_image)
-
-
-@functools.lru_cache(maxsize=None)
-def _inverse_action(x_image: SignedPauli1q, z_image: SignedPauli1q) -> SingleQubitClifford:
-    probe = SingleQubitClifford("_probe", x_image, z_image)
-    for cand in all_single_qubit_cliffords():
-        # cand is the inverse iff applying probe after cand fixes X and Z.
-        ok = True
-        for start in ((1, 1, 0), (1, 0, 1)):
-            s, x, z = cand.table[(start[1], start[2])]
-            s2, x2, z2 = probe.table[(x, z)]
-            if (s * s2, x2, z2) != start:
-                ok = False
-                break
-        if ok:
-            return cand
-    raise RuntimeError("no inverse found; catalog incomplete")
-
-
-_NAMED_ACTIONS = {
-    "I": ((1, 1, 0), (1, 0, 1)),
-    "S": ((1, 1, 1), (1, 0, 1)),
-    "Sdg": ((-1, 1, 1), (1, 0, 1)),
-    "SX": ((1, 1, 0), (-1, 1, 1)),
-    "SXdg": ((1, 1, 0), (1, 1, 1)),
-    "H": ((1, 0, 1), (1, 1, 0)),
-    "X": ((1, 1, 0), (-1, 0, 1)),
-    "Y": ((-1, 1, 0), (-1, 0, 1)),
-    "Z": ((-1, 1, 0), (1, 0, 1)),
+# The digit row of every named single-qubit gate.
+CATALOG: dict[str, tuple[int, int, int, int]] = {
+    "I": (0, 1, 2, 3),
+    "S": (0, 3, 2, 1),
+    "Sdg": (0, 3, 2, 1),
+    "SX": (0, 1, 3, 2),
+    "SXdg": (0, 1, 3, 2),
+    "H": (0, 2, 1, 3),
+    "X": (0, 1, 2, 3),
+    "Y": (0, 1, 2, 3),
+    "Z": (0, 1, 2, 3),
 }
 
-CATALOG: dict[str, SingleQubitClifford] = {
-    name: SingleQubitClifford(name, xi, zi) for name, (xi, zi) in _NAMED_ACTIONS.items()
-}
-
-
-@functools.lru_cache(maxsize=1)
-def all_single_qubit_cliffords() -> tuple[SingleQubitClifford, ...]:
-    """All 24 single-qubit Cliffords, identified by their Pauli action."""
-    named = {(g.x_image, g.z_image): g.name for g in CATALOG.values()}
-    out = []
-    letters = [(1, 0), (0, 1), (1, 1)]
-    idx = 0
-    for sx in (1, -1):
-        for lx in letters:
-            for sz in (1, -1):
-                for lz in letters:
-                    if ((lx[0] & lz[1]) ^ (lx[1] & lz[0])) != 1:
-                        continue
-                    xi, zi = (sx, *lx), (sz, *lz)
-                    name = named.get((xi, zi), f"C{idx}")
-                    out.append(SingleQubitClifford(name, xi, zi))
-                    idx += 1
-    assert len(out) == 24
-    return tuple(out)
-
-
-def _digit_images(gate: SingleQubitClifford) -> list[int]:
-    """The digit of each digit's image under `gate`, sign dropped."""
-    return [nx + 2 * nz for _, nx, nz in (gate.table[d & 1, d >> 1] for d in range(4))]
-
-
-# (24, 4) uint8: row g maps a digit x + 2z to that of its conjugation by
-# `all_single_qubit_cliffords()[g]` (SQ_DIGITS) or by its inverse
-# (SQ_INVERSE_DIGITS), sign dropped.
-SQ_DIGITS = np.array([_digit_images(g) for g in all_single_qubit_cliffords()], dtype=np.uint8)
+# (24, 4) uint8: row g is the digit row of single-qubit Clifford g
+# (SQ_DIGITS) or of its inverse (SQ_INVERSE_DIGITS).  The 24 Cliffords are
+# enumerated by (+/-, X image, +/-, Z image), the two images distinct; the
+# image of Y = iXZ is the product of the two.  Each row appears four times,
+# once per pair of phases; PEC circuits draw row indices, so this order
+# fixes their streams.
+SQ_DIGITS = np.array(
+    [(0, x, z, x ^ z) for _ in "+-" for x in (1, 2, 3) for _ in "+-" for z in (1, 2, 3) if x != z],
+    dtype=np.uint8,
+)
 SQ_INVERSE_DIGITS = np.argsort(SQ_DIGITS, axis=1).astype(np.uint8)
+_SQ_ROWS = frozenset(map(tuple, SQ_DIGITS.tolist()))
 
 
 def is_qubit(q, n: int) -> bool:
@@ -129,12 +55,13 @@ class CliffordLayer:
 
     The layer's unitary is (single-qubit part) o (CZ part): single-qubit
     gates act after the entangling gates, matching the interleaved-CB usage
-    where S gates are inserted after each execution of the CZ layer.
+    where S gates are inserted after each execution of the CZ layer.  Each
+    single-qubit gate is (qubit, digit row), the row one of `SQ_DIGITS`.
     """
 
     n: int
     cz_pairs: tuple[tuple[int, int], ...] = ()
-    sq_gates: tuple[tuple[int, SingleQubitClifford], ...] = ()
+    sq_gates: tuple[tuple[int, tuple[int, int, int, int]], ...] = ()
     label: str = ""
 
     def __post_init__(self):
@@ -144,6 +71,9 @@ class CliffordLayer:
         qubits = [q for q, _ in self.sq_gates]
         if len(set(qubits)) < len(qubits) or not all(is_qubit(q, self.n) for q in qubits):
             raise ValueError(f"sq_gates qubits {qubits} are not distinct integers in [0, {self.n})")
+        bad = [row for _, row in self.sq_gates if not isinstance(row, tuple) or row not in _SQ_ROWS]
+        if bad:
+            raise ValueError(f"sq_gates rows {bad} are not rows of SQ_DIGITS")
         pairs = tuple(sorted(tuple(sorted(p)) for p in self.cz_pairs))
         object.__setattr__(self, "cz_pairs", pairs)
         object.__setattr__(self, "sq_gates", tuple(sorted(self.sq_gates)))
@@ -164,11 +94,10 @@ class CliffordLayer:
         return not self.sq_gates
 
 
-def sq_layer(n: int, gates: dict[int, str | SingleQubitClifford], label: str = "") -> CliffordLayer:
-    """Convenience constructor for a single-qubit-only layer."""
-    resolved = tuple(
-        (q, CATALOG[g] if isinstance(g, str) else g) for q, g in gates.items()
-    )
+def sq_layer(n: int, gates: dict[int, str | tuple[int, ...]], label: str = "") -> CliffordLayer:
+    """Convenience constructor for a single-qubit-only layer: each gate is
+    a `CATALOG` name or a digit row."""
+    resolved = tuple((q, CATALOG[g] if isinstance(g, str) else g) for q, g in gates.items())
     return CliffordLayer(n, (), resolved, label)
 
 
@@ -178,37 +107,35 @@ def s_dressing(layer: CliffordLayer) -> CliffordLayer:
     return sq_layer(layer.n, {q: "S" for q in qs}, label=layer.label + "+S")
 
 
+def covering_layers(layers, n: int) -> list[list[int]]:
+    """Per qubit q of n, the indices of the layers whose support holds q,
+    in order."""
+    supports = [layer.support() for layer in layers]
+    return [[i for i, s in enumerate(supports) if q in s] for q in range(n)]
+
+
 def conjugate(layer: CliffordLayer, p: PauliString) -> PauliString:
     """U_C P U_C^dagger with the CZ part applied first, then the SQ part."""
     if p.n != layer.n:
         raise ValueError(f"dimension mismatch: {p.n} != {layer.n}")
-    x, z, sign = p.x_bits, p.z_bits, p.sign
+    x, z = p.x_bits, p.z_bits
     for a, b in layer.cz_pairs:
-        xa = (x >> a) & 1
-        xb = (x >> b) & 1
-        if xa & xb & (((z >> a) ^ (z >> b)) & 1):
-            sign = -sign
-        if xa:
+        if (x >> a) & 1:
             z ^= 1 << b
-        if xb:
+        if (x >> b) & 1:
             z ^= 1 << a
-    for q, gate in layer.sq_gates:
-        xq = (x >> q) & 1
-        zq = (z >> q) & 1
-        if not (xq | zq):
-            continue
-        s, nx, nz = gate.table[(xq, zq)]
-        sign *= s
-        x = (x & ~(1 << q)) | (nx << q)
-        z = (z & ~(1 << q)) | (nz << q)
-    return PauliString(p.n, x, z, sign)
+    for q, row in layer.sq_gates:
+        d = row[((x >> q) & 1) + 2 * ((z >> q) & 1)]
+        x = (x & ~(1 << q)) | ((d & 1) << q)
+        z = (z & ~(1 << q)) | ((d >> 1) << q)
+    return PauliString(p.n, x, z)
 
 
 def conjugate_inverse(layer: CliffordLayer, p: PauliString) -> PauliString:
     """U_C^dagger P U_C (the CZ part is self-inverse, SQ parts are inverted)."""
     if p.n != layer.n:
         raise ValueError(f"dimension mismatch: {p.n} != {layer.n}")
-    inv_sq = tuple((q, g.inverse()) for q, g in layer.sq_gates)
+    inv_sq = tuple((q, tuple(row.index(d) for d in range(4))) for q, row in layer.sq_gates)
     p = conjugate(CliffordLayer(layer.n, (), inv_sq), p)
     return conjugate(CliffordLayer(layer.n, layer.cz_pairs, ()), p)
 
@@ -242,8 +169,8 @@ def digit_orbits(
     # Per dressing, qubit and digit: the image under both single-qubit parts.
     tables = np.tile(np.arange(4, dtype=np.uint8), (len(dressings), layer.n, 1))
     for d, dressing in enumerate(dressings):
-        for q, gate in layer.sq_gates + (dressing.sq_gates if dressing else ()):
-            tables[d, q] = np.take(_digit_images(gate), tables[d, q])
+        for q, row in layer.sq_gates + (dressing.sq_gates if dressing else ()):
+            tables[d, q] = np.take(row, tables[d, q])
     # Flat index of (dressing d, qubit q, digit 0) for row d R + r.
     offsets = np.repeat(4 * np.arange(tables.size // 4).reshape(-1, layer.n), len(strings), axis=0)
     tables = tables.ravel()

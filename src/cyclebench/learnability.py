@@ -18,7 +18,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import exactla
-from .layers import Chain, CliffordLayer, conjugate, digit_orbits, s_dressing
+from .layers import Chain, CliffordLayer, conjugate, covering_layers, digit_orbits, s_dressing
 from .pauli import PauliString, digits, from_digits
 from .spl import GeneratorSet, SplModel
 from .topology import Topology
@@ -32,14 +32,14 @@ class FidelityFunction:
 
     @classmethod
     def product(cls, label: str, strings) -> "FidelityFunction":
-        return cls(tuple((label, s.unsigned(), Fraction(1)) for s in strings))
+        return cls(tuple((label, s, Fraction(1)) for s in strings))
 
     @classmethod
     def ratio(cls, num: tuple[str, PauliString], den: tuple[str, PauliString]) -> "FidelityFunction":
         return cls(
             (
-                (num[0], num[1].unsigned(), Fraction(1)),
-                (den[0], den[1].unsigned(), Fraction(-1)),
+                (num[0], num[1], Fraction(1)),
+                (den[0], den[1], Fraction(-1)),
             )
         )
 
@@ -324,7 +324,7 @@ def mlcb_targets(chain: Chain, n: int) -> list[MlcbTarget]:
         cur = prep
         period = None
         for m in range(1, 9):
-            cur = conjugate((la, lb)[(m - 1) % 2], cur).unsigned()
+            cur = conjugate((la, lb)[(m - 1) % 2], cur)
             seq.append(cur)
             if m % 2 == 0 and cur.key() == prep.key():
                 period = m
@@ -332,7 +332,7 @@ def mlcb_targets(chain: Chain, n: int) -> list[MlcbTarget]:
         if period is None:
             raise RuntimeError("alternating sequence did not close within 8 steps")
         terms = tuple(
-            ((first if m % 2 == 0 else second), seq[m].unsigned(), Fraction(1))
+            ((first if m % 2 == 0 else second), seq[m], Fraction(1))
             for m in range(period)
         )
         nb = chain.neighbors_via(q)
@@ -546,10 +546,8 @@ def mlcb_recovery(
     l_q - 1 consecutive ratios of every covered qubit measurable, which is
     all of them: the remaining pairings are products of consecutive ones.
     """
-    supports = [layer.support() for layer in layers]
-    out = {}
-    for q in range(topology.n):
-        l_q = sum(q in s for s in supports)
-        if l_q:
-            out[q] = (l_q, l_q - 1)
-    return out
+    return {
+        q: (len(covering), len(covering) - 1)
+        for q, covering in enumerate(covering_layers(layers, topology.n))
+        if covering
+    }

@@ -16,19 +16,16 @@ _HEX_DIGIT_TO_CHAR = str.maketrans("0123", "IXZY")
 
 @dataclass(frozen=True)
 class PauliString:
-    """An n-qubit Pauli operator with a +/-1 sign.
+    """An n-qubit Pauli operator up to phase.
 
-    Only signs (never factors of i) survive the operations used here:
-    Clifford conjugation maps a Hermitian Pauli to +/- another Hermitian
-    Pauli.  Products of two Paulis can pick up +/-i; `multiply` folds those
-    to the sign of the imaginary part (i -> +1, -i -> -1), which is
-    documented rather than meaningful -- every fidelity lookup is unsigned.
+    A Pauli fidelity does not depend on the operator's phase, so none is
+    kept: Clifford conjugation maps a Pauli to another up to phase, and the
+    product of two Paulis is, up to phase, the XOR of their masks.
     """
 
     n: int
     x_bits: int
     z_bits: int
-    sign: int = 1
 
     def __post_init__(self):
         if self.n < 0:
@@ -36,15 +33,13 @@ class PauliString:
         mask = (1 << self.n) - 1
         if self.x_bits & ~mask or self.z_bits & ~mask:
             raise ValueError("bit mask exceeds qubit count")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
         return cls(n, 0, 0)
 
     @classmethod
-    def from_label(cls, label: str, sign: int = 1) -> "PauliString":
+    def from_label(cls, label: str) -> "PauliString":
         x = z = 0
         for q, c in enumerate(label):
             try:
@@ -53,7 +48,7 @@ class PauliString:
                 raise ValueError(f"invalid Pauli character {c!r}") from None
             x |= xb << q
             z |= zb << q
-        return cls(len(label), x, z, sign)
+        return cls(len(label), x, z)
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliString":
@@ -68,9 +63,6 @@ class PauliString:
         spread = int(format(self.x_bits, "b"), 16) + 2 * int(format(self.z_bits, "b"), 16)
         return format(spread, f"0{self.n}x")[::-1][: self.n].translate(_HEX_DIGIT_TO_CHAR)
 
-    def __str__(self) -> str:
-        return ("-" if self.sign < 0 else "") + self.label()
-
     def weight(self) -> int:
         return (self.x_bits | self.z_bits).bit_count()
 
@@ -78,19 +70,13 @@ class PauliString:
         m = self.x_bits | self.z_bits
         return tuple(q for q in range(self.n) if (m >> q) & 1)
 
-    def unsigned(self) -> "PauliString":
-        return self if self.sign == 1 else PauliString(self.n, self.x_bits, self.z_bits)
-
     def key(self) -> tuple[int, int]:
-        """Sign-free hashable key used for fidelity indexing."""
+        """Hashable key used for fidelity indexing."""
         return (self.x_bits, self.z_bits)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
 
 
 def digits(strings, n: int) -> np.ndarray:
-    """(len(strings), n) uint8 digits x + 2z per qubit, signs dropped."""
+    """(len(strings), n) uint8 digits x + 2z per qubit."""
     nbytes = (n + 7) // 8
 
     def bits(masks):
@@ -101,31 +87,10 @@ def digits(strings, n: int) -> np.ndarray:
 
 
 def from_digits(rows: np.ndarray, n: int) -> list[PauliString]:
-    """The unsigned strings of (R, n) digit rows; inverse of `digits`."""
+    """The strings of (R, n) digit rows; inverse of `digits`."""
     xs, zs = (np.packbits(bits, axis=1, bitorder="little") for bits in (rows & 1, rows >> 1))
     return [
         PauliString(n, int.from_bytes(x.tobytes(), "little"), int.from_bytes(z.tobytes(), "little"))
         for x, z in zip(xs, zs)
     ]
 
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Signed product a*b; the unsigned part is the XOR of the bit masks.
-
-    Phases +/-i are folded onto the sign of their imaginary part, e.g.
-    X*Z = -iY becomes Y with sign -1.
-    """
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} != {b.n}")
-    x = a.x_bits ^ b.x_bits
-    z = a.z_bits ^ b.z_bits
-    # P = i^{|x&z|} X^x Z^z; collect the power of i left over after
-    # reordering X^xa Z^za X^xb Z^zb into canonical form.
-    k = (
-        (a.x_bits & a.z_bits).bit_count()
-        + (b.x_bits & b.z_bits).bit_count()
-        + 2 * (a.z_bits & b.x_bits).bit_count()
-        - (x & z).bit_count()
-    ) % 4
-    sign = a.sign * b.sign * (1 if k in (0, 1) else -1)
-    return PauliString(a.n, x, z, sign)

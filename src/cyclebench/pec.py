@@ -4,12 +4,12 @@ ratio of exact to reconstructed fidelities.
 
 A batch of C circuits of J composite layers on n qubits is a set of arrays
 (`CircuitBatch`), and all circuits propagate together: strings are (C, n)
-uint8 digits x + 2z per qubit, without signs, since every fidelity lookup
-is unsigned.  Only the string each circuit ends in is drawn; one backward
-pass over the steps pulls it back through the circuit and yields the string
-entering every step.  The log fidelity ratio of a step is then a sum of
-lookups in per-site tables built once per call, one site per generator
-support (a qubit or an edge), indexed by the string's digits there.
+uint8 digits x + 2z per qubit.  Only the string each circuit ends in is
+drawn; one backward pass over the steps pulls it back through the circuit
+and yields the string entering every step.  The log fidelity ratio of a
+step is then a sum of lookups in per-site tables built once per call, one
+site per generator support (a qubit or an edge), indexed by the string's
+digits there.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import SQ_INVERSE_DIGITS, CliffordLayer, all_single_qubit_cliffords, cz_partners
+from .layers import SQ_DIGITS, SQ_INVERSE_DIGITS, CliffordLayer, cz_partners
 from .pipeline import CharacterizationPlan, sweep_item
 from .spl import GeneratorSet, SplModel
 
@@ -50,10 +50,10 @@ class CircuitBatch:
     """C random circuits of J composite layers on n qubits.
 
     Step j of circuit c is the CZ gates of base layer `layers[base[c, j]]`
-    followed by the single-qubit Clifford
-    `all_single_qubit_cliffords()[gates[c, j, q]]` on every qubit q (the base
-    layers' own single-qubit gates are not part of the circuit).  `final[c]`
-    is the string circuit c's observable ends as, one digit x + 2z per qubit.
+    followed by the single-qubit Clifford of row `gates[c, j, q]` of
+    `layers.SQ_DIGITS` on every qubit q (the base layers' own single-qubit
+    gates are not part of the circuit).  `final[c]` is the string circuit
+    c's observable ends as, one digit x + 2z per qubit.
     """
 
     layers: tuple[CliffordLayer, ...]
@@ -329,7 +329,7 @@ def sample_circuit(
         raise ValueError("circuit needs at least one layer")
     states = _start_states(master_seed, keys)
     m = len(states)
-    n_layers, n_gates = len(labels), len(all_single_qubit_cliffords())
+    n_layers, n_gates = len(labels), len(SQ_DIGITS)
     bound = math.lcm(n_layers, n_gates)
     draws = np.zeros((m, j_layers, n + 1), dtype=np.min_scalar_type(bound - 1))
     final = np.zeros((m, n), dtype=np.uint8)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import RankDeficientError, distance_metrics, nnls, refine_unlearnable
-from .layers import CliffordLayer, chain_decomposition, cz_partners
+from .layers import CliffordLayer, chain_decomposition, covering_layers, cz_partners
 from .learnability import (
     LearnableProduct,
     MuExpression,
@@ -145,8 +145,7 @@ def build_plan(
         )
     low_clusters = []
     partner, _ = cz_partners(layers, topology.n)
-    for q in range(topology.n):
-        covering = [i for i, layer in enumerate(layers) if q in layer.support()]
+    for q, covering in enumerate(covering_layers(layers, topology.n)):
         if len(covering) > 1:
             low_clusters.append((
                 q,
@@ -235,12 +234,10 @@ def covering_pairs(topology: Topology, layers: list[CliffordLayer]):
     is covering-consecutive for some qubit is scheduled.  Returns the pair
     list and the wanted (qubit, pair) combinations.
     """
-    supports = [layer.support() for layer in layers]
     labels = [layer.label for layer in layers]
     pairs: list[tuple[str, str]] = []
     wanted: set[tuple[int, tuple[str, str]]] = set()
-    for q in range(topology.n):
-        covering = [i for i, s in enumerate(supports) if q in s]
+    for q, covering in enumerate(covering_layers(layers, topology.n)):
         for a, b in zip(covering, covering[1:]):
             pair = (labels[a], labels[b])
             if pair not in pairs:

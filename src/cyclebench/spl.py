@@ -37,9 +37,6 @@ class GeneratorSet:
     def __post_init__(self):
         if self.strings is None:
             object.__setattr__(self, "strings", self._build())
-        object.__setattr__(
-            self, "_index", {p.key(): i for i, p in enumerate(self.strings)}
-        )
         object.__setattr__(self, "_activity", {})
 
     def _build(self) -> tuple[PauliString, ...]:
@@ -53,14 +50,11 @@ class GeneratorSet:
                 for lb in _LETTERS:
                     pa = PauliString.single(n, a, la)
                     pb = PauliString.single(n, b, lb)
-                    out.append((pa * pb).unsigned())
+                    out.append(PauliString(n, pa.x_bits | pb.x_bits, pa.z_bits | pb.z_bits))
         return tuple(out)
 
     def __len__(self) -> int:
         return len(self.strings)
-
-    def index(self, p: PauliString) -> int:
-        return self._index[p.key()]
 
     def overlaps(self, alpha: PauliString) -> np.ndarray:
         """Vector of symplectic products <alpha, kappa> over the whole set."""

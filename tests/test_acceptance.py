@@ -72,7 +72,7 @@ class TestCriterion1ConjugationFixtures:
                 bad.append((label, got, expect))
         for label, expect in zip(self.PAULIS, self.CZ_S_IMAGES):
             got = conjugate(dressed, conjugate(cz, PauliString.from_label(label)))
-            if got.unsigned().label() != expect:
+            if got.label() != expect:
                 bad.append((label, got.label(), expect))
         report(1, not bad, f"30/30 conjugation table entries exact (mismatches: {bad})")
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -874,6 +875,41 @@ class TestErrors:
         path, _ = write_config(tmp_path, topology="square2x2", layers=self.SQ_LAYERS)
         assert main(["generate-model", "--config", str(path)]) == 0
         assert (tmp_path / "out" / "model_A.json").exists()
+
+    # Named single-qubit gates in layers that share no qubit with another
+    # layer: one without CZ gates, one beside a CZ.  The plan commands run;
+    # no low-accuracy row constrains the gated qubits' other directions.
+    ISOLATED_SQ = dict(
+        topology="square3x3",
+        layers=[
+            {"label": "A", "cz": [[0, 1]]},
+            {"label": "B", "cz": [[1, 2]]},
+            {"label": "C", "sq": {"3": "H", "4": "SX", "5": "Sdg"}},
+            {"label": "D", "cz": [[6, 7]], "sq": {"8": "S"}},
+        ],
+    )
+
+    def test_isolated_sq_layers_outputs_pinned(self, tmp_path):
+        # The existing pinned digests cover CZ-only plans; these fix the
+        # report and the records of plans with single-qubit gates.
+        path, _ = write_config(tmp_path, **self.ISOLATED_SQ)
+        assert main(["learnability", "--config", str(path)]) == 0
+        assert main(["characterize", "--config", str(path)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("learnability.json", "records.json")
+        }
+        assert digests == {
+            "learnability.json": "9721cf74b60266266bcdc635a9aafd1d2cb3edfab4f2fb74f8e8c3613b5287d1",
+            "records.json": "59e8c49a9f6d56b4fd9160daff35af72d630a20a3f8b2ca48634e8560c9f6b27",
+        }
+
+    def test_isolated_sq_layers_fit_rank_deficient(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, **self.ISOLATED_SQ)
+        assert main(["fit", "--config", str(path)]) == EXIT_RANK
+        err = capsys.readouterr().err
+        assert err.startswith("rank deficiency: layer 'C'") and err.count("\n") == 1
+        assert "layer 'D'" in err
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize(

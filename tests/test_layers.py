@@ -9,10 +9,10 @@ from cyclebench.layers import (
     SQ_DIGITS,
     SQ_INVERSE_DIGITS,
     CliffordLayer,
-    all_single_qubit_cliffords,
     chain_decomposition,
     conjugate,
     conjugate_inverse,
+    covering_layers,
     cz_partners,
     digit_orbits,
     s_dressing,
@@ -20,7 +20,7 @@ from cyclebench.layers import (
 )
 from cyclebench.pauli import PauliString, digits, from_digits
 
-from test_pauli import pauli_matrix, symplectic_inner
+from test_pauli import pauli_matrix, proportional, symplectic_inner
 
 # Conjugation of the fifteen non-trivial two-qubit Paulis under a single CZ
 # and under CZ followed by S on both qubits.
@@ -30,6 +30,9 @@ CZ_S_IMAGES = "ZY ZX IZ YZ XX XY YI XZ YX YY XI ZI IY IX ZZ".split()
 
 CZ = CliffordLayer(2, ((0, 1),), (), "C")
 CZ_S = CliffordLayer(2, ((0, 1),), tuple((q, CATALOG["S"]) for q in (0, 1)), "C+S")
+
+# Every digit row, as `CliffordLayer.sq_gates` holds it.
+GROUP = [tuple(row) for row in SQ_DIGITS.tolist()]
 
 
 class TestConjugationFixtures:
@@ -45,17 +48,33 @@ class TestConjugationFixtures:
     def test_identity_fixed(self):
         assert conjugate(CZ, PauliString.identity(2)).weight() == 0
 
-    def test_signs_match_matrix_conjugation(self):
-        czm = np.diag([1, 1, 1, -1]).astype(complex)
-        for label in PAULIS2:
-            got = conjugate(CZ, PauliString.from_label(label))
-            expect = czm @ pauli_matrix(label) @ czm.conj().T
-            assert np.allclose(expect, got.sign * pauli_matrix(got.label()))
+    def test_tables_match_matrix_conjugation(self):
+        # Both tables above, up to phase, against the layers' unitaries.
+        cz = np.diag([1, 1, 1, -1]).astype(complex)
+        s = np.diag([1, 1j])
+        for layer, u in ((CZ, cz), (CZ_S, np.kron(s, s) @ cz)):
+            for label in PAULIS2:
+                got = conjugate(layer, PauliString.from_label(label))
+                assert proportional(u @ pauli_matrix(label) @ u.conj().T, got.label()), layer.label
 
 
 class TestSingleQubitCatalog:
     def test_group_size(self):
-        assert len(all_single_qubit_cliffords()) == 24
+        # Each of the six permutations of X, Y, Z, four times.
+        assert SQ_DIGITS.shape == (24, 4) and SQ_DIGITS.dtype == np.uint8
+        assert sorted(set(GROUP)) == [(0, *p) for p in itertools.permutations((1, 2, 3))]
+        assert all(GROUP.count(row) == 4 for row in GROUP)
+
+    def test_rows_pinned(self):
+        # PEC circuits draw row indices, so this order fixes their streams.
+        assert SQ_DIGITS.tolist() == [
+            [0, 1, 2, 3], [0, 1, 3, 2], [0, 1, 2, 3], [0, 1, 3, 2],
+            [0, 2, 1, 3], [0, 2, 3, 1], [0, 2, 1, 3], [0, 2, 3, 1],
+            [0, 3, 1, 2], [0, 3, 2, 1], [0, 3, 1, 2], [0, 3, 2, 1],
+            [0, 1, 2, 3], [0, 1, 3, 2], [0, 1, 2, 3], [0, 1, 3, 2],
+            [0, 2, 1, 3], [0, 2, 3, 1], [0, 2, 1, 3], [0, 2, 3, 1],
+            [0, 3, 1, 2], [0, 3, 2, 1], [0, 3, 1, 2], [0, 3, 2, 1],
+        ]
 
     def test_actions_match_matrices(self):
         sx = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
@@ -70,29 +89,29 @@ class TestSingleQubitCatalog:
             "Y": pauli_matrix("Y"),
             "Z": pauli_matrix("Z"),
         }
+        assert set(mats) == set(CATALOG)
         for name, u in mats.items():
             layer = sq_layer(1, {0: name})
             for label in "XYZ":
                 got = conjugate(layer, PauliString.from_label(label))
-                expect = u @ pauli_matrix(label) @ u.conj().T
-                assert np.allclose(expect, got.sign * pauli_matrix(got.label())), name
+                assert proportional(u @ pauli_matrix(label) @ u.conj().T, got.label()), name
 
     def test_inverse(self):
-        for g in all_single_qubit_cliffords():
-            inv = g.inverse()
-            fwd = sq_layer(1, {0: g})
-            back = sq_layer(1, {0: inv})
+        # Row g of SQ_INVERSE_DIGITS undoes row g, and `conjugate_inverse`
+        # inverts each row the same way.
+        for row, inverse in zip(GROUP, SQ_INVERSE_DIGITS.tolist()):
+            fwd = sq_layer(1, {0: row})
+            back = sq_layer(1, {0: tuple(inverse)})
             for label in "XYZ":
                 p = PauliString.from_label(label)
-                q = conjugate(back, conjugate(fwd, p))
-                assert q.key() == p.key() and q.sign == p.sign
+                assert conjugate(back, conjugate(fwd, p)) == p
+                assert conjugate(back, p) == conjugate_inverse(fwd, p)
 
     def test_conjugate_inverse_roundtrip(self):
         rng = np.random.default_rng(5)
-        group = all_single_qubit_cliffords()
         layer = CliffordLayer(
             4, ((0, 1), (2, 3)),
-            tuple((q, group[rng.integers(24)]) for q in range(4)), "L",
+            tuple((q, GROUP[rng.integers(24)]) for q in range(4)), "L",
         )
         for _ in range(50):
             p = PauliString(4, int(rng.integers(16)), int(rng.integers(16)))
@@ -120,6 +139,14 @@ class TestLayerValidation:
         with pytest.raises(ValueError, match=match):
             CliffordLayer(3, cz, sq)
 
+    @pytest.mark.parametrize(
+        "row", [(0, 1, 1, 3), (1, 0, 2, 3), (0, 1, 2), [0, 1, 2, 3], "H", 5],
+        ids=["not_a_permutation", "moves_identity", "short", "list", "name", "int"],
+    )
+    def test_non_clifford_row_rejected(self, row):
+        with pytest.raises(ValueError, match=r"sq_gates rows .* are not rows of SQ_DIGITS"):
+            CliffordLayer(3, (), ((1, CATALOG["H"]), (2, row)))
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             CliffordLayer(2, ((0, 2),))
@@ -130,27 +157,27 @@ class TestLayerValidation:
 
 
 def orbit(layer, p, dressing=None):
-    """The unsigned strings of p's orbit, in visit order, from `digit_orbits`."""
+    """The strings of p's orbit, in visit order, from `digit_orbits`."""
     path, length = digit_orbits(layer, digits([p], layer.n), (dressing,))
     return from_digits(path[: length[0], 0], layer.n)
 
 
 def reference_orbit(layer, p, dressing=None):
     """The same orbit from repeated `conjugate` calls."""
-    out = [p.unsigned()]
+    out = [p]
     while True:
         cur = conjugate(layer, out[-1])
         if dressing is not None:
             cur = conjugate(dressing, cur)
-        if cur.key() == out[0].key():
+        if cur == out[0]:
             return out
-        out.append(cur.unsigned())
+        out.append(cur)
 
 
 class TestDigitTables:
     def test_tables_match_conjugate(self):
-        for g, gate in enumerate(all_single_qubit_cliffords()):
-            layer = sq_layer(1, {0: gate})
+        for g, row in enumerate(GROUP):
+            layer = sq_layer(1, {0: row})
             for d in range(4):
                 image = conjugate(layer, PauliString(1, d & 1, d >> 1))
                 assert SQ_DIGITS[g, d] == image.x_bits + 2 * image.z_bits
@@ -169,7 +196,7 @@ class TestDigitTables:
         (partner,), (paired,) = cz_partners([layer], 8)
         p = digits([PauliString(8, x, z)], 8)
         got = from_digits(p ^ ((p[:, partner] << 1) & paired), 8)[0]
-        assert got == conjugate(layer, PauliString(8, x, z)).unsigned()
+        assert got == conjugate(layer, PauliString(8, x, z))
 
 
 class TestOrbits:
@@ -222,13 +249,13 @@ class TestOrbits:
     @given(st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=30)
     def test_dressed_orbit_size_divides_order(self, x, z):
-        # The S-dressed CZ acts with order 4 on unsigned strings.
+        # The S-dressed CZ acts with order 4 on strings up to phase.
         dressed = s_dressing(CZ)
-        p = PauliString(2, x, z).unsigned()
+        p = PauliString(2, x, z)
         cur, order = p, 0
         for m in range(1, 5):
-            cur = conjugate(dressed, conjugate(CZ, cur)).unsigned()
-            if cur.key() == p.key():
+            cur = conjugate(dressed, conjugate(CZ, cur))
+            if cur == p:
                 order = m
                 break
         assert order and 4 % order == 0
@@ -274,10 +301,18 @@ class TestAlternatingConjugation:
     def test_cz_layers_are_four_periodic(self, x, z, m):
         b = CliffordLayer(6, ((0, 1), (2, 3), (4, 5)), (), "B")
         g = CliffordLayer(6, ((1, 2), (3, 4)), (), "G")
-        p = PauliString(6, x, z).unsigned()
-        a = alternate([b, g], p, m).unsigned()
-        b4 = alternate([b, g], p, m + 4).unsigned()
-        assert a.key() == b4.key()
+        p = PauliString(6, x, z)
+        assert alternate([b, g], p, m) == alternate([b, g], p, m + 4)
+
+
+class TestCoveringLayers:
+    def test_indices_per_qubit_in_order(self):
+        layers = [
+            CliffordLayer(5, ((0, 1),)),
+            sq_layer(5, {3: "H"}),
+            CliffordLayer(5, ((1, 2),), ((0, CATALOG["S"]),)),
+        ]
+        assert covering_layers(layers, 5) == [[0, 2], [0, 2], [2], [1], []]
 
 
 class TestChainDecomposition:

@@ -50,7 +50,7 @@ def reference_orbit_learnables(layer, gens):
                     cur = conjugate(dressing, cur)
                 if cur.key() == alpha.key():
                     break
-                orbit.append(cur.unsigned())
+                orbit.append(cur)
             prod = LearnableProduct(
                 layer.label,
                 tuple(sorted(orbit, key=lambda p: p.key())),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebench import pec
-from cyclebench.layers import CliffordLayer, all_single_qubit_cliffords, conjugate
+from cyclebench.layers import SQ_DIGITS, CliffordLayer, conjugate
 from cyclebench.pauli import PauliString
 from cyclebench.pec import (
     CircuitBatch,
@@ -22,8 +22,8 @@ from cyclebench.pipeline import build_plan, characterize_and_fit, generate_model
 from cyclebench.spl import GeneratorSet, SplModel, random_model
 from cyclebench.topology import Topology, four_layer_config, square_lattice
 
-GROUP = all_single_qubit_cliffords()
-IDENTITY = next(i for i, g in enumerate(GROUP) if g.name == "I")
+GROUP = [tuple(row) for row in SQ_DIGITS.tolist()]
+IDENTITY = GROUP.index((0, 1, 2, 3))
 
 
 @pytest.fixture(scope="module")
@@ -334,7 +334,7 @@ class TestPecObservable:
             np.testing.assert_allclose(log_o, ref, rtol=0, atol=1e-12)
             if setup == "shuffled":
                 # The rates permuted with the strings give the same observable.
-                where = [gens.index(p) for p in plain_gens.strings]
+                where = [gens.strings.index(p) for p in plain_gens.strings]
                 plain_fits = [{lab: r[where] for lab, r in fit.items()} for fit in fits]
                 plain = pec_observable(plain_models, plain_fits, batch, plain_gens)
                 np.testing.assert_allclose(log_o, np.log(plain), rtol=0, atol=1e-12)
@@ -355,7 +355,7 @@ class TestSampleCircuit:
             p = pauli(beta0[c])
             for j in range(40):
                 p = conjugate(step_layer(batch, c, j), p)
-            assert p.unsigned() == pauli(batch.final[c])
+            assert p == pauli(batch.final[c])
 
     def test_deterministic_under_seed(self):
         a = sample_circuit(self.layers, 10, 5, 0, [3])
@@ -517,7 +517,7 @@ def test_batched_propagation_matches_conjugate(spec, j_layers, data, seed):
         p = pauli(steps[0][c])
         for j in range(j_layers):
             assert np.array_equal(digits(p), steps[j][c])
-            p = conjugate(step_layer(batch, c, j), p).unsigned()
+            p = conjugate(step_layer(batch, c, j), p)
         assert np.array_equal(digits(p), batch.final[c])
 
 

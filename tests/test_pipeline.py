@@ -703,7 +703,7 @@ def cz_models(plan, **rates):
     gens = plan.generators
     lam = np.zeros(len(gens))
     for label, rate in rates.items():
-        lam[gens.index(PauliString.from_label(label))] = rate
+        lam[gens.strings.index(PauliString.from_label(label))] = rate
     return {lab: SplModel(lab, gens, lam) for lab in plan.labels}
 
 
@@ -803,7 +803,7 @@ class TestLinePlan:
         # fits recover the truth under the symmetry baseline.
         gens = line_plan.generators
         lam = np.zeros(len(gens))
-        lam[gens.index(PauliString.from_label("ZZI"))] = 2e-3
+        lam[gens.strings.index(PauliString.from_label("ZZI"))] = 2e-3
         models = {lab: SplModel(lab, gens, lam) for lab in ("B", "G")}
         res = characterize_and_fit(line_plan, models, 0.0, 0.0, "symmetry", model_rng(0, 0))
         for fitted in res.fitted.values():

@@ -75,7 +75,7 @@ class TestFidelity:
         topo = Topology(1, ())
         gens = GeneratorSet(topo)
         lam = np.zeros(3)
-        lam[gens.index(PauliString.from_label("X"))] = 0.07
+        lam[gens.strings.index(PauliString.from_label("X"))] = 0.07
         model = SplModel("L", gens, lam)
         assert model.fidelity(PauliString.from_label("Z")) == pytest.approx(np.exp(-0.14))
         assert model.fidelity(PauliString.from_label("Y")) == pytest.approx(np.exp(-0.14))
