@@ -149,9 +149,9 @@ def cz_partners(layers, n: int) -> tuple[np.ndarray, np.ndarray]:
     partner = np.tile(np.arange(n), (len(layers), 1))
     paired = np.zeros((len(layers), n), dtype=np.uint8)
     for i, layer in enumerate(layers):
-        for a, b in layer.cz_pairs:
-            partner[i, a], partner[i, b] = b, a
-            paired[i, [a, b]] = 2
+        pairs = np.array(layer.cz_pairs, dtype=np.intp).reshape(-1, 2)
+        partner[i, pairs] = pairs[:, ::-1]
+        paired[i, pairs] = 2
     return partner, paired
 
 

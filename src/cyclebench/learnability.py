@@ -10,6 +10,7 @@ measured multi-layer product plus learnable terms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,8 +110,11 @@ class LearnableProduct:
     def function(self) -> FidelityFunction:
         return FidelityFunction.product(self.label, self.strings)
 
-    def key(self):
-        return (self.label, frozenset(p.key() for p in self.strings))
+    @functools.cached_property
+    def key(self) -> tuple[str, frozenset[PauliString]]:
+        """(label, frozenset of the strings), equal for equal products;
+        computed once per product."""
+        return (self.label, frozenset(self.strings))
 
 
 def orbit_learnables(layer: CliffordLayer, generators: GeneratorSet) -> list[LearnableProduct]:
@@ -467,7 +471,7 @@ def mu_expression(
     terms: dict = {}
     for sgn, cert in zip((Fraction(1), Fraction(-1)), gcerts):
         for prod, coeff in zip(cert.basis_products, cert.sigma):
-            k2 = prod.key()
+            k2 = prod.key
             if k2 in terms:
                 terms[k2] = (terms[k2][0], terms[k2][1] + sgn * coeff)
             else:

@@ -3,17 +3,19 @@ propagate a Pauli observable through composite layers and accumulate the
 ratio of exact to reconstructed fidelities.
 
 A batch of C circuits of J composite layers on n qubits is a set of arrays
-(`CircuitBatch`), and all circuits propagate together: strings are (C, n)
-uint8 digits x + 2z per qubit.  Only the string each circuit ends in is
+(`CircuitBatch`), and all circuits propagate together: strings are (n, C)
+uint8 digits x + 2z, qubit-major.  Only the string each circuit ends in is
 drawn; one backward pass over the steps pulls it back through the circuit
 and yields the string entering every step.  The log fidelity ratio of a
-step is then a sum of lookups in per-site tables built once per call, one
-site per generator support (a qubit or an edge), indexed by the string's
-digits there.
+step is then a sum of lookups in per-site tables built once per pass, one
+site per edge (each qubit's generators folded into one of its edges),
+indexed by the string's digits there.  A model's weights share passes of
+at most `MAX_CIRCUITS` circuits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -28,8 +30,9 @@ from .spl import GeneratorSet, SplModel
 # only while ci < MAX_CIRCUITS and W < MAX_KEY_WEIGHT.
 MAX_CIRCUITS = 1000
 MAX_KEY_WEIGHT = 100
-# A PEC batch holds one byte per circuit, step and qubit; this keeps a
-# 1000-circuit batch on garnet20 at 20 MB (the paper's circuits have 40).
+# A PEC pass holds one byte per circuit, step and qubit for at most
+# MAX_CIRCUITS circuits; this keeps a pass on garnet20 at 20 MB (the
+# paper's circuits have 40).
 MAX_J_LAYERS = 1000
 
 
@@ -53,7 +56,9 @@ class CircuitBatch:
     followed by the single-qubit Clifford of row `gates[c, j, q]` of
     `layers.SQ_DIGITS` on every qubit q (the base layers' own single-qubit
     gates are not part of the circuit).  `final[c]` is the string circuit
-    c's observable ends as, one digit x + 2z per qubit.
+    c's observable ends as, one digit x + 2z per qubit.  `concatenate`
+    stores the gates qubit-major, as a (C, J, n) view of a (J, n, C)
+    array, the order `strings` reads them in.
     """
 
     layers: tuple[CliffordLayer, ...]
@@ -61,26 +66,49 @@ class CircuitBatch:
     gates: np.ndarray  # (C, J, n) uint8, not necessarily contiguous
     final: np.ndarray  # (C, n) uint8
 
+    @classmethod
+    def concatenate(cls, batches: Sequence["CircuitBatch"]) -> "CircuitBatch":
+        """The circuits of `batches` (same layers, same J), in order."""
+        j_layers, n = batches[0].gates.shape[1:]
+        gates = np.empty((j_layers, n, sum(len(b.final) for b in batches)), dtype=np.uint8)
+        start = 0
+        for b in batches:
+            gates[:, :, start : start + len(b.final)] = b.gates.transpose(1, 2, 0)
+            start += len(b.final)
+        return cls(
+            batches[0].layers,
+            np.concatenate([b.base for b in batches]),
+            gates.transpose(2, 0, 1),
+            np.concatenate([b.final for b in batches]),
+        )
+
     def strings(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(j, the (C, n) strings entering step j), for j = J-1 down to 0.
+        """(j, the (n, C) strings entering step j), for j = J-1 down to 0:
+        qubit-major, row q holding every circuit's digit on qubit q.
 
         Each step undoes the single-qubit part and then the self-inverse CZ
-        part, z_q ^= x_partner(q) on every paired qubit, each as one flat
-        `take`: the gates are stored once per batch as 4 g in (J, C, n)
-        order, so 4 g + digit indexes the flattened
-        `layers.SQ_INVERSE_DIGITS`, and the partner digits of
-        `layers.cz_partners` are read at flat indices c n + partner(q).
+        part, z_q ^= x_partner(q) on every paired qubit.  The gates are laid
+        out once per batch as 4 g in (J, n, C) order, so 4 g | digit indexes
+        the flattened `layers.SQ_INVERSE_DIGITS` in one `take`.  For the CZ
+        part, each step stacks the x bits, moved to z, in rows (q, layer)
+        by `layers.cz_partners` (a zero row where q has no partner), and
+        every circuit reads its base layer's column block: one `take` along
+        the circuit axis.
         """
         c_count, n = self.final.shape
+        n_layers = len(self.layers)
         partner, paired = cz_partners(self.layers, n)
-        g4 = np.ascontiguousarray(self.gates.transpose(1, 0, 2)) << 2  # at most 92
-        row_offsets = np.arange(0, c_count * n, n)[:, None]
+        stack_rows = np.where(paired, partner, n).T.ravel()
+        g4 = np.multiply(self.gates.transpose(1, 2, 0), 4, order="C")  # at most 92
+        columns = np.ascontiguousarray(self.base.T) * c_count + np.arange(c_count)
+        x2 = np.zeros((n + 1, c_count), dtype=np.uint8)
         sq_inverse = SQ_INVERSE_DIGITS.ravel()
-        p = self.final
+        p = np.ascontiguousarray(self.final.T)
         for j in range(self.base.shape[1] - 1, -1, -1):
             p = sq_inverse.take(g4[j] | p)
-            b = self.base[:, j]
-            p = p ^ ((p.take(partner[b] + row_offsets) << 1) & paired[b])
+            np.bitwise_and(np.add(p, p, out=x2[:n]), 2, out=x2[:n])  # x moved to z
+            stack = x2.take(stack_rows, axis=0).reshape(n, n_layers * c_count)
+            p ^= stack.take(columns[j], axis=1)
             yield j, p
 
 
@@ -96,17 +124,21 @@ def pec_observable(
     no role.
 
     Every generator acts on at most two qubits, so a step's log ratio is a
-    sum over the S sites of `generators.site_tables` of a value fixed by the
+    sum over the S sites of `generators.site_tables` (the edges, each
+    qubit's terms folded into one of its edges) of a value fixed by the
     string's two digits there.  One table per call holds these values for
-    every base layer l, site s, site code and fit f,
-    T[l, s, code, f] = -2 sum_{k in s} ov16[code, k] (lambda_true - lambda_f)[l, k],
-    as one row of F values per (l, s, code), at row 16 S l + 16 s + code.
-    Each step is then one `take` of the (S, C) rows of all fits at once,
-    added into an (S, C, F) buffer that is summed over the sites once.
+    every site s, base layer l, site code and fit f,
+    T[s, l, code, f] = -2 sum_{k in s} ov16[code, k] (lambda_true - lambda_f)[l, k],
+    as one row of F values per (s, l, code), at row 16 L s + 16 l + code.
+    Each step reads the (n, C) qubit-major strings of `batch.strings()`:
+    a site's two digits are two row takes, its code p[lo] | 4 p[hi] stays
+    uint8 until the layer and site offsets are added, and one `take` of the
+    (S, C) rows of all fits at once is added into an (S, C, F) buffer that
+    is summed over the sites once.
     """
     sites, site_of, ov16 = generators.site_tables
     labels = [layer.label for layer in batch.layers]
-    n_sites = len(sites)
+    n_sites, n_layers = len(sites), len(labels)
     # Generators grouped by site, so that each site's sum is one reduceat segment.
     order = np.argsort(site_of, kind="stable")
     starts = np.searchsorted(site_of[order], np.arange(n_sites))
@@ -116,19 +148,24 @@ def pec_observable(
     with np.errstate(invalid="ignore"):
         terms = ov16[:, order] * delta[:, :, None, order]
         table = -2.0 * np.add.reduceat(terms, starts, axis=-1)  # (F, L, 16, S)
-    used = np.bincount(batch.base.ravel(), minlength=len(labels)) > 0
+    used = np.bincount(batch.base.ravel(), minlength=n_layers) > 0
     bad = np.flatnonzero(used & ~np.isfinite(table).all(axis=(0, 2, 3)))
     if bad.size:
         raise ZeroDivisionError(f"fitted fidelity vanished on layer {labels[bad[0]]}")
-    rows = np.ascontiguousarray(table.transpose(1, 3, 2, 0)).reshape(-1, len(fits))
-    site_rows = np.arange(0, 16 * n_sites, 16)[:, None]
-    layer_rows = batch.base * (16 * n_sites)  # (C, J)
-    lo, hi = sites[:, 0], sites[:, 1]
+    rows = np.ascontiguousarray(table.transpose(3, 1, 2, 0)).reshape(-1, len(fits))
+    # Row indices in the narrowest unsigned type that holds them: every
+    # operation on them then stays in one integer type.
+    row_type = np.min_scalar_type(len(rows) - 1)
+    site_rows = np.arange(0, len(rows), 16 * n_layers, dtype=row_type)[:, None]
+    layer_rows = np.ascontiguousarray(batch.base.T * 16, dtype=row_type)
+    lo, hi = sites.T
     log_o = np.zeros((n_sites, batch.base.shape[0], len(fits)))
     for j, p in batch.strings():
-        by_qubit = p.T.astype(np.intp)  # (n, C): a site's digits are two row takes
-        idx = by_qubit.take(lo, axis=0) | (by_qubit.take(hi, axis=0) << 2)
-        idx += site_rows + layer_rows[:, j]
+        code = p.take(lo, axis=0)
+        code |= (p * 4).take(hi, axis=0)
+        idx = code.astype(row_type)
+        idx |= layer_rows[j]
+        idx += site_rows
         log_o += rows.take(idx, axis=0)
     return np.exp(log_o.sum(axis=0).T)
 
@@ -431,20 +468,29 @@ def model_rows(
     The model and its fits are `sweep_item(plan, master_seed, mi, ...)`'s.
     Circuit ci at weight w is what
     `model_rng(master_seed + 7919, mi * 100000 + ci * 100 + w)` draws
-    (`sample_circuit`); `check_limits` keeps these keys distinct.
+    (`sample_circuit`); `check_limits` keeps these keys distinct.  The
+    batches of as many weights as fit in `MAX_CIRCUITS` circuits are
+    concatenated and propagated in one `pec_observable` pass.
     """
     check_limits(plan.topology.n, n_circuits, j_layers, weights)
     base_layers = {lab: lp.layer for lab, lp in plan.layers.items()}
     models, result = sweep_item(plan, master_seed, mi, sigma, sigma_prime, baseline)
     fits = (result.fitted["conventional"], result.fitted["mlcb"])
+    per_pass = MAX_CIRCUITS // n_circuits
     rows = []
-    for w in weights:
-        keys = [mi * 100000 + ci * 100 + w for ci in range(n_circuits)]
-        batch = sample_circuit(base_layers, j_layers, w, master_seed + 7919, keys)
+    for start in range(0, len(weights), per_pass):
+        group = weights[start : start + per_pass]
+        batch = CircuitBatch.concatenate([
+            sample_circuit(
+                base_layers, j_layers, w, master_seed + 7919,
+                [mi * 100000 + ci * 100 + w for ci in range(n_circuits)],
+            )
+            for w in group
+        ])
         o_c, o_m = pec_observable(models, fits, batch, plan.generators)
         rows.extend(
             {"model_seed": mi, "circuit_seed": ci, "W": w, "O_c": float(c), "O_m": float(m)}
-            for ci, (c, m) in enumerate(zip(o_c, o_m))
+            for (w, ci), c, m in zip(itertools.product(group, range(n_circuits)), o_c, o_m)
         )
     return rows
 

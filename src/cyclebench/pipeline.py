@@ -104,7 +104,7 @@ def build_plan(
         for l, p, _ in expr.target.product.terms:
             terms[l].append((e, p))
         for prod, coeff in expr.learnable_terms:
-            refs[prod.label].append((e, prod.key(), float(coeff)))
+            refs[prod.label].append((e, prod.key[1], float(coeff)))
     plans: dict[str, LayerPlan] = {}
     for layer in layers:
         lab = layer.label
@@ -123,7 +123,9 @@ def build_plan(
         g = floats.T @ floats
         del floats  # freed before the inverse's workspace: lower peak RSS
         inv, deficient = classify_gram(g, gens)
-        row_of = {prod.key(): i for i, prod in enumerate(prods)}
+        # Each product of the plan is looked up once here, so its string set
+        # is not cached on it (`LearnableProduct.key` would keep it).
+        row_of = {frozenset(prod.strings): i for i, prod in enumerate(prods)}
         plans[lab] = LayerPlan(
             layer=layer,
             products=prods,

@@ -80,14 +80,30 @@ class GeneratorSet:
 
     @functools.cached_property
     def site_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sites, site_of, ov16): the distinct supports as (S, 2) qubit
-        pairs (sorted; (q, q) for a single qubit, (a, b) for an edge), each
-        generator's site index (K,), and the (16, K) int8 overlap of
-        generator k with the digits d_lo, d_hi on its support's two qubits,
-        at row d_lo + 4 d_hi.  A string's overlap with generator k is then
+        """(sites, site_of, ov16): the sites as (S, 2) sorted qubit pairs,
+        each generator's site index (K,), and the (16, K) int8 overlap of
+        generator k with the digits d_lo, d_hi on its site's two qubits, at
+        row d_lo + 4 d_hi.  A string's overlap with generator k is then
         ov16[code, k] for its site code p[lo] | p[hi] << 2, in any
-        generator order."""
+        generator order.
+
+        The sites are the edges (a, b) the weight-2 generators act on.  A
+        single-qubit generator on q sits on the first edge, in sorted
+        order, that holds q, and reads q's two bits of its code; a qubit on
+        no edge keeps its own site (q, q)."""
         qubits, masks = self.support_masks
+        qubits, masks = qubits.copy(), masks.copy()
+        single = np.flatnonzero(qubits[:, 0] == qubits[:, 1])
+        # Each qubit's site: the first edge holding it, else (q, q).
+        host = np.repeat(np.arange(self.topology.n)[:, None], 2, axis=1)
+        edges = sorted(set(map(tuple, qubits[qubits[:, 0] != qubits[:, 1]].tolist())))
+        for a, b in reversed(edges):
+            host[[a, b]] = a, b
+        q = qubits[single, 0]
+        qubits[single] = host[q]
+        # The higher qubit of its edge reads the code's high two bits.
+        on_hi = host[q, 0] != q
+        masks[single[on_hi]] = masks[single[on_hi]][:, ::-1]
         sites, site_of = np.unique(qubits, axis=0, return_inverse=True)
         codes = np.arange(16, dtype=np.uint8)[:, None]
         ov16 = np.take(

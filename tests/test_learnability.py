@@ -56,8 +56,8 @@ def reference_orbit_learnables(layer, gens):
                 tuple(sorted(orbit, key=lambda p: p.key())),
                 "standard" if dressing is None else "dressed",
             )
-            if prod.key() not in seen:
-                seen.add(prod.key())
+            if prod.key not in seen:
+                seen.add(prod.key)
                 out.append(prod)
     return out
 

@@ -53,9 +53,10 @@ def pauli(row) -> PauliString:
 
 
 def entering(batch: CircuitBatch) -> list[np.ndarray]:
-    """The (C, n) strings entering steps 0, ..., J-1."""
+    """The (C, n) strings entering steps 0, ..., J-1 (`strings` yields them
+    qubit-major, (n, C))."""
     by_step = dict(batch.strings())
-    return [by_step[j] for j in range(len(by_step))]
+    return [by_step[j].T for j in range(len(by_step))]
 
 
 def step_layer(batch: CircuitBatch, c: int, j: int) -> CliffordLayer:
@@ -196,12 +197,24 @@ def reference_log_observable(true_models, fits, batch, gens) -> np.ndarray:
     labels = [layer.label for layer in batch.layers]
     log_o = np.zeros((len(fits), batch.base.shape[0]))
     for j, p in batch.strings():
-        for c, row in enumerate(p):
+        for c, row in enumerate(p.T):
             lab = labels[batch.base[c, j]]
             ov = gens.overlaps(pauli(row))
             for f, fit in enumerate(fits):
                 log_o[f, c] += -2.0 * float(ov @ (true_models[lab].lambdas - fit[lab]))
     return log_o
+
+
+def record_passes(monkeypatch) -> list[int]:
+    """Patch `pec.pec_observable` to record the circuit count of every pass."""
+    passes = []
+
+    def recorded(models, fits, batch, generators):
+        passes.append(len(batch.final))
+        return pec_observable(models, fits, batch, generators)
+
+    monkeypatch.setattr(pec, "pec_observable", recorded)
+    return passes
 
 
 def perturbed_fits(models, seed, count=2):
@@ -602,6 +615,32 @@ class TestPecSweep:
                     assert math.log(row["O_c"]) == pytest.approx(ref[0, ci], rel=0, abs=1e-12)
                     assert math.log(row["O_m"]) == pytest.approx(ref[1, ci], rel=0, abs=1e-12)
         assert next(got, None) is None and next(rows, None) is None
+
+    def test_weights_share_passes(self, small_plan, monkeypatch):
+        # A weight's rows do not depend on the weights propagated beside it.
+        passes = record_passes(monkeypatch)
+        args = dict(
+            n_circuits=5, j_layers=6, sigma=1e-4, sigma_prime=1e-2, baseline="unit_depth",
+            master_seed=3,
+        )
+        together = pec.model_rows(small_plan, 1, weights=(0, 2, 6), **args)
+        assert passes == [15]
+        for w in (0, 2, 6):
+            passes.clear()
+            alone = pec.model_rows(small_plan, 1, weights=(w,), **args)
+            assert passes == [5]
+            assert alone == [row for row in together if row["W"] == w]
+
+    def test_passes_hold_at_most_max_circuits(self, small_plan, monkeypatch):
+        passes = record_passes(monkeypatch)
+        rows = pec.model_rows(
+            small_plan, 0, n_circuits=400, j_layers=2, weights=(1, 2, 3), sigma=1e-4,
+            sigma_prime=1e-2, baseline="unit_depth", master_seed=0,
+        )
+        assert len(rows) == 1200 and sum(passes) == 1200
+        assert len(passes) == 2 and max(passes) <= pec.MAX_CIRCUITS
+        want = [(w, c) for w in (1, 2, 3) for c in range(400)]
+        assert [(r["W"], r["circuit_seed"]) for r in rows] == want
 
     @pytest.mark.parametrize("case", ["circuits", "weight"])
     def test_colliding_seed_keys_rejected(self, small_plan, case):

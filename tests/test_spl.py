@@ -62,6 +62,32 @@ class TestGeneratorSet:
         with pytest.raises(ValueError):
             GeneratorSet(line_topology(3)).overlaps(PauliString.identity(4))
 
+    @pytest.mark.parametrize("case", ["garnet20", "square3x3", "isolated_qubit"])
+    def test_site_tables_fold_qubits_into_edges(self, case):
+        # Every generator's overlap is ov16 at its site's code, and a
+        # single-qubit generator's site is an edge holding its qubit unless
+        # that qubit is on no edge.
+        from test_pec import isolated_qubit_setup
+
+        if case == "isolated_qubit":
+            gens = isolated_qubit_setup()[0]
+        else:
+            gens = GeneratorSet(garnet20() if case == "garnet20" else square_lattice(3, 3))
+        topo = gens.topology
+        sites, site_of, ov16 = gens.site_tables
+        on_edge = {q for edge in topo.edges for q in edge}
+        assert {a for a, b in sites.tolist() if a == b} == set(range(topo.n)) - on_edge
+        assert {(a, b) for a, b in sites.tolist() if a != b} == set(topo.edges)
+        qubits, _ = gens.support_masks
+        for k, (a, b) in enumerate(qubits.tolist()):
+            holding = [e for e in sorted(topo.edges) if a in e and b in e]
+            assert tuple(sites[site_of[k]]) == (holding[0] if holding else (a, b))
+        strings = np.random.default_rng(7).integers(0, 4, size=(300, topo.n), dtype=np.uint8)
+        lo, hi = sites[site_of].T
+        codes = strings[:, lo] | (strings[:, hi] << 2)
+        got = ov16[codes, np.arange(len(gens))]
+        np.testing.assert_array_equal(got, gens.digit_overlaps(strings))
+
 
 class TestFidelity:
     def test_identity_is_one(self):
