@@ -15,6 +15,9 @@ from .spl import SplModel
 # The KKT tolerance on the gradient, relative to max(1, max |A^T b|).  An
 # n-column fit that needs more than 10 n + 100 passive-set solves fails.
 TOL = 1e-12
+# Exchanges of every infeasible index that `nnls` makes without reducing
+# their count before it turns to Kim & Park's single-index backup rule.
+FULL_EXCHANGES = 3
 
 
 class RankDeficientError(ValueError):
@@ -34,17 +37,20 @@ def nnls(
     b: np.ndarray,
     inv_gram: np.ndarray | None = None,
 ) -> FitResult:
-    """argmin_{x >= 0} || A x - b ||_2 by block principal pivoting.
+    """argmin_{x >= 0} || A x - b ||_2 of a full-column-rank A, by block
+    principal pivoting (Kim & Park, SIAM J. Sci. Comput. 33, 2011).
 
-    Kim & Park's method on the normal equations: every iteration solves
-    A_F^T A_F x_F = A_F^T b on the passive set F and exchanges the infeasible
-    indices (passive with x_i <= 0, active with gradient above TOL * scale).
-    All of them are exchanged while their count keeps falling, with a budget
-    of three non-improving exchanges.  The first passive set is the sign
-    pattern x > 0 of the unconstrained solution.  When the budget runs out,
-    Lawson-Hanson steps from x = 0 finish the fit: their objective falls at
-    every step, so they end on any A, where Kim & Park's single-index backup
-    rule can cycle once A lacks full column rank (wide systems).
+    Every iteration solves A_F^T A_F x_F = A_F^T b on the passive set F and
+    exchanges the infeasible indices (passive with x_i <= 0, active with
+    gradient above TOL * scale).  The first passive set is the sign pattern
+    x > 0 of the unconstrained solution.  All infeasible indices are
+    exchanged while their count keeps falling, with a budget of
+    `FULL_EXCHANGES` exchanges that do not reduce it; once the budget is
+    spent, only the largest-index infeasible one is exchanged until the
+    count falls below its lowest so far.  Kim & Park's backup rule ends for
+    every full-column-rank A.  The plan's fit matrices all have full
+    column rank: `pipeline.characterize_and_fit` raises
+    `RankDeficientError` before it fits any other.
 
     `inv_gram` is H = (A^T A)^-1 of a full-column-rank A, as
     `LayerPlan.inv_gram` holds for its layer's `LayerPlan.s`.  With it each passive
@@ -112,17 +118,16 @@ def nnls(
 
     passive = solve(np.ones(n, dtype=bool))[0] > 0
     x, grad = solve(passive)
-    budget, fewest = 3, n + 1
+    budget, fewest = FULL_EXCHANGES, n + 1
     while True:
         infeasible = np.where(passive, x <= 0, grad > gtol)
         count = int(infeasible.sum())
         if count == 0:
             break
         if count < fewest:
-            fewest, budget = count, 3
+            fewest, budget = count, FULL_EXCHANGES
         elif budget == 0:
-            x = _lawson_hanson(atb, gtol, solve)
-            break
+            infeasible[: np.flatnonzero(infeasible)[-1]] = False  # the largest alone
         else:
             budget -= 1
         passive ^= infeasible
@@ -146,43 +151,6 @@ def _solve(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(sub, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(sub, rhs, rcond=None)[0]
-
-
-def _lawson_hanson(atb, gtol, solve) -> np.ndarray:
-    """Lawson-Hanson active-set steps from x = 0 on the normal equations.
-
-    Each outer step frees the active index of largest gradient; the inner
-    loop moves from the feasible x toward the new passive solution and
-    drops whichever coordinates reach zero first.  An index whose own
-    passive value comes out nonpositive is numerically dependent on the
-    passive columns: it stays active until x next changes.
-    """
-    x, grad = np.zeros(len(atb)), atb
-    passive = np.zeros(len(atb), dtype=bool)
-    rejected = np.zeros(len(atb), dtype=bool)
-    while True:
-        free = np.where(passive | rejected, -np.inf, grad)
-        if free.max() <= gtol:
-            return x
-        t = int(np.argmax(free))
-        passive[t] = True
-        z, z_grad = solve(passive)
-        if z[t] <= 0:
-            passive[t] = False
-            rejected[t] = True
-            continue
-        rejected[:] = False
-        while np.any(z[passive] <= 0):
-            mask = passive & (z <= 0)
-            denom = x[mask] - z[mask]
-            ratios = np.where(denom > 0, x[mask] / np.maximum(denom, 1e-300), 0.0)
-            x = x + float(ratios.min()) * (z - x)
-            floor = 1e-12 * max(1.0, float(np.abs(x).max()))
-            hit = mask & (x <= floor)
-            passive &= ~(hit if hit.any() else mask)
-            x[~passive] = 0.0
-            z, z_grad = solve(passive)
-        x, grad = z, z_grad
 
 
 def refine_unlearnable(estimates: list[float], ratios: list[float]) -> list[float]:

@@ -10,7 +10,7 @@ and yields the string entering every step.  The log fidelity ratio of a
 step is then a sum of lookups in per-site tables built once per pass, one
 site per edge (each qubit's generators folded into one of its edges),
 indexed by the string's digits there.  A model's weights share passes of
-at most `MAX_CIRCUITS` circuits.
+at most `MAX_CIRCUITS` circuits, each drawn by one `sample_circuit` call.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ from .spl import GeneratorSet, SplModel
 # only while ci < MAX_CIRCUITS and W < MAX_KEY_WEIGHT.
 MAX_CIRCUITS = 1000
 MAX_KEY_WEIGHT = 100
-# A PEC pass holds one byte per circuit, step and qubit for at most
-# MAX_CIRCUITS circuits; this keeps a pass on garnet20 at 20 MB (the
-# paper's circuits have 40).
+# A PEC pass draws into one (J, n + 1, C) array, a byte per circuit and
+# step for the base layer and for each qubit's gate (the batch's gates are
+# a view of it), and propagation adds a byte per circuit, step and qubit:
+# MAX_CIRCUITS circuits of MAX_J_LAYERS steps on garnet20 hold 21 MB of
+# draws, and the pass peaks near 70 MB (the paper's circuits have 40 steps).
 MAX_J_LAYERS = 1000
 
 
@@ -56,8 +58,8 @@ class CircuitBatch:
     followed by the single-qubit Clifford of row `gates[c, j, q]` of
     `layers.SQ_DIGITS` on every qubit q (the base layers' own single-qubit
     gates are not part of the circuit).  `final[c]` is the string circuit
-    c's observable ends as, one digit x + 2z per qubit.  `concatenate`
-    stores the gates qubit-major, as a (C, J, n) view of a (J, n, C)
+    c's observable ends as, one digit x + 2z per qubit.  `sample_circuit`
+    stores the gates qubit-major, as a (C, J, n) view of a (J, n + 1, C)
     array, the order `strings` reads them in.
     """
 
@@ -65,22 +67,6 @@ class CircuitBatch:
     base: np.ndarray  # (C, J) int
     gates: np.ndarray  # (C, J, n) uint8, not necessarily contiguous
     final: np.ndarray  # (C, n) uint8
-
-    @classmethod
-    def concatenate(cls, batches: Sequence["CircuitBatch"]) -> "CircuitBatch":
-        """The circuits of `batches` (same layers, same J), in order."""
-        j_layers, n = batches[0].gates.shape[1:]
-        gates = np.empty((j_layers, n, sum(len(b.final) for b in batches)), dtype=np.uint8)
-        start = 0
-        for b in batches:
-            gates[:, :, start : start + len(b.final)] = b.gates.transpose(1, 2, 0)
-            start += len(b.final)
-        return cls(
-            batches[0].layers,
-            np.concatenate([b.base for b in batches]),
-            gates.transpose(2, 0, 1),
-            np.concatenate([b.final for b in batches]),
-        )
 
     def strings(self) -> Iterator[tuple[int, np.ndarray]]:
         """(j, the (n, C) strings entering step j), for j = J-1 down to 0:
@@ -318,14 +304,15 @@ def _start_states(master_seed: int, keys: Sequence[int]) -> list[dict]:
 def sample_circuit(
     base_layers: dict[str, CliffordLayer],
     j_layers: int,
-    target_weight: int,
+    weights: int | Sequence[int],
     master_seed: int,
     keys: Sequence[int],
 ) -> CircuitBatch:
-    """One random circuit per key in `keys`, each ending in a uniform
-    weight-`target_weight` Pauli string: circuit c is the circuit that
-    `model_rng(master_seed, keys[c])` draws.  In order, its draws are one
-    bounded draw for all steps, then the final string's support and letters:
+    """One random circuit per key in `keys`, circuit c ending in a uniform
+    Pauli string of weight W = `weights[c]` (an int is every circuit's
+    weight): circuit c is the circuit that `model_rng(master_seed, keys[c])`
+    draws.  In order, its draws are one bounded draw for all steps, then the
+    final string's support and letters:
 
         draws = rng.integers(0, B, size=(J, n + 1))
         qubits = rng.permutation(n)[:W]
@@ -353,28 +340,35 @@ def sample_circuit(
     numpy's algorithms then run on the blocks' little-endian uint32 view for
     all circuits at once: Lemire's bounded draw for the steps and letters
     (`_lemire`) and Fisher-Yates with masked rejection for the support
-    (`_support_draws`).  Only a circuit whose draws these cannot finish (a
-    rejected bounded draw, a long rejection run, a used-up block) makes the
-    three calls itself.  The blocks are drawn in chunks of about
-    `_CHUNK_WORDS` words, to bound their temporaries.
+    (`_support_draws`, run for the largest weight: circuit c keeps its
+    first W letters, and a W = 0 circuit needs no support).  Only a circuit
+    whose draws these cannot finish (a rejected bounded draw, a long
+    rejection run, a used-up block) makes the three calls itself.  The
+    blocks are drawn in chunks of about `_CHUNK_WORDS` words, to bound their
+    temporaries, and each chunk's steps are written straight into a
+    (J, n + 1, C) array: the batch's gates are a (C, J, n) view of it,
+    qubit-major, the order `CircuitBatch.strings` reads them in.
     """
     labels = sorted(base_layers)
     n = base_layers[labels[0]].n
-    if not 0 <= target_weight <= n:
+    weights = np.asarray(weights)
+    if np.any((weights < 0) | (weights > n)):
         raise ValueError("target weight out of range")
     if j_layers < 1:
         raise ValueError("circuit needs at least one layer")
     states = _start_states(master_seed, keys)
     m = len(states)
+    weights = np.broadcast_to(weights, (m,))
+    w_max = int(weights.max(initial=0))
     n_layers, n_gates = len(labels), len(SQ_DIGITS)
     bound = math.lcm(n_layers, n_gates)
-    draws = np.zeros((m, j_layers, n + 1), dtype=np.min_scalar_type(bound - 1))
+    draws = np.zeros((j_layers, n + 1, m), dtype=np.min_scalar_type(bound - 1))
     final = np.zeros((m, n), dtype=np.uint8)
     rng = np.random.Generator(np.random.PCG64())
     bit_generator = rng.bit_generator
-    steps = draws[:, :, 1:] if n_layers == 1 else draws
-    slots = math.prod(steps.shape[1:])
-    width = slots + 2 * (n - 1) + _LOOKAHEAD + target_weight  # words per circuit
+    steps = draws[:, 1:] if n_layers == 1 else draws
+    slots = math.prod(steps.shape[:2])
+    width = slots + 2 * (n - 1) + _LOOKAHEAD + w_max  # words per circuit
     k = (width + 1) // 2
     chunk = max(1, _CHUNK_WORDS // k)
     block = np.empty((min(chunk, m), k), dtype="<u8")
@@ -387,24 +381,25 @@ def sample_circuit(
             block[c - lo] = bit_generator.random_raw(k)
         words = block[: hi - lo].view("<u4")
         values, rejected = _lemire(words[:, :slots], n_gates if n_layers == 1 else bound)
-        steps[lo:hi] = values.reshape(hi - lo, *steps.shape[1:])
+        steps[:, :, lo:hi] = values.reshape(hi - lo, *steps.shape[:2]).transpose(1, 2, 0)
         redraw[lo:hi] = rejected.any(axis=1)
         tail[lo:hi] = words[:, slots:]
-    if target_weight:
-        qubits, letters, unfinished = _support_draws(tail, n, target_weight)
-        final[np.arange(m)[:, None], qubits] = _LETTER_DIGITS[letters]
-        redraw |= unfinished
+    if w_max:
+        qubits, letters, unfinished = _support_draws(tail, n, w_max)
+        kept = np.arange(w_max) < weights[:, None]
+        final[np.arange(m)[:, None], qubits] = _LETTER_DIGITS[letters] * kept
+        redraw |= unfinished & (weights > 0)
     for c in np.flatnonzero(redraw).tolist():
         bit_generator.state = states[c]
         if n_layers == 1:
-            draws[c, :, 1:] = rng.integers(0, n_gates, size=(j_layers, n))
+            draws[:, 1:, c] = rng.integers(0, n_gates, size=(j_layers, n))
         else:
-            draws[c] = rng.integers(0, bound, size=(j_layers, n + 1))
-        qubits = rng.permutation(n)[:target_weight]
+            draws[:, :, c] = rng.integers(0, bound, size=(j_layers, n + 1))
+        qubits = rng.permutation(n)[: weights[c]]
         final[c] = 0
-        final[c, qubits] = _LETTER_DIGITS[rng.integers(3, size=target_weight)]
-    base = (draws[:, :, 0] // (bound // n_layers)).astype(np.intp)
-    gates = draws[:, :, 1:]
+        final[c, qubits] = _LETTER_DIGITS[rng.integers(3, size=weights[c])]
+    base = (draws[:, 0].T // (bound // n_layers)).astype(np.intp)
+    gates = draws[:, 1:].transpose(2, 0, 1)
     if bound != n_gates:
         gates //= bound // n_gates
     gates = gates.astype(np.uint8, copy=False)  # a view of the draws while B <= 256
@@ -468,9 +463,10 @@ def model_rows(
     The model and its fits are `sweep_item(plan, master_seed, mi, ...)`'s.
     Circuit ci at weight w is what
     `model_rng(master_seed + 7919, mi * 100000 + ci * 100 + w)` draws
-    (`sample_circuit`); `check_limits` keeps these keys distinct.  The
-    batches of as many weights as fit in `MAX_CIRCUITS` circuits are
-    concatenated and propagated in one `pec_observable` pass.
+    (`sample_circuit`); `check_limits` keeps these keys distinct.  As many
+    weights as fit in `MAX_CIRCUITS` circuits share a pass: one
+    `sample_circuit` call draws all their circuits, each key with its own
+    weight, and one `pec_observable` call propagates them.
     """
     check_limits(plan.topology.n, n_circuits, j_layers, weights)
     base_layers = {lab: lp.layer for lab, lp in plan.layers.items()}
@@ -479,18 +475,15 @@ def model_rows(
     per_pass = MAX_CIRCUITS // n_circuits
     rows = []
     for start in range(0, len(weights), per_pass):
-        group = weights[start : start + per_pass]
-        batch = CircuitBatch.concatenate([
-            sample_circuit(
-                base_layers, j_layers, w, master_seed + 7919,
-                [mi * 100000 + ci * 100 + w for ci in range(n_circuits)],
-            )
-            for w in group
-        ])
+        pairs = list(itertools.product(weights[start : start + per_pass], range(n_circuits)))
+        batch = sample_circuit(
+            base_layers, j_layers, [w for w, _ in pairs], master_seed + 7919,
+            [mi * 100000 + ci * 100 + w for w, ci in pairs],
+        )
         o_c, o_m = pec_observable(models, fits, batch, plan.generators)
         rows.extend(
             {"model_seed": mi, "circuit_seed": ci, "W": w, "O_c": float(c), "O_m": float(m)}
-            for (w, ci), c, m in zip(itertools.product(group, range(n_circuits)), o_c, o_m)
+            for (w, ci), c, m in zip(pairs, o_c, o_m)
         )
     return rows
 

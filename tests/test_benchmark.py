@@ -1,7 +1,8 @@
 """The benchmark runs end to end: a short untraced run of each workload in
 BENCHMARK.json exits 0, passes every correctness gate and reports exactly
-the end-to-end metrics BENCHMARK.json declares; and every function the
-traced run wraps still exists under its traced name."""
+the end-to-end metrics BENCHMARK.json declares; a short traced run also
+passes its gates and reports every per-layer metric declared there; and
+every function the traced run wraps still exists under its traced name."""
 
 import importlib
 import importlib.util
@@ -16,9 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
-def test_short_run_passes_its_gates(workload):
-    argv = ["benchmark/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"]
+def short_run(workload, trace):
+    """The result line of a 1 s run, after checking that it exits 0 and
+    passes every correctness gate."""
+    argv = ["benchmark/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", str(trace)]
     out = subprocess.run(
         [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=600
     )
@@ -26,8 +28,21 @@ def test_short_run_passes_its_gates(workload):
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0 and result["attempted"] > 0
+    return result
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_short_run_passes_its_gates(workload):
+    result = short_run(workload, trace=0)
     units = {name: metric["unit"] for name, metric in result["metrics"].items()}
     assert units == {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_short_traced_run_reports_every_layer(workload):
+    result = short_run(workload, trace=1)
+    missing = {m["name"] for m in SPEC["per_layer"]} - set(result["metrics"])
+    assert not missing
 
 
 def test_every_traced_name_resolves():

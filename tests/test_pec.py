@@ -83,22 +83,23 @@ def start_states(master_seed, keys):
     return [model_rng(master_seed, k).bit_generator.state for k in keys]
 
 
-def per_circuit_sample(base_layers, j_layers, target_weight, rngs):
+def per_circuit_sample(base_layers, j_layers, weights, rngs):
     """Reference: the sampler with one generator per circuit, which draws,
-    in order, one bounded draw for all steps, the support and the letters."""
+    in order, one bounded draw for all steps, the support and the letters
+    of its final string, of weight `weights[c]`."""
     labels = sorted(base_layers)
     n = base_layers[labels[0]].n
     n_layers, n_gates = len(labels), len(GROUP)
     bound = math.lcm(n_layers, n_gates)
     draws = np.zeros((len(rngs), j_layers, n + 1), dtype=np.min_scalar_type(bound - 1))
     final = np.zeros((len(rngs), n), dtype=np.uint8)
-    for c, rng in enumerate(rngs):
+    for c, (rng, w) in enumerate(zip(rngs, weights, strict=True)):
         if n_layers == 1:
             draws[c, :, 1:] = rng.integers(0, n_gates, size=(j_layers, n))
         else:
             draws[c] = rng.integers(0, bound, size=(j_layers, n + 1))
-        qubits = rng.permutation(n)[:target_weight]
-        final[c, qubits] = np.array([1, 3, 2], dtype=np.uint8)[rng.integers(3, size=target_weight)]
+        qubits = rng.permutation(n)[:w]
+        final[c, qubits] = np.array([1, 3, 2], dtype=np.uint8)[rng.integers(3, size=w)]
     base = (draws[:, :, 0] // (bound // n_layers)).astype(np.intp)
     gates = draws[:, :, 1:]
     gates //= bound // n_gates
@@ -485,6 +486,28 @@ class TestSampleCircuit:
             if lookahead == 1:
                 assert CountingGenerator.permutations > 1
 
+    @pytest.mark.parametrize("lookahead, chunk_words", [(16, 1 << 15), (2, 600), (1, 1)])
+    def test_mixed_weights_match_per_circuit_generators(self, monkeypatch, lookahead, chunk_words):
+        # One call with weights 0, 2 and n side by side draws each circuit
+        # as its own generator would.  A small look-ahead sends some rows to
+        # the generator's own calls, and small chunks split the word blocks;
+        # a W = 0 row never needs its support.
+        monkeypatch.setattr(pec, "_LOOKAHEAD", lookahead)
+        monkeypatch.setattr(pec, "_CHUNK_WORDS", chunk_words)
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        monkeypatch.setattr(CountingGenerator, "permutations", 0)
+        weights = [(0, 2, self.n)[c % 3] for c in range(45)]
+        keys = [7 * c + 1 for c in range(45)]
+        batch = sample_circuit(self.layers, 40, weights, 3, keys)
+        want = per_circuit_sample(self.layers, 40, weights, [model_rng(3, k) for k in keys])
+        for field in ("base", "gates", "final"):
+            a, b = getattr(batch, field), getattr(want, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert [np.count_nonzero(row) for row in batch.final] == weights
+        if lookahead < 16:
+            # Some rows were redrawn, none of them for a W = 0 support.
+            assert 1 < CountingGenerator.permutations <= np.count_nonzero(weights)
+
     def test_empty_batch(self):
         batch = sample_circuit(self.layers, 3, 2, 0, [])
         assert batch.base.shape == (0, 3) and batch.gates.shape == (0, 3, 20)
@@ -578,7 +601,8 @@ class TestPecSweep:
 
     def test_matches_per_circuit_generators(self, small_plan, monkeypatch):
         # The sweep draws exactly the circuits of one fresh generator per
-        # circuit key, and its rows are their observables.
+        # circuit key, all weights of a model in one call, and its rows are
+        # their observables.
         master, n_models, n_circuits, j_layers, weights = 4, 2, 5, 7, (0, 2, 6)
         batches = []
 
@@ -599,21 +623,19 @@ class TestPecSweep:
             models = generate_models(small_plan, rng)
             res = characterize_and_fit(small_plan, models, 1e-4, 1e-2, "unit_depth", rng)
             fits = (res.fitted["conventional"], res.fitted["mlcb"])
-            for w in weights:
-                rngs = [
-                    model_rng(master + 7919, mi * 100000 + ci * 100 + w)
-                    for ci in range(n_circuits)
-                ]
-                want, batch = per_circuit_sample(base_layers, j_layers, w, rngs), next(got)
-                for field in ("base", "gates", "final"):
-                    a, b = getattr(batch, field), getattr(want, field)
-                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-                ref = reference_log_observable(models, fits, want, small_plan.generators)
-                for ci in range(n_circuits):
-                    row = next(rows)
-                    assert (row["model_seed"], row["circuit_seed"], row["W"]) == (mi, ci, w)
-                    assert math.log(row["O_c"]) == pytest.approx(ref[0, ci], rel=0, abs=1e-12)
-                    assert math.log(row["O_m"]) == pytest.approx(ref[1, ci], rel=0, abs=1e-12)
+            pairs = [(w, ci) for w in weights for ci in range(n_circuits)]
+            rngs = [model_rng(master + 7919, mi * 100000 + ci * 100 + w) for w, ci in pairs]
+            want = per_circuit_sample(base_layers, j_layers, [w for w, _ in pairs], rngs)
+            batch = next(got)
+            for field in ("base", "gates", "final"):
+                a, b = getattr(batch, field), getattr(want, field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            ref = reference_log_observable(models, fits, want, small_plan.generators)
+            for c, (w, ci) in enumerate(pairs):
+                row = next(rows)
+                assert (row["model_seed"], row["circuit_seed"], row["W"]) == (mi, ci, w)
+                assert math.log(row["O_c"]) == pytest.approx(ref[0, c], rel=0, abs=1e-12)
+                assert math.log(row["O_m"]) == pytest.approx(ref[1, c], rel=0, abs=1e-12)
         assert next(got, None) is None and next(rows, None) is None
 
     def test_weights_share_passes(self, small_plan, monkeypatch):
