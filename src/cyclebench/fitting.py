@@ -48,8 +48,11 @@ def nnls(
     `FULL_EXCHANGES` exchanges that do not reduce it; once the budget is
     spent, only the largest-index infeasible one is exchanged until the
     count falls below its lowest so far.  Kim & Park's backup rule ends for
-    every full-column-rank A.  The plan's fit matrices all have full
-    column rank: `pipeline.characterize_and_fit` raises
+    every full-column-rank A, and every block a solve factors (A_F^T A_F,
+    or H_CC below) is a principal submatrix of a positive-definite matrix,
+    so it is nonsingular.  A with fewer rows than columns cannot have full
+    column rank and raises ValueError.  The plan's fit matrices all have
+    full column rank: `pipeline.characterize_and_fit` raises
     `RankDeficientError` before it fits any other.
 
     `inv_gram` is H = (A^T A)^-1 of a full-column-rank A, as
@@ -73,7 +76,9 @@ def nnls(
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = A.shape[1]
+    m, n = A.shape
+    if m < n:
+        raise ValueError(f"nnls needs at least as many rows as columns, got {m} x {n}")
     max_iter = 10 * n + 100
     atb = A.T @ b
     scale = max(1.0, float(np.abs(atb).max(initial=0.0)))
@@ -94,14 +99,14 @@ def nnls(
         if inv_gram is None:
             x = np.zeros(n)
             if passive.any():
-                x[passive] = _solve(gram[np.ix_(passive, passive)], rhs[passive])
+                x[passive] = np.linalg.solve(gram[np.ix_(passive, passive)], rhs[passive])
             return x, rhs - gram @ x
         x = x_atb.copy() if rhs is atb else inv_gram @ rhs
         grad = np.zeros(n)
         active = np.flatnonzero(~passive)
         if active.size:
             rows = inv_gram.take(active, axis=0)  # H_C:, and H_:C transposed
-            y = _solve(rows[:, active], x[active])
+            y = np.linalg.solve(rows[:, active], x[active])
             grad[active] = y
             x -= y @ rows
             x[active] = 0.0
@@ -144,13 +149,6 @@ def nnls(
         kkt_residual=kkt / scale,
         iterations=iters,
     )
-
-
-def _solve(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(sub, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(sub, rhs, rcond=None)[0]
 
 
 def refine_unlearnable(estimates: list[float], ratios: list[float]) -> list[float]:

@@ -294,25 +294,19 @@ class MlcbTarget:
     mu: FidelityFunction
 
 
-def _chain_layers(chain: Chain, n: int) -> tuple[CliffordLayer, CliffordLayer]:
-    first, second = chain.pair
-    e1 = tuple(pair for pair, lab in chain.edges if lab == first)
-    e2 = tuple(pair for pair, lab in chain.edges if lab == second)
-    return (
-        CliffordLayer(n, e1, (), first),
-        CliffordLayer(n, e2, (), second),
-    )
-
-
-def mlcb_targets(chain: Chain, n: int) -> list[MlcbTarget]:
-    """Per-bulk-qubit preparation strings and measured products for a chain.
+def mlcb_targets(chain: Chain, la: CliffordLayer, lb: CliffordLayer) -> list[MlcbTarget]:
+    """Per-bulk-qubit preparation strings and measured products for a chain
+    of the CZ-only pair (la, lb) that `chain_decomposition(la, lb)` returns.
 
     Open chains (and closed chains of six or more qubits) prepare X on the
     two chain neighbours of the bulk qubit; the relevant strings never leave
     a five-qubit window.  Two-qubit closed chains prepare X on the partner
     qubit; four-qubit closed chains prepare X on all three other qubits.
+    The products alternate the pair's own layers: the chain is a connected
+    component of their CZ graph, so every CZ that touches a chain qubit is
+    a chain edge, and the layers' other CZs leave its strings alone.
     """
-    la, lb = _chain_layers(chain, n)
+    n = la.n
     first, second = chain.pair
     out = []
     for q in chain.bulk():

@@ -31,10 +31,11 @@ from .spl import GeneratorSet, SplModel
 MAX_CIRCUITS = 1000
 MAX_KEY_WEIGHT = 100
 # A PEC pass draws into one (J, n + 1, C) array, a byte per circuit and
-# step for the base layer and for each qubit's gate (the batch's gates are
-# a view of it), and propagation adds a byte per circuit, step and qubit:
-# MAX_CIRCUITS circuits of MAX_J_LAYERS steps on garnet20 hold 21 MB of
-# draws, and the pass peaks near 70 MB (the paper's circuits have 40 steps).
+# step for the base layer and for each qubit's gate (the batch's base and
+# gates are views of it), and propagation holds only a few (n, C) strings
+# and (S, C) site codes at a time: MAX_CIRCUITS circuits of MAX_J_LAYERS
+# steps on garnet20 hold 21.0 MB of draws, and the pass peaks at 23.1 MB
+# (tracemalloc; the paper's circuits have 40 steps).
 MAX_J_LAYERS = 1000
 
 
@@ -52,49 +53,49 @@ _CHUNK_WORDS = 1 << 15
 
 @dataclass(frozen=True)
 class CircuitBatch:
-    """C random circuits of J composite layers on n qubits.
+    """C random circuits of J composite layers on n qubits, step-major.
 
-    Step j of circuit c is the CZ gates of base layer `layers[base[c, j]]`
-    followed by the single-qubit Clifford of row `gates[c, j, q]` of
+    Step j of circuit c is the CZ gates of base layer `layers[base[j, c]]`
+    followed by the single-qubit Clifford of row `gates[j, q, c]` of
     `layers.SQ_DIGITS` on every qubit q (the base layers' own single-qubit
-    gates are not part of the circuit).  `final[c]` is the string circuit
+    gates are not part of the circuit).  `final[:, c]` is the string circuit
     c's observable ends as, one digit x + 2z per qubit.  `sample_circuit`
-    stores the gates qubit-major, as a (C, J, n) view of a (J, n + 1, C)
-    array, the order `strings` reads them in.
+    returns base and gates as views of its (J, n + 1, C) draws, in their
+    unsigned type, the order `strings` reads them in.
     """
 
     layers: tuple[CliffordLayer, ...]
-    base: np.ndarray  # (C, J) int
-    gates: np.ndarray  # (C, J, n) uint8, not necessarily contiguous
-    final: np.ndarray  # (C, n) uint8
+    base: np.ndarray  # (J, C) unsigned int
+    gates: np.ndarray  # (J, n, C) unsigned int, not necessarily contiguous
+    final: np.ndarray  # (n, C) uint8
 
     def strings(self) -> Iterator[tuple[int, np.ndarray]]:
         """(j, the (n, C) strings entering step j), for j = J-1 down to 0:
         qubit-major, row q holding every circuit's digit on qubit q.
 
         Each step undoes the single-qubit part and then the self-inverse CZ
-        part, z_q ^= x_partner(q) on every paired qubit.  The gates are laid
-        out once per batch as 4 g in (J, n, C) order, so 4 g | digit indexes
-        the flattened `layers.SQ_INVERSE_DIGITS` in one `take`.  For the CZ
-        part, each step stacks the x bits, moved to z, in rows (q, layer)
-        by `layers.cz_partners` (a zero row where q has no partner), and
-        every circuit reads its base layer's column block: one `take` along
-        the circuit axis.
+        part, z_q ^= x_partner(q) on every paired qubit.  The step's gate
+        row shifted, 4 g | digit, indexes the flattened
+        `layers.SQ_INVERSE_DIGITS` in one `take`.  For the CZ part, each
+        step stacks the x bits, moved to z, in rows (q, layer) by
+        `layers.cz_partners` (a zero row where q has no partner), and every
+        circuit reads its base layer's column block: one `take` along the
+        circuit axis, by a (C,) index formed for the step.
         """
-        c_count, n = self.final.shape
+        n, c_count = self.final.shape
         n_layers = len(self.layers)
         partner, paired = cz_partners(self.layers, n)
         stack_rows = np.where(paired, partner, n).T.ravel()
-        g4 = np.multiply(self.gates.transpose(1, 2, 0), 4, order="C")  # at most 92
-        columns = np.ascontiguousarray(self.base.T) * c_count + np.arange(c_count)
+        block_starts = np.arange(n_layers) * c_count
+        circuits = np.arange(c_count)
         x2 = np.zeros((n + 1, c_count), dtype=np.uint8)
         sq_inverse = SQ_INVERSE_DIGITS.ravel()
-        p = np.ascontiguousarray(self.final.T)
-        for j in range(self.base.shape[1] - 1, -1, -1):
-            p = sq_inverse.take(g4[j] | p)
+        p = self.final
+        for j in range(len(self.base) - 1, -1, -1):
+            p = sq_inverse.take(self.gates[j] * 4 | p)  # 4 g at most 92
             np.bitwise_and(np.add(p, p, out=x2[:n]), 2, out=x2[:n])  # x moved to z
             stack = x2.take(stack_rows, axis=0).reshape(n, n_layers * c_count)
-            p ^= stack.take(columns[j], axis=1)
+            p ^= stack.take(block_starts.take(self.base[j]) + circuits, axis=1)
             yield j, p
 
 
@@ -116,11 +117,12 @@ def pec_observable(
     every site s, base layer l, site code and fit f,
     T[s, l, code, f] = -2 sum_{k in s} ov16[code, k] (lambda_true - lambda_f)[l, k],
     as one row of F values per (s, l, code), at row 16 L s + 16 l + code.
-    Each step reads the (n, C) qubit-major strings of `batch.strings()`:
-    a site's two digits are two row takes, its code p[lo] | 4 p[hi] stays
-    uint8 until the layer and site offsets are added, and one `take` of the
-    (S, C) rows of all fits at once is added into an (S, C, F) buffer that
-    is summed over the sites once.
+    Each step reads the (n, C) qubit-major strings of `batch.strings()`
+    and its own (C,) row of `batch.base`: a site's two digits are two row
+    takes, its code p[lo] | 4 p[hi] stays uint8 until the layer and site
+    offsets are added, and one `take` of the (S, C) rows of all fits at
+    once is added into an (S, C, F) buffer that is summed over the sites
+    once.
     """
     sites, site_of, ov16 = generators.site_tables
     labels = [layer.label for layer in batch.layers]
@@ -134,23 +136,21 @@ def pec_observable(
     with np.errstate(invalid="ignore"):
         terms = ov16[:, order] * delta[:, :, None, order]
         table = -2.0 * np.add.reduceat(terms, starts, axis=-1)  # (F, L, 16, S)
-    used = np.bincount(batch.base.ravel(), minlength=n_layers) > 0
-    bad = np.flatnonzero(used & ~np.isfinite(table).all(axis=(0, 2, 3)))
-    if bad.size:
-        raise ZeroDivisionError(f"fitted fidelity vanished on layer {labels[bad[0]]}")
+    for layer in np.flatnonzero(~np.isfinite(table).all(axis=(0, 2, 3))).tolist():
+        if (batch.base == layer).any():
+            raise ZeroDivisionError(f"fitted fidelity vanished on layer {labels[layer]}")
     rows = np.ascontiguousarray(table.transpose(3, 1, 2, 0)).reshape(-1, len(fits))
     # Row indices in the narrowest unsigned type that holds them: every
     # operation on them then stays in one integer type.
     row_type = np.min_scalar_type(len(rows) - 1)
     site_rows = np.arange(0, len(rows), 16 * n_layers, dtype=row_type)[:, None]
-    layer_rows = np.ascontiguousarray(batch.base.T * 16, dtype=row_type)
     lo, hi = sites.T
-    log_o = np.zeros((n_sites, batch.base.shape[0], len(fits)))
+    log_o = np.zeros((n_sites, batch.base.shape[1], len(fits)))
     for j, p in batch.strings():
         code = p.take(lo, axis=0)
         code |= (p * 4).take(hi, axis=0)
         idx = code.astype(row_type)
-        idx |= layer_rows[j]
+        idx |= np.multiply(batch.base[j], 16, dtype=row_type)
         idx += site_rows
         log_o += rows.take(idx, axis=0)
     return np.exp(log_o.sum(axis=0).T)
@@ -346,8 +346,10 @@ def sample_circuit(
     rejection run, a used-up block) makes the three calls itself.  The
     blocks are drawn in chunks of about `_CHUNK_WORDS` words, to bound their
     temporaries, and each chunk's steps are written straight into a
-    (J, n + 1, C) array: the batch's gates are a (C, J, n) view of it,
-    qubit-major, the order `CircuitBatch.strings` reads them in.
+    (J, n + 1, C) array.  Divided in place, its row 0 is the batch's (J, C)
+    base and the rest its (J, n, C) gates, in the draws' unsigned type
+    (uint8 while B <= 256): the step-major order `CircuitBatch.strings`
+    reads them in.
     """
     labels = sorted(base_layers)
     n = base_layers[labels[0]].n
@@ -363,7 +365,7 @@ def sample_circuit(
     n_layers, n_gates = len(labels), len(SQ_DIGITS)
     bound = math.lcm(n_layers, n_gates)
     draws = np.zeros((j_layers, n + 1, m), dtype=np.min_scalar_type(bound - 1))
-    final = np.zeros((m, n), dtype=np.uint8)
+    final = np.zeros((n, m), dtype=np.uint8)
     rng = np.random.Generator(np.random.PCG64())
     bit_generator = rng.bit_generator
     steps = draws[:, 1:] if n_layers == 1 else draws
@@ -387,7 +389,7 @@ def sample_circuit(
     if w_max:
         qubits, letters, unfinished = _support_draws(tail, n, w_max)
         kept = np.arange(w_max) < weights[:, None]
-        final[np.arange(m)[:, None], qubits] = _LETTER_DIGITS[letters] * kept
+        final[qubits, np.arange(m)[:, None]] = _LETTER_DIGITS[letters] * kept
         redraw |= unfinished & (weights > 0)
     for c in np.flatnonzero(redraw).tolist():
         bit_generator.state = states[c]
@@ -396,13 +398,12 @@ def sample_circuit(
         else:
             draws[:, :, c] = rng.integers(0, bound, size=(j_layers, n + 1))
         qubits = rng.permutation(n)[: weights[c]]
-        final[c] = 0
-        final[c, qubits] = _LETTER_DIGITS[rng.integers(3, size=weights[c])]
-    base = (draws[:, 0].T // (bound // n_layers)).astype(np.intp)
-    gates = draws[:, 1:].transpose(2, 0, 1)
+        final[:, c] = 0
+        final[qubits, c] = _LETTER_DIGITS[rng.integers(3, size=weights[c])]
+    base, gates = draws[:, 0], draws[:, 1:]
+    base //= bound // n_layers
     if bound != n_gates:
         gates //= bound // n_gates
-    gates = gates.astype(np.uint8, copy=False)  # a view of the draws while B <= 256
     return CircuitBatch(tuple(base_layers[lab] for lab in labels), base, gates, final)
 
 

@@ -182,8 +182,9 @@ def ratio_expressions(
     index_of = {layer.label: i for i, layer in enumerate(layers)}
     by_label = {layer.label: layer for layer in layers}
     for pair in pairs:
-        for chain in chain_decomposition(by_label[pair[0]], by_label[pair[1]]):
-            for target in mlcb_targets(chain, topology.n):
+        la, lb = by_label[pair[0]], by_label[pair[1]]
+        for chain in chain_decomposition(la, lb):
+            for target in mlcb_targets(chain, la, lb):
                 if (target.qubit, pair) not in wanted:
                     continue
                 try:

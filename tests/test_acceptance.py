@@ -192,7 +192,7 @@ class TestCriterion5Certificates:
             b = CliffordLayer(k, tuple(chain_edges["B"]), (), "B")
             g = CliffordLayer(k, tuple(chain_edges["G"]), (), "G")
             chains = chain_decomposition(b, g)
-            targets = [t for c in chains for t in mlcb_targets(c, k)]
+            targets = [t for c in chains for t in mlcb_targets(c, b, g)]
             assert sorted(t.qubit for t in targets) == sorted(bulk), name
             rng = np.random.default_rng(101)
             for target in targets:
@@ -216,7 +216,7 @@ class TestCriterion6RatioIdentity:
         b = CliffordLayer(3, ((0, 1),), (), "B")
         g = CliffordLayer(3, ((1, 2),), (), "G")
         (chain,) = chain_decomposition(b, g)
-        (target,) = mlcb_targets(chain, 3)
+        (target,) = mlcb_targets(chain, b, g)
         expr = mu_expression(target, topo, seed=3)
         rng = np.random.default_rng(23)
         worst = 0.0
@@ -326,11 +326,13 @@ class TestCriterion10PecSweep:
 
 class TestCriterion11NumericalBedrock:
     def test_bedrock(self):
-        # KKT residuals on 1000 random small systems.
+        # KKT residuals on 1000 random small systems, each with at least as
+        # many rows as columns (nnls fits full-column-rank systems only).
         kkt_worst = 0.0
         for seed in range(1000):
             srng = np.random.default_rng(seed)
-            m, n = int(srng.integers(5, 25)), int(srng.integers(2, 12))
+            n = int(srng.integers(2, 12))
+            m = int(srng.integers(n, 25))
             A = srng.normal(size=(m, n))
             b = srng.normal(size=m)
             kkt_worst = max(kkt_worst, nnls(A, b).kkt_residual)

@@ -66,6 +66,15 @@ class TestNnls:
         fit = nnls(A, b)
         assert fit.kkt_residual < 1e-10
 
+    @pytest.mark.parametrize("inv_gram", [False, True])
+    def test_wide_system_rejected(self, inv_gram):
+        # Fewer rows than columns cannot have full column rank, the contract
+        # every solve of the passive-set loop relies on.
+        A = np.random.default_rng(2).normal(size=(12, 26))
+        H = np.eye(26) if inv_gram else None
+        with pytest.raises(ValueError, match="at least as many rows as columns, got 12 x 26"):
+            nnls(A, A @ np.ones(26), inv_gram=H)
+
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

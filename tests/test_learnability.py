@@ -283,7 +283,7 @@ class TestMlcbTargets:
     def test_three_qubit_open_chain(self):
         topo, b, g = three_qubit_setup()
         (chain,) = chain_decomposition(b, g)
-        (target,) = mlcb_targets(chain, 3)
+        (target,) = mlcb_targets(chain, b, g)
         assert target.qubit == 1
         assert target.prep.label() == "XIX"
         assert [(l, p.label()) for l, p, _ in target.product.terms] == [
@@ -297,7 +297,7 @@ class TestMlcbTargets:
         b = CliffordLayer(2, ((0, 1),), (), "B")
         g = CliffordLayer(2, ((0, 1),), (), "G")
         (chain,) = chain_decomposition(b, g)
-        targets = {t.qubit: t for t in mlcb_targets(chain, 2)}
+        targets = {t.qubit: t for t in mlcb_targets(chain, b, g)}
         c2 = [(l, p.label()) for l, p, _ in targets[0].product.terms]
         c2p = [(l, p.label()) for l, p, _ in targets[1].product.terms]
         assert c2 == [("B", "IX"), ("G", "ZX")]
@@ -307,7 +307,7 @@ class TestMlcbTargets:
         b = CliffordLayer(4, ((0, 1), (2, 3)), (), "B")
         g = CliffordLayer(4, ((0, 2), (1, 3)), (), "G")
         (chain,) = chain_decomposition(b, g)
-        targets = {t.qubit: t for t in mlcb_targets(chain, 4)}
+        targets = {t.qubit: t for t in mlcb_targets(chain, b, g)}
         assert set(targets) == {0, 1, 2, 3}
         got = [(l, p.label()) for l, p, _ in targets[0].product.terms]
         assert got == [("B", "IXXX"), ("G", "ZXYY"), ("B", "IYYX"), ("G", "ZYXY")]
@@ -316,7 +316,7 @@ class TestMlcbTargets:
         b = CliffordLayer(4, ((0, 1), (2, 3)), (), "B")
         g = CliffordLayer(4, ((1, 2),), (), "G")
         (chain,) = chain_decomposition(b, g)
-        targets = {t.qubit: t for t in mlcb_targets(chain, 4)}
+        targets = {t.qubit: t for t in mlcb_targets(chain, b, g)}
         o4 = [(l, p.label()) for l, p, _ in targets[1].product.terms]
         assert o4 == [("B", "XIXI"), ("G", "XZXZ"), ("B", "XIXZ"), ("G", "XZXI")]
 
@@ -324,7 +324,7 @@ class TestMlcbTargets:
         b = CliffordLayer(5, ((1, 2), (3, 4)), (), "B")
         g = CliffordLayer(5, ((0, 1), (2, 3)), (), "G")
         (chain,) = chain_decomposition(b, g)
-        targets = {t.qubit: t for t in mlcb_targets(chain, 5)}
+        targets = {t.qubit: t for t in mlcb_targets(chain, b, g)}
         o5 = [(l, p.label()) for l, p, _ in targets[2].product.terms]
         assert o5 == [("B", "IXIXI"), ("G", "IXZXZ"), ("B", "ZXIXZ"), ("G", "ZXZXI")]
 
@@ -332,13 +332,13 @@ class TestMlcbTargets:
         b = CliffordLayer(2, ((0, 1),), (), "B")
         g = CliffordLayer(2, (), (), "G")
         (chain,) = chain_decomposition(b, g)
-        assert mlcb_targets(chain, 2) == []
+        assert mlcb_targets(chain, b, g) == []
 
     def test_six_qubit_closed_chain_window(self):
         b = CliffordLayer(6, ((0, 1), (2, 3), (4, 5)), (), "B")
         g = CliffordLayer(6, ((1, 2), (3, 4), (5, 0)), (), "G")
         (chain,) = chain_decomposition(b, g)
-        targets = mlcb_targets(chain, 6)
+        targets = mlcb_targets(chain, b, g)
         assert len(targets) == 6
         for t in targets:
             for _, p, _ in t.product.terms:
@@ -349,7 +349,7 @@ class TestMuExpressions:
     def test_eq15_identity(self):
         topo, b, g = three_qubit_setup()
         (chain,) = chain_decomposition(b, g)
-        (target,) = mlcb_targets(chain, 3)
+        (target,) = mlcb_targets(chain, b, g)
         expr = mu_expression(target, topo, seed=2)
         rng = np.random.default_rng(4)
         worst = 0.0
@@ -373,7 +373,7 @@ class TestMuExpressions:
     def test_epsilon_signs_oppose(self):
         topo, b, g = three_qubit_setup()
         (chain,) = chain_decomposition(b, g)
-        (target,) = mlcb_targets(chain, 3)
+        (target,) = mlcb_targets(chain, b, g)
         expr = mu_expression(target, topo, seed=2)
         c1, c2 = expr.certificates
         assert c1.epsilon == -c2.epsilon == expr.epsilon

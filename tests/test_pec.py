@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -60,9 +61,9 @@ def entering(batch: CircuitBatch) -> list[np.ndarray]:
 
 
 def step_layer(batch: CircuitBatch, c: int, j: int) -> CliffordLayer:
-    base = batch.layers[batch.base[c, j]]
-    n = batch.final.shape[1]
-    return CliffordLayer(n, base.cz_pairs, tuple((q, GROUP[batch.gates[c, j, q]]) for q in range(n)))
+    base = batch.layers[batch.base[j, c]]
+    n = batch.final.shape[0]
+    return CliffordLayer(n, base.cz_pairs, tuple((q, GROUP[batch.gates[j, q, c]]) for q in range(n)))
 
 
 def bare_circuits(layer: CliffordLayer, finals: list[PauliString], steps: int) -> CircuitBatch:
@@ -71,9 +72,9 @@ def bare_circuits(layer: CliffordLayer, finals: list[PauliString], steps: int) -
     c, n = len(finals), layer.n
     return CircuitBatch(
         (layer,),
-        np.zeros((c, steps), dtype=np.intp),
-        np.full((c, steps, n), IDENTITY, dtype=np.uint8),
-        np.array([digits(p) for p in finals]),
+        np.zeros((steps, c), dtype=np.uint8),
+        np.full((steps, n, c), IDENTITY, dtype=np.uint8),
+        np.array([digits(p) for p in finals]).T,
     )
 
 
@@ -91,19 +92,17 @@ def per_circuit_sample(base_layers, j_layers, weights, rngs):
     n = base_layers[labels[0]].n
     n_layers, n_gates = len(labels), len(GROUP)
     bound = math.lcm(n_layers, n_gates)
-    draws = np.zeros((len(rngs), j_layers, n + 1), dtype=np.min_scalar_type(bound - 1))
-    final = np.zeros((len(rngs), n), dtype=np.uint8)
+    draws = np.zeros((j_layers, n + 1, len(rngs)), dtype=np.min_scalar_type(bound - 1))
+    final = np.zeros((n, len(rngs)), dtype=np.uint8)
     for c, (rng, w) in enumerate(zip(rngs, weights, strict=True)):
         if n_layers == 1:
-            draws[c, :, 1:] = rng.integers(0, n_gates, size=(j_layers, n))
+            draws[:, 1:, c] = rng.integers(0, n_gates, size=(j_layers, n))
         else:
-            draws[c] = rng.integers(0, bound, size=(j_layers, n + 1))
+            draws[:, :, c] = rng.integers(0, bound, size=(j_layers, n + 1))
         qubits = rng.permutation(n)[:w]
-        final[c, qubits] = np.array([1, 3, 2], dtype=np.uint8)[rng.integers(3, size=w)]
-    base = (draws[:, :, 0] // (bound // n_layers)).astype(np.intp)
-    gates = draws[:, :, 1:]
-    gates //= bound // n_gates
-    gates = gates.astype(np.uint8, copy=False)
+        final[qubits, c] = np.array([1, 3, 2], dtype=np.uint8)[rng.integers(3, size=w)]
+    base = draws[:, 0] // (bound // n_layers)
+    gates = draws[:, 1:] // (bound // n_gates)
     return CircuitBatch(tuple(base_layers[lab] for lab in labels), base, gates, final)
 
 
@@ -168,9 +167,9 @@ def assert_scalar_draws(layers, j_layers, w, batch, states):
         ref = np.random.default_rng()
         ref.bit_generator.state = state
         base, gates, final = scalar_sample(layers, j_layers, w, ref)
-        assert np.array_equal(batch.base[c], base)
-        assert np.array_equal(batch.gates[c], gates.reshape(j_layers, n))
-        assert np.array_equal(batch.final[c], final)
+        assert np.array_equal(batch.base[:, c], base)
+        assert np.array_equal(batch.gates[:, :, c], gates.reshape(j_layers, n))
+        assert np.array_equal(batch.final[:, c], final)
 
 
 class CountingGenerator(np.random.Generator):
@@ -196,10 +195,10 @@ def reference_log_observable(true_models, fits, batch, gens) -> np.ndarray:
     -2 overlaps(beta_j) . (lambda_true - lambda_fit), one `GeneratorSet.overlaps`
     call per circuit and step."""
     labels = [layer.label for layer in batch.layers]
-    log_o = np.zeros((len(fits), batch.base.shape[0]))
+    log_o = np.zeros((len(fits), batch.base.shape[1]))
     for j, p in batch.strings():
         for c, row in enumerate(p.T):
-            lab = labels[batch.base[c, j]]
+            lab = labels[batch.base[j, c]]
             ov = gens.overlaps(pauli(row))
             for f, fit in enumerate(fits):
                 log_o[f, c] += -2.0 * float(ov @ (true_models[lab].lambdas - fit[lab]))
@@ -211,7 +210,7 @@ def record_passes(monkeypatch) -> list[int]:
     passes = []
 
     def recorded(models, fits, batch, generators):
-        passes.append(len(batch.final))
+        passes.append(batch.final.shape[1])
         return pec_observable(models, fits, batch, generators)
 
     monkeypatch.setattr(pec, "pec_observable", recorded)
@@ -284,8 +283,8 @@ class TestPecObservable:
         fitted = {"B": models["B"].lambdas * 0.9}
         full = sample_circuit({"B": b}, 4, 1, 0, range(6))
         o_full = pec_observable(models, (fitted,), full, gens)
-        first = CircuitBatch(full.layers, full.base[:, :2], full.gates[:, :2], entering(full)[2])
-        second = CircuitBatch(full.layers, full.base[:, 2:], full.gates[:, 2:], full.final)
+        first = CircuitBatch(full.layers, full.base[:2], full.gates[:2], entering(full)[2].T)
+        second = CircuitBatch(full.layers, full.base[2:], full.gates[2:], full.final)
         o_first = pec_observable(models, (fitted,), first, gens)
         o_second = pec_observable(models, (fitted,), second, gens)
         assert o_full == pytest.approx(o_first * o_second, rel=1e-12)
@@ -327,11 +326,15 @@ class TestPecObservable:
             alone = np.log(pec_observable(models, [fit], batch, gens))
             np.testing.assert_array_equal(log_o[f], alone[0])
 
-    @pytest.mark.parametrize("setup", ["small_plan", "isolated_qubit", "shuffled"])
+    @pytest.mark.parametrize("setup", ["small_plan", "eleven_layers", "isolated_qubit", "shuffled"])
     def test_matches_string_by_string_reference(self, setup, request):
-        if setup == "small_plan":
-            plan = request.getfixturevalue("small_plan")
-            gens, layers = plan.generators, {lab: lp.layer for lab, lp in plan.layers.items()}
+        if setup in ("small_plan", "eleven_layers"):
+            if setup == "small_plan":
+                plan = request.getfixturevalue("small_plan")
+                gens, layers = plan.generators, {lab: lp.layer for lab, lp in plan.layers.items()}
+            else:
+                # B = lcm(11, 24) = 264: the batch's base and gates are uint16.
+                gens, layers = GeneratorSet(Topology(3, ((0, 1), (1, 2)))), cz_layers(11)
             rng = np.random.default_rng(3)
             models = {lab: random_model(gens, layer, rng=rng) for lab, layer in layers.items()}
         else:
@@ -343,6 +346,7 @@ class TestPecObservable:
         n = gens.topology.n
         for w in (1, 3, n):
             batch = sample_circuit(layers, 7, w, w, range(12))
+            assert batch.base.dtype == (np.uint16 if setup == "eleven_layers" else np.uint8)
             log_o = np.log(pec_observable(models, fits, batch, gens))
             ref = reference_log_observable(models, fits, batch, gens)
             np.testing.assert_allclose(log_o, ref, rtol=0, atol=1e-12)
@@ -365,11 +369,11 @@ class TestSampleCircuit:
         batch = sample_circuit(self.layers, 40, w, 0, [11 + c for c in range(4)])
         beta0 = entering(batch)[0]
         for c in range(4):
-            assert np.count_nonzero(batch.final[c]) == w
+            assert np.count_nonzero(batch.final[:, c]) == w
             p = pauli(beta0[c])
             for j in range(40):
                 p = conjugate(step_layer(batch, c, j), p)
-            assert p == pauli(batch.final[c])
+            assert p == pauli(batch.final[:, c])
 
     def test_deterministic_under_seed(self):
         a = sample_circuit(self.layers, 10, 5, 0, [3])
@@ -409,9 +413,9 @@ class TestSampleCircuit:
                 batch = sample_circuit(layers, j_layers, w, 0, keys)
                 for c, k in enumerate(keys):
                     base, gates, final = scalar_sample(layers, j_layers, w, model_rng(0, k))
-                    assert np.array_equal(batch.base[c], base)
-                    assert np.array_equal(batch.gates[c], gates.reshape(j_layers, n))
-                    assert np.array_equal(batch.final[c], final)
+                    assert np.array_equal(batch.base[:, c], base)
+                    assert np.array_equal(batch.gates[:, :, c], gates.reshape(j_layers, n))
+                    assert np.array_equal(batch.final[:, c], final)
 
     @pytest.mark.parametrize("r", [2, 3, 5, 24, 120, 264, 1000, 2**31 + 1, 2**32 - 1])
     def test_lemire_matches_numpy_bounded_draw(self, r):
@@ -503,15 +507,35 @@ class TestSampleCircuit:
         for field in ("base", "gates", "final"):
             a, b = getattr(batch, field), getattr(want, field)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-        assert [np.count_nonzero(row) for row in batch.final] == weights
+        assert np.count_nonzero(batch.final, axis=0).tolist() == weights
         if lookahead < 16:
             # Some rows were redrawn, none of them for a W = 0 support.
             assert 1 < CountingGenerator.permutations <= np.count_nonzero(weights)
 
     def test_empty_batch(self):
         batch = sample_circuit(self.layers, 3, 2, 0, [])
-        assert batch.base.shape == (0, 3) and batch.gates.shape == (0, 3, 20)
-        assert batch.final.shape == (0, 20)
+        assert batch.base.shape == (3, 0) and batch.gates.shape == (3, 20, 0)
+        assert batch.final.shape == (20, 0)
+
+    def test_limit_pass_memory(self):
+        # A pass at the limits (1000 circuits of 1000 steps on garnet20)
+        # holds its 21 MB of uint8 draws once: base and gates are views of
+        # them, and no step-major copy or intp index of the whole pass is made.
+        gens = GeneratorSet(square_lattice(4, 5))
+        rng = np.random.default_rng(8)
+        models = {lab: random_model(gens, layer, rng=rng) for lab, layer in self.layers.items()}
+        fits = perturbed_fits(models, seed=9)
+        tracemalloc.start()
+        try:
+            batch = sample_circuit(self.layers, pec.MAX_J_LAYERS, 2, 0, range(pec.MAX_CIRCUITS))
+            o = pec_observable(models, fits, batch, gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6, f"pass peaked at {peak / 1e6:.1f} MB"
+        assert batch.base.dtype == batch.gates.dtype == np.uint8
+        assert batch.base.base is batch.gates.base is not None  # views of the draws
+        assert o.shape == (2, pec.MAX_CIRCUITS) and np.all(o > 0)
 
 
 @st.composite
@@ -549,12 +573,12 @@ def test_batched_propagation_matches_conjugate(spec, j_layers, data, seed):
     assert_scalar_draws(layers, j_layers, w, batch, start_states(seed, range(3)))
     steps = entering(batch)
     for c in range(3):
-        assert np.count_nonzero(batch.final[c]) == w
+        assert np.count_nonzero(batch.final[:, c]) == w
         p = pauli(steps[0][c])
         for j in range(j_layers):
             assert np.array_equal(digits(p), steps[j][c])
             p = conjugate(step_layer(batch, c, j), p)
-        assert np.array_equal(digits(p), batch.final[c])
+        assert np.array_equal(digits(p), batch.final[:, c])
 
 
 
