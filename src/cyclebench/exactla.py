@@ -1,90 +1,26 @@
-"""Exact and modular linear algebra over the rationals for rank and
-certificate computations.
+"""Exact linear algebra over the rationals for rank and certificate
+computations, on one elimination kernel modulo a 31-bit prime.
 
-Rank tests on learnability systems must not rely on floating point: the
-coefficient rows carry small integers and quarters, and near-degenerate
-float ranks are untrustworthy.  Small systems run fraction-free integer
-elimination (exact).  Large rank queries run vectorized elimination modulo
-two independent 31-bit primes; a modular rank is a certified lower bound on
-the rational rank, and agreement of both primes is accepted for the upper
-bound (disagreement falls back to the exact path).  All modular rank,
-extension and solution work runs on one elimination kernel, `_pivots_mod`.
-
-The certificate support search works mod p from one elimination per call:
-a particular solution and a left null-space basis, reduced in each retry's
-visiting order by one rank-1 step per pivot, all retries in lockstep.  Its
-decisions match the rank comparison exactly mod p.  The support is then
-solved exactly on the same fraction-free integer elimination as the exact
-rank, and the solution is checked against every equation in integers.
+All rank, extension, solve and support-search work runs on `_pivots_mod`,
+row echelon elimination mod p, and what must hold over the rationals is
+checked exactly in integers.  A rank r mod p bounds the rational rank from
+below; `rank_checked` proves it with width - r integer null vectors,
+independent by their unit entries on the free columns and checked to
+vanish exactly.  `solve_rational` reads its solution off a null vector.
+Both reconstruct rationals n/d from residues, which works for |n|, d <=
+sqrt(p/2) (32767 here) only: beyond it a certificate or solve fails its
+exact check and is never wrong.  The support search decides each row drop
+mod p, and `solve_rational` then solves and checks the support.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
 _PRIMES = (2147483647, 2147483629)
-
-
-def _normalize(row: list[int]) -> list[int]:
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, abs(v))
-            if g == 1:
-                return row
-    if g > 1:
-        return [v // g for v in row]
-    return row
-
-
-def _echelon_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form; returns (reduced rows, pivot columns)."""
-    work = [_normalize([int(v) for v in r]) for r in rows]
-    work = [r for r in work if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    echelon: list[list[int]] = []
-    pivots: list[int] = []
-    col = 0
-    while work and col < ncols:
-        best = None
-        for i, r in enumerate(work):
-            if r[col]:
-                if best is None or abs(r[col]) < abs(work[best][col]):
-                    best = i
-                    if abs(r[col]) == 1:
-                        break
-        if best is None:
-            col += 1
-            continue
-        piv = work.pop(best)
-        pv = piv[col]
-        nxt = []
-        for r in work:
-            if r[col]:
-                f = r[col]
-                r = _normalize([pv * a - f * b for a, b in zip(r, piv)])
-                if not any(r):
-                    continue
-            nxt.append(r)
-        work = nxt
-        echelon.append(piv)
-        pivots.append(col)
-        col += 1
-    return echelon, pivots
-
-
-def rank_exact(rows) -> int:
-    echelon, _ = _echelon_int([list(r) for r in rows])
-    return len(echelon)
-
-
-def _rank_mod(rows: np.ndarray, p: int) -> int:
-    return len(_pivots_mod(rows, p)[0])
 
 
 # Entries per block of rows converted or updated at a time, which bounds
@@ -92,36 +28,32 @@ def _rank_mod(rows: np.ndarray, p: int) -> int:
 _PIVOT_BLOCK = 1 << 16
 
 
-def _pivots_mod(
-    rows: np.ndarray, p: int, nrows: int | None = None, ncols: int | None = None
-) -> tuple[list[int], np.ndarray]:
+def _pivots_mod(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """Pivot columns of the row echelon form mod p < 2^31 (each column
     independent of the columns before it), and the reduced matrix mod p.
 
-    Pivots are taken among the first `nrows` rows and `ncols` columns (all
-    by default); every row below the pivot is reduced, so rows past `nrows`
-    record the combinations that eliminate them.  The matrix is held mod p
-    in int32, half the size of int64.  Each pivot, scaled to 1, is
-    subtracted from the rows below it that are nonzero in its column, in
-    int64 blocks of at most `_PIVOT_BLOCK` entries, so that no temporary
-    grows with the matrix.
+    The matrix is held mod p in int32, half the size of int64.  Each pivot,
+    scaled to 1, is subtracted from the rows below it that are nonzero in
+    its column, in int64 blocks of at most `_PIVOT_BLOCK` entries, so that
+    no temporary grows with the matrix.
     """
     rows = np.asarray(rows)
     height, width = rows.shape
-    nrows = height if nrows is None else nrows
-    ncols = width if ncols is None else ncols
     a = np.empty((height, width), dtype=np.int32)
     step = max(1, _PIVOT_BLOCK // max(width, 1))
     for lo in range(0, height, step):
-        block = rows[lo : lo + step].astype(np.int64)
+        block = rows[lo : lo + step]
+        if block.dtype == object:  # Python integers, possibly beyond int64
+            block = block % p
+        block = block.astype(np.int64)
         block %= p
         a[lo : lo + step] = block
     pivots: list[int] = []
     rank = 0
     col = 0
-    while rank < nrows and col < ncols:
+    while rank < height and col < width:
         nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0 or nz[0] >= nrows - rank:
+        if nz.size == 0:
             col += 1
             continue
         pivots.append(col)
@@ -145,92 +77,154 @@ def _pivots_mod(
     return pivots, a
 
 
+def _rational(v: int, p: int) -> Fraction | None:
+    """The one n/d = v mod p with |n|, d <= sqrt(p/2), or None (Wang's
+    rational reconstruction: extended Euclid on (p, v), stopped halfway)."""
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, v % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _null_space_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The free columns of the echelon form of `mat` mod p, and per free
+    column a null vector (a column of V, mat @ V = 0 mod p) with 1 there and
+    0 on the other free columns, in symmetric residues (-p/2, p/2].
+
+    Its pivot entries solve the unit upper-triangular pivot block bottom-up:
+    each solved row is subtracted from the rows above it that are nonzero in
+    its pivot column, and the block needs no update (a solved row is zero
+    in every other pivot column)."""
+    pivots, a = _pivots_mod(mat, p)
+    free = np.delete(np.arange(mat.shape[1]), pivots)
+    x = a[: len(pivots), free].astype(np.int64)
+    for i in range(len(pivots) - 1, 0, -1):
+        above = np.flatnonzero(a[:i, pivots[i]])
+        if above.size:
+            x[above] = (x[above] - a[above, pivots[i]].astype(np.int64)[:, None] * x[i]) % p
+    null = np.zeros((mat.shape[1], free.size), dtype=np.int64)
+    null[free, np.arange(free.size)] = 1
+    null[pivots] = -x
+    null[null < -(p // 2)] += p
+    return free, null
+
+
+def _integer_columns(null: np.ndarray, p: int) -> np.ndarray | None:
+    """Each column of symmetric residues mod p reconstructed as rationals
+    and scaled by the lcm of its denominators, or None if an entry has no
+    reconstruction.  A residue within the bound is its own (integer)
+    reconstruction, so only the others take `_rational`."""
+    bound = isqrt(p // 2)
+    wide = np.flatnonzero(((null > bound) | (null < -bound)).any(axis=0))
+    if not wide.size:
+        return null
+    out = null.astype(object)
+    for j in wide:
+        fracs = [_rational(v, p) for v in null[:, j].tolist()]
+        if None in fracs:
+            return None
+        den = lcm(*(f.denominator for f in fracs))
+        out[:, j] = [f.numerator * (den // f.denominator) for f in fracs]
+    return out
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of integer matrices, exactly: in float64, a block of rows of a
+    at a time, while no product or partial sum can reach 2^53; in Python
+    integers otherwise."""
+    top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    top *= max(int(b.max(initial=0)), -int(b.min(initial=0)))
+    if top * a.shape[1] >= 2**53:
+        return a.astype(object) @ b.astype(object)
+    out = np.empty((len(a), b.shape[1]))
+    b = b.astype(float)
+    step = max(1, _PIVOT_BLOCK // max(a.shape[1], 1))
+    for lo in range(0, len(a), step):
+        np.matmul(a[lo : lo + step].astype(float), b, out=out[lo : lo + step])
+    return out.astype(np.int64)
+
+
 def rank_checked(rows, rank_p0: int | None = None) -> int:
-    """Rational rank of an integer matrix (2-D array or list of rows);
-    exact for small systems, dual-prime modular above.  `rank_p0`, the rank
-    mod the first prime when the caller already has it (for instance from
-    `extend_to_full_rank`), is not computed again."""
-    mat = np.asarray(rows)  # kept in its dtype: each path converts it once
+    """Rational rank of an integer matrix (2-D array or list of rows, in
+    int64 or Python integers), proven by a null-space certificate.
+
+    The null space of the transpose certifies as well, and the side with
+    fewer null vectors goes first: repeated rows leave integer left null
+    vectors where the right ones may need large denominators.  A failed
+    check (a rank drop mod p, or an entry beyond the reconstruction bound)
+    tries the other side, then the second prime, then raises RuntimeError.
+    `rank_p0`, a rank mod a prime that the caller already has, is a lower
+    bound too: a certified rank below it raises RuntimeError.
+    """
+    mat = np.asarray(rows)
     if mat.size == 0:
         return 0
-    nonzero = mat.any(axis=1)
-    if not nonzero.all():
-        mat = mat[nonzero]
-    if mat.size <= 20000:
-        return rank_exact(mat)
-    r0 = _rank_mod(mat, _PRIMES[0]) if rank_p0 is None else rank_p0
-    r1 = _rank_mod(mat, _PRIMES[1])
-    if r0 == r1:
-        return r0
-    return rank_exact(mat)
+    sides = (mat, mat.T) if mat.shape[1] <= mat.shape[0] else (mat.T, mat)
+    for p in _PRIMES:
+        for side in sides:
+            null = _integer_columns(_null_space_mod(side, p)[1], p)
+            if null is not None and not _product(side, null).any():
+                rank = side.shape[1] - null.shape[1]
+                if rank_p0 is not None and rank < rank_p0:
+                    raise RuntimeError(f"certified rank {rank} is below the modular rank {rank_p0}")
+                return rank
+    raise RuntimeError(f"no rank certificate of a {mat.shape} integer matrix checked mod either prime")
 
 
 def extend_to_full_rank(rows, candidates, p: int = _PRIMES[0]) -> tuple[int, list[int]]:
     """(rank of `rows` mod p, indices of the candidate rows that, taken
-    greedily in order, extend the span of `rows`), integer matrices of equal
-    width, decided mod p.
+    greedily in order, extend the span of `rows`), decided mod p.
 
-    Stacked as the columns of one matrix, rows first, the rank is the
-    number of pivot columns among the rows and the candidates taken are the
-    pivot columns past them: a pivot column is independent of the columns
-    before it.  Rows independent mod p are independent over the rationals,
-    so no dependent candidate is taken; a candidate dependent mod p alone
-    (an accident of p) is missed, which a rank count detects.
+    The null vectors N of `rows` map a candidate c to c N, zero exactly on
+    the row span, and the candidates taken are the pivot columns of these
+    residues stacked as columns.  A candidate dependent mod p alone (an
+    accident of p) is missed, which a rank count detects.
     """
-    pivots = _pivots_mod(np.vstack([rows, candidates]).T, p)[0]
-    taken = [col - len(rows) for col in pivots if col >= len(rows)]
-    return len(pivots) - len(taken), taken
+    rows = np.asarray(rows)
+    null = _null_space_mod(rows.reshape(-1, np.shape(candidates)[1]), p)[1]
+    taken = _pivots_mod(_product(np.asarray(candidates), null).T, p)[0]
+    return null.shape[0] - null.shape[1], taken
 
 
 def solve_rational(columns, target) -> list[Fraction] | None:
     """Exact coefficients c with sum_i c_i columns[i] = target, or None.
 
-    `_echelon_int` reduces the equations [A | b], A[:, i] = columns[i]; a
-    pivot in the b column means b is outside the column span.  Every pivot
-    column is independent of the columns before it, so a column dependent on
-    earlier ones gets c_i = 0 (the solution is unique when the columns are
-    independent), and back-substitution over the pivot columns in Fractions
-    gives the others.  The result is then checked against every equation in
-    integers, scaled by the lcm of the coefficient denominators.
+    With A[:, i] = columns[i], b is in the span of A exactly when the last
+    column of [A | -b] is free, and the null vector of that free column
+    (mod the first prime) is then (c, 1): zero on the other free columns,
+    so a column dependent on the columns before it gets c_i = 0 and the
+    solution is unique when the columns are independent.  It is
+    reconstructed as (c den, den) in integers and checked exactly, as a
+    rank certificate is.  None means no checked solution: b is outside the
+    span, a coefficient exceeds the reconstruction bound, or p divides a
+    pivot minor; never a wrong solution.
     """
     ncols = len(columns)
-    cols = [[int(v) for v in col] for col in columns]
-    rhs = [int(v) for v in target]
-    echelon, pivots = _echelon_int([[col[i] for col in cols] + [b] for i, b in enumerate(rhs)])
-    if pivots and pivots[-1] == ncols:
+    cols = [[int(v) for v in col] for col in columns] + [[-int(v) for v in target]]
+    aug = np.array(cols, dtype=object).reshape(ncols + 1, len(target)).T
+    free, null = _null_space_mod(aug, _PRIMES[0])
+    if ncols not in free:
         return None
-    coeffs = [Fraction(0)] * ncols
-    for row, col in zip(reversed(echelon), reversed(pivots)):
-        acc = row[ncols] - sum(row[j] * coeffs[j] for j in range(col + 1, ncols) if coeffs[j])
-        coeffs[col] = acc / Fraction(row[col])
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    for i, b in enumerate(rhs):
-        if sum(v * col[i] for v, col in zip(ints, cols) if v) != den * b:
-            return None
-    return coeffs
+    scaled = _integer_columns(null[:, -1:], _PRIMES[0])
+    if scaled is None or _product(aug, scaled).any():
+        return None
+    den = int(scaled[ncols, 0])
+    return [Fraction(int(v), den) for v in scaled[:ncols, 0]]
 
 
 def _solution_and_null_space(rows: np.ndarray, target: np.ndarray, p: int):
     """Mod-p particular solution c of c @ rows = target and a basis of the
-    left null space of rows (as matrix rows), or None if no solution exists.
-
-    `_pivots_mod` eliminates [rows | I; target | 0] with pivots among the
-    rows and their columns only: the identity part records each reduced
-    row as a combination of the input rows, so the target row ends as
-    [0 | -c] when the target is in the span, and the rows that end up zero
-    on the left carry the null vectors.
-    """
-    m, ncols = rows.shape
-    aug = np.zeros((m + 1, ncols + m), dtype=np.int64)
-    aug[:m, :ncols] = rows
-    aug[:m, ncols:] = np.eye(m, dtype=np.int64)
-    aug[m, :ncols] = target
-    pivots, aug = _pivots_mod(aug, p, m, ncols)
-    if aug[m, :ncols].any():
+    left null space of rows (as matrix rows), or None if there is no c: the
+    null vectors of [rows^T | -target], the last giving c as in
+    `solve_rational`, the others zero in the target's column."""
+    free, null = _null_space_mod(np.vstack([rows, -target]).T, p)
+    if len(rows) not in free:
         return None
-    c = -aug[m, ncols:].astype(np.int64) % p
-    return c, aug[len(pivots) : m, ncols:].astype(np.int64)
+    return null[:-1, -1] % p, null[:-1, :-1].T % p
 
 
 def modular_support_search(

@@ -2,8 +2,8 @@
 
 Which functions of fidelities can cycle-benchmarking protocols determine
 with multiplicative, SPAM-robust precision?  Orbit products (standard and
-interleaved) span the learnable space; exact and modular rank tests
-count it and complete it to full rank; a randomized row-elimination
+interleaved) span the learnable space; certified modular ranks count it
+and complete it to full rank; a randomized row-elimination
 search produces certificates expressing an unlearnable target through a
 measured multi-layer product plus learnable terms.
 """
@@ -512,8 +512,7 @@ def analyze_layer(layer: CliffordLayer, generators: GeneratorSet) -> LayerLearna
     n_singleton_strings = len(std_keys | {s.key() for s in singles_dr})
     # The generator strings, in generator order, whose single fidelities
     # extend the product rows to full rank (the generators' own fidelities
-    # have full rank).  The same elimination gives the rows' rank mod the
-    # first prime, so only the second prime's is computed again.
+    # have full rank), and the rows' rank, proven by its certificate.
     rank_p0, taken = exactla.extend_to_full_rank(
         rows, generators.digit_overlaps(digits(generators.strings, layer.n))
     )

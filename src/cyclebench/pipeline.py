@@ -363,7 +363,8 @@ def characterize_and_fit(
 
     Every record row weighs the same, matching the published nonnegative
     least-squares objective.  A plan with a rank-deficient layer raises
-    RankDeficientError: its fits would not determine the rates.
+    RankDeficientError: its fits would not determine the rates.  A fit
+    whose relative KKT residual exceeds 1e-10 raises RuntimeError.
     """
     records = noisy_records(plan, models, sigma, sigma_prime, baseline, rng)
     deficient = [(lab, lp.unconstrained) for lab, lp in plan.layers.items() if lp.unconstrained]
@@ -394,6 +395,10 @@ def characterize_and_fit(
         for pipeline, low_est in low.items():
             rhs = -0.5 * np.concatenate([log_high, np.log(low_est[lab])])
             fit = nnls(a, rhs, inv_gram=lp.inv_gram)
+            if not fit.kkt_residual <= 1e-10:  # the fit contract; NaN fails it too
+                raise RuntimeError(
+                    f"layer {lab!r} {pipeline} fit has relative KKT residual {fit.kkt_residual:.3g} > 1e-10"
+                )
             fitted[pipeline][lab] = fit.lambdas
             fit_meta[pipeline][lab] = {
                 "residual_norm": fit.residual_norm,

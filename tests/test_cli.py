@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclebench import cli
+from cyclebench import cli, exactla
 from cyclebench.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_RANK, _plan, main, parse_config
 from cyclebench.exactla import rank_checked
 from cyclebench.layers import CATALOG
@@ -677,6 +677,42 @@ class TestErrors:
         path, _ = write_config(tmp_path, topology="square2x2", models=3)
         assert main(["fit", "--config", str(path), "--parallel", "1000000"]) == 0
         assert sizes == [2]
+
+    def test_failed_rank_certificate_ends_numeric(self, tmp_path, monkeypatch, capsys):
+        # Null vectors that fail their exact check on every side and prime
+        # leave no proven rank: `learnability` ends in a numerical failure.
+        null_space = exactla._null_space_mod
+
+        def corrupted(mat, p):
+            free, null = null_space(mat, p)
+            null[:, :1] += 1
+            return free, null
+
+        monkeypatch.setattr(exactla, "_null_space_mod", corrupted)
+        path, _ = write_config(tmp_path, topology="square2x2")
+        assert main(["learnability", "--config", str(path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical failure: no rank certificate")
+
+    def test_fit_outside_kkt_contract_ends_numeric(self, tmp_path, monkeypatch, capsys):
+        # Symmetric noise of 1e-8 max|H| on one garnet20 layer's inverse Gram
+        # leaves its fits above the 1e-10 KKT contract (about 2e-6 and 9e-8):
+        # `fit` ends in a numerical failure, one line naming the layer, the
+        # pipeline and the residual, and writes no metrics.
+        def perturbed(cfg):
+            plan = _plan(cfg)
+            h = plan.layers["B"].inv_gram
+            noise = np.random.default_rng(0).standard_normal(h.shape)
+            h += (noise + noise.T) * 0.5e-8 * np.abs(h).max()
+            return plan
+
+        monkeypatch.setattr(cli, "_plan", perturbed)
+        path, cfg = write_config(tmp_path, topology="garnet20", layers="closed_squares", models=1)
+        assert main(["fit", "--config", str(path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: layer 'B' ") and "KKT residual" in err
+        assert not os.path.exists(os.path.join(cfg["out"], "metrics.csv"))
 
     @pytest.mark.parametrize("sigma", [1e200, 1e308])
     @pytest.mark.parametrize("command", ["characterize", "fit", "pec"])

@@ -5,8 +5,10 @@ integer rows.
 `exactla.modular_support_search`: every "drop row i?" decision compares two
 from-scratch mod-p ranks.  The null-space implementation must take the same
 decisions, so both return identical supports for equal rng seeds.
-`gauss_jordan_reference` is the Fraction elimination that
-`exactla.solve_rational` replaced; both must return identical coefficients.
+`gauss_jordan_reference` is the Fraction elimination
+that `exactla.solve_rational` replaced; both must return identical
+coefficients whenever every reference coefficient is within the
+reconstruction bound, and `solve_rational` must return None otherwise.
 `extend_reference` keeps each candidate row whose addition raises a
 recomputed mod-p rank, as `exactla.extend_to_full_rank` must (which also
 returns the rows' mod-p rank).  `pivots_reference` is row echelon
@@ -14,15 +16,16 @@ elimination mod p in Python integers, which the int32/int64 block kernel
 `exactla._pivots_mod` must match pivot for pivot and entry for entry.
 `solution_reference` is the int64 elimination that
 `exactla._solution_and_null_space` replaced by that kernel; both must
-return the same solution and null-space basis.  `bareiss_reference` is the
-fraction-free (Bareiss) solver that `exactla.solve_rational` replaced by
-the exact rank's elimination, `_echelon_int`; both must return the same
-coefficients or None.
+return the same solution set (a particular solution and a null-space
+basis, each up to the null space).  `bareiss_reference` is the
+fraction-free (Bareiss) solver that `exactla.solve_rational` once was; it
+is held to the same bound.  `fraction_rank` is Gaussian elimination in
+Fractions, against which `exactla.rank_checked` is proven right.
 """
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -32,15 +35,17 @@ from hypothesis import strategies as st
 from cyclebench import exactla
 from cyclebench.exactla import (
     _PRIMES,
-    _rank_mod,
     extend_to_full_rank,
     modular_support_search,
+    rank_checked,
     solve_rational,
 )
 from cyclebench.learnability import (
     EquivalenceCertificate,
     FidelityFunction,
     LearnableProduct,
+    NotEquivalentError,
+    express_search,
     int_row,
 )
 from cyclebench.pauli import PauliString
@@ -48,6 +53,10 @@ from cyclebench.spl import GeneratorSet
 from cyclebench.topology import Topology
 
 PRIMES = (7, _PRIMES[0])
+
+
+def rank_mod(rows, p):
+    return len(exactla._pivots_mod(rows, p)[0])
 
 
 def rank_greedy_reference(rows, target, rng, retries, p=_PRIMES[0]):
@@ -58,8 +67,8 @@ def rank_greedy_reference(rows, target, rng, retries, p=_PRIMES[0]):
         if not idx:
             return not target.any()
         a = np.vstack([rows[idx], target[None, :]])
-        sub = _rank_mod(a[:-1], p)
-        return _rank_mod(a, p) == sub
+        sub = rank_mod(a[:-1], p)
+        return rank_mod(a, p) == sub
 
     all_idx = list(range(len(rows)))
     if not in_span(all_idx):
@@ -87,7 +96,7 @@ def spans_mod(rows, idx, target, p):
     t = np.asarray(target, dtype=np.int64) % p
     if not idx:
         return not t.any()
-    return _rank_mod(np.vstack([a, t[None, :]]), p) == _rank_mod(a, p)
+    return rank_mod(np.vstack([a, t[None, :]]), p) == rank_mod(a, p)
 
 
 def extend_reference(rows, candidates, p):
@@ -96,7 +105,7 @@ def extend_reference(rows, candidates, p):
     kept, stack = [], np.asarray(rows, dtype=np.int64).reshape(-1, len(candidates[0]))
     for i, c in enumerate(candidates):
         grown = np.vstack([stack, c])
-        if _rank_mod(grown, p) > _rank_mod(stack, p):
+        if rank_mod(grown, p) > rank_mod(stack, p):
             kept.append(i)
             stack = grown
     return kept
@@ -113,22 +122,19 @@ def test_extend_matches_rank_reference(ncols, data, p):
     row = st.lists(entry, min_size=ncols, max_size=ncols)
     rows = np.array(data.draw(st.lists(row, max_size=7)), dtype=np.int64).reshape(-1, ncols)
     candidates = np.array(data.draw(st.lists(row, min_size=1, max_size=7)), dtype=np.int64)
-    rank = _rank_mod(rows, p) if len(rows) else 0
+    rank = rank_mod(rows, p) if len(rows) else 0
     assert extend_to_full_rank(rows, candidates, p) == (rank, extend_reference(rows, candidates, p))
 
 
 
-def pivots_reference(rows, p, nrows=None, ncols=None):
-    """Pivot columns of the row echelon form mod p, taken among the first
-    `nrows` rows and `ncols` columns, and the reduced matrix, in Python
-    integers."""
+def pivots_reference(rows, p):
+    """Pivot columns of the row echelon form mod p and the reduced matrix,
+    in Python integers."""
     a = [[int(v) % p for v in row] for row in rows]
-    nrows = len(a) if nrows is None else nrows
-    ncols = (len(a[0]) if a else 0) if ncols is None else ncols
     pivots = []
-    for col in range(ncols):
+    for col in range(len(a[0]) if a else 0):
         rank = len(pivots)
-        sel = next((i for i in range(rank, nrows) if a[i][col]), None)
+        sel = next((i for i in range(rank, len(a)) if a[i][col]), None)
         if sel is None:
             continue
         a[rank], a[sel] = a[sel], a[rank]
@@ -145,9 +151,8 @@ def pivots_reference(rows, p, nrows=None, ncols=None):
 @pytest.mark.parametrize("block", [1, 7, exactla._PIVOT_BLOCK])
 def test_pivots_match_python_elimination(monkeypatch, block):
     # Blocks of one entry convert and update one row at a time; entries far
-    # beyond p, negative entries, sparse and low-rank matrices.  Each matrix
-    # is also eliminated with pivots limited to a leading block, the rows
-    # past it reduced too, as in the certificate search's [rows | I; t | 0].
+    # beyond p (past int64 too, as Python integers), negative entries,
+    # sparse and low-rank matrices.
     monkeypatch.setattr(exactla, "_PIVOT_BLOCK", block)
     rng = np.random.default_rng(block)
     for trial in range(40):
@@ -160,10 +165,11 @@ def test_pivots_match_python_elimination(monkeypatch, block):
         else:
             rows = rng.integers(-2, 3, size=(nrows, ncols)) * (rng.random((nrows, ncols)) < 0.3)
         rows = rows.astype(np.int8 if trial % 4 == 2 else np.int64)
-        limits = (rng.integers(0, nrows + 1), rng.integers(0, ncols + 1))
-        for p, bounds in itertools.product((*PRIMES, _PRIMES[1]), ((), limits)):
-            pivots, reduced = exactla._pivots_mod(rows, p, *bounds)
-            want_pivots, want = pivots_reference(rows.tolist(), p, *bounds)
+        if trial % 8 == 0:
+            rows = rows.astype(object) * 2**30
+        for p in (*PRIMES, _PRIMES[1]):
+            pivots, reduced = exactla._pivots_mod(rows, p)
+            want_pivots, want = pivots_reference(rows.tolist(), p)
             assert pivots == want_pivots
             assert reduced.dtype == np.int32 and reduced.tolist() == want
 
@@ -264,11 +270,15 @@ def test_solution_and_null_space_match_reference(problem, p):
     if want is None:
         assert got is None
         return
+    # The same solution set: c - want_c and the two bases span one space.
     (c, null), (want_c, want_null) = got, want
     assert c.dtype == null.dtype == np.int64
-    assert c.tolist() == want_c.tolist()
-    assert null.shape == want_null.shape and null.tolist() == want_null.tolist()
+    assert null.shape == want_null.shape
+    rank = rank_mod(null, p) if len(null) else 0
+    assert rank == len(null)
+    assert rank_mod(np.vstack([null, want_null, c - want_c]), p) == rank
     assert not ((c.astype(object) @ rows.astype(object) - target) % p).any()
+    assert not ((null.astype(object) @ rows.astype(object)) % p).any()
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +336,19 @@ def linear_systems(draw):
     return columns, target
 
 
+# The largest numerator and denominator `solve_rational` reconstructs.
+BOUND = isqrt(_PRIMES[0] // 2)
+
+
+def within_bound(coeffs):
+    """The answer `solve_rational` must give for a reference answer: the
+    same when every coefficient is within the bound (or there is none),
+    None otherwise."""
+    if coeffs is None or all(abs(c.numerator) <= BOUND and c.denominator <= BOUND for c in coeffs):
+        return coeffs
+    return None
+
+
 def solves(columns, target, coeffs):
     return all(
         sum((c * col[i] for c, col in zip(coeffs, columns)), Fraction(0)) == t
@@ -347,7 +370,7 @@ def solves(columns, target, coeffs):
 def test_solve_matches_fraction_reference(system):
     columns, target = system
     got = solve_rational(columns, target)
-    assert got == gauss_jordan_reference(columns, target)
+    assert got == within_bound(gauss_jordan_reference(columns, target))
     if got is not None:
         assert all(isinstance(c, Fraction) for c in got)
         assert solves(columns, target, got)
@@ -442,18 +465,18 @@ def degenerate_systems(draw):
 def test_solve_matches_bareiss_reference(system):
     columns, target = system
     got = solve_rational(columns, target)
-    assert got == bareiss_reference(columns, target)
+    assert got == within_bound(bareiss_reference(columns, target))
     if got is not None:
         assert solves(columns, target, got)
 
 
-def test_solve_large_denominators():
-    # Dense 7x7 integer systems with entries up to 100: determinants, and so
-    # denominators, far above 2**15 (and above int64 in the products).  The
-    # 9-row systems are consistent with integer solutions or (a random b)
-    # inconsistent.
+def test_solve_beyond_bound_is_none():
+    # Dense 7x7 integer systems with entries up to 100: their determinants,
+    # and so their denominators, are far above the bound, and those solves
+    # end in None, never in a wrong solution.  The 9-row systems with
+    # integer solutions are solved exactly, and a random b is inconsistent.
     rng = np.random.default_rng(11)
-    largest = 0
+    beyond = 0
     for _ in range(20):
         a = rng.integers(-100, 101, size=(9, 7))
         b = rng.integers(-100, 101, size=9)
@@ -464,10 +487,109 @@ def test_solve_large_denominators():
         assert solve_rational(columns, list(map(int, b))) is None
         assert gauss_jordan_reference(columns, list(map(int, b))) is None
         square = [col[:7] for col in columns]
-        got = solve_rational(square, list(map(int, b[:7])))
-        assert got == gauss_jordan_reference(square, list(map(int, b[:7])))
-        largest = max(largest, *(c.denominator for c in got))
-    assert largest > 2**15
+        want = gauss_jordan_reference(square, list(map(int, b[:7])))
+        assert solve_rational(square, list(map(int, b[:7]))) == within_bound(want)
+        beyond += within_bound(want) is None
+    assert beyond == 20
+    # At the bound and one past it, in the denominator and the numerator.
+    assert solve_rational([[BOUND]], [1]) == [Fraction(1, BOUND)]
+    assert solve_rational([[BOUND + 1]], [1]) is None
+    assert solve_rational([[1]], [-BOUND]) == [Fraction(-BOUND)]
+    assert solve_rational([[1]], [BOUND + 1]) is None
+
+
+# ---------------------------------------------------------------------------
+# Certified ranks
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination in Fractions."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        sel = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if sel is None:
+            continue
+        a[rank], a[sel] = a[sel], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [v - f * w for v, w in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices with entries up to 3 or up to 2**70 (past
+    int64), with zero rows and repeated rows inserted."""
+    ncols = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([3, 2**70]))
+    row = st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[draw(st.integers(0, len(rows) - 1))]))
+    return rows, ncols
+
+
+@settings(max_examples=400, deadline=None)
+@example(matrix=([[2, 1], [4, 2], [6, 3]], 2))  # right null vector (-1/2, 1)
+@example(matrix=([[2**70, 1, 5], [3, 2**69, 1]] * 2, 3))  # right null vector far past the bound
+@given(matrix=integer_matrices())
+def test_rank_checked_matches_fraction_rank(matrix):
+    rows, ncols = matrix
+    dtype = object if any(abs(v) >= 2**63 for row in rows for v in row) else np.int64
+    mat = np.array(rows, dtype=dtype).reshape(len(rows), ncols)
+    assert rank_checked(mat) == rank_checked(rows) == fraction_rank(rows)
+
+
+def test_rank_drop_mod_first_prime_is_ranked_right():
+    # Full rank over the rationals, a rank drop mod the first prime only:
+    # the first prime's certificates fail their check, the second's holds.
+    p = _PRIMES[0]
+    rng = np.random.default_rng(5)
+    base = rng.integers(-3, 4, size=(6, 4))
+    for rows in (
+        np.array([[1, 1], [1, 1 + p]]),
+        np.vstack([base[:, :3] @ rng.integers(-2, 3, size=(3, 4)), [[0, 0, 0, p]]]),
+    ):
+        rank = fraction_rank(rows.tolist())
+        assert len(exactla._pivots_mod(rows, p)[0]) == rank - 1
+        assert rank_checked(rows) == rank
+
+
+def test_corrupted_null_vector_fails_check(monkeypatch):
+    # One wrong entry in one null vector: the exact check rejects it on
+    # every side and prime, and no rank is returned.
+    rows = np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]])
+    null = exactla._null_space_mod(rows, _PRIMES[0])[1]
+    assert null.shape[1] == 2 and not exactla._product(rows, null).any()
+    null[0, 0] += 1
+    assert exactla._product(rows, null).any()
+    assert rank_checked(rows) == 2
+    null_space = exactla._null_space_mod
+
+    def corrupted(mat, p):
+        free, null = null_space(mat, p)
+        null[:, :1] += 1
+        return free, null
+
+    monkeypatch.setattr(exactla, "_null_space_mod", corrupted)
+    with pytest.raises(RuntimeError, match="no rank certificate"):
+        rank_checked(rows)
+
+
+def test_certificate_beyond_bound_fails_search():
+    # The target is the anchor over 40001, a denominator beyond the
+    # reconstruction bound: the exact solve fails on every retry, and the
+    # search ends in NotEquivalentError instead of a wrong certificate.
+    gens = line_generators()
+    target = FidelityFunction.product("A", [pauli("XZI")])
+    anchor = FidelityFunction((("A", pauli("XZI"), Fraction(40001)),))
+    with pytest.raises(NotEquivalentError, match="exact solve failed"):
+        express_search(target, anchor, gens, [])
+    assert express_search(target, target, gens, []).epsilon == 1
 
 
 # ---------------------------------------------------------------------------
