@@ -161,6 +161,9 @@ def rank_checked(rows, rank_p0: int | None = None) -> int:
     bound too: a certified rank below it raises RuntimeError.
     """
     mat = np.asarray(rows)
+    # numpy reads a list holding integers in [2^63, 2^64) as uint64 or float64.
+    if mat.dtype.kind in "fu":
+        mat = np.array(rows, dtype=object)
     if mat.size == 0:
         return 0
     sides = (mat, mat.T) if mat.shape[1] <= mat.shape[0] else (mat.T, mat)

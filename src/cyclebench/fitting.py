@@ -32,11 +32,7 @@ class FitResult:
     iterations: int
 
 
-def nnls(
-    A: np.ndarray,
-    b: np.ndarray,
-    inv_gram: np.ndarray | None = None,
-) -> FitResult:
+def nnls(A: np.ndarray, b: np.ndarray, inv_gram: np.ndarray) -> FitResult:
     """argmin_{x >= 0} || A x - b ||_2 of a full-column-rank A, by block
     principal pivoting (Kim & Park, SIAM J. Sci. Comput. 33, 2011).
 
@@ -48,25 +44,25 @@ def nnls(
     `FULL_EXCHANGES` exchanges that do not reduce it; once the budget is
     spent, only the largest-index infeasible one is exchanged until the
     count falls below its lowest so far.  Kim & Park's backup rule ends for
-    every full-column-rank A, and every block a solve factors (A_F^T A_F,
-    or H_CC below) is a principal submatrix of a positive-definite matrix,
-    so it is nonsingular.  A with fewer rows than columns cannot have full
-    column rank and raises ValueError.  The plan's fit matrices all have
-    full column rank: `pipeline.characterize_and_fit` raises
-    `RankDeficientError` before it fits any other.
+    every full-column-rank A, and every block a solve factors, H_CC below,
+    is a principal submatrix of a positive-definite matrix, so it is
+    nonsingular.  A with fewer rows than columns cannot have full column
+    rank and raises ValueError.  The plan's fit matrices all have full
+    column rank: `pipeline.characterize_and_fit` raises `RankDeficientError`
+    before it fits any other.
 
     `inv_gram` is H = (A^T A)^-1 of a full-column-rank A, as
-    `LayerPlan.inv_gram` holds for its layer's `LayerPlan.s`.  With it each passive
+    `LayerPlan.inv_gram` holds for its layer's `LayerPlan.s`.  Each passive
     set is solved as a Schur complement on the active set C: x0 = H rhs,
     y = H_CC^-1 x0_C, x = x0 - H_:C y, and y is the gradient on C.  H A^T b
     is formed once per fit, and each solve gathers only the rows H_C: of
     the symmetric H: one (|C|, n) copy, an |C| x |C| factorization and one
     y H_C: product.  Only the refinement step, whose right-hand side is a
     gradient, multiplies by the whole H.  The gradient error of such a
-    solve grows like cond(A^T A)^2 eps, so H suits well-conditioned A only:
-    the plan keeps H for cond(A^T A) <= `pipeline.MAX_INV_GRAM_COND` (1e6),
-    and the refinement step absorbs what remains.  Without H each solve
-    factors the passive block of A^T A.
+    solve grows like cond(A^T A)^2 eps; one refinement step absorbs it for
+    the plan's well-conditioned fit matrices, and the reported KKT residual
+    shows a fit that H could not carry (the plan's fits reject it above
+    1e-10).
     A is taken as float64, so every product with it is one BLAS call: a
     float64 A is used as it is, and a caller fitting an integer matrix many
     times copies it to float once (`pipeline.characterize_and_fit` keeps one
@@ -85,10 +81,7 @@ def nnls(
     gtol = TOL * scale
     iters = 0
 
-    if inv_gram is None:
-        gram = A.T @ A
-    else:
-        x_atb = inv_gram @ atb
+    x_atb = inv_gram @ atb
 
     def solve(passive, rhs=atb):
         """x on the passive set and the gradient rhs - A^T A x."""
@@ -96,11 +89,6 @@ def nnls(
         iters += 1
         if iters > max_iter:
             raise RuntimeError("nonnegative least squares failed to converge")
-        if inv_gram is None:
-            x = np.zeros(n)
-            if passive.any():
-                x[passive] = np.linalg.solve(gram[np.ix_(passive, passive)], rhs[passive])
-            return x, rhs - gram @ x
         x = x_atb.copy() if rhs is atb else inv_gram @ rhs
         grad = np.zeros(n)
         active = np.flatnonzero(~passive)

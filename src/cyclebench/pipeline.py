@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exactla
 from .fitting import RankDeficientError, distance_metrics, nnls, refine_unlearnable
 from .layers import CliffordLayer, chain_decomposition, covering_layers, cz_partners
 from .learnability import (
@@ -25,9 +26,10 @@ from .spl import GeneratorSet, SplModel, random_model
 from .topology import Topology
 
 
-# Largest cond(S^T S) whose inverse Gram the fits use: the Schur solves'
-# gradient error grows like cond^2 eps, which one refinement step absorbs
-# well below this bound.  Worse-conditioned layers fit by factoring.
+# Largest ||G||_inf ||G^-1||_inf of a layer's Gram matrix G = S^T S whose
+# inverse is kept without further work.  Above it `classify_gram` decides
+# the rank of S exactly; every full-rank layer keeps its inverse, and the
+# fits' KKT check rejects one that the inverse cannot carry.
 MAX_INV_GRAM_COND = 1e6
 
 
@@ -44,12 +46,13 @@ class LayerPlan:
     matrix S whose first `n_high` rows are their overlap rows and whose
     other rows are the low-accuracy single fidelities on `low_qubits`, each
     lying in orbit product `symmetry_row[i]`.  `inv_gram` is (S^T S)^-1 for
-    nnls when S has full column rank and cond(S^T S) <= MAX_INV_GRAM_COND;
-    `unconstrained` is (rank, unconstrained generators) when S lacks full
-    column rank.  `ratio_rows` holds the overlap rows of the ratio entries'
-    product terms in this layer with each row's entry index, and `mu_refs`
-    the (entry, high-row index, coefficient) arrays of the entries'
-    learnable terms in this layer."""
+    nnls when S has full column rank, and `unconstrained` is None; else
+    `inv_gram` is None and `unconstrained` is S's certified rank and the
+    generators that `classify_gram` finds unconstrained.  `ratio_rows`
+    holds the overlap rows of the ratio entries' product terms in this
+    layer with each row's entry index, and `mu_refs` the (entry, high-row
+    index, coefficient) arrays of the entries' learnable terms in this
+    layer."""
 
     layer: CliffordLayer
     products: list[LearnableProduct]
@@ -118,11 +121,7 @@ def build_plan(
             s.key(): i for i, p in enumerate(prods) if p.source == "standard" for s in p.strings
         }
         stacked = np.vstack([rows, lrows])
-        # Integer entries far below 2**53, so the float product is exact.
-        floats = stacked.astype(float)
-        g = floats.T @ floats
-        del floats  # freed before the inverse's workspace: lower peak RSS
-        inv, deficient = classify_gram(g, gens)
+        inv, deficient = classify_gram(stacked, gens, lab)
         # Each product of the plan is looked up once here, so its string set
         # is not cached on it (`LearnableProduct.key` would keep it).
         row_of = {frozenset(prod.strings): i for i, prod in enumerate(prods)}
@@ -201,15 +200,23 @@ def ratio_expressions(
 
 
 def classify_gram(
-    gram: np.ndarray, gens: GeneratorSet
+    s: np.ndarray, gens: GeneratorSet, label: str
 ) -> tuple[np.ndarray | None, tuple[int, list[str]] | None]:
-    """(G^-1 or None, (rank, unconstrained generators) or None) of a
-    symmetric Gram matrix G over `gens`, from one inverse and at most one
-    `eigh`.  The inverse is kept when ||G||_inf ||G^-1||_inf, an upper bound
-    on cond_2(G), or else cond_2(G) itself is at most MAX_INV_GRAM_COND.  The
-    rank has the tolerance of `np.linalg.matrix_rank(gram, hermitian=True)`;
-    below full rank the unconstrained generators are those with weight in the
-    null-space eigenvectors, most weight first."""
+    """(G^-1 or None, (rank, unconstrained generators) or None) of the Gram
+    matrix G = S^T S of layer `label`'s integer fit matrix S over `gens`.
+
+    G is inverted once.  When ||G||_inf ||G^-1||_inf, an upper bound on
+    cond_2(G), is at most MAX_INV_GRAM_COND, the inverse is kept and
+    nothing else runs.  Otherwise `exactla` decides the rank of S, proven
+    by its certificate, as `learnability.analyze_layer` does: a full-rank
+    layer keeps its inverse whatever its condition, and raises RuntimeError
+    if the inverse failed or is not finite.  A rank-deficient layer keeps
+    no inverse, and its unconstrained generators are those, in generator
+    order, whose unit rows extend the rows of S to full rank."""
+    # Integer entries far below 2**53, so the float product is exact.
+    floats = s.astype(float)
+    gram = floats.T @ floats
+    del floats  # freed before the inverse's workspace: lower peak RSS
     try:
         inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
@@ -218,15 +225,16 @@ def classify_gram(
         bound = np.abs(gram).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
         if bound <= MAX_INV_GRAM_COND:
             return inv, None
-    values, vecs = np.linalg.eigh(gram)  # ascending eigenvalues
-    s = np.abs(values)
-    top = s.max(initial=0.0)
-    rank = int(np.count_nonzero(s > top * len(gram) * np.finfo(float).eps))
-    if rank == len(gram):
-        return (inv if top / s.min() <= MAX_INV_GRAM_COND else None), None
-    weight = np.square(vecs[:, : len(gram) - rank]).sum(axis=1)
-    order = np.argsort(-weight, kind="stable")
-    return None, (rank, [gens.strings[i].label() for i in order if weight[i] > 1e-9])
+    k = s.shape[1]
+    rank_p0, taken = exactla.extend_to_full_rank(s, np.eye(k, dtype=np.int8))
+    rank = exactla.rank_checked(s, rank_p0)
+    if rank + len(taken) != k:
+        raise RuntimeError(f"layer {label!r}: incomplete set of unconstrained generators")
+    if rank < k:
+        return None, (rank, [gens.strings[i].label() for i in taken])
+    if inv is None or not np.isfinite(inv).all():
+        raise RuntimeError(f"layer {label!r}: full-rank fit matrix has no finite inverse Gram")
+    return inv, None
 
 
 def covering_pairs(topology: Topology, layers: list[CliffordLayer]):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -714,6 +715,19 @@ class TestErrors:
         assert err.startswith("numerical failure: layer 'B' ") and "KKT residual" in err
         assert not os.path.exists(os.path.join(cfg["out"], "metrics.csv"))
 
+    def test_full_rank_layer_without_finite_inverse_ends_numeric(self, tmp_path, monkeypatch, capsys):
+        # An inverse Gram that is not finite fails the bound; the exact rank
+        # finds the layer full rank, and `fit` ends in a numerical failure,
+        # one line naming the first layer, before any model is drawn.
+        monkeypatch.setattr(np.linalg, "inv", lambda a: np.full(np.shape(a), np.nan))
+        path, cfg = write_config(tmp_path, topology="square2x2")
+        assert main(["fit", "--config", str(path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"numerical failure: layer '\w+': full-rank fit matrix has no finite inverse Gram\n", err
+        )
+        assert not os.path.exists(os.path.join(cfg["out"], "metrics.csv"))
+
     @pytest.mark.parametrize("sigma", [1e200, 1e308])
     @pytest.mark.parametrize("command", ["characterize", "fit", "pec"])
     def test_huge_noise_ends_cleanly(self, tmp_path, capsys, sigma, command):
@@ -941,11 +955,15 @@ class TestErrors:
         }
 
     def test_isolated_sq_layers_fit_rank_deficient(self, tmp_path, capsys):
+        # Certified ranks, and the first unconstrained generators in
+        # generator order.
         path, _ = write_config(tmp_path, **self.ISOLATED_SQ)
         assert main(["fit", "--config", str(path)]) == EXIT_RANK
-        err = capsys.readouterr().err
-        assert err.startswith("rank deficiency: layer 'C'") and err.count("\n") == 1
-        assert "layer 'D'" in err
+        assert capsys.readouterr().err == (
+            "rank deficiency: layer 'C' fit matrix has rank 106 < 135, unconstrained generators "
+            "include IIIXIIIII IIIIYIIII IIIIIXIII XIIXIIIII; layer 'D' fit matrix has rank "
+            "129 < 135, unconstrained generators include IIIIIIIIX IIIIIXIIX IIIIIYIIX IIIIIZIIX\n"
+        )
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize(

@@ -536,6 +536,7 @@ def integer_matrices(draw):
 @settings(max_examples=400, deadline=None)
 @example(matrix=([[2, 1], [4, 2], [6, 3]], 2))  # right null vector (-1/2, 1)
 @example(matrix=([[2**70, 1, 5], [3, 2**69, 1]] * 2, 3))  # right null vector far past the bound
+@example(matrix=([[0, 2**63]], 2))  # as a list, a uint64 array
 @given(matrix=integer_matrices())
 def test_rank_checked_matches_fraction_rank(matrix):
     rows, ncols = matrix
@@ -580,15 +581,26 @@ def test_corrupted_null_vector_fails_check(monkeypatch):
         rank_checked(rows)
 
 
-def test_certificate_beyond_bound_fails_search():
+def test_certificate_beyond_bound_fails_search(monkeypatch):
     # The target is the anchor over 40001, a denominator beyond the
-    # reconstruction bound: the exact solve fails on every retry, and the
-    # search ends in NotEquivalentError instead of a wrong certificate.
+    # reconstruction bound: the exact solve fails, and the search ends in
+    # NotEquivalentError after one support search and one solve instead of
+    # a wrong certificate or another search modulo the same prime.
     gens = line_generators()
     target = FidelityFunction.product("A", [pauli("XZI")])
     anchor = FidelityFunction((("A", pauli("XZI"), Fraction(40001)),))
+    calls = []
+    for name in ("modular_support_search", "solve_rational"):
+        real = getattr(exactla, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(exactla, name, counted)
     with pytest.raises(NotEquivalentError, match="exact solve failed"):
         express_search(target, anchor, gens, [])
+    assert calls == ["modular_support_search", "solve_rational"]
     assert express_search(target, target, gens, []).epsilon == 1
 
 

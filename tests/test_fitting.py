@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 from cyclebench import fitting
 from cyclebench.fitting import distance_metrics, nnls, refine_unlearnable
 from cyclebench.layers import CliffordLayer
-from cyclebench.pipeline import build_plan
+from cyclebench.pipeline import MAX_INV_GRAM_COND, build_plan
 from cyclebench.spl import GeneratorSet, SplModel
 from cyclebench.topology import Topology
+
+
+def inv_gram(A):
+    """H = (A^T A)^-1, the inverse Gram every nnls fit takes."""
+    A = np.asarray(A, dtype=float)
+    return np.linalg.inv(A.T @ A)
 
 
 class TestNnls:
@@ -19,13 +25,13 @@ class TestNnls:
         plan = build_plan(Topology(2, ((0, 1),)), [CliffordLayer(2, ((0, 1),), (), "C")])
         S = plan.layers["C"].s.astype(float)
         lam = np.random.default_rng(5).uniform(0, 5e-3, 15)
-        fit = nnls(S, S @ lam)
+        fit = nnls(S, S @ lam, inv_gram(S))
         assert np.max(np.abs(fit.lambdas - lam)) < 1e-8
 
     def test_zero_rhs_gives_zero(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(8, 5))
-        fit = nnls(A, np.zeros(8))
+        fit = nnls(A, np.zeros(8), inv_gram(A))
         assert np.all(fit.lambdas == 0.0)
 
     def test_two_generator_active_set_enumeration(self):
@@ -46,7 +52,7 @@ class TestNnls:
             r = np.linalg.norm(A @ x - b)
             if best is None or r < best - 1e-15:
                 best, best_x = r, x
-        fit = nnls(A, b)
+        fit = nnls(A, b, inv_gram(A))
         assert fit.lambdas == pytest.approx(best_x, abs=1e-12)
         assert fit.lambdas[0] == 0.0
 
@@ -55,7 +61,7 @@ class TestNnls:
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(30, 12))
         b = rng.normal(size=30)
-        ours = nnls(A, b)
+        ours = nnls(A, b, inv_gram(A))
         ref, _ = scipy.optimize.nnls(A, b)
         assert np.max(np.abs(ours.lambdas - ref)) < 1e-9
 
@@ -63,17 +69,18 @@ class TestNnls:
         rng = np.random.default_rng(1)
         A = rng.normal(size=(40, 10))
         b = rng.normal(size=40)
-        fit = nnls(A, b)
+        fit = nnls(A, b, inv_gram(A))
         assert fit.kkt_residual < 1e-10
 
-    @pytest.mark.parametrize("inv_gram", [False, True])
-    def test_wide_system_rejected(self, inv_gram):
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_wide_system_rejected(self, integer):
         # Fewer rows than columns cannot have full column rank, the contract
-        # every solve of the passive-set loop relies on.
-        A = np.random.default_rng(2).normal(size=(12, 26))
-        H = np.eye(26) if inv_gram else None
+        # every solve of the passive-set loop relies on.  Dense matrices and
+        # int8 ones like the plan's fit matrices are refused alike.
+        rng = np.random.default_rng(2)
+        A = rng.integers(0, 3, size=(12, 26)).astype(np.int8) if integer else rng.normal(size=(12, 26))
         with pytest.raises(ValueError, match="at least as many rows as columns, got 12 x 26"):
-            nnls(A, A @ np.ones(26), inv_gram=H)
+            nnls(A, A @ np.ones(26), np.eye(26))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -83,39 +90,52 @@ class TestNnls:
     )
     def test_matches_scipy_on_tall_systems(self, seed, n, extra):
         # Random m x n systems with m >= n have full column rank, as every
-        # fit matrix of a plan does.
+        # fit matrix of a plan does.  Within the plan's bound on
+        # ||G||_inf ||G^-1||_inf the fit is scipy's.  Above it (near-singular
+        # square systems) nnls promises nonnegative rates within its
+        # iteration guard only; the plan's fits check the KKT residual.
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(n + extra, n))
         b = rng.normal(size=n + extra)
-        fit = nnls(A, b)
-        assert fit.kkt_residual <= 1e-10
+        gram = A.T @ A
+        H = np.linalg.inv(gram)
+        fit = nnls(A, b, H)
         assert fit.iterations <= 10 * n + 100  # nnls's iteration guard
         assert np.all(fit.lambdas >= 0)
+        if np.abs(gram).sum(axis=1).max() * np.abs(H).sum(axis=1).max() > MAX_INV_GRAM_COND:
+            return
+        assert fit.kkt_residual <= 1e-10
         ref, ref_norm = scipy.optimize.nnls(A, b)
         assert fit.residual_norm**2 == pytest.approx(ref_norm**2, rel=1e-9, abs=1e-12)
         assert np.max(np.abs(fit.lambdas - ref)) < 1e-7
 
-    @pytest.mark.parametrize("with_inv_gram", [False, True])
-    def test_backup_rule_matches_scipy(self, monkeypatch, with_inv_gram):
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_backup_rule_matches_scipy(self, monkeypatch, integer):
         # With no full exchange allowed that leaves the infeasible count
         # where it was, every such step exchanges the largest infeasible
         # index alone.  Columns sharing one random component make such
-        # steps common; the fits still end at scipy's minimizer.
+        # steps common; the fits still end at scipy's minimizer.  The
+        # systems are dense, or int8 with 0-2 entries plus the shared
+        # component, like the plan's fit matrices.
         systems = []
         for seed in range(40):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(5, 40))
-            A = rng.normal(size=(2 * n, n)) + 2.0 * rng.normal(size=(2 * n, 1))
+            if integer:
+                A = rng.integers(0, 3, size=(2 * n, n)) + 2 * rng.integers(0, 3, size=(2 * n, 1))
+                A = A.astype(np.int8)
+            else:
+                A = rng.normal(size=(2 * n, n)) + 2.0 * rng.normal(size=(2 * n, 1))
             b = rng.normal(size=2 * n)
-            H = np.linalg.inv(A.T @ A) if with_inv_gram else None
-            systems.append((A, b, H, nnls(A, b, inv_gram=H).iterations))
+            H = inv_gram(A)
+            systems.append((A, b, H, nnls(A, b, H).iterations))
         monkeypatch.setattr(fitting, "FULL_EXCHANGES", 0)
         changed = 0
         for A, b, H, full_iterations in systems:
-            fit = nnls(A, b, inv_gram=H)
+            fit = nnls(A, b, H)
             assert fit.kkt_residual <= 1e-10
             assert np.all(fit.lambdas >= 0)
-            ref, _ = scipy.optimize.nnls(A, b)
+            ref, _ = scipy.optimize.nnls(A.astype(float), b)
             assert np.max(np.abs(fit.lambdas - ref)) < 1e-9
             changed += fit.iterations != full_iterations
         # The backup rule took a different path in some of the fits.
@@ -143,7 +163,7 @@ class TestNnls:
         # Solves through H lose gradient accuracy like cond(A)^4 eps; the
         # plan's fit matrices have cond(A) < 300.
         assume(np.linalg.cond(A_f) < 1e3)
-        fit = nnls(A, b, inv_gram=np.linalg.inv(A_f.T @ A_f))
+        fit = nnls(A, b, inv_gram(A_f))
         assert fit.kkt_residual <= 1e-10
         assert fit.iterations <= 10 * n + 100  # nnls's iteration guard
         assert np.all(fit.lambdas >= 0)

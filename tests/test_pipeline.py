@@ -11,12 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyclebench
 
-from cyclebench import fitting, pipeline
+from cyclebench import exactla, fitting, pipeline
 from cyclebench.fitting import RankDeficientError, nnls
-from cyclebench.layers import CATALOG, CliffordLayer
+from cyclebench.layers import CATALOG, SQ_DIGITS, CliffordLayer
 from cyclebench.pauli import PauliString
 from cyclebench.pipeline import (
     MAX_INV_GRAM_COND,
@@ -82,17 +85,24 @@ def deficiencies(plan) -> dict[str, tuple[int, list[str]]]:
     return {lab: lp.unconstrained for lab, lp in plan.layers.items() if lp.unconstrained}
 
 
-def count_linalg(monkeypatch, names=("inv", "eigh", "eigvalsh")) -> list[str]:
-    """Record the name of every call of the given `np.linalg` functions."""
+def count_linalg(monkeypatch) -> list[str]:
+    """Record the name of every call of `np.linalg.inv`, `eigh` and
+    `eigvalsh`, and of `exactla`'s rank functions."""
     calls = []
-    for name in names:
-        real = getattr(np.linalg, name)
+    for module, name in (
+        (np.linalg, "inv"),
+        (np.linalg, "eigh"),
+        (np.linalg, "eigvalsh"),
+        (exactla, "extend_to_full_rank"),
+        (exactla, "rank_checked"),
+    ):
+        real = getattr(module, name)
 
-        def counted(a, *args, _name=name, _real=real, **kwargs):
+        def counted(*args, _name=name, _real=real, **kwargs):
             calls.append(_name)
-            return _real(a, *args, **kwargs)
+            return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -116,22 +126,21 @@ class TestPlan:
         assert plan.mu_failures == 0
 
     def test_plan_inverse_gram(self, plan, sq_plan):
-        # H = (S^T S)^-1 per full-rank layer; fits through it equal nnls
-        # factoring its own passive blocks.
+        # H = (S^T S)^-1 per full-rank layer; fits through it equal scipy's.
         assert sq_plan.layers["A"].inv_gram is None
         rng = model_rng(3, 0)
         models = generate_models(plan, rng)
         for lab, lp in plan.layers.items():
-            S = lp.s
-            gram = S.T.astype(float) @ S
+            S = lp.s.astype(float)
+            gram = S.T @ S
             H = lp.inv_gram
             assert np.max(np.abs(H @ gram - np.eye(len(gram)))) < 1e-10
             b = S @ models[lab].lambdas + rng.normal(0.0, 1e-3, len(S))
-            own = nnls(S, b)
-            given = nnls(S, b, inv_gram=H)
-            assert 0 < np.count_nonzero(own.lambdas) < len(own.lambdas)
-            assert np.max(np.abs(own.lambdas - given.lambdas)) < 1e-12
-            assert given.kkt_residual <= 1e-10
+            fit = nnls(S, b, H)
+            ref, _ = scipy.optimize.nnls(S, b)
+            assert 0 < np.count_nonzero(ref) < len(ref)
+            assert np.max(np.abs(fit.lambdas - ref)) < 1e-10
+            assert fit.kkt_residual <= 1e-10
 
     def test_full_rank_plan(self, plan):
         assert deficiencies(plan) == {}
@@ -140,7 +149,7 @@ class TestPlan:
             assert np.linalg.matrix_rank(S.T @ S, hermitian=True) == len(plan.generators)
             # Full rank: no unconstrained generators, and the inverse is the
             # plan's.
-            inv, deficient = classify_gram(S.T @ S, plan.generators)
+            inv, deficient = classify_gram(lp.s, plan.generators, lp.layer.label)
             assert deficient is None
             np.testing.assert_array_equal(inv, lp.inv_gram)
 
@@ -149,24 +158,49 @@ class TestPlan:
         # two directions; with them it is full rank.
         single = build_plan(Topology(2, ((0, 1),)), [CliffordLayer(2, ((0, 1),), (), "C")])
         lp = single.layers["C"]
-        high = lp.s[: lp.n_high].astype(float)
-        inv, (rank, names) = classify_gram(high.T @ high, single.generators)
-        assert inv is None and rank == 15 - 2 and names
+        inv, (rank, names) = classify_gram(lp.s[: lp.n_high], single.generators, "C")
+        assert inv is None and rank == 15 - 2 and len(names) == 2
         assert deficiencies(single) == {}
 
     def test_sq_layer_rank_deficient(self, sq_plan):
         rank, names = sq_plan.layers["A"].unconstrained
         assert rank == 42 < len(sq_plan.generators) == 48
-        assert names and all(name[2] in "XY" for name in names)
+        # One name per lost direction, in generator order.
+        labels = [g.label() for g in sq_plan.generators.strings]
+        assert len(names) == 6 and names == sorted(names, key=labels.index)
+        assert all(name[2] in "XY" for name in names)
 
     def test_rank_deficient_layer_decomposed_once(self, monkeypatch):
-        # The inverse fails the bound, and one `eigh` gives both the rank
-        # and the null-space generators.
+        # The inverse fails the bound, and one exact extension gives the
+        # unconstrained generators, whose rank one certificate proves.
         calls = count_linalg(monkeypatch)
         layer = CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")
         sq = build_plan(square_lattice(2, 2), [layer])
-        assert sorted(calls) == ["eigh", "inv"]
+        assert calls == ["inv", "extend_to_full_rank", "rank_checked"]
         assert sq.layers["A"].unconstrained[0] == 42
+
+    def test_failed_exact_solve_is_one_search_and_one_failure(self, monkeypatch):
+        # A support whose exact solve finds nothing ends its ratio at once:
+        # one support search per solve, and every ratio a counted failure.
+        calls = []
+        search = exactla.modular_support_search
+
+        def counted_search(*args, **kwargs):
+            calls.append("search")
+            return search(*args, **kwargs)
+
+        def no_solution(columns, target):
+            calls.append("solve")
+            return None
+
+        monkeypatch.setattr(exactla, "modular_support_search", counted_search)
+        monkeypatch.setattr(exactla, "solve_rational", no_solution)
+        topo = square_lattice(3, 2)
+        layers = four_layer_config(topo, "open_chains")
+        failed = build_plan(topo, layers, seed=0, retries=4)
+        assert failed.mu_entries == []
+        assert failed.mu_failures == len(covering_pairs(topo, layers)[1]) > 0
+        assert calls == ["search", "solve"] * failed.mu_failures
 
     def test_plan_keeps_sq_gates(self):
         # The same CZ pairs with and without an S gate are different plans.
@@ -527,128 +561,174 @@ def scalar_mu_hat(plan, records):
     return out
 
 
+def eigh_oracle(s):
+    """The float rank rule that the exact rank replaced, as an oracle: rank
+    and cond_2 of G = S^T S from one `eigh`, at the tolerance of
+    `np.linalg.matrix_rank(G, hermitian=True)`, and the generators with
+    weight above 1e-9 in the null-space eigenvectors."""
+    gram = s.T.astype(float) @ s
+    values, vecs = np.linalg.eigh(gram)
+    a = np.abs(values)
+    rank = int(np.count_nonzero(a > a.max(initial=0.0) * len(gram) * np.finfo(float).eps))
+    weight = np.square(vecs[:, : len(gram) - rank]).sum(axis=1)
+    cond = a.max() / a.min() if rank == len(gram) else np.inf
+    return rank, cond, set(np.flatnonzero(weight > 1e-9).tolist())
+
+
+@st.composite
+def single_layers(draw):
+    """A random layer on a 2x2 to 3x4 square: CZ on a random matching,
+    and single-qubit gates on CZ qubits and, in half the layers, on
+    isolated qubits too."""
+    topo = square_lattice(draw(st.integers(2, 3)), draw(st.integers(2, 4)))
+    pairs, used = [], set()
+    for edge in draw(st.permutations(topo.edges)):
+        if used.isdisjoint(edge) and draw(st.booleans()):
+            pairs.append(edge)
+            used.update(edge)
+    isolated = draw(st.booleans())
+    gates = draw(st.lists(st.integers(0, len(SQ_DIGITS) - 1), min_size=topo.n, max_size=topo.n))
+    sq = tuple(
+        (q, tuple(SQ_DIGITS[g].tolist()))
+        for q, g in enumerate(gates)
+        if (q in used or isolated) and draw(st.booleans())
+    )
+    return topo, CliffordLayer(topo.n, tuple(pairs), sq, "L")
+
+
 class TestInverseGramGuard:
     @staticmethod
-    def ill_conditioned(seed, m=60, n=30):
-        # Singular values from 1 down to 1e-4: cond(A^T A) = 1e8.
+    def ill_conditioned(seed, k=30):
+        # An int8 fit matrix whose column 3 is k times column 7 but for one
+        # entry: full rank, with ||G||_inf ||G^-1||_inf ~ 2.5e8 for k = 30.
         rng = np.random.default_rng(seed)
-        u, _ = np.linalg.qr(rng.normal(size=(m, n)))
-        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        return (u * np.logspace(0, -4, n)) @ v.T, rng
+        s = rng.integers(0, 3, size=(60, 30)).astype(np.int8)
+        s[:, 3] = k * s[:, 7]
+        s[0, 3] += 1
+        return s
 
     # 30 generator labels, one per column of the drawn matrices.
     GENS = GeneratorSet(Topology(10, ()))
 
-    def test_rank_and_condition_from_one_spectrum(self, monkeypatch):
-        a, _ = self.ill_conditioned(0)
-        gram = a.T @ a
-        assert np.linalg.matrix_rank(gram, hermitian=True) == 30
-        # Full rank (no unconstrained generators), cond > MAX_INV_GRAM_COND.
-        inv, deficient = classify_gram(gram, self.GENS)
-        assert inv is None and deficient is None
-        # cond = 1e8 within 1e-3: kept just above it, refused just below.
-        for bound, kept in ((1.001e8, True), (0.999e8, False)):
-            monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", bound)
-            inv, deficient = classify_gram(gram, self.GENS)
-            assert (inv is not None) == kept and deficient is None
-        monkeypatch.undo()
-        a[:, 3] = a[:, 7]
-        inv, (rank, names) = classify_gram(a.T @ a, self.GENS)
-        assert rank == np.linalg.matrix_rank(a.T @ a, hermitian=True) == 29
-        # cond = inf: no inverse, and the null vector is e_3 - e_7.
-        assert inv is None
-        assert sorted(names) == sorted(self.GENS.strings[i].label() for i in (3, 7))
+    @staticmethod
+    def bound(s):
+        gram = s.T.astype(float) @ s
+        return np.abs(gram).sum(axis=1).max() * np.abs(np.linalg.inv(gram)).sum(axis=1).max()
 
-    def test_ill_conditioned_layers_fit_by_factoring(self):
-        # Such a layer keeps no inverse Gram; nnls then factors each
-        # passive block and still meets the KKT bound.
-        for seed in range(40):
-            a, rng = self.ill_conditioned(seed)
-            x = np.abs(rng.normal(size=30)) * (rng.random(30) < 0.7)
-            fit = nnls(a, a @ x + rng.normal(0.0, 1e-2, 60))
-            assert fit.kkt_residual <= 1e-10
+    def test_rank_and_condition_from_one_spectrum(self):
+        s = self.ill_conditioned(0)
+        rank, cond, _ = eigh_oracle(s)
+        assert rank == 30 and cond > MAX_INV_GRAM_COND
+        # Full rank above the bound: the inverse is kept all the same.
+        inv, deficient = classify_gram(s, self.GENS, "L")
+        assert deficient is None
+        np.testing.assert_array_equal(inv, np.linalg.inv(s.T.astype(float) @ s))
+        s[:, 3] = s[:, 7]
+        rank, cond, support = eigh_oracle(s)
+        inv, (got, names) = classify_gram(s, self.GENS, "L")
+        assert inv is None and got == rank == np.linalg.matrix_rank(s) == 29
+        # The null vector is e_3 - e_7: generator 3 alone completes the rank.
+        assert support == {3, 7}
+        assert names == [self.GENS.strings[3].label()]
 
-    def test_plan_without_inverse_fits_the_same(self, line_plan, monkeypatch):
+    def test_plan_above_the_bound_fits_the_same(self, line_plan, monkeypatch):
+        # With the bound at 0 every layer takes the exact rank, and a
+        # full-rank layer keeps the same inverse: the fits are the same.
         monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", 0.0)
+        calls = count_linalg(monkeypatch)
         topo = Topology(3, ((0, 1), (1, 2)))
-        bare = build_plan(topo, config_layers(line_plan))
-        assert kept_inverses(bare) == set() and deficiencies(bare) == {}
+        exact = build_plan(topo, config_layers(line_plan))
+        assert calls == ["inv", "extend_to_full_rank", "rank_checked"] * 2
+        assert deficiencies(exact) == {}
+        for lab in line_plan.labels:
+            np.testing.assert_array_equal(exact.layers[lab].inv_gram, line_plan.layers[lab].inv_gram)
         a = sweep_item(line_plan, 5, 0, 1e-4, 1e-3, "unit_depth")[1]
-        b = sweep_item(bare, 5, 0, 1e-4, 1e-3, "unit_depth")[1]
+        b = sweep_item(exact, 5, 0, 1e-4, 1e-3, "unit_depth")[1]
         for pipe in a.fitted:
             for lab in line_plan.labels:
-                assert np.max(np.abs(a.fitted[pipe][lab] - b.fitted[pipe][lab])) < 1e-12
-                assert b.fit_meta[pipe][lab]["kkt_residual"] <= 1e-10
-
+                np.testing.assert_array_equal(a.fitted[pipe][lab], b.fitted[pipe][lab])
 
     def test_bound_decides_like_the_spectrum(self):
-        # ||G||_inf ||G^-1||_inf >= cond_2(G): an inverse it keeps is one the
-        # spectrum keeps, and with the spectrum as the fallback every Gram
-        # matrix gets the spectrum's decision alone, near the bound too.
+        # Integer fit matrices within the bound, above it and rank-deficient:
+        # the exact rank is the spectrum's, and every full-rank matrix keeps
+        # its inverse whatever its condition.
         decisions = set()
-        for seed in range(60):
-            rng = np.random.default_rng(seed)
-            u, _ = np.linalg.qr(rng.normal(size=(40, 20)))
-            v, _ = np.linalg.qr(rng.normal(size=(20, 20)))
-            a = (u * np.logspace(0, -rng.uniform(0, 4.5), 20)) @ v.T
-            if seed % 10 == 0:
-                a[:, 3] = a[:, 7]
-            gram = a.T @ a
-            s = np.abs(np.linalg.eigvalsh(gram))
-            rank = np.linalg.matrix_rank(gram, hermitian=True)
-            cond = s.max() / s.min() if rank == len(gram) else np.inf
-            want = rank == len(gram) and cond <= MAX_INV_GRAM_COND
-            inv, deficient = classify_gram(gram, self.GENS)
-            assert (inv is not None) == want
-            assert (deficient is not None) == (rank < len(gram))
-            if deficient is not None:
-                assert deficient[0] == rank
-            if inv is not None:
+        for seed in range(30):
+            s = self.ill_conditioned(seed, k=(1, 10, 30)[seed % 3])
+            if seed % 5 == 0:
+                s[:, 3] = s[:, 7]
+            rank, _, support = eigh_oracle(s)
+            gram = s.T.astype(float) @ s
+            inv, deficient = classify_gram(s, self.GENS, "L")
+            assert (inv is not None) == (rank == 30) == (deficient is None)
+            if deficient is None:
                 np.testing.assert_array_equal(inv, np.linalg.inv(gram))
-            bounded = rank == len(gram) and (
-                np.abs(gram).sum(axis=1).max() * np.abs(np.linalg.inv(gram)).sum(axis=1).max()
-                <= MAX_INV_GRAM_COND
-            )
-            decisions.add((want, bool(bounded)))
-        assert decisions == {(False, False), (True, False), (True, True)}
+                decisions.add(("full", bool(self.bound(s) <= MAX_INV_GRAM_COND)))
+            else:
+                assert deficient[0] == rank == np.linalg.matrix_rank(s)
+                taken = [self.GENS.strings.index(PauliString.from_label(n)) for n in deficient[1]]
+                assert set(taken) <= support and len(taken) == 30 - rank
+                assert np.linalg.matrix_rank(np.vstack([s, np.eye(30)[taken]])) == 30
+                decisions.add(("deficient", None))
+        assert decisions == {("full", True), ("full", False), ("deficient", None)}
 
-    def test_singular_or_non_finite_inverse_falls_back(self):
+    def test_singular_or_non_finite_inverse_falls_back(self, monkeypatch):
         gens = self.GENS
-        inv, (rank, names) = classify_gram(np.zeros((3, 3)), gens)
+        inv, (rank, names) = classify_gram(np.zeros((3, 3), dtype=np.int8), gens, "L")
         assert inv is None and rank == 0
         assert names == [gens.strings[i].label() for i in range(3)]
-        assert classify_gram(np.full((2, 2), np.nan), gens)[0] is None
-        inv, (rank, names) = classify_gram(np.diag([1.0, 1e-300]), gens)
+        inv, (rank, names) = classify_gram(np.diag([1, 0]).astype(np.int8), gens, "L")
         assert inv is None and rank == 1 and names == [gens.strings[1].label()]
+        # A full-rank layer whose inverse fails or is not finite ends the
+        # plan with one line naming the layer.
+        s = self.ill_conditioned(0)
+        for fake in (np.full((30, 30), np.nan), np.linalg.LinAlgError("Singular matrix")):
 
-    def test_plan_takes_the_spectrum_only_when_the_bound_fails(self, monkeypatch, line_plan):
-        # Well-conditioned layers need no eigenvalue decomposition; the
-        # rank-deficient sq layer and a layer over a lowered bound fall back
-        # to one `eigh` and are decided as before, each from one inverse.
-        eigvalsh = np.linalg.eigvalsh
+            def inverse(a, _fake=fake):
+                if isinstance(_fake, Exception):
+                    raise _fake
+                return _fake
+
+            monkeypatch.setattr(np.linalg, "inv", inverse)
+            with pytest.raises(RuntimeError, match=r"^layer 'L': full-rank fit matrix has no finite inverse Gram$"):
+                classify_gram(s, gens, "L")
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=single_layers())
+    def test_exact_rank_of_random_single_layer_plans(self, case):
+        # The plan's rank is S's, its unconstrained generators lie in the
+        # float oracle's null-space support and complete the rank, and a
+        # full-rank layer keeps its inverse Gram.
+        topo, layer = case
+        lp = build_plan(topo, [layer]).layers["L"]
+        k = lp.s.shape[1]
+        rank = np.linalg.matrix_rank(lp.s.astype(float))
+        if lp.unconstrained is None:
+            assert rank == k
+            gram = lp.s.T.astype(float) @ lp.s
+            assert np.max(np.abs(lp.inv_gram @ gram - np.eye(k))) < 1e-8
+            return
+        assert lp.inv_gram is None
+        got, names = lp.unconstrained
+        oracle_rank, _, support = eigh_oracle(lp.s)
+        assert got == rank == oracle_rank < k
+        labels = [g.label() for g in GeneratorSet(topo).strings]
+        taken = [labels.index(name) for name in names]
+        assert taken == sorted(taken) and set(taken) <= support
+        assert np.linalg.matrix_rank(np.vstack([lp.s, np.eye(k)[taken]]).astype(float)) == k
+
+    def test_plan_takes_the_exact_rank_only_when_the_bound_fails(self, monkeypatch, line_plan):
+        # Well-conditioned layers need one inverse and nothing else; the
+        # rank-deficient sq layer adds one exact extension and one certified
+        # rank, and no plan takes an eigenvalue decomposition.
         calls = count_linalg(monkeypatch)
         topo = Topology(3, ((0, 1), (1, 2)))
         plain = build_plan(topo, config_layers(line_plan))
         assert calls == ["inv", "inv"] and kept_inverses(plain) == {"B", "G"}
         calls.clear()
         sq = build_plan(square_lattice(2, 2), [CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")])
-        assert calls == ["inv", "eigh"]
+        assert calls == ["inv", "extend_to_full_rank", "rank_checked"]
         assert kept_inverses(sq) == set() and sq.layers["A"].unconstrained[0] == 42
-        gram = plain.layers["B"].s.T.astype(float) @ plain.layers["B"].s
-        inv = plain.layers["B"].inv_gram
-        s = np.abs(eigvalsh(gram))
-        cond = s.max() / s.min()
-        bound = np.abs(gram).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
-        assert cond < bound
-        # Between cond_2 and the bound the spectrum still keeps the inverse,
-        # the one already computed.
-        monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", (cond + bound) / 2)
-        calls.clear()
-        kept = build_plan(topo, config_layers(line_plan))
-        assert calls == ["inv", "eigh"] * 2
-        np.testing.assert_array_equal(kept.layers["B"].inv_gram, inv)
-        monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", cond / 2)
-        assert kept_inverses(build_plan(topo, config_layers(line_plan))) == set()
 
 class TestCharacterizeAndFit:
     def test_noiseless_recovery_both_pipelines(self, plan):
