@@ -28,6 +28,18 @@ _PRIMES = (2147483647, 2147483629)
 _PIVOT_BLOCK = 1 << 16
 
 
+def _integers(rows) -> np.ndarray:
+    """An integer matrix (array or list of rows) as an array, of Python
+    integers where numpy reads uint64 or float64 (integers in [2^63, 2^64))."""
+    mat = np.asarray(rows)
+    return np.array(rows, dtype=object) if mat.dtype.kind in "fu" else mat
+
+
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Residues mod p, in int64, of an array of numpy or Python integers."""
+    return (a % p if a.dtype == object else a).astype(np.int64) % p
+
+
 def _pivots_mod(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """Pivot columns of the row echelon form mod p < 2^31 (each column
     independent of the columns before it), and the reduced matrix mod p.
@@ -42,12 +54,7 @@ def _pivots_mod(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     a = np.empty((height, width), dtype=np.int32)
     step = max(1, _PIVOT_BLOCK // max(width, 1))
     for lo in range(0, height, step):
-        block = rows[lo : lo + step]
-        if block.dtype == object:  # Python integers, possibly beyond int64
-            block = block % p
-        block = block.astype(np.int64)
-        block %= p
-        a[lo : lo + step] = block
+        a[lo : lo + step] = _mod(rows[lo : lo + step], p)
     pivots: list[int] = []
     rank = 0
     col = 0
@@ -160,10 +167,7 @@ def rank_checked(rows, rank_p0: int | None = None) -> int:
     `rank_p0`, a rank mod a prime that the caller already has, is a lower
     bound too: a certified rank below it raises RuntimeError.
     """
-    mat = np.asarray(rows)
-    # numpy reads a list holding integers in [2^63, 2^64) as uint64 or float64.
-    if mat.dtype.kind in "fu":
-        mat = np.array(rows, dtype=object)
+    mat = _integers(rows)
     if mat.size == 0:
         return 0
     sides = (mat, mat.T) if mat.shape[1] <= mat.shape[0] else (mat.T, mat)
@@ -187,9 +191,9 @@ def extend_to_full_rank(rows, candidates, p: int = _PRIMES[0]) -> tuple[int, lis
     residues stacked as columns.  A candidate dependent mod p alone (an
     accident of p) is missed, which a rank count detects.
     """
-    rows = np.asarray(rows)
-    null = _null_space_mod(rows.reshape(-1, np.shape(candidates)[1]), p)[1]
-    taken = _pivots_mod(_product(np.asarray(candidates), null).T, p)[0]
+    candidates = _integers(candidates)
+    null = _null_space_mod(_integers(rows).reshape(-1, candidates.shape[1]), p)[1]
+    taken = _pivots_mod(_product(candidates, null).T, p)[0]
     return null.shape[0] - null.shape[1], taken
 
 
@@ -197,18 +201,17 @@ def solve_rational(columns, target) -> list[Fraction] | None:
     """Exact coefficients c with sum_i c_i columns[i] = target, or None.
 
     With A[:, i] = columns[i], b is in the span of A exactly when the last
-    column of [A | -b] is free, and the null vector of that free column
-    (mod the first prime) is then (c, 1): zero on the other free columns,
+    column of [A | b] is free, and the null vector of that free column
+    (mod the first prime) is then (-c, 1): zero on the other free columns,
     so a column dependent on the columns before it gets c_i = 0 and the
     solution is unique when the columns are independent.  It is
-    reconstructed as (c den, den) in integers and checked exactly, as a
+    reconstructed as (-c den, den) in integers and checked exactly, as a
     rank certificate is.  None means no checked solution: b is outside the
     span, a coefficient exceeds the reconstruction bound, or p divides a
     pivot minor; never a wrong solution.
     """
     ncols = len(columns)
-    cols = [[int(v) for v in col] for col in columns] + [[-int(v) for v in target]]
-    aug = np.array(cols, dtype=object).reshape(ncols + 1, len(target)).T
+    aug = _integers([*columns, target]).reshape(ncols + 1, len(target)).T
     free, null = _null_space_mod(aug, _PRIMES[0])
     if ncols not in free:
         return None
@@ -216,7 +219,7 @@ def solve_rational(columns, target) -> list[Fraction] | None:
     if scaled is None or _product(aug, scaled).any():
         return None
     den = int(scaled[ncols, 0])
-    return [Fraction(int(v), den) for v in scaled[:ncols, 0]]
+    return [Fraction(-int(v), den) for v in scaled[:ncols, 0]]
 
 
 def _solution_and_null_space(rows: np.ndarray, target: np.ndarray, p: int):
@@ -260,8 +263,8 @@ def modular_support_search(
     permuted into each retry's order.  The first smallest support in retry
     order wins.
     """
-    rows = np.asarray(rows, dtype=np.int64) % p
-    target = np.asarray(target, dtype=np.int64) % p
+    rows = _mod(_integers(rows), p)
+    target = _mod(_integers(target), p)
     support = [i for i in range(len(rows)) if rows[i].any()]
     start = _solution_and_null_space(rows[support], target, p)
     if start is None:

@@ -63,9 +63,6 @@ class PauliString:
         spread = int(format(self.x_bits, "b"), 16) + 2 * int(format(self.z_bits, "b"), 16)
         return format(spread, f"0{self.n}x")[::-1][: self.n].translate(_HEX_DIGIT_TO_CHAR)
 
-    def weight(self) -> int:
-        return (self.x_bits | self.z_bits).bit_count()
-
     def support(self) -> tuple[int, ...]:
         m = self.x_bits | self.z_bits
         return tuple(q for q in range(self.n) if (m >> q) & 1)

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,14 @@ def write_config(tmp_path, **overrides):
     path.write_text(json.dumps(cfg))
     return path, cfg
 
+
+
+def subprocess_env() -> dict:
+    """This environment with the package's source directory first on
+    PYTHONPATH, for commands run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def recording_pool(monkeypatch, returned: list | None = None, cpus: int = 64) -> list[int]:
@@ -277,9 +286,9 @@ class TestCharacterizeFitPec:
 
     def test_fit_parallel_matches_serial(self, tmp_path):
         path, cfg = write_config(tmp_path)
-        main(["fit", "--config", str(path)])
+        assert main(["fit", "--config", str(path)]) == 0
         serial = (tmp_path / "out" / "metrics.csv").read_text()
-        main(["fit", "--config", str(path), "--parallel", "2"])
+        assert main(["fit", "--config", str(path), "--parallel", "2"]) == 0
         assert (tmp_path / "out" / "metrics.csv").read_text() == serial
 
     def test_pec_outputs(self, tmp_path):
@@ -290,6 +299,14 @@ class TestCharacterizeFitPec:
         assert len(rows) == cfg["models"] * cfg["circuits"] * len(cfg["weights"])
         summary = json.loads((tmp_path / "out" / "pec_summary.json").read_text())
         assert "2" in summary["by_weight"] or 2 in summary["by_weight"]
+        # One pass at the limits, 1000 circuits of 1000 steps, writes a row
+        # per circuit; one circuit more is refused (`test_invalid_pec_fields_rejected`).
+        limit = tmp_path / "limit"
+        path, _ = write_config(
+            tmp_path, topology="square2x2", models=1, circuits=1000, j_layers=1000, out=str(limit)
+        )
+        assert main(["pec", "--config", str(path)]) == 0
+        assert (limit / "pec.csv").read_text().count("\n") == 1 + 1000
 
 
     def test_pec_parallel_matches_serial(self, tmp_path):
@@ -318,13 +335,9 @@ class TestCharacterizeFitPec:
             "    argv = [command, '--config', sys.argv[1], '--out', sys.argv[2], '--parallel', '2']\n"
             "    assert main(argv) == 0\n"
         )
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        ))
         run = subprocess.run(
             [sys.executable, "-c", script, str(path), str(tmp_path / "spawned")],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=subprocess_env(), capture_output=True, text=True, timeout=300,
         )
         assert run.returncode == 0, run.stderr
         for name in [*names["fit"], *names["pec"]]:
@@ -369,6 +382,55 @@ class TestCharacterizeFitPec:
             path, _ = write_config(tmp_path, topology="square2x2", models=models)
             assert main(["pec", "--config", str(path), "--parallel", str(parallel)]) == 0
             assert sizes == want
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test-only dependency (importing scipy.linalg alone would
+    # also about double a fresh process's resident set).  With it
+    # unimportable, every command runs on square2x2 under both layer schemes
+    # and writes its files, and on the isolated-sq layers `learnability`
+    # writes its report and `fit` ends in the one-line rank deficiency.
+    runs, outs = [], []
+    for scheme in ("open_chains", "closed_squares"):
+        (tmp_path / scheme).mkdir()
+        path, cfg = write_config(tmp_path / scheme, topology="square2x2", layers=scheme, models=1,
+                                 j_layers=4)
+        runs += [[command, "--config", str(path)] for command in TestErrors.COMMANDS]
+        labels = [layer.label for layer in parse_config(cfg).layers]
+        outs += [tmp_path / scheme / "out" / f"model_{label}.json" for label in labels]
+        outs += [tmp_path / scheme / "out" / name for name in (
+            "learnability.json", "records.json", "metrics.csv", "pec.csv", "pec_summary.json"
+        )]
+    (tmp_path / "sq").mkdir()
+    path, _ = write_config(tmp_path / "sq", **TestErrors.ISOLATED_SQ)
+    runs += [["learnability", "--config", str(path)], ["fit", "--config", str(path)]]
+    outs.append(tmp_path / "sq" / "out" / "learnability.json")
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from cyclebench.cli import main\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
+        "        results.append([main(argv), err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    results = json.loads(run.stdout)
+    assert results == [[0, ""]] * (len(runs) - 1) + [[EXIT_RANK, TestErrors.ISOLATED_SQ_FIT_ERR]]
+    assert all(out.stat().st_size > 0 for out in outs)
+    # The declared runtime dependencies are numpy alone (read without
+    # tomllib, which Python 3.10 lacks).
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    names = [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in re.findall(r'"([^"]+)"', block)]
+    assert names == ["numpy"]
+
 
 class TestPecConfig:
     def test_single_circuit_prints_ratio_na(self, tmp_path, capsys):
@@ -602,6 +664,7 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {field} must be an integer")
             assert err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
         _, raw = write_config(tmp_path, topology="square2x2", **{field: 2.0})
         value = getattr(parse_config(raw), field)
         assert value == 2 and type(value) is int
@@ -776,6 +839,7 @@ class TestErrors:
     def test_bad_scheme_exit_code(self, tmp_path):
         path, _ = write_config(tmp_path, layers="bogus_scheme")
         assert main(["fit", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_overlapping_gates_exit_code(self, tmp_path):
         path, _ = write_config(
@@ -784,6 +848,7 @@ class TestErrors:
             layers=[{"label": "B", "cz": [[0, 1], [1, 2]]}],
         )
         assert main(["generate-model", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "config",
@@ -835,6 +900,7 @@ class TestErrors:
             f"config error: layer 'A': unknown single-qubit gate {gate!r} on qubit 2; "
             f"choose from {sorted(CATALOG)}\n"
         )
+        assert not (tmp_path / "out").exists()
 
     COMMANDS = ["generate-model", "learnability", "characterize", "fit", "pec"]
 
@@ -856,8 +922,10 @@ class TestErrors:
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize(
         "topology",
-        ["square2x2x2", {"preset": "square2x"}, "square-1x2", "square 2x2", "square\u0662x2"],
-        ids=["three_sizes", "missing_height", "negative", "space", "arabic_indic_digit"],
+        ["square2x2x2", {"preset": "square2x"}, "square2x", "square-1x2", "square 2x2",
+         "square\u0662x2"],
+        ids=["three_sizes", "missing_height", "missing_height_string", "negative", "space",
+             "arabic_indic_digit"],
     )
     def test_malformed_preset_rejected(self, tmp_path, capsys, command, topology):
         # These ended in "too many values to unpack" or an int() message,
@@ -920,6 +988,7 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "'A'" in err and "sq" in err
+        assert not (tmp_path / "out").exists()
 
     def test_sq_layer_accepted_by_generate_model(self, tmp_path):
         path, _ = write_config(tmp_path, topology="square2x2", layers=self.SQ_LAYERS)
@@ -937,6 +1006,12 @@ class TestErrors:
             {"label": "C", "sq": {"3": "H", "4": "SX", "5": "Sdg"}},
             {"label": "D", "cz": [[6, 7]], "sq": {"8": "S"}},
         ],
+    )
+
+    ISOLATED_SQ_FIT_ERR = (
+        "rank deficiency: layer 'C' fit matrix has rank 106 < 135, unconstrained generators "
+        "include IIIXIIIII IIIIYIIII IIIIIXIII XIIXIIIII; layer 'D' fit matrix has rank "
+        "129 < 135, unconstrained generators include IIIIIIIIX IIIIIXIIX IIIIIYIIX IIIIIZIIX\n"
     )
 
     def test_isolated_sq_layers_outputs_pinned(self, tmp_path):
@@ -959,11 +1034,7 @@ class TestErrors:
         # generator order.
         path, _ = write_config(tmp_path, **self.ISOLATED_SQ)
         assert main(["fit", "--config", str(path)]) == EXIT_RANK
-        assert capsys.readouterr().err == (
-            "rank deficiency: layer 'C' fit matrix has rank 106 < 135, unconstrained generators "
-            "include IIIXIIIII IIIIYIIII IIIIIXIII XIIXIIIII; layer 'D' fit matrix has rank "
-            "129 < 135, unconstrained generators include IIIIIIIIX IIIIIXIIX IIIIIYIIX IIIIIZIIX\n"
-        )
+        assert capsys.readouterr().err == self.ISOLATED_SQ_FIT_ERR
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize(

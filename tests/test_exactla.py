@@ -24,6 +24,7 @@ Fractions, against which `exactla.rank_checked` is proven right.
 """
 
 import itertools
+import warnings
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -543,6 +544,21 @@ def test_rank_checked_matches_fraction_rank(matrix):
     dtype = object if any(abs(v) >= 2**63 for row in rows for v in row) else np.int64
     mat = np.array(rows, dtype=dtype).reshape(len(rows), ncols)
     assert rank_checked(mat) == rank_checked(rows) == fraction_rank(rows)
+
+
+def test_entry_points_read_integers_past_int64():
+    # As a list, these rows read as a float64 array: the extension found
+    # rank 1 (with a cast warning) and the search raised OverflowError.
+    # Every entry point reads them as Python integers.
+    rows = [[1, 2**63 + 1], [1, 2**63]]
+    target = [2, 2**64 + 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert extend_to_full_rank(rows, [[1, 0], [0, 1]]) == (2, [])
+        assert rank_checked(rows) == 2
+        assert modular_support_search(rows, target, np.random.default_rng(0), 4) == [0, 1]
+        assert modular_support_search(rows, rows[1], np.random.default_rng(0), 4) == [1]
+        assert solve_rational(rows, target) == [1, 1]
 
 
 def test_rank_drop_mod_first_prime_is_ranked_right():

@@ -82,30 +82,44 @@ class TestNnls:
         with pytest.raises(ValueError, match="at least as many rows as columns, got 12 x 26"):
             nnls(A, A @ np.ones(26), np.eye(26))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 40),
         extra=st.integers(0, 40),
+        kind=st.sampled_from(["dense", "integer"]),
     )
-    def test_matches_scipy_on_tall_systems(self, seed, n, extra):
-        # Random m x n systems with m >= n have full column rank, as every
-        # fit matrix of a plan does.  Within the plan's bound on
-        # ||G||_inf ||G^-1||_inf the fit is scipy's.  Above it (near-singular
+    def test_matches_scipy_on_tall_systems(self, seed, n, extra, kind):
+        # Random m x n systems with m >= n, solved through H = (A^T A)^-1:
+        # dense ones, which have full column rank as every fit matrix of a
+        # plan does, and int8 ones with 0-2 entries like the plan's fit
+        # matrices.  Within the plan's bound on ||G||_inf ||G^-1||_inf, or
+        # for cond(A) < 1e3, the fit is scipy's.  Above both (near-singular
         # square systems) nnls promises nonnegative rates within its
         # iteration guard only; the plan's fits check the KKT residual.
         rng = np.random.default_rng(seed)
-        A = rng.normal(size=(n + extra, n))
-        b = rng.normal(size=n + extra)
-        gram = A.T @ A
+        m = n + extra
+        if kind == "integer":
+            A = rng.integers(0, 3, size=(m, n)).astype(np.int8)
+            b = A @ rng.uniform(-1e-3, 5e-3, n) + rng.normal(0.0, 1e-3, m)
+        else:
+            A = rng.normal(size=(m, n))
+            b = rng.normal(size=m)
+        A_f = A.astype(float)
+        # Solves through H lose gradient accuracy like cond(A)^4 eps; the
+        # plan's fit matrices have cond(A) < 300.
+        well_conditioned = np.linalg.cond(A_f) < 1e3
+        assume(kind == "dense" or well_conditioned)
+        gram = A_f.T @ A_f
         H = np.linalg.inv(gram)
         fit = nnls(A, b, H)
         assert fit.iterations <= 10 * n + 100  # nnls's iteration guard
         assert np.all(fit.lambdas >= 0)
-        if np.abs(gram).sum(axis=1).max() * np.abs(H).sum(axis=1).max() > MAX_INV_GRAM_COND:
+        bound = np.abs(gram).sum(axis=1).max() * np.abs(H).sum(axis=1).max()
+        if bound > MAX_INV_GRAM_COND and not well_conditioned:
             return
         assert fit.kkt_residual <= 1e-10
-        ref, ref_norm = scipy.optimize.nnls(A, b)
+        ref, ref_norm = scipy.optimize.nnls(A_f, b)
         assert fit.residual_norm**2 == pytest.approx(ref_norm**2, rel=1e-9, abs=1e-12)
         assert np.max(np.abs(fit.lambdas - ref)) < 1e-7
 
@@ -140,36 +154,6 @@ class TestNnls:
             changed += fit.iterations != full_iterations
         # The backup rule took a different path in some of the fits.
         assert changed >= 3
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 30),
-        extra=st.integers(0, 30),
-        kind=st.sampled_from(["normal", "integer"]),
-    )
-    def test_inverse_gram_matches_scipy(self, seed, n, extra, kind):
-        # Well-conditioned tall systems, dense or with 0-2 integer entries
-        # like the plan's fit matrices, solved through H = (A^T A)^-1.
-        rng = np.random.default_rng(seed)
-        m = n + extra
-        if kind == "integer":
-            A = rng.integers(0, 3, size=(m, n)).astype(np.int8)
-            b = A @ rng.uniform(-1e-3, 5e-3, n) + rng.normal(0.0, 1e-3, m)
-        else:
-            A = rng.normal(size=(m, n))
-            b = rng.normal(size=m)
-        A_f = A.astype(float)
-        # Solves through H lose gradient accuracy like cond(A)^4 eps; the
-        # plan's fit matrices have cond(A) < 300.
-        assume(np.linalg.cond(A_f) < 1e3)
-        fit = nnls(A, b, inv_gram(A_f))
-        assert fit.kkt_residual <= 1e-10
-        assert fit.iterations <= 10 * n + 100  # nnls's iteration guard
-        assert np.all(fit.lambdas >= 0)
-        ref, ref_norm = scipy.optimize.nnls(A_f, b)
-        assert fit.residual_norm**2 == pytest.approx(ref_norm**2, rel=1e-9, abs=1e-12)
-        assert np.max(np.abs(fit.lambdas - ref)) < 1e-7
 
 
 class TestRefineUnlearnable:

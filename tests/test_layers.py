@@ -46,7 +46,7 @@ class TestConjugationFixtures:
         assert got.label() == image
 
     def test_identity_fixed(self):
-        assert conjugate(CZ, PauliString.identity(2)).weight() == 0
+        assert len(conjugate(CZ, PauliString.identity(2)).support()) == 0
 
     def test_tables_match_matrix_conjugation(self):
         # Both tables above, up to phase, against the layers' unitaries.

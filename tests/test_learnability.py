@@ -342,7 +342,7 @@ class TestMlcbTargets:
         assert len(targets) == 6
         for t in targets:
             for _, p, _ in t.product.terms:
-                assert p.weight() <= 5  # never more than a five-qubit window
+                assert len(p.support()) <= 5  # never more than a five-qubit window
 
 
 class TestMuExpressions:

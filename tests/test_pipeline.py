@@ -1,21 +1,12 @@
 import dataclasses
 import hashlib
-import json
-import os
-import re
-import subprocess
-import sys
-import textwrap
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import cyclebench
 
 from cyclebench import exactla, fitting, pipeline
 from cyclebench.fitting import RankDeficientError, nnls
@@ -919,49 +910,3 @@ class TestRefinedLow:
         refined = _refined_low(line_plan, lows, {})
         for lab in line_plan.labels:
             assert np.array_equal(refined[lab], lows[lab])
-
-
-def test_plan_fit_and_pec_paths_import_no_scipy(tmp_path):
-    # scipy is a test-only dependency: every command runs with it
-    # unimportable (importing scipy.linalg alone would also about double a
-    # fresh process's resident set).
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "topology": "square2x2",
-                "layers": "closed_squares",
-                "baseline": "unit_depth",
-                "models": 1,
-                "circuits": 5,
-                "j_layers": 4,
-                "weights": [2],
-                "out": str(tmp_path / "out"),
-            }
-        )
-    )
-    code = textwrap.dedent(
-        """
-        import sys
-        sys.modules["scipy"] = None
-        from cyclebench.cli import main
-        commands = ("generate-model", "learnability", "characterize", "fit", "pec")
-        print([main([command, "--config", sys.argv[1]]) for command in commands])
-        """
-    )
-    src = str(Path(cyclebench.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(config)],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]", out.stdout + out.stderr
-    # The declared runtime dependencies are numpy alone (read without
-    # tomllib, which Python 3.10 lacks).
-    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
-    block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
-    names = [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in re.findall(r'"([^"]+)"', block)]
-    assert names == ["numpy"]

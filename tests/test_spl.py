@@ -273,7 +273,7 @@ class TestRandomModel:
         topo = line_topology(2)
         layer = CliffordLayer(2, ((0, 1),), (), "L")
         gens = GeneratorSet(topo)
-        w2 = [i for i, p in enumerate(gens.strings) if p.weight() == 2]
+        w2 = [i for i, p in enumerate(gens.strings) if len(p.support()) == 2]
         rng = np.random.default_rng(7)
         draws = []
         for _ in range(400):
