@@ -4,12 +4,14 @@ computations, on one elimination kernel modulo a 31-bit prime.
 All rank, extension, solve and support-search work runs on `_pivots_mod`,
 row echelon elimination mod p, and what must hold over the rationals is
 checked exactly in integers.  A rank r mod p bounds the rational rank from
-below; `rank_checked` proves it with width - r integer null vectors,
-independent by their unit entries on the free columns and checked to
-vanish exactly.  `solve_rational` reads its solution off a null vector.
+below; width - r integer null vectors, independent by their unit entries
+on the free columns and checked to vanish exactly, prove it (in
+`rank_checked`, and in `extend_to_full_rank` from its one elimination).
+`solve_rational` reads its solution off a null vector.
 Both reconstruct rationals n/d from residues, which works for |n|, d <=
-sqrt(p/2) (32767 here) only: beyond it a certificate or solve fails its
-exact check and is never wrong.  The support search decides each row drop
+sqrt(p/2) (32767 here) only, or about 1.5e9 for a rank certificate whose
+null vectors agree mod both primes: beyond it a certificate or solve fails
+its exact check and is never wrong.  The support search decides each row drop
 mod p, and `solve_rational` then solves and checks the support.
 """
 
@@ -155,7 +157,23 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def rank_checked(rows, rank_p0: int | None = None) -> int:
+def _certified_rank(side: np.ndarray, null: np.ndarray, p: int) -> int | None:
+    """The rank of `side` that its null vectors mod p (as `_null_space_mod`
+    gives them) prove, reconstructed and checked exactly, or None."""
+    scaled = _integer_columns(null, p)
+    if scaled is None or _product(side, scaled).any():
+        return None
+    return side.shape[1] - null.shape[1]
+
+
+def _crt(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
+    """Symmetric residues mod pq (< 2^63) of x = a mod p, x = b mod q."""
+    x = (a + p * ((b - a) % q * pow(p, -1, q) % q)) % (p * q)
+    x[x > p * q // 2] -= p * q
+    return x
+
+
+def rank_checked(rows) -> int:
     """Rational rank of an integer matrix (2-D array or list of rows, in
     int64 or Python integers), proven by a null-space certificate.
 
@@ -163,38 +181,45 @@ def rank_checked(rows, rank_p0: int | None = None) -> int:
     fewer null vectors goes first: repeated rows leave integer left null
     vectors where the right ones may need large denominators.  A failed
     check (a rank drop mod p, or an entry beyond the reconstruction bound)
-    tries the other side, then the second prime, then raises RuntimeError.
-    `rank_p0`, a rank mod a prime that the caller already has, is a lower
-    bound too: a certified rank below it raises RuntimeError.
+    tries the second prime.  Where both primes give the side the same free
+    columns, their null vectors are residues of the same rational vectors,
+    and combined by CRT they reconstruct entries up to sqrt(pq/2), about
+    1.5e9.  Then the other side is tried, then RuntimeError is raised.
     """
     mat = _integers(rows)
     if mat.size == 0:
         return 0
     sides = (mat, mat.T) if mat.shape[1] <= mat.shape[0] else (mat.T, mat)
-    for p in _PRIMES:
-        for side in sides:
-            null = _integer_columns(_null_space_mod(side, p)[1], p)
-            if null is not None and not _product(side, null).any():
-                rank = side.shape[1] - null.shape[1]
-                if rank_p0 is not None and rank < rank_p0:
-                    raise RuntimeError(f"certified rank {rank} is below the modular rank {rank_p0}")
-                return rank
+    p, q = _PRIMES
+    for side in sides:
+        free, null = _null_space_mod(side, p)
+        rank = _certified_rank(side, null, p)
+        if rank is None:
+            free_q, null_q = _null_space_mod(side, q)
+            rank = _certified_rank(side, null_q, q)
+            if rank is None and np.array_equal(free, free_q):
+                rank = _certified_rank(side, _crt(null, p, null_q, q), p * q)
+        if rank is not None:
+            return rank
     raise RuntimeError(f"no rank certificate of a {mat.shape} integer matrix checked mod either prime")
 
 
 def extend_to_full_rank(rows, candidates, p: int = _PRIMES[0]) -> tuple[int, list[int]]:
-    """(rank of `rows` mod p, indices of the candidate rows that, taken
-    greedily in order, extend the span of `rows`), decided mod p.
+    """(rational rank of `rows`, indices of the candidate rows that, taken
+    greedily in order, extend the span of `rows` mod p).
 
-    The null vectors N of `rows` map a candidate c to c N, zero exactly on
-    the row span, and the candidates taken are the pivot columns of these
-    residues stacked as columns.  A candidate dependent mod p alone (an
-    accident of p) is missed, which a rank count detects.
+    The null vectors N of `rows` mod p map a candidate c to c N, zero
+    exactly on the row span, and the candidates taken are the pivot columns
+    of these residues stacked as columns.  N, checked exactly, also proves
+    the rank, or else `rank_checked` does.  A candidate dependent mod p
+    alone (an accident of p) is missed, which a rank count detects.
     """
     candidates = _integers(candidates)
-    null = _null_space_mod(_integers(rows).reshape(-1, candidates.shape[1]), p)[1]
+    mat = _integers(rows).reshape(-1, candidates.shape[1])
+    null = _null_space_mod(mat, p)[1]
     taken = _pivots_mod(_product(candidates, null).T, p)[0]
-    return null.shape[0] - null.shape[1], taken
+    rank = _certified_rank(mat, null, p)
+    return rank_checked(mat) if rank is None else rank, taken
 
 
 def solve_rational(columns, target) -> list[Fraction] | None:

@@ -507,10 +507,9 @@ def analyze_layer(layer: CliffordLayer, generators: GeneratorSet) -> LayerLearna
     # The generator strings, in generator order, whose single fidelities
     # extend the product rows to full rank (the generators' own fidelities
     # have full rank), and the rows' rank, proven by its certificate.
-    rank_p0, taken = exactla.extend_to_full_rank(
+    rank, taken = exactla.extend_to_full_rank(
         rows, generators.digit_overlaps(digits(generators.strings, layer.n))
     )
-    rank = exactla.rank_checked(rows, rank_p0)
     basis = [generators.strings[i] for i in taken]
     if rank + len(basis) != len(generators):
         raise RuntimeError(f"layer {layer.label!r}: incomplete unlearnable basis")

@@ -226,8 +226,7 @@ def classify_gram(
         if bound <= MAX_INV_GRAM_COND:
             return inv, None
     k = s.shape[1]
-    rank_p0, taken = exactla.extend_to_full_rank(s, np.eye(k, dtype=np.int8))
-    rank = exactla.rank_checked(s, rank_p0)
+    rank, taken = exactla.extend_to_full_rank(s, np.eye(k, dtype=np.int8))
     if rank + len(taken) != k:
         raise RuntimeError(f"layer {label!r}: incomplete set of unconstrained generators")
     if rank < k:

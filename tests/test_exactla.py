@@ -11,9 +11,10 @@ coefficients whenever every reference coefficient is within the
 reconstruction bound, and `solve_rational` must return None otherwise.
 `extend_reference` keeps each candidate row whose addition raises a
 recomputed mod-p rank, as `exactla.extend_to_full_rank` must (which also
-returns the rows' mod-p rank).  `pivots_reference` is row echelon
-elimination mod p in Python integers, which the int32/int64 block kernel
-`exactla._pivots_mod` must match pivot for pivot and entry for entry.
+returns the rows' rational rank, proven from the same elimination).
+`pivots_reference` is row echelon elimination mod p in Python integers,
+which the int32/int64 block kernel `exactla._pivots_mod` must match pivot
+for pivot and entry for entry.
 `solution_reference` is the int64 elimination that
 `exactla._solution_and_null_space` replaced by that kernel; both must
 return the same solution set (a particular solution and a null-space
@@ -123,7 +124,9 @@ def test_extend_matches_rank_reference(ncols, data, p):
     row = st.lists(entry, min_size=ncols, max_size=ncols)
     rows = np.array(data.draw(st.lists(row, max_size=7)), dtype=np.int64).reshape(-1, ncols)
     candidates = np.array(data.draw(st.lists(row, min_size=1, max_size=7)), dtype=np.int64)
-    rank = rank_mod(rows, p) if len(rows) else 0
+    # The rank is the rational one even where p = 7 drops it; the rows
+    # taken are decided mod p.
+    rank = fraction_rank(rows.tolist())
     assert extend_to_full_rank(rows, candidates, p) == (rank, extend_reference(rows, candidates, p))
 
 
@@ -538,6 +541,9 @@ def integer_matrices(draw):
 @example(matrix=([[2, 1], [4, 2], [6, 3]], 2))  # right null vector (-1/2, 1)
 @example(matrix=([[2**70, 1, 5], [3, 2**69, 1]] * 2, 3))  # right null vector far past the bound
 @example(matrix=([[0, 2**63]], 2))  # as a list, a uint64 array
+@example(  # null vectors on both sides past one prime's bound, within two primes'
+    matrix=([[1, 0, 32768, 0], [1, 1, 32768, 0], [1, -32767, 32768, 0]], 4),
+)
 @given(matrix=integer_matrices())
 def test_rank_checked_matches_fraction_rank(matrix):
     rows, ncols = matrix

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cyclebench import exactla, fitting, pipeline
 from cyclebench.fitting import RankDeficientError, nnls
 from cyclebench.layers import CATALOG, SQ_DIGITS, CliffordLayer
+from cyclebench.learnability import analyze_layer, orbit_learnables, product_rows
 from cyclebench.pauli import PauliString
 from cyclebench.pipeline import (
     MAX_INV_GRAM_COND,
@@ -97,6 +98,21 @@ def count_linalg(monkeypatch) -> list[str]:
     return calls
 
 
+def count_eliminations(monkeypatch, rows=None) -> list[int]:
+    """Record the prime of every `exactla._pivots_mod` call, or of only the
+    calls that eliminate `rows`."""
+    calls = []
+    real = exactla._pivots_mod
+
+    def counted(mat, p):
+        if rows is None or np.array_equal(mat, rows):
+            calls.append(p)
+        return real(mat, p)
+
+    monkeypatch.setattr(exactla, "_pivots_mod", counted)
+    return calls
+
+
 class TestPlan:
     def test_covering_pairs_include_boundary_needs(self):
         topo = square_lattice(3, 3)
@@ -163,12 +179,38 @@ class TestPlan:
 
     def test_rank_deficient_layer_decomposed_once(self, monkeypatch):
         # The inverse fails the bound, and one exact extension gives the
-        # unconstrained generators, whose rank one certificate proves.
+        # unconstrained generators and the rank that its null vectors prove.
         calls = count_linalg(monkeypatch)
         layer = CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")
         sq = build_plan(square_lattice(2, 2), [layer])
-        assert calls == ["inv", "extend_to_full_rank", "rank_checked"]
+        assert calls == ["inv", "extend_to_full_rank"]
         assert sq.layers["A"].unconstrained[0] == 42
+
+    def test_layer_rows_eliminated_once(self, plan, monkeypatch):
+        # One elimination of a layer's rows mod the first prime chooses the
+        # rows that extend them and proves their rank: in the learnability
+        # report's layer analysis, and in the fit matrix's exact rank when
+        # the inverse Gram's bound fails.
+        monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", 0.0)
+        gens = plan.generators
+        for lp in plan.layers.values():
+            rows = product_rows(gens, orbit_learnables(lp.layer, gens))
+            calls = count_eliminations(monkeypatch, rows)
+            report = analyze_layer(lp.layer, gens)
+            assert calls == [exactla._PRIMES[0]] and report.unlearnable_dof > 0
+            calls = count_eliminations(monkeypatch, lp.s)
+            inv, deficient = classify_gram(lp.s, gens, lp.layer.label)
+            assert calls == [exactla._PRIMES[0]] and deficient is None
+            np.testing.assert_array_equal(inv, lp.inv_gram)
+
+    def test_fig6_plan_eliminations_pinned(self, monkeypatch):
+        # The benchmark's `setup_s` times this plan.  Each of its 18 support
+        # searches and 18 exact solves eliminates once mod the first prime,
+        # and no layer takes an exact rank.
+        calls = count_eliminations(monkeypatch)
+        topo = garnet20()
+        build_plan(topo, four_layer_config(topo, "closed_squares"), seed=20240503, retries=8)
+        assert calls == [exactla._PRIMES[0]] * 36
 
     def test_failed_exact_solve_is_one_search_and_one_failure(self, monkeypatch):
         # A support whose exact solve finds nothing ends its ratio at once:
@@ -629,7 +671,7 @@ class TestInverseGramGuard:
         calls = count_linalg(monkeypatch)
         topo = Topology(3, ((0, 1), (1, 2)))
         exact = build_plan(topo, config_layers(line_plan))
-        assert calls == ["inv", "extend_to_full_rank", "rank_checked"] * 2
+        assert calls == ["inv", "extend_to_full_rank"] * 2
         assert deficiencies(exact) == {}
         for lab in line_plan.labels:
             np.testing.assert_array_equal(exact.layers[lab].inv_gram, line_plan.layers[lab].inv_gram)
@@ -710,15 +752,15 @@ class TestInverseGramGuard:
 
     def test_plan_takes_the_exact_rank_only_when_the_bound_fails(self, monkeypatch, line_plan):
         # Well-conditioned layers need one inverse and nothing else; the
-        # rank-deficient sq layer adds one exact extension and one certified
-        # rank, and no plan takes an eigenvalue decomposition.
+        # rank-deficient sq layer adds one exact extension, which certifies
+        # the rank, and no plan takes an eigenvalue decomposition.
         calls = count_linalg(monkeypatch)
         topo = Topology(3, ((0, 1), (1, 2)))
         plain = build_plan(topo, config_layers(line_plan))
         assert calls == ["inv", "inv"] and kept_inverses(plain) == {"B", "G"}
         calls.clear()
         sq = build_plan(square_lattice(2, 2), [CliffordLayer(4, ((0, 1),), ((2, CATALOG["S"]),), "A")])
-        assert calls == ["inv", "extend_to_full_rank", "rank_checked"]
+        assert calls == ["inv", "extend_to_full_rank"]
         assert kept_inverses(sq) == set() and sq.layers["A"].unconstrained[0] == 42
 
 class TestCharacterizeAndFit:
