@@ -23,18 +23,16 @@ import numpy as np
 
 from .fitting import RankDeficientError
 from .layers import CATALOG, CliffordLayer
-from .learnability import analyze_layer, mlcb_recovery
+from .learnability import analyze_layer, covering_pairs, mlcb_recovery, ratio_expressions
 from .pec import check_limits, model_rows, summarize_pec
 from .pauli import PauliString
 from .pipeline import (
     CharacterizationPlan,
     RunResult,
     build_plan,
-    covering_pairs,
     generate_models,
     model_rng,
     noisy_records,
-    ratio_expressions,
     sweep_item,
 )
 from .spl import GeneratorSet, SplModel, random_model
@@ -282,7 +280,7 @@ def cmd_learnability(cfg: RunConfig) -> int:
         "reduction_fraction": recovered / total_unlearnable if total_unlearnable else 0.0,
     }
     if certificates:
-        expressions, _ = ratio_expressions(cfg.topology, cfg.layers, cfg.seed, CERT_RETRIES)
+        expressions = ratio_expressions(cfg.topology, cfg.layers, cfg.seed, CERT_RETRIES)
         report["mlcb"]["ratio_certificates"] = [
             {
                 "qubit": e.qubit,

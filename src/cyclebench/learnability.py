@@ -10,7 +10,6 @@ measured multi-layer product plus learnable terms.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,15 @@ from math import gcd, lcm
 import numpy as np
 
 from . import exactla
-from .layers import Chain, CliffordLayer, conjugate, covering_layers, digit_orbits, s_dressing
+from .layers import (
+    Chain,
+    CliffordLayer,
+    chain_decomposition,
+    conjugate,
+    covering_layers,
+    digit_orbits,
+    s_dressing,
+)
 from .pauli import PauliString, digits, from_digits
 from .spl import GeneratorSet, SplModel
 from .topology import Topology
@@ -65,9 +72,9 @@ class FidelityFunction:
         )
 
     def __add__(self, other: "FidelityFunction") -> "FidelityFunction":
-        acc: dict[tuple[str, tuple[int, int]], tuple[str, PauliString, Fraction]] = {}
+        acc: dict[tuple[str, PauliString], tuple[str, PauliString, Fraction]] = {}
         for lab, p, g in self.terms + other.terms:
-            key = (lab, p.key())
+            key = (lab, p)
             if key in acc:
                 lab0, p0, g0 = acc[key]
                 acc[key] = (lab0, p0, g0 + g)
@@ -109,12 +116,6 @@ class LearnableProduct:
 
     def function(self) -> FidelityFunction:
         return FidelityFunction.product(self.label, self.strings)
-
-    @functools.cached_property
-    def key(self) -> tuple[str, frozenset[PauliString]]:
-        """(label, frozenset of the strings), equal for equal products;
-        computed once per product."""
-        return (self.label, frozenset(self.strings))
 
 
 def orbit_learnables(layer: CliffordLayer, generators: GeneratorSet) -> list[LearnableProduct]:
@@ -318,7 +319,7 @@ def mlcb_targets(chain: Chain, la: CliffordLayer, lb: CliffordLayer) -> list[Mlc
         for m in range(1, 9):
             cur = conjugate((la, lb)[(m - 1) % 2], cur)
             seq.append(cur)
-            if m % 2 == 0 and cur.key() == prep.key():
+            if m % 2 == 0 and cur == prep:
                 period = m
                 break
         if period is None:
@@ -353,19 +354,6 @@ class MuExpression:
         for prod, coeff in self.learnable_terms:
             out = out + prod.function().scaled(coeff)
         return out
-
-
-def _chain_cache_key(chain: Chain, topology: Topology, q: int):
-    index = {g: i for i, g in enumerate(chain.qubits)}
-    colors = tuple(lab == chain.pair[0] for _, lab in chain.edges)
-    local_edges = tuple(
-        sorted(
-            (min(index[a], index[b]), max(index[a], index[b]))
-            for a, b in topology.edges
-            if a in index and b in index
-        )
-    )
-    return (chain.kind, colors, local_edges, index[q])
 
 
 def _mapped(
@@ -403,16 +391,18 @@ def mu_expression(
         cache = {}
     chain = target.chain
     n = topology.n
-    key = _chain_cache_key(chain, topology, target.qubit)
+    qubits = chain.qubits
+    k = len(qubits)
+    local = topology.induced(qubits)
     # Certificates are cached in chain-local, label-agnostic form ("0"/"1"
     # for the pair's first/second layer) so identical chain shapes from
     # different layer pairs share the search.
     relabel = {chain.pair[0]: "0", chain.pair[1]: "1"}
-    qubits = chain.qubits
-    k = len(qubits)
+    colors = tuple(lab == chain.pair[0] for _, lab in chain.edges)
+    key = (chain.kind, colors, local.edges, qubits.index(target.qubit))
     if key not in cache:
         index = {g: i for i, g in enumerate(qubits)}
-        gens = GeneratorSet(topology.induced(qubits))
+        gens = GeneratorSet(local)
         product = _mapped(target.product, relabel, qubits, range(k), k)
         mu = _mapped(target.mu, relabel, qubits, range(k), k)
         certs = []
@@ -456,22 +446,75 @@ def mu_expression(
         )
         for c in (cert1, cert2)
     )
-    terms: dict = {}
-    for sgn, cert in zip((Fraction(1), Fraction(-1)), gcerts):
-        for prod, coeff in zip(cert.basis_products, cert.sigma):
-            k2 = prod.key
-            if k2 in terms:
-                terms[k2] = (terms[k2][0], terms[k2][1] + sgn * coeff)
-            else:
-                terms[k2] = (prod, sgn * coeff)
+    # The certificates are on different layers, so no product is in both.
     return MuExpression(
         qubit=target.qubit,
         pair=chain.pair,
         target=target,
         epsilon=cert1.epsilon,
-        learnable_terms=tuple((p, c) for p, c in terms.values() if c != 0),
+        learnable_terms=(
+            *zip(gcerts[0].basis_products, gcerts[0].sigma),
+            *((prod, -coeff) for prod, coeff in zip(gcerts[1].basis_products, gcerts[1].sigma)),
+        ),
         certificates=gcerts,
     )
+
+
+def covering_pairs(topology: Topology, layers: list[CliffordLayer]):
+    """Layer pairs the multi-layer protocol must run.
+
+    Each qubit q covered by layers (L_1, ..., L_l) (in configuration order)
+    needs the l-1 ratios of consecutive covering layers, so every pair that
+    is covering-consecutive for some qubit is scheduled.  Returns the pair
+    list and the wanted (qubit, pair) combinations.
+    """
+    labels = [layer.label for layer in layers]
+    pairs: list[tuple[str, str]] = []
+    wanted: set[tuple[int, tuple[str, str]]] = set()
+    for q, covering in enumerate(covering_layers(layers, topology.n)):
+        for a, b in zip(covering, covering[1:]):
+            pair = (labels[a], labels[b])
+            if pair not in pairs:
+                pairs.append(pair)
+            wanted.add((q, pair))
+    return pairs, wanted
+
+
+def ratio_expressions(
+    topology: Topology, layers: list[CliffordLayer], seed: int, retries: int
+) -> list[MuExpression]:
+    """The exact expression of every ratio the multi-layer protocol
+    measures, in schedule order.  A ratio whose certificate search fails
+    raises RuntimeError: no ratio is counted without its certificate.
+
+    Chain-shape certificates are shared by this call's layer pairs only, so
+    the result never depends on the calls made before it.
+    """
+    expressions: list[MuExpression] = []
+    certificates: dict = {}
+    pairs, wanted = covering_pairs(topology, layers)
+    index_of = {layer.label: i for i, layer in enumerate(layers)}
+    by_label = {layer.label: layer for layer in layers}
+    for pair in pairs:
+        la, lb = by_label[pair[0]], by_label[pair[1]]
+        for chain in chain_decomposition(la, lb):
+            for target in mlcb_targets(chain, la, lb):
+                if (target.qubit, pair) not in wanted:
+                    continue
+                try:
+                    expressions.append(mu_expression(
+                        target,
+                        topology,
+                        seed=seed + index_of[pair[0]],
+                        retries=retries,
+                        cache=certificates,
+                    ))
+                except NotEquivalentError as exc:
+                    raise RuntimeError(
+                        f"no certificate for the ratio of qubit {target.qubit} "
+                        f"on layers {pair[0]!r}, {pair[1]!r}: {exc}"
+                    ) from exc
+    return expressions
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +540,13 @@ def analyze_layer(layer: CliffordLayer, generators: GeneratorSet) -> LayerLearna
     singles_std = [
         p.strings[0] for p in products if len(p.strings) == 1 and p.source == "standard"
     ]
-    std_keys = {s.key() for s in singles_std}
+    std_set = set(singles_std)
     singles_dr = [
         p.strings[0]
         for p in products
-        if len(p.strings) == 1 and p.source == "dressed" and p.strings[0].key() not in std_keys
+        if len(p.strings) == 1 and p.source == "dressed" and p.strings[0] not in std_set
     ]
-    n_singleton_strings = len(std_keys | {s.key() for s in singles_dr})
+    n_singleton_strings = len(std_set | set(singles_dr))
     # The generator strings, in generator order, whose single fidelities
     # extend the product rows to full rank (the generators' own fidelities
     # have full rank), and the rows' rank, proven by its certificate.

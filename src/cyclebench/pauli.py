@@ -67,10 +67,6 @@ class PauliString:
         m = self.x_bits | self.z_bits
         return tuple(q for q in range(self.n) if (m >> q) & 1)
 
-    def key(self) -> tuple[int, int]:
-        """Hashable key used for fidelity indexing."""
-        return (self.x_bits, self.z_bits)
-
 
 def digits(strings, n: int) -> np.ndarray:
     """(len(strings), n) uint8 digits x + 2z per qubit."""

@@ -11,16 +11,8 @@ import numpy as np
 
 from . import exactla
 from .fitting import RankDeficientError, distance_metrics, nnls, refine_unlearnable
-from .layers import CliffordLayer, chain_decomposition, covering_layers, cz_partners
-from .learnability import (
-    LearnableProduct,
-    MuExpression,
-    NotEquivalentError,
-    mlcb_targets,
-    mu_expression,
-    orbit_learnables,
-    product_rows,
-)
+from .layers import CliffordLayer, covering_layers, cz_partners
+from .learnability import LearnableProduct, MuExpression, orbit_learnables, product_rows, ratio_expressions
 from .pauli import PauliString, digits
 from .spl import GeneratorSet, SplModel, random_model
 from .topology import Topology
@@ -83,6 +75,8 @@ class CharacterizationPlan:
     # Per qubit covered by two or more layers: the covering labels, in
     # order, and the low-row index of the qubit's partner in each.
     low_clusters: list[tuple[int, tuple[str, ...], tuple[int, ...]]]
+    # Always 0: a failed ratio raises.  benchmark/workloads.py's plan gate
+    # still reads it.
     mu_failures: int = 0
 
     @property
@@ -99,7 +93,7 @@ def build_plan(
     """The ratio expressions first, then one LayerPlan per layer, built in
     one pass with its share of the entries' terms."""
     gens = GeneratorSet(topology)
-    expressions, failures = ratio_expressions(topology, layers, seed, retries)
+    expressions = ratio_expressions(topology, layers, seed, retries)
     # Each entry's measured product terms and learnable terms, by layer.
     terms = {layer.label: [] for layer in layers}
     refs = {layer.label: [] for layer in layers}
@@ -107,7 +101,7 @@ def build_plan(
         for l, p, _ in expr.target.product.terms:
             terms[l].append((e, p))
         for prod, coeff in expr.learnable_terms:
-            refs[prod.label].append((e, prod.key[1], float(coeff)))
+            refs[prod.label].append((e, frozenset(prod.strings), float(coeff)))
     plans: dict[str, LayerPlan] = {}
     for layer in layers:
         lab = layer.label
@@ -118,12 +112,10 @@ def build_plan(
         lrows = gens.digit_overlaps(digits(singles, topology.n))
         # Standard orbits are disjoint: each single fidelity lies in one.
         standard = {
-            s.key(): i for i, p in enumerate(prods) if p.source == "standard" for s in p.strings
+            s: i for i, p in enumerate(prods) if p.source == "standard" for s in p.strings
         }
         stacked = np.vstack([rows, lrows])
         inv, deficient = classify_gram(stacked, gens, lab)
-        # Each product of the plan is looked up once here, so its string set
-        # is not cached on it (`LearnableProduct.key` would keep it).
         row_of = {frozenset(prod.strings): i for i, prod in enumerate(prods)}
         plans[lab] = LayerPlan(
             layer=layer,
@@ -131,7 +123,7 @@ def build_plan(
             s=stacked,
             n_high=len(rows),
             low_qubits=qubits,
-            symmetry_row=[standard[alpha.key()] for alpha in singles],
+            symmetry_row=[standard[alpha] for alpha in singles],
             inv_gram=inv,
             unconstrained=deficient,
             ratio_rows=(
@@ -160,43 +152,7 @@ def build_plan(
         mu_entries=[MuPlanEntry(expr.qubit, expr.pair, expr) for expr in expressions],
         mu_epsilon=np.array([float(expr.epsilon) for expr in expressions], dtype=float),
         low_clusters=low_clusters,
-        mu_failures=failures,
     )
-
-
-def ratio_expressions(
-    topology: Topology, layers: list[CliffordLayer], seed: int, retries: int
-) -> tuple[list[MuExpression], int]:
-    """The exact expression of every ratio the multi-layer protocol
-    measures, in schedule order, and the number of ratios whose certificate
-    search failed.
-
-    Chain-shape certificates are shared by this call's layer pairs only, so
-    the result never depends on the calls made before it.
-    """
-    expressions: list[MuExpression] = []
-    failures = 0
-    certificates: dict = {}
-    pairs, wanted = covering_pairs(topology, layers)
-    index_of = {layer.label: i for i, layer in enumerate(layers)}
-    by_label = {layer.label: layer for layer in layers}
-    for pair in pairs:
-        la, lb = by_label[pair[0]], by_label[pair[1]]
-        for chain in chain_decomposition(la, lb):
-            for target in mlcb_targets(chain, la, lb):
-                if (target.qubit, pair) not in wanted:
-                    continue
-                try:
-                    expressions.append(mu_expression(
-                        target,
-                        topology,
-                        seed=seed + index_of[pair[0]],
-                        retries=retries,
-                        cache=certificates,
-                    ))
-                except NotEquivalentError:
-                    failures += 1
-    return expressions, failures
 
 
 def classify_gram(
@@ -234,26 +190,6 @@ def classify_gram(
     if inv is None or not np.isfinite(inv).all():
         raise RuntimeError(f"layer {label!r}: full-rank fit matrix has no finite inverse Gram")
     return inv, None
-
-
-def covering_pairs(topology: Topology, layers: list[CliffordLayer]):
-    """Layer pairs the multi-layer protocol must run.
-
-    Each qubit q covered by layers (L_1, ..., L_l) (in configuration order)
-    needs the l-1 ratios of consecutive covering layers, so every pair that
-    is covering-consecutive for some qubit is scheduled.  Returns the pair
-    list and the wanted (qubit, pair) combinations.
-    """
-    labels = [layer.label for layer in layers]
-    pairs: list[tuple[str, str]] = []
-    wanted: set[tuple[int, tuple[str, str]]] = set()
-    for q, covering in enumerate(covering_layers(layers, topology.n)):
-        for a, b in zip(covering, covering[1:]):
-            pair = (labels[a], labels[b])
-            if pair not in pairs:
-                pairs.append(pair)
-            wanted.add((q, pair))
-    return pairs, wanted
 
 
 def generate_models(plan: CharacterizationPlan, rng: np.random.Generator) -> dict[str, SplModel]:

@@ -15,6 +15,7 @@ from cyclebench.fitting import nnls
 from cyclebench.layers import CliffordLayer, chain_decomposition, conjugate, s_dressing
 from cyclebench.learnability import (
     analyze_layer,
+    covering_pairs,
     mlcb_targets,
     mu_expression,
     orbit_learnables,
@@ -25,7 +26,6 @@ from cyclebench.pec import pec_observable, sample_circuit
 from cyclebench.pipeline import (
     build_plan,
     characterize_and_fit,
-    covering_pairs,
     generate_models,
     model_rng,
     sweep_item,

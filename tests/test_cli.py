@@ -791,6 +791,24 @@ class TestErrors:
         )
         assert not os.path.exists(os.path.join(cfg["out"], "metrics.csv"))
 
+    @pytest.mark.parametrize(
+        "command, output",
+        [("learnability", "learnability.json"), ("fit", "metrics.csv"), ("pec", "pec.csv")],
+    )
+    def test_failed_ratio_certificate_ends_numeric(self, tmp_path, monkeypatch, capsys, command, output):
+        # An exact solve that finds nothing leaves the first scheduled ratio
+        # without a certificate: the command ends in a numerical failure, one
+        # line naming the qubit and the layer pair, and writes no output.
+        monkeypatch.setattr(exactla, "solve_rational", lambda columns, target: None)
+        path, cfg = write_config(tmp_path)
+        assert main([command, "--config", str(path)]) == EXIT_NUMERIC
+        assert re.fullmatch(
+            r"numerical failure: no certificate for the ratio of qubit \d+ on layers '\w', '\w': "
+            r"exact solve failed on the support found mod p\n",
+            capsys.readouterr().err,
+        )
+        assert not os.path.exists(os.path.join(cfg["out"], output))
+
     @pytest.mark.parametrize("sigma", [1e200, 1e308])
     @pytest.mark.parametrize("command", ["characterize", "fit", "pec"])
     def test_huge_noise_ends_cleanly(self, tmp_path, capsys, sigma, command):

@@ -63,7 +63,7 @@ class TestPauliString:
 
     def test_identity(self):
         p = PauliString.identity(4)
-        assert p.key() == (0, 0) and len(p.support()) == 0
+        assert (p.x_bits, p.z_bits) == (0, 0) and len(p.support()) == 0
 
     def test_mask_guard(self):
         with pytest.raises(ValueError):
@@ -156,11 +156,11 @@ class TestMultiply:
 def error_probabilities(n, fid):
     """p_alpha = 4^-n sum_beta f_beta (-1)^<alpha, beta> over all 4^n
     strings: the dense reference transform from Pauli fidelities to the
-    channel's error probabilities, keyed by `PauliString.key()`."""
+    channel's error probabilities, keyed by string."""
     strings = [PauliString(n, x, z) for x in range(1 << n) for z in range(1 << n)]
     f = np.array([fid(p) for p in strings])
     signs = np.array([[(-1) ** symplectic_inner(a, b) for b in strings] for a in strings])
-    return {p.key(): float(v) for p, v in zip(strings, signs @ f / 4**n)}
+    return {p: float(v) for p, v in zip(strings, signs @ f / 4**n)}
 
 
 class TestSplChannelOracle:
@@ -180,17 +180,16 @@ class TestSplChannelOracle:
 
         probs = error_probabilities(n, SplModel("L", gens, lam).fidelity)
         # Oracle: compose single-generator channels as index convolutions.
-        dist = {PauliString.identity(n).key(): 1.0}
+        dist = {PauliString.identity(n): 1.0}
         for g, l in zip(gens.strings, lam):
             w = (1.0 + np.exp(-2.0 * l)) / 2.0
             nxt = {}
-            for key, pr in dist.items():
-                p = PauliString(n, *key)
+            for p, pr in dist.items():
                 flip = product(p, g)
-                nxt[key] = nxt.get(key, 0.0) + w * pr
-                nxt[flip.key()] = nxt.get(flip.key(), 0.0) + (1.0 - w) * pr
+                nxt[p] = nxt.get(p, 0.0) + w * pr
+                nxt[flip] = nxt.get(flip, 0.0) + (1.0 - w) * pr
             dist = nxt
-        for key, v in probs.items():
-            assert v == pytest.approx(dist.get(key, 0.0), abs=1e-12)
+        for p, v in probs.items():
+            assert v == pytest.approx(dist.get(p, 0.0), abs=1e-12)
             assert v >= -1e-12
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cyclebench import exactla, fitting, pipeline
 from cyclebench.fitting import RankDeficientError, nnls
 from cyclebench.layers import CATALOG, SQ_DIGITS, CliffordLayer
-from cyclebench.learnability import analyze_layer, orbit_learnables, product_rows
+from cyclebench.learnability import analyze_layer, covering_pairs, orbit_learnables, product_rows
 from cyclebench.pauli import PauliString
 from cyclebench.pipeline import (
     MAX_INV_GRAM_COND,
@@ -19,7 +19,6 @@ from cyclebench.pipeline import (
     build_plan,
     characterize_and_fit,
     classify_gram,
-    covering_pairs,
     estimate_mu,
     generate_models,
     model_rng,
@@ -47,6 +46,13 @@ def fig6_plan():
     # The `repro fig6` plan: garnet20, closed squares.
     topo = garnet20()
     return build_plan(topo, four_layer_config(topo, "closed_squares"), seed=20240503, retries=8)
+
+
+@pytest.fixture(scope="module")
+def fig6_chains_plan():
+    # The fig6 plan's settings on open chains.
+    topo = garnet20()
+    return build_plan(topo, four_layer_config(topo, "open_chains"), seed=20240503, retries=8)
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +219,9 @@ class TestPlan:
         assert calls == [exactla._PRIMES[0]] * 36
 
     def test_failed_exact_solve_is_one_search_and_one_failure(self, monkeypatch):
-        # A support whose exact solve finds nothing ends its ratio at once:
-        # one support search per solve, and every ratio a counted failure.
+        # A support whose exact solve finds nothing ends the plan at once:
+        # the first ratio's one support search and one solve, then a
+        # RuntimeError naming the ratio.
         calls = []
         search = exactla.modular_support_search
 
@@ -230,10 +237,10 @@ class TestPlan:
         monkeypatch.setattr(exactla, "solve_rational", no_solution)
         topo = square_lattice(3, 2)
         layers = four_layer_config(topo, "open_chains")
-        failed = build_plan(topo, layers, seed=0, retries=4)
-        assert failed.mu_entries == []
-        assert failed.mu_failures == len(covering_pairs(topo, layers)[1]) > 0
-        assert calls == ["search", "solve"] * failed.mu_failures
+        want = r"^no certificate for the ratio of qubit \d+ on layers '\w', '\w': exact solve failed"
+        with pytest.raises(RuntimeError, match=want):
+            build_plan(topo, layers, seed=0, retries=4)
+        assert calls == ["search", "solve"]
 
     def test_plan_keeps_sq_gates(self):
         # The same CZ pairs with and without an S gate are different plans.
@@ -271,12 +278,24 @@ class TestPlan:
         for name, plan in (("square2x3", small), ("fig6", fig6_plan)):
             assert plan_arrays_digest(plan) == PINNED_PLAN_DIGESTS[name], name
 
-    def test_fig6_certificates_pinned(self, fig6_plan):
-        topo = garnet20()
-        chains = build_plan(topo, four_layer_config(topo, "open_chains"), seed=20240503, retries=8)
-        for scheme, plan in (("closed_squares", fig6_plan), ("open_chains", chains)):
+    def test_fig6_certificates_pinned(self, fig6_plan, fig6_chains_plan):
+        for scheme, plan in (("closed_squares", fig6_plan), ("open_chains", fig6_chains_plan)):
             assert plan.mu_failures == 0 and len(plan.mu_entries) == 42
             assert certificate_digest(plan) == PINNED_FIG6_DIGESTS[scheme], scheme
+
+    def test_learnable_terms_are_the_certificates_terms(self, fig6_plan, fig6_chains_plan):
+        # The two certificates are on different layers, so no product is in
+        # both, and the learnable terms are the first certificate's followed
+        # by the second's with their weights negated.
+        for plan in (fig6_plan, fig6_chains_plan):
+            for entry in plan.mu_entries:
+                cert1, cert2 = entry.expression.certificates
+                first = {(p.label, frozenset(p.strings)) for p in cert1.basis_products}
+                second = {(p.label, frozenset(p.strings)) for p in cert2.basis_products}
+                assert not first & second
+                want = [*zip(cert1.basis_products, cert1.sigma),
+                        *((p, -s) for p, s in zip(cert2.basis_products, cert2.sigma))]
+                assert list(entry.expression.learnable_terms) == want
 
     def test_plan_independent_of_earlier_plans(self):
         # Each plan keeps its own certificate cache.  Seeds 0 and 7 find
@@ -320,8 +339,8 @@ def learn_refs(plan, entry):
     entry: the row is that of the orbit product with the term's strings."""
     refs = []
     for prod, coeff in entry.expression.learnable_terms:
-        rows = [frozenset(s.key() for s in p.strings) for p in plan.layers[prod.label].products]
-        row = rows.index(frozenset(s.key() for s in prod.strings))
+        rows = [frozenset(p.strings) for p in plan.layers[prod.label].products]
+        row = rows.index(frozenset(prod.strings))
         refs.append((prod.label, row, float(coeff)))
     return refs
 
