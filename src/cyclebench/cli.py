@@ -459,13 +459,16 @@ def cmd_pec(cfg: RunConfig) -> int:
         baseline=cfg.baseline, master_seed=cfg.seed,
     )
     rows = [row for model in _map_models(cfg, job) for row in model]
+    summary = summarize_pec(rows)
+    for w, st in summary["by_weight"].items():
+        if not np.isfinite(list(st.values())).all():
+            raise RuntimeError(f"PEC summary at weight {w} is not finite")
     csv_path = os.path.join(cfg.out, "pec.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model_seed", "circuit_seed", "W", "O_c", "O_m"])
         for row in rows:
             writer.writerow([row["model_seed"], row["circuit_seed"], row["W"], row["O_c"], row["O_m"]])
-    summary = summarize_pec(rows)
     summary["schema"] = "pec-summary/1"
     summary["config_digest"] = cfg.digest()
     _write_json(os.path.join(cfg.out, "pec_summary.json"), summary)
@@ -585,7 +588,7 @@ def main(argv=None) -> int:
     except RankDeficientError as exc:
         print(f"rank deficiency: {exc}", file=sys.stderr)
         return EXIT_RANK
-    except (np.linalg.LinAlgError, RuntimeError, ZeroDivisionError) as exc:
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -118,14 +118,23 @@ class LearnableProduct:
         return FidelityFunction.product(self.label, self.strings)
 
 
-def orbit_learnables(layer: CliffordLayer, generators: GeneratorSet) -> list[LearnableProduct]:
+def orbit_learnables(
+    layer: CliffordLayer, generators: GeneratorSet
+) -> tuple[list[LearnableProduct], np.ndarray]:
     """Orbit products for every generator string, including interleaved
     variants (S on every gate qubit), deduplicated, from one `digit_orbits`
     pass: each product is kept at its first orbit (standard before dressed,
-    then generator order), its strings sorted by (x_bits, z_bits)."""
+    then generator order), its strings sorted by (x_bits, z_bits).
+
+    Returns the products and their (P, K) int8 overlap rows: row i sums the
+    symplectic products of every string of products[i] with every
+    generator.  Products go 64 at a time through one `digit_overlaps` pass
+    and one int8 `reduceat`, so no temporary is wider than a byte or larger
+    than a few tens of kB (the allocator keeps larger transients, raising
+    peak RSS)."""
     dressings = [None, s_dressing(layer)] if layer.cz_pairs else [None]
     n = layer.n
-    path, length = digit_orbits(layer, digits(generators.strings, n), dressings)
+    path, length = digit_orbits(layer, generators.digits, dressings)
     flat = path.reshape(-1, n)
     # Rank the strings in (x_bits, z_bits) order, equal strings equally:
     # lexsort's last key, the x bit of the highest qubit, leads.
@@ -134,36 +143,24 @@ def orbit_learnables(layer: CliffordLayer, generators: GeneratorSet) -> list[Lea
     rank = np.empty(len(flat), dtype=np.intp)
     rank[order] = np.cumsum(new) - 1
     rank = rank.reshape(len(path), -1)
-    by_rank = from_digits(flat[order[new]], n)
-    products: dict[tuple, LearnableProduct] = {}
+    unique = flat[order[new]]
+    by_rank = from_digits(unique, n)
+    sources: dict[tuple, str] = {}
     for i, size in enumerate(length):
         key = tuple(sorted(rank[:size, i].tolist()))
-        if key not in products:
-            products[key] = LearnableProduct(
-                layer.label,
-                tuple(by_rank[r] for r in key),
-                "standard" if i < len(generators) else "dressed",
-            )
-    return list(products.values())
-
-
-def product_rows(generators: GeneratorSet, products) -> np.ndarray:
-    """(P, K) int8 overlap rows of learnable products: row i sums the
-    symplectic products of every string of products[i] (never empty) with
-    every generator.
-
-    Products go 64 at a time through one `digit_overlaps` pass and one int8
-    `reduceat`, so no temporary is wider than a byte or larger than a few
-    tens of kB (the allocator keeps larger transients, raising peak RSS).
-    """
-    out = np.empty((len(products), len(generators)), dtype=np.int8)
-    for lo in range(0, len(products), 64):
-        block = products[lo : lo + 64]
-        strings = [p for prod in block for p in prod.strings]
-        starts = np.cumsum([0] + [len(prod.strings) for prod in block[:-1]])
-        overlaps = generators.digit_overlaps(digits(strings, generators.topology.n))
-        np.add.reduceat(overlaps, starts, axis=0, out=out[lo : lo + 64])
-    return out
+        sources.setdefault(key, "standard" if i < len(generators) else "dressed")
+    keys = list(sources)
+    rows = np.empty((len(keys), len(generators)), dtype=np.int8)
+    for lo in range(0, len(keys), 64):
+        block = keys[lo : lo + 64]
+        starts = np.cumsum([0] + [len(key) for key in block[:-1]])
+        overlaps = generators.digit_overlaps(unique[[r for key in block for r in key]])
+        np.add.reduceat(overlaps, starts, axis=0, out=rows[lo : lo + 64])
+    products = [
+        LearnableProduct(layer.label, tuple(by_rank[r] for r in key), source)
+        for key, source in sources.items()
+    ]
+    return products, rows
 
 
 @dataclass(frozen=True)
@@ -192,12 +189,14 @@ def express_search(
     target: FidelityFunction,
     anchor: FidelityFunction,
     generators: GeneratorSet,
-    products: list[LearnableProduct],
+    learnables: tuple[list[LearnableProduct], np.ndarray],
     seed: int = 0,
     retries: int = 32,
 ) -> EquivalenceCertificate:
     """Express `target` through `anchor` plus few of the learnable
-    `products`, all functions of one layer's rates over `generators`.
+    products, all functions of one layer's rates over `generators`;
+    `learnables` holds the products and their overlap rows, as
+    `orbit_learnables` returns them.
 
     Randomized greedy elimination over the learnable rows (runs modulo a
     31-bit prime for speed), then one exact rational solve on the surviving
@@ -207,8 +206,9 @@ def express_search(
     order modulo the same prime would not avoid it, and no certificate is
     ever wrong.
     """
+    products, rows = learnables
     t = int_row(generators, target)
-    cols = np.vstack([int_row(generators, anchor), product_rows(generators, products)])
+    cols = np.vstack([int_row(generators, anchor), rows])
     rng = np.random.default_rng(seed)
     support = exactla.modular_support_search(cols, t, rng, retries)
     if support is None:
@@ -411,11 +411,11 @@ def mu_expression(
             layer_edges = tuple(
                 (index[a], index[b]) for (a, b), elab in chain.edges if elab == lab
             )
-            products = orbit_learnables(CliffordLayer(k, layer_edges, (), loc), gens)
+            learnables = orbit_learnables(CliffordLayer(k, layer_edges, (), loc), gens)
             anchor = FidelityFunction(tuple(t for t in product.terms if t[0] == loc))
             tgt = FidelityFunction(tuple((l, p, abs(g)) for l, p, g in mu.terms if l == loc))
             certs.append(
-                express_search(tgt, anchor, gens, products, seed=seed + which, retries=retries)
+                express_search(tgt, anchor, gens, learnables, seed=seed + which, retries=retries)
             )
         cache[key] = tuple(certs)
     cert1, cert2 = cache[key]
@@ -535,8 +535,7 @@ class LayerLearnability:
 
 
 def analyze_layer(layer: CliffordLayer, generators: GeneratorSet) -> LayerLearnability:
-    products = orbit_learnables(layer, generators)
-    rows = product_rows(generators, products)
+    products, rows = orbit_learnables(layer, generators)
     singles_std = [
         p.strings[0] for p in products if len(p.strings) == 1 and p.source == "standard"
     ]
@@ -550,9 +549,7 @@ def analyze_layer(layer: CliffordLayer, generators: GeneratorSet) -> LayerLearna
     # The generator strings, in generator order, whose single fidelities
     # extend the product rows to full rank (the generators' own fidelities
     # have full rank), and the rows' rank, proven by its certificate.
-    rank, taken = exactla.extend_to_full_rank(
-        rows, generators.digit_overlaps(digits(generators.strings, layer.n))
-    )
+    rank, taken = exactla.extend_to_full_rank(rows, generators.digit_overlaps(generators.digits))
     basis = [generators.strings[i] for i in taken]
     if rank + len(basis) != len(generators):
         raise RuntimeError(f"layer {layer.label!r}: incomplete unlearnable basis")

@@ -138,7 +138,7 @@ def pec_observable(
         table = -2.0 * np.add.reduceat(terms, starts, axis=-1)  # (F, L, 16, S)
     for layer in np.flatnonzero(~np.isfinite(table).all(axis=(0, 2, 3))).tolist():
         if (batch.base == layer).any():
-            raise ZeroDivisionError(f"fitted fidelity vanished on layer {labels[layer]}")
+            raise RuntimeError(f"fitted fidelity vanished on layer {labels[layer]}")
     rows = np.ascontiguousarray(table.transpose(3, 1, 2, 0)).reshape(-1, len(fits))
     # Row indices in the narrowest unsigned type that holds them: every
     # operation on them then stays in one integer type.
@@ -153,7 +153,8 @@ def pec_observable(
         idx |= np.multiply(batch.base[j], 16, dtype=row_type)
         idx += site_rows
         log_o += rows.take(idx, axis=0)
-    return np.exp(log_o.sum(axis=0).T)
+    with np.errstate(over="ignore"):  # `model_rows` rejects an infinite O
+        return np.exp(log_o.sum(axis=0).T)
 
 
 def _lemire(words: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -467,7 +468,8 @@ def model_rows(
     (`sample_circuit`); `check_limits` keeps these keys distinct.  As many
     weights as fit in `MAX_CIRCUITS` circuits share a pass: one
     `sample_circuit` call draws all their circuits, each key with its own
-    weight, and one `pec_observable` call propagates them.
+    weight, and one `pec_observable` call propagates them.  A non-finite
+    O_c or O_m raises RuntimeError naming the model and the weight.
     """
     check_limits(plan.topology.n, n_circuits, j_layers, weights)
     base_layers = {lab: lp.layer for lab, lp in plan.layers.items()}
@@ -482,6 +484,10 @@ def model_rows(
             [mi * 100000 + ci * 100 + w for w, ci in pairs],
         )
         o_c, o_m = pec_observable(models, fits, batch, plan.generators)
+        bad = ~(np.isfinite(o_c) & np.isfinite(o_m))
+        if bad.any():
+            w = pairs[np.flatnonzero(bad)[0]][0]
+            raise RuntimeError(f"PEC observable of model {mi} at weight {w} is not finite")
         rows.extend(
             {"model_seed": mi, "circuit_seed": ci, "W": w, "O_c": float(c), "O_m": float(m)}
             for (w, ci), c, m in zip(pairs, o_c, o_m)
@@ -495,11 +501,13 @@ def summarize_pec(rows: list[dict]) -> dict:
     for w in weights:
         oc = np.array([r["O_c"] for r in rows if r["W"] == w])
         om = np.array([r["O_m"] for r in rows if r["W"] == w])
-        out["by_weight"][w] = {
-            "mean_O_c": float(oc.mean()),
-            "mean_O_m": float(om.mean()),
-            "std_O_c": float(oc.std()),
-            "std_O_m": float(om.std()),
-            "count": int(len(oc)),
-        }
+        # A statistic beyond the float range reads inf, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out["by_weight"][w] = {
+                "mean_O_c": float(oc.mean()),
+                "mean_O_m": float(om.mean()),
+                "std_O_c": float(oc.std()),
+                "std_O_m": float(om.std()),
+                "count": int(len(oc)),
+            }
     return out

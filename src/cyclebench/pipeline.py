@@ -12,7 +12,7 @@ import numpy as np
 from . import exactla
 from .fitting import RankDeficientError, distance_metrics, nnls, refine_unlearnable
 from .layers import CliffordLayer, covering_layers, cz_partners
-from .learnability import LearnableProduct, MuExpression, orbit_learnables, product_rows, ratio_expressions
+from .learnability import LearnableProduct, MuExpression, orbit_learnables, ratio_expressions
 from .pauli import PauliString, digits
 from .spl import GeneratorSet, SplModel, random_model
 from .topology import Topology
@@ -105,8 +105,7 @@ def build_plan(
     plans: dict[str, LayerPlan] = {}
     for layer in layers:
         lab = layer.label
-        prods = orbit_learnables(layer, gens)
-        rows = product_rows(gens, prods)
+        prods, rows = orbit_learnables(layer, gens)
         qubits = sorted(q for pair in layer.cz_pairs for q in pair)
         singles = [PauliString.single(topology.n, q, "X") for q in qubits]
         lrows = gens.digit_overlaps(digits(singles, topology.n))

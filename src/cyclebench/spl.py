@@ -5,16 +5,17 @@ model generation."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .layers import CliffordLayer
-from .pauli import PauliString, digits
+from .pauli import PauliString, digits, from_digits
 from .topology import Topology
 
-_LETTERS = ("X", "Y", "Z")
+# The digits x + 2z of X, Y and Z.
+_LETTERS = np.array([1, 3, 2], dtype=np.uint8)
 
 # Parity of every 4-bit value.
 _PARITY16 = np.array([bin(v).count("1") & 1 for v in range(16)], dtype=np.int8)
@@ -28,30 +29,32 @@ class GeneratorSet:
     strings (qubit ascending, letter in X, Y, Z order), then for every
     topology edge (ascending) the nine two-qubit strings in (X, Y, Z) x
     (X, Y, Z) order, the first letter on the lower qubit.
+
+    Built in that order: `digits`, the (K, n) uint8 rows x + 2z; `strings`,
+    their PauliStrings; and `support_masks`, (qubits, masks), both (K, 2):
+    the (at most two) qubits each generator acts on and, on each, its digit
+    with x and z swapped, so that a string digit d anticommutes with the
+    generator's letter iff d & mask has odd parity.  A weight-1 generator
+    repeats its qubit with mask 0.
     """
 
     topology: Topology
-    strings: tuple[PauliString, ...] = field(default=None)  # type: ignore[assignment]
     w_max: ClassVar[int] = 2
 
     def __post_init__(self):
-        if self.strings is None:
-            object.__setattr__(self, "strings", self._build())
+        n, edges = self.topology.n, np.array(self.topology.edges, dtype=np.intp).reshape(-1, 2)
+        qubits = np.vstack([np.arange(n).repeat(6).reshape(-1, 2), edges.repeat(9, axis=0)])
+        # Each generator's digit on its lower and higher qubit.
+        lo = np.concatenate([np.tile(_LETTERS, n), np.tile(_LETTERS.repeat(3), len(edges))])
+        hi = np.concatenate([np.zeros(3 * n, dtype=np.uint8), np.tile(_LETTERS, 3 * len(edges))])
+        rows = np.zeros((len(qubits), n), dtype=np.uint8)
+        rows[np.arange(len(rows)), qubits[:, 0]] = lo
+        rows[np.arange(len(rows)), qubits[:, 1]] |= hi
+        pair = np.stack([lo, hi], axis=1)
+        object.__setattr__(self, "digits", rows)
+        object.__setattr__(self, "strings", tuple(from_digits(rows, n)))
+        object.__setattr__(self, "support_masks", (qubits, (pair >> 1) | ((pair & 1) << 1)))
         object.__setattr__(self, "_activity", {})
-
-    def _build(self) -> tuple[PauliString, ...]:
-        n = self.topology.n
-        out = []
-        for q in range(n):
-            for letter in _LETTERS:
-                out.append(PauliString.single(n, q, letter))
-        for a, b in self.topology.edges:
-            for la in _LETTERS:
-                for lb in _LETTERS:
-                    pa = PauliString.single(n, a, la)
-                    pb = PauliString.single(n, b, lb)
-                    out.append(PauliString(n, pa.x_bits | pb.x_bits, pa.z_bits | pb.z_bits))
-        return tuple(out)
 
     def __len__(self) -> int:
         return len(self.strings)
@@ -61,22 +64,6 @@ class GeneratorSet:
         if alpha.n != self.topology.n:
             raise ValueError(f"dimension mismatch: {alpha.n} != {self.topology.n}")
         return self.digit_overlaps(digits([alpha], alpha.n))[0]
-
-    @functools.cached_property
-    def support_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(qubits, masks), both (K, 2): the (at most two) qubits each
-        generator acts on and, on each, its digit x + 2z with x and z
-        swapped, so that a string digit d anticommutes with the generator's
-        letter iff d & mask has odd parity.  A weight-1 generator repeats
-        its qubit with mask 0."""
-        qubits = np.zeros((len(self), 2), dtype=np.intp)
-        masks = np.zeros((len(self), 2), dtype=np.uint8)
-        for i, p in enumerate(self.strings):
-            sup = p.support()
-            qubits[i] = sup[0], sup[-1]
-            for k, q in enumerate(sup):
-                masks[i, k] = ((p.z_bits >> q) & 1) + 2 * ((p.x_bits >> q) & 1)
-        return qubits, masks
 
     @functools.cached_property
     def site_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,8 +83,7 @@ class GeneratorSet:
         single = np.flatnonzero(qubits[:, 0] == qubits[:, 1])
         # Each qubit's site: the first edge holding it, else (q, q).
         host = np.repeat(np.arange(self.topology.n)[:, None], 2, axis=1)
-        edges = sorted(set(map(tuple, qubits[qubits[:, 0] != qubits[:, 1]].tolist())))
-        for a, b in reversed(edges):
+        for a, b in reversed(self.topology.edges):
             host[[a, b]] = a, b
         q = qubits[single, 0]
         qubits[single] = host[q]

@@ -23,7 +23,7 @@ from cyclebench import cli, exactla
 from cyclebench.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_RANK, _plan, main, parse_config
 from cyclebench.exactla import rank_checked
 from cyclebench.layers import CATALOG
-from cyclebench.learnability import orbit_learnables, product_rows
+from cyclebench.learnability import orbit_learnables
 from cyclebench.pauli import PauliString
 from cyclebench.spl import GeneratorSet
 from cyclebench.pipeline import RunResult, build_plan, generate_models, model_rng, noisy_records
@@ -167,7 +167,7 @@ class TestLearnability:
             entry = report["layers"][layer.label]
             basis = [PauliString.from_label(b) for b in entry["unlearnable_basis"]]
             assert len(basis) == entry["unlearnable_dof"]
-            rows = product_rows(gens, orbit_learnables(layer, gens))
+            _, rows = orbit_learnables(layer, gens)
             full = np.vstack([rows] + [gens.overlaps(p) for p in basis])
             assert rank_checked(full) == len(gens) == entry["generators"]
         assert len(report["layers"]["C"]["unlearnable_basis"]) == 7
@@ -825,6 +825,32 @@ class TestErrors:
             assert err.count("\n") == 1
         else:
             assert err == ""
+
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            # O finite (up to about 1e189), its spread beyond the float range.
+            ({"sigma": 1.0, "j_layers": 100, "circuits": 2}, "PEC summary at weight 2"),
+            # Every O finite near 1e160, np.std's squares overflow.
+            ({"sigma": 10.0, "j_layers": 40, "circuits": 4}, "PEC summary at weight 2"),
+            # O itself overflows.
+            ({"sigma": 1.0, "j_layers": 200, "circuits": 2}, "PEC observable of model 0 at weight 2"),
+        ],
+        ids=["std_overflow", "std_overflow_finite_o", "o_overflow"],
+    )
+    def test_pec_overflow_ends_numeric(self, tmp_path, capsys, overrides, reason):
+        # A non-finite observable or summary is never written: exit 4, one
+        # line, no warning and neither output file.
+        cfg = {"topology": "square2x2", "layers": "open_chains", "weights": [2], **overrides}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["pec", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"numerical failure: {reason} is not finite\n"
+        assert not (out / "pec.csv").exists() and not (out / "pec_summary.json").exists()
 
     # One CZ and an S gate on an idle qubit: no low-accuracy row constrains
     # the S qubit's X and Y directions, so the fit matrix has rank 42 of 48.

@@ -611,6 +611,7 @@ def test_certificate_beyond_bound_fails_search(monkeypatch):
     gens = line_generators()
     target = FidelityFunction.product("A", [pauli("XZI")])
     anchor = FidelityFunction((("A", pauli("XZI"), Fraction(40001)),))
+    none = ([], np.zeros((0, len(gens)), dtype=np.int8))  # no learnable products
     calls = []
     for name in ("modular_support_search", "solve_rational"):
         real = getattr(exactla, name)
@@ -621,9 +622,9 @@ def test_certificate_beyond_bound_fails_search(monkeypatch):
 
         monkeypatch.setattr(exactla, name, counted)
     with pytest.raises(NotEquivalentError, match="exact solve failed"):
-        express_search(target, anchor, gens, [])
+        express_search(target, anchor, gens, none)
     assert calls == ["modular_support_search", "solve_rational"]
-    assert express_search(target, target, gens, []).epsilon == 1
+    assert express_search(target, target, gens, none).epsilon == 1
 
 
 # ---------------------------------------------------------------------------

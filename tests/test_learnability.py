@@ -16,9 +16,8 @@ from cyclebench.learnability import (
     LearnableProduct,
     orbit_learnables,
     pattern_transfer_unlearnable,
-    product_rows,
 )
-from cyclebench.pauli import PauliString
+from cyclebench.pauli import PauliString, digits
 from cyclebench.pipeline import build_plan
 from cyclebench.spl import GeneratorSet, random_model
 from cyclebench.topology import Topology, four_layer_config, garnet20, square_lattice
@@ -63,26 +62,44 @@ def reference_orbit_learnables(layer, gens):
     return out
 
 
+def orbit_case(case):
+    """(generators, layers) of a named case; the 70-qubit line is past the
+    63 qubits of an int64 mask."""
+    if case == "line70":
+        topo = Topology(70, tuple((q, q + 1) for q in range(69)))
+        layers = [CliffordLayer(70, tuple((q, q + 1) for q in range(1, 69, 2)), (), "L")]
+    elif case.startswith("garnet20"):
+        topo = garnet20()
+        layers = four_layer_config(topo, case.split("-")[1])
+    else:
+        topo = square_lattice(2, 2)
+        layers = [
+            CliffordLayer(4, ((0, 1),), ((2, CATALOG["H"]), (3, CATALOG["SX"])), "A"),
+            CliffordLayer(4, (), ((0, CATALOG["S"]),), "B"),
+        ]
+    return GeneratorSet(topo), layers
+
+
 class TestOrbitLearnables:
     @pytest.mark.parametrize("case", ["line70", "garnet20", "sq_gates"])
     def test_matches_conjugate_reference(self, case):
-        # Same products, in the same order, with the same string order; the
-        # 70-qubit line is past the 63 qubits of an int64 mask.
-        if case == "line70":
-            topo = Topology(70, tuple((q, q + 1) for q in range(69)))
-            layers = [CliffordLayer(70, tuple((q, q + 1) for q in range(1, 69, 2)), (), "L")]
-        elif case == "garnet20":
-            topo = garnet20()
-            layers = four_layer_config(topo, "closed_squares")[:1]
-        else:
-            topo = square_lattice(2, 2)
-            layers = [
-                CliffordLayer(4, ((0, 1),), ((2, CATALOG["H"]), (3, CATALOG["SX"])), "A"),
-                CliffordLayer(4, (), ((0, CATALOG["S"]),), "B"),
-            ]
-        gens = GeneratorSet(topo)
+        # Same products, in the same order, with the same string order.
+        gens, layers = orbit_case("garnet20-closed_squares" if case == "garnet20" else case)
+        for layer in layers[:1] if case == "garnet20" else layers:
+            assert orbit_learnables(layer, gens)[0] == reference_orbit_learnables(layer, gens)
+
+    @pytest.mark.parametrize(
+        "case", ["garnet20-closed_squares", "garnet20-open_chains", "sq_gates", "line70"]
+    )
+    def test_rows_sum_string_overlaps(self, case):
+        # Each product's int8 row is the sum of its strings' overlap rows.
+        gens, layers = orbit_case(case)
         for layer in layers:
-            assert orbit_learnables(layer, gens) == reference_orbit_learnables(layer, gens)
+            products, rows = orbit_learnables(layer, gens)
+            assert rows.dtype == np.int8 and rows.shape == (len(products), len(gens))
+            for prod, row in zip(products, rows):
+                want = gens.digit_overlaps(digits(prod.strings, gens.topology.n)).sum(axis=0)
+                np.testing.assert_array_equal(row, want)
 
 
 class TestSingleCzAnalysis:
@@ -105,7 +122,7 @@ class TestSingleCzAnalysis:
         assert self.report.unlearnable_dof == 2
 
     def test_unlearnable_basis_completes_rank(self):
-        rows = list(product_rows(self.gens, self.report.products))
+        rows = list(orbit_learnables(self.cz, self.gens)[1])
         for p in self.report.unlearnable_basis:
             rows.append(int_row(self.gens, fn("C", p.label())))
         assert rank_checked(rows) == len(self.gens)
@@ -114,7 +131,8 @@ class TestSingleCzAnalysis:
 def completes_rank(report, gens):
     """The report's product rows plus its basis strings' rows, in full rank."""
     rows = [gens.overlaps(p) for p in report.unlearnable_basis]
-    return rank_checked(np.vstack([product_rows(gens, report.products)] + rows))
+    rows += [int_row(gens, prod.function()) for prod in report.products]
+    return rank_checked(np.vstack(rows))
 
 
 class TestUnlearnableBasis:
@@ -190,7 +208,7 @@ class TestEquivalenceTest:
     def setup_method(self):
         self.topo, self.b, self.g = three_qubit_setup()
         self.gens = GeneratorSet(self.topo)
-        prods = orbit_learnables(self.b, self.gens) + orbit_learnables(self.g, self.gens)
+        prods = orbit_learnables(self.b, self.gens)[0] + orbit_learnables(self.g, self.gens)[0]
         self.rows = np.array([two_layer_row(self.gens, p.function()) for p in prods])
 
     def exponent(self, target, anchor):
@@ -384,14 +402,9 @@ class TestProductRows:
     def test_rows_are_int_rows(self):
         # Each product's int8 row is the integer row of its function.
         gens = GeneratorSet(Topology(3, ((0, 1), (1, 2))))
-        prods = orbit_learnables(CliffordLayer(3, ((1, 2),), (), "G"), gens)
-        rows = product_rows(gens, prods)
+        prods, rows = orbit_learnables(CliffordLayer(3, ((1, 2),), (), "G"), gens)
         assert rows.dtype == np.int8
         assert np.array_equal(rows, [int_row(gens, p.function()) for p in prods])
-
-    def test_no_products(self):
-        gens = GeneratorSet(Topology(2, ((0, 1),)))
-        assert product_rows(gens, []).shape == (0, len(gens))
 
 
 class TestTableFixtures:

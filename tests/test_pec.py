@@ -20,7 +20,7 @@ from cyclebench.pec import (
     summarize_pec,
 )
 from cyclebench.pipeline import build_plan, characterize_and_fit, generate_models, model_rng
-from cyclebench.spl import GeneratorSet, SplModel, random_model
+from cyclebench.spl import GeneratorSet, random_model
 from cyclebench.topology import Topology, four_layer_config, square_lattice
 
 GROUP = [tuple(row) for row in SQ_DIGITS.tolist()]
@@ -237,14 +237,6 @@ def isolated_qubit_setup():
     return gens, layers, {lab: random_model(gens, layer, rng=rng) for lab, layer in layers.items()}
 
 
-def shuffled(gens, layers, models, seed):
-    """The same generators built with `strings=` in a shuffled order, and the
-    models' rates permuted to match."""
-    perm = np.random.default_rng(seed).permutation(len(gens))
-    out = GeneratorSet(gens.topology, strings=tuple(gens.strings[k] for k in perm))
-    return out, layers, {lab: SplModel(lab, out, m.lambdas[perm]) for lab, m in models.items()}
-
-
 class TestPecObservable:
     def test_perfect_characterization_gives_one(self):
         topo, b, models = toy_models()
@@ -294,7 +286,7 @@ class TestPecObservable:
         gens = models["B"].generators
         fitted = {"B": np.full(len(gens), np.inf)}
         batch = bare_circuits(b, [PauliString.from_label("XI")], 2)
-        with pytest.raises(ZeroDivisionError, match="layer B"):
+        with pytest.raises(RuntimeError, match="layer B"):
             pec_observable(models, ({"B": models["B"].lambdas}, fitted), batch, gens)
 
     def test_vanished_fidelity_raises_only_when_a_step_uses_the_layer(self):
@@ -306,7 +298,7 @@ class TestPecObservable:
         fitted = {"B": models["B"].lambdas, "G": np.full(len(gens), np.inf)}
         batch = sample_circuit(layers, 6, 1, 0, range(8))
         assert np.any(batch.base == 1)  # labels sort as B, G
-        with pytest.raises(ZeroDivisionError, match="layer G"):
+        with pytest.raises(RuntimeError, match="layer G"):
             pec_observable(models, (fitted,), batch, gens)
         only_b = CircuitBatch(batch.layers, np.zeros_like(batch.base), batch.gates, batch.final)
         o = pec_observable(models, (fitted,), only_b, gens)
@@ -326,7 +318,7 @@ class TestPecObservable:
             alone = np.log(pec_observable(models, [fit], batch, gens))
             np.testing.assert_array_equal(log_o[f], alone[0])
 
-    @pytest.mark.parametrize("setup", ["small_plan", "eleven_layers", "isolated_qubit", "shuffled"])
+    @pytest.mark.parametrize("setup", ["small_plan", "eleven_layers", "isolated_qubit"])
     def test_matches_string_by_string_reference(self, setup, request):
         if setup in ("small_plan", "eleven_layers"):
             if setup == "small_plan":
@@ -339,9 +331,6 @@ class TestPecObservable:
             models = {lab: random_model(gens, layer, rng=rng) for lab, layer in layers.items()}
         else:
             gens, layers, models = isolated_qubit_setup()
-            if setup == "shuffled":
-                plain_gens, plain_models = gens, models
-                gens, layers, models = shuffled(gens, layers, models, seed=4)
         fits = perturbed_fits(models, seed=5)
         n = gens.topology.n
         for w in (1, 3, n):
@@ -350,12 +339,6 @@ class TestPecObservable:
             log_o = np.log(pec_observable(models, fits, batch, gens))
             ref = reference_log_observable(models, fits, batch, gens)
             np.testing.assert_allclose(log_o, ref, rtol=0, atol=1e-12)
-            if setup == "shuffled":
-                # The rates permuted with the strings give the same observable.
-                where = [gens.strings.index(p) for p in plain_gens.strings]
-                plain_fits = [{lab: r[where] for lab, r in fit.items()} for fit in fits]
-                plain = pec_observable(plain_models, plain_fits, batch, plain_gens)
-                np.testing.assert_allclose(log_o, np.log(plain), rtol=0, atol=1e-12)
 
 
 class TestSampleCircuit:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 import types
 
 import numpy as np
@@ -8,10 +9,10 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclebench import exactla, fitting, pipeline
+from cyclebench import exactla, fitting, pauli, pipeline
 from cyclebench.fitting import RankDeficientError, nnls
 from cyclebench.layers import CATALOG, SQ_DIGITS, CliffordLayer
-from cyclebench.learnability import analyze_layer, covering_pairs, orbit_learnables, product_rows
+from cyclebench.learnability import analyze_layer, covering_pairs, orbit_learnables
 from cyclebench.pauli import PauliString
 from cyclebench.pipeline import (
     MAX_INV_GRAM_COND,
@@ -200,7 +201,7 @@ class TestPlan:
         monkeypatch.setattr(pipeline, "MAX_INV_GRAM_COND", 0.0)
         gens = plan.generators
         for lp in plan.layers.values():
-            rows = product_rows(gens, orbit_learnables(lp.layer, gens))
+            _, rows = orbit_learnables(lp.layer, gens)
             calls = count_eliminations(monkeypatch, rows)
             report = analyze_layer(lp.layer, gens)
             assert calls == [exactla._PRIMES[0]] and report.unlearnable_dof > 0
@@ -217,6 +218,24 @@ class TestPlan:
         topo = garnet20()
         build_plan(topo, four_layer_config(topo, "closed_squares"), seed=20240503, retries=8)
         assert calls == [exactla._PRIMES[0]] * 36
+
+    def test_fig6_plan_digit_conversions_pinned(self, monkeypatch):
+        # The same plan converts strings to digit rows only for the
+        # certificates, the low-accuracy singles and the ratio rows: the
+        # generators and orbit products stay digit arrays.
+        real, converted = pauli.digits, []
+
+        def counted(strings, n):
+            strings = list(strings)
+            converted.append(len(strings))
+            return real(strings, n)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "cyclebench" and getattr(module, "digits", None) is real:
+                monkeypatch.setattr(module, "digits", counted)
+        topo = garnet20()
+        build_plan(topo, four_layer_config(topo, "closed_squares"), seed=20240503, retries=8)
+        assert sum(converted) == 555
 
     def test_failed_exact_solve_is_one_search_and_one_failure(self, monkeypatch):
         # A support whose exact solve finds nothing ends the plan at once:

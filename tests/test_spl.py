@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclebench.cli import main
 from cyclebench.layers import CliffordLayer
 from cyclebench.learnability import FidelityFunction
-from cyclebench.pauli import PauliString
+from cyclebench.pauli import PauliString, digits
 from cyclebench.pipeline import model_rng
 from cyclebench.spl import (
     GeneratorSet,
@@ -23,7 +25,80 @@ def line_topology(n):
     return Topology(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
+def reference_strings(topo):
+    """The generator strings one by one: singles, then each edge's nine."""
+    n = topo.n
+    out = [PauliString.single(n, q, letter) for q in range(n) for letter in "XYZ"]
+    for a, b in topo.edges:
+        for la in "XYZ":
+            for lb in "XYZ":
+                pa, pb = PauliString.single(n, a, la), PauliString.single(n, b, lb)
+                out.append(PauliString(n, pa.x_bits | pb.x_bits, pa.z_bits | pb.z_bits))
+    return tuple(out)
+
+
+def reference_support_masks(strings):
+    """(qubits, masks) read from each string's support, one by one."""
+    qubits = np.zeros((len(strings), 2), dtype=np.intp)
+    masks = np.zeros((len(strings), 2), dtype=np.uint8)
+    for i, p in enumerate(strings):
+        sup = p.support()
+        qubits[i] = sup[0], sup[-1]
+        for k, q in enumerate(sup):
+            masks[i, k] = ((p.z_bits >> q) & 1) + 2 * ((p.x_bits >> q) & 1)
+    return qubits, masks
+
+
+def reference_site_tables(n, qubits, masks):
+    """`GeneratorSet.site_tables` with the edges taken from the weight-2
+    generators' supports."""
+    qubits, masks = qubits.copy(), masks.copy()
+    single = np.flatnonzero(qubits[:, 0] == qubits[:, 1])
+    host = np.repeat(np.arange(n)[:, None], 2, axis=1)
+    edges = sorted(set(map(tuple, qubits[qubits[:, 0] != qubits[:, 1]].tolist())))
+    for a, b in reversed(edges):
+        host[[a, b]] = a, b
+    q = qubits[single, 0]
+    qubits[single] = host[q]
+    on_hi = host[q, 0] != q
+    masks[single[on_hi]] = masks[single[on_hi]][:, ::-1]
+    sites, site_of = np.unique(qubits, axis=0, return_inverse=True)
+    codes = np.arange(16, dtype=np.uint8)[:, None]
+    parity = np.array([bin(v).count("1") & 1 for v in range(16)], dtype=np.int8)
+    ov16 = np.take(parity, (codes & 3 & masks[:, 0]) | (((codes >> 2) & masks[:, 1]) << 2))
+    return sites, site_of.reshape(-1), ov16
+
+
+@st.composite
+def drawn_topologies(draw):
+    """1-70 qubits (past the 64 bits of a mask) on a random edge list, so
+    that sparse draws leave qubits on no edge."""
+    n = draw(st.one_of(st.integers(1, 70), st.integers(63, 70)))
+    if n == 1:
+        return Topology(1, ())
+    qubit = st.integers(0, n - 1)
+    pairs = st.tuples(qubit, qubit).filter(lambda e: e[0] != e[1]).map(lambda e: tuple(sorted(e)))
+    return Topology(n, tuple(draw(st.lists(pairs, unique=True, max_size=2 * n))))
+
+
 class TestGeneratorSet:
+    @settings(max_examples=60, deadline=None)
+    @given(topo=drawn_topologies())
+    @example(topo=line_topology(70))
+    @example(topo=Topology(70, ((3, 69), (0, 65))))
+    @example(topo=Topology(5, ((0, 1), (1, 2), (2, 3))))
+    def test_matches_string_by_string_construction(self, topo):
+        gens = GeneratorSet(topo)
+        strings = reference_strings(topo)
+        assert gens.strings == strings and len(gens) == len(strings)
+        np.testing.assert_array_equal(gens.digits, digits(strings, topo.n))
+        assert gens.digits.dtype == np.uint8
+        ref = reference_support_masks(strings)
+        ref += reference_site_tables(topo.n, *ref)
+        for got, want in zip(gens.support_masks + gens.site_tables, ref):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_count_formula(self):
         for topo in (line_topology(2), line_topology(5), garnet20(), square_lattice(3, 3)):
             gens = GeneratorSet(topo)
